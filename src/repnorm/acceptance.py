@@ -23,9 +23,9 @@ import numpy as np
 from .errors import GenericityWarning, PreconditionError
 from .specfun import hyp2f1, hyp2f1_euler_oracle, pochhammer
 from .reps import (Complementary, Discrete, Principal, coef, coef_oracle,
-                   is_unitary, parseval_defect)
-from .norms import (ScanConfig, distance_estimate, fit_exponent, pmin_scan,
-                    sobolev_gap_estimate)
+                   parseval_defect)
+from .norms import (ScanConfig, default_ladder, distance_estimate,
+                    fit_exponent, pmin_scan, sobolev_gap_estimate)
 from .integrals import (faulhaber_sum, integral_quadrature, integral_series,
                         reducible_point_integral, stirling_ratio_check)
 from . import structure
@@ -74,18 +74,6 @@ class ReportRecord:
 def _finish(cid, expected, observed, tolerance, passed, t0):
     ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return ReportRecord(cid, expected, observed, tolerance, bool(passed), ms)
-
-
-def _reference_index(r):
-    return r.ell / 2.0 if isinstance(r, Discrete) else 0
-
-
-def _column_indices(r, limit):
-    """Basis indices of r with |index| <= limit (one-sided for discrete)."""
-    if isinstance(r, Discrete):
-        j_top = int(math.floor(limit - r.ell / 2.0 + 1e-9))
-        return [r.ell / 2.0 + j for j in range(j_top + 1)]
-    return list(range(-int(limit), int(limit) + 1))
 
 
 def criterion_1(seed=DEFAULT_SEED, tol=1e-8):
@@ -139,11 +127,11 @@ def criterion_2(tol=1e-8):
     worst = 0.0
     passed = True
     for r in GRID_REPS:
-        m = _reference_index(r)
+        m = r.m_ref
         for x in (0.1, 0.3, 0.5, 0.7, 0.9):
             column, oerr = coef_oracle(r, m, x, n_max=128)
             peak = max(abs(v) for v in column.values())
-            for n in _column_indices(r, 128):
+            for n in r.indices(128):
                 ov = column[n]
                 cv = coef(r, n, m, x)
                 delta = abs(cv.value - ov)
@@ -165,12 +153,11 @@ def criterion_3(tol=1e-6):
     t0 = time.perf_counter()
     worst = 0.0
     for r in GRID_REPS:
-        if not is_unitary(r):
+        if not r.unitary:
             return _finish("3-parseval", "unitary grid", f"{r!r} not unitary",
                            "exact", False, t0)
-        m = _reference_index(r)
         for x in (0.5, 0.9, 0.99):
-            worst = max(worst, parseval_defect(r, m, x))
+            worst = max(worst, parseval_defect(r, r.m_ref, x))
     return _finish(
         "3-parseval",
         "sum of squared column magnitudes = 1",
@@ -227,11 +214,8 @@ def criterion_5(tol=1e-6):
 def _integral_ladder_fit(r, eps, ns):
     """Fitted decay exponent of the weighted integrals along a geometric
     ladder, with the near-zero-amplitude rerun at a shifted measure."""
-    if isinstance(r, Discrete):
-        base = r.ell / 2.0      # nearest in-spectrum index at or below n
-        kappas = [math.floor(n - base) + base for n in ns]
-    else:
-        kappas = list(ns)
+    # nearest in-spectrum index at or below n
+    kappas = [math.floor(n - r.m_ref) + r.m_ref for n in ns]
     values = np.array([abs(integral_series(r, k, eps).value) for k in kappas])
     if np.any(values < 1e-250) or not np.all(np.isfinite(values)):
         warnings.warn(GenericityWarning(
@@ -275,14 +259,18 @@ def criterion_7(threads=1, tol=0.07, tol_beta=0.2):
     config = ScanConfig(threads=threads)
     scan_reps = (Principal(0.0, complex(-0.5, 1.0)), Complementary(-0.25),
                  Discrete(2))
-    scans = {r: pmin_scan(r, config=config) for r in scan_reps}
+    scans = {r: pmin_scan(r, default_ladder(r), config) for r in scan_reps}
+    for samples in scans.values():
+        for outcome in samples:
+            if isinstance(outcome, Exception):
+                raise outcome
     reports = []
     passed = True
     for r, samples in scans.items():
         ns = [s.n for s in samples]
         fit = fit_exponent(ns, [s.pmin for s in samples])
         ok = abs(fit.alpha + 0.5) <= tol
-        if isinstance(r, Discrete):
+        if r.circle is None:
             ok = ok and abs(fit.beta) <= tol_beta
             reports.append(f"{fit.alpha:+.3f} (beta {fit.beta:+.3f})")
         else:

@@ -20,11 +20,10 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import (ConvergenceError, DomainError, FitError,
-                     NormalizationError, PoleError, PreconditionError,
-                     ScanError)
-from .reps import Discrete, coef, coef_oracle, parse_rep
+                     NormalizationError, PoleError, PreconditionError)
+from .reps import coef, coef_oracle, parse_rep
 from .group import cartan_from_t, cartan_from_x
-from .norms import ScanConfig, fit_exponent, pmin_scan
+from .norms import ScanConfig, default_ladder, fit_exponent, pmin_scan
 from .integrals import integral_quadrature, integral_series
 from . import acceptance, structure
 
@@ -57,17 +56,15 @@ class ExperimentConfig:
     falling back to a default."""
 
     rep: str = None
-    m: float = None
     n_values: object = None
-    epsilon: float = None
     scan: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     output_path: str = None
     threads: int = 1
     seed: int = acceptance.DEFAULT_SEED
 
-    KEYS = ("rep", "m", "n_values", "epsilon", "scan", "tolerances",
-            "output_path", "threads", "seed")
+    KEYS = ("rep", "n_values", "scan", "tolerances", "output_path",
+            "threads", "seed")
     SCAN_KEYS = ("c_grid", "refine_iters", "t_max_pad")
 
     @classmethod
@@ -135,7 +132,7 @@ def cmd_coef(args):
         raise PreconditionError("give exactly one of --x or --t")
     coord = (cartan_from_x(args.x) if args.x is not None
              else cartan_from_t(args.t))
-    n, m = _maybe_half(r, args.n), _maybe_half(r, args.m)
+    n, m = r.as_index(args.n), r.as_index(args.m)
     if args.oracle:
         column, err = coef_oracle(r, m, coord, n_max=abs(n))
         value, method = column[n], "oracle"
@@ -150,17 +147,6 @@ def cmd_coef(args):
     return 0
 
 
-def _maybe_half(r, value):
-    """Discrete basis indices may be half-integers; everything else wants
-    plain integers."""
-    v = float(value)
-    if isinstance(r, Discrete):
-        return v
-    if v != int(v):
-        raise PreconditionError(f"index {value} must be an integer")
-    return int(v)
-
-
 def cmd_norm_scan(args):
     cfg = ExperimentConfig.load(args.config)
     if cfg.rep is None or cfg.output_path is None:
@@ -169,18 +155,13 @@ def cmd_norm_scan(args):
     threads = _threads_from(cfg.threads)
     scan_cfg = cfg.scan_config(threads)
     kappas = cfg.resolved_n_values()
+    kappas = sorted(default_ladder(r) if kappas is None else kappas)
 
     lines = [f"# repnorm norm-scan rep={cfg.rep}", CSV_HEADER]
-    failures = []
-    if kappas is None:
-        samples = pmin_scan(r, config=scan_cfg)
-    else:
-        samples = []
-        for kappa in sorted(kappas):
-            try:
-                samples.extend(pmin_scan(r, [kappa], config=scan_cfg))
-            except (ScanError, ConvergenceError, PreconditionError) as exc:
-                failures.append((kappa, exc))
+    outcomes = pmin_scan(r, kappas, config=scan_cfg)
+    samples = [s for s in outcomes if not isinstance(s, Exception)]
+    failures = [(k, exc) for k, exc in zip(kappas, outcomes)
+                if isinstance(exc, Exception)]
     for s in sorted(samples, key=lambda s: s.n):
         lines.append(",".join([
             _g17(s.n), _g17(s.pmin), _g17(s.x_argmax),
@@ -233,7 +214,7 @@ def cmd_integral(args):
     eps = float(args.eps)
     print("n,quadrature_re,quadrature_im,series_re,series_im,rel_deviation")
     for n in args.n:
-        nn = _maybe_half(r, n)
+        nn = r.as_index(n)
         q = integral_quadrature(r, nn, eps)
         s = integral_series(r, nn, eps)
         scale = max(abs(s.value), abs(q.value), 1e-300)

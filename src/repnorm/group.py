@@ -1,4 +1,4 @@
-"""Group elements, Cartan coordinates and weight functions.
+"""Cartan coordinates on the diagonal flow.
 
 The group is the set of complex matrices (alpha, beta; conj(beta),
 conj(alpha)) with |alpha|^2 - |beta|^2 = 1.  The diagonal flow is
@@ -8,52 +8,12 @@ conj(alpha)) with |alpha|^2 - |beta|^2 = 1.  The diagonal flow is
 so alpha(a_x) = 1/sqrt(1-x) and beta(a_x) = sqrt(x)/sqrt(1-x).  Every
 element is K a_t K with cosh t = |alpha|, which pins the Cartan coordinate
 of a general element to x = |beta/alpha|^2.
-
-Weights are evaluated in the normalization a^mu = e^(mu t) (half-sum of
-positive roots = 1), and all weights here are bi-K-invariant, so they are
-functions of the Cartan coordinate alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
-
-_DET_TOL = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        det = abs(self.alpha) ** 2 - abs(self.beta) ** 2
-        if abs(det - 1.0) > _DET_TOL:
-            raise PreconditionError(f"not unimodular: |a|^2-|b|^2 = {det!r}")
-
-    def compose(self, other):
-        """Matrix product, staying in (alpha, beta) form."""
-        a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
-        return GroupElement(a1 * a2 + b1 * b2.conjugate(),
-                            a1 * b2 + b1 * a2.conjugate())
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def inverse(self):
-        return GroupElement(self.alpha.conjugate(), -self.beta)
-
-    def cartan(self):
-        """Cartan coordinate of this element (cosh t = |alpha|)."""
-        x = abs(self.beta / self.alpha) ** 2
-        return cartan_from_x(x)
-
-
-def k_rotation(phi):
-    """The compact rotation diag(e^{-i phi}, e^{i phi})."""
-    return GroupElement(complex(math.cos(phi), -math.sin(phi)), 0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -69,10 +29,6 @@ class CartanCoord:
             raise PreconditionError(
                 f"inconsistent coordinates: x={self.x}, tanh(t)^2={math.tanh(self.t)**2}")
 
-    def group_element(self):
-        s = 1.0 / math.sqrt(1.0 - self.x)
-        return GroupElement(complex(s), complex(math.sqrt(self.x) * s))
-
 
 def cartan_from_t(t):
     if t < 0.0:
@@ -84,102 +40,3 @@ def cartan_from_x(x):
     if not (0.0 <= x < 1.0):
         raise PreconditionError(f"need 0 <= x < 1, got {x}")
     return CartanCoord(x=float(x), t=math.atanh(math.sqrt(x)))
-
-
-# ---------------------------------------------------------------------------
-# Weights
-
-
-@dataclass(frozen=True)
-class LogWeight:
-    """(1 + t)^d on the diagonal flow."""
-    d: float
-
-
-@dataclass(frozen=True)
-class ExpWeight:
-    """sup over the Weyl orbit of a^mu, i.e. e^(|mu| t)."""
-    mu: float
-
-
-@dataclass(frozen=True)
-class EnvelopeWeight:
-    """max(1, sup over unbounded exponents of e^(lambda t)).
-
-    Exponents should be handed over with their positive (unbounded-direction)
-    representatives; non-positive entries are bounded on the positive flow
-    and drop out.
-    """
-    exps: tuple = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class MinimalWeight:
-    """(1 + t)^d times the envelope of the strictly unbounded exponents."""
-    d: float
-    exps: tuple = field(default_factory=tuple)
-
-
-def weight_eval(w, a):
-    """Evaluate a weight at a Cartan coordinate."""
-    t = a.t
-    if isinstance(w, LogWeight):
-        return (1.0 + t) ** w.d
-    if isinstance(w, ExpWeight):
-        return math.exp(abs(w.mu) * t)
-    if isinstance(w, EnvelopeWeight):
-        pos = [lam for lam in w.exps if lam > 0.0]
-        return max(1.0, math.exp(max(pos) * t)) if pos else 1.0
-    if isinstance(w, MinimalWeight):
-        pos = [lam for lam in w.exps if lam > 0.0]
-        base = (1.0 + t) ** w.d
-        return base * math.exp(max(pos) * t) if pos else base
-    raise PreconditionError(f"unknown weight spec {w!r}")
-
-
-def golden_min(f, lo, hi, iters=60):
-    """Golden-section minimum of f on [lo, hi]; returns (x, f(x))."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-14 * (1.0 + abs(a)):
-            break
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def weight_infimum(w1, w2, t, grid_points=257, refine_iters=60):
-    """Infimum over two-factor splittings along the diagonal flow.
-
-    Minimizes w1(a_s) w2(a_{t-s}) for s in [0, t] by grid search plus
-    golden-section refinement around the best bracket.  Splittings through
-    general group elements are not explored, so for weights that are not
-    known to be A-reducible this is an upper bound for the true infimum of
-    the product over all factorizations.
-    """
-    if t < 0.0:
-        raise PreconditionError(f"need t >= 0, got {t}")
-    if t == 0.0:
-        return weight_eval(w1, cartan_from_t(0.0)) * weight_eval(w2, cartan_from_t(0.0))
-
-    def product(s):
-        return (weight_eval(w1, cartan_from_t(s))
-                * weight_eval(w2, cartan_from_t(t - s)))
-
-    n = max(int(grid_points), 3)
-    step = t / (n - 1)
-    values = [product(i * step) for i in range(n)]
-    i_best = min(range(n), key=values.__getitem__)
-    lo = max(0.0, (i_best - 1) * step)
-    hi = min(t, (i_best + 1) * step)
-    _, refined = golden_min(product, lo, hi, refine_iters)
-    return min(refined, values[i_best])

@@ -19,12 +19,9 @@ import mpmath
 import numpy as np
 import scipy.integrate
 
-from .errors import (ConvergenceError, DomainError, PoleError,
-                     PreconditionError)
-from .reps import (Complementary, Discrete, Principal, coef_vec,
-                   complementary_normalizer, _discrete_log_j,
-                   _discrete_index, _principal_params)
-from .specfun import log_gamma, gamma_ratio_signed, is_nonpositive_int
+from .errors import ConvergenceError, DomainError, PreconditionError
+from .reps import coef_vec, _discrete_log_j, _discrete_index, _principal_params
+from .specfun import log_gamma, is_nonpositive_int
 
 
 @dataclass(frozen=True)
@@ -145,23 +142,16 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, init_panels=8,
 # Route one: direct quadrature in the flattening variable
 
 
-def _reference_m(r, m):
-    if m is not None:
-        return m
-    return r.ell / 2.0 if isinstance(r, Discrete) else 0.0
-
-
-def integral_quadrature(r, n, eps, m=None, tol_abs=1e-12):
-    """Integral of coef(n, m; a_x) against the eps-measure, by adaptive
+def integral_quadrature(r, n, eps):
+    """Integral of coef(n, m_ref; a_x) against the eps-measure, by adaptive
     quadrature in u = (1-x)^eps (the measure becomes du exactly)."""
-    measure = BetaMeasure(eps)
-    m = _reference_m(r, m)
+    BetaMeasure(eps)
 
     def integrand(us):
         omx = us ** (1.0 / eps)      # exact 1-x, safe arbitrarily close to 1
-        return coef_vec(r, n, m, 1.0 - omx, omx=omx)
+        return coef_vec(r, n, r.m_ref, 1.0 - omx, omx=omx)
 
-    value, err = kronrod_quad_vec(integrand, 0.0, 1.0, tol_abs=tol_abs)
+    value, err = kronrod_quad_vec(integrand, 0.0, 1.0)
     return IntegralValue(value, "quadrature", err + 1e-9 * abs(value))
 
 
@@ -225,7 +215,7 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     return tail, err
 
 
-def j_series(lam, sigma, n, eps, k_direct=None):
+def j_series(lam, sigma, n, eps):
     """The Beta-moment series sum_k g_k B(n/2 + k + 1, eps - lam) without
     the Gamma prefactor of the coefficient; g_k are the Gauss series
     coefficients at the m = 0 column.  Returns (value, err_est)."""
@@ -238,7 +228,7 @@ def j_series(lam, sigma, n, eps, k_direct=None):
     if lam_eps.real <= 0.0:
         raise DomainError(f"need eps > Re lam, got eps={eps}, lam={lam}")
 
-    k_cut = int(k_direct) if k_direct else max(1024, 2 * int(n))
+    k_cut = max(1024, 2 * int(n))
     # terminating Gauss series (a or b a nonpositive integer): no tail,
     # and the loggamma continuation would hit a pole
     terminates = None
@@ -267,22 +257,17 @@ def j_series(lam, sigma, n, eps, k_direct=None):
     return value, err
 
 
-def integral_series(r, n, eps, tol=None):
+def integral_series(r, n, eps):
     """Integral of coef(n, m_ref; a_x) against the eps-measure through the
-    termwise route: Gamma prefactor times Beta-moment series (principal,
-    complementary) or an exact finite Beta sum (discrete)."""
+    termwise route: Gamma prefactor times Beta-moment series (circle
+    families, times their normalizer) or an exact finite Beta sum (disc)."""
     BetaMeasure(eps)
-    if isinstance(r, Principal):
-        val, err = _integral_series_circle(r.sigma, r.lam, n, eps)
-        return IntegralValue(val, "series", err)
-    if isinstance(r, Complementary):
-        val, err = _integral_series_circle(0.0, complex(r.lam), n, eps)
-        scale = complementary_normalizer(r.lam, n, 0)
-        return IntegralValue(scale * val, "series", scale * err)
-    if isinstance(r, Discrete):
+    if r.circle is None:
         val = _integral_discrete_exact(r.ell, n, eps)
         return IntegralValue(val, "exact-sum", 1e-14 * abs(val))
-    raise PreconditionError(f"unknown representation {r!r}")
+    val, err = _integral_series_circle(*r.circle, n, eps)
+    scale = r.normalizer(n, 0)
+    return IntegralValue(scale * val, "series", scale * err)
 
 
 def _integral_series_circle(sigma, lam, n, eps):
@@ -296,8 +281,6 @@ def _integral_series_circle(sigma, lam, n, eps):
 def _integral_discrete_exact(ell, n, eps):
     """eps * J * sum_k g_k B((p+q)/2 - k + 1, ell/2 + k + eps) with the
     signed finite expansion; q = 0 at the reference column, single term."""
-    r = Discrete(ell)
-    ell = r.ell
     p = _discrete_index(ell, n)
     q = 0
     sign = -1.0 if p % 2 else 1.0

@@ -13,26 +13,19 @@ show up as a nonzero secondary coefficient instead of polluting the slope.
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, PreconditionError, ScanError
-from .group import golden_min
-from .reps import Complementary, Discrete, Principal, coef_vec, k_spectrum
+from .errors import FitError, RepnormError, ScanError
+from .reps import coef_vec
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def sobolev_multiplier(kappa, s):
     """Weight (1 + kappa^2)^(s/2) of the character kappa at smoothness s."""
     return (1.0 + float(kappa) ** 2) ** (0.5 * s)
-
-
-def sobolev_norm(amplitudes, s):
-    """Weighted l2 norm of a finite spectral amplitude map {kappa: a}."""
-    total = 0.0
-    for kappa, a in amplitudes.items():
-        total += (1.0 + float(kappa) ** 2) ** s * abs(a) ** 2
-    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -64,27 +57,24 @@ class NormSample:
     err_est: float
 
 
-def _basis_index(r, kappa):
-    """Basis index whose compact character is kappa, and the reference
-    column index m the scan pairs against."""
-    kappa = int(kappa)
-    if isinstance(r, Principal):
-        parity = 1 if r.sigma == 0.5 else 0
-        if kappa % 2 != parity:
-            raise PreconditionError(
-                f"character {kappa} not in the spectrum of {r}")
-        return (kappa - parity) / 2.0, 0.0
-    if isinstance(r, Complementary):
-        if kappa % 2 != 0:
-            raise PreconditionError(
-                f"character {kappa} not in the spectrum of {r}")
-        return kappa / 2.0, 0.0
-    if isinstance(r, Discrete):
-        if kappa < r.ell or (kappa - r.ell) % 2 != 0:
-            raise PreconditionError(
-                f"character {kappa} not in the spectrum of {r}")
-        return kappa / 2.0, r.ell / 2.0
-    raise PreconditionError(f"unknown representation {r!r}")
+def golden_min(f, lo, hi, iters=60):
+    """Golden-section minimum of f on [lo, hi]; returns (x, f(x))."""
+    a, b = float(lo), float(hi)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        if b - a < 1e-14 * (1.0 + abs(a)):
+            break
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def scan_character(r, kappa, config=None):
@@ -97,7 +87,7 @@ def scan_character(r, kappa, config=None):
     """
     config = config or ScanConfig()
     kappa = int(kappa)
-    n_basis, m_ref = _basis_index(r, kappa)
+    n_basis, m_ref = r.basis_index(kappa), r.m_ref
 
     dt = config.grid_c / (kappa + 1.0)
     t_max = config.t_pad + math.log1p(kappa)
@@ -148,30 +138,35 @@ def scan_character(r, kappa, config=None):
     )
 
 
-def pmin_scan(r, kappas=None, config=None):
-    """Scan a ladder of characters; returns samples ordered by character.
+def default_ladder(r):
+    """Characters 16 * 2^k up to 2048, each moved one step up where it is
+    not in the spectrum of r."""
+    ladder = [16 * 2 ** j for j in range(8)]
+    spectrum = set(r.spectrum(2 * ladder[-1]))
+    return [k if k in spectrum else k + 1 for k in ladder
+            if k in spectrum or k + 1 in spectrum]
 
-    The default ladder is geometric from 16 to 2048 inside the spectrum of
-    r.  With config.threads > 1 the characters are scanned concurrently
-    (the work is numpy-bound, so threads help despite the GIL).
+
+def pmin_scan(r, kappas, config=None):
+    """Scan a ladder of characters; returns one outcome per character, in
+    ascending order: its NormSample, or the RepnormError its scan raised.
+
+    With config.threads > 1 the characters are scanned concurrently (the
+    work is numpy-bound, so threads help despite the GIL).
     """
     config = config or ScanConfig()
-    if kappas is None:
-        ladder = [16 * 2 ** k for k in range(8)]
-        spectrum = set(k_spectrum(r, 2 * max(ladder)))
-        kappas = []
-        for k in ladder:
-            shift = k if k in spectrum else k + 1
-            if shift in spectrum:
-                kappas.append(shift)
-    kappas = sorted(int(k) for k in kappas)
+
+    def outcome(kappa):
+        try:
+            return scan_character(r, kappa, config)
+        except RepnormError as exc:
+            return exc
+
+    kappas = sorted(kappas)
     if config.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(config.threads) as pool:
-            samples = list(pool.map(
-                lambda k: scan_character(r, k, config), kappas))
-    else:
-        samples = [scan_character(r, k, config) for k in kappas]
-    return samples
+            return list(pool.map(outcome, kappas))
+    return [outcome(k) for k in kappas]
 
 
 @dataclass(frozen=True)

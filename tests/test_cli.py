@@ -136,6 +136,27 @@ class TestNormScanCommand:
         assert sum(1 for l in lines if not l.startswith("#")) == 3
         assert lines[-1].startswith("# ERROR 0.25 ")
 
+    def test_default_ladder_scan_error_writes_trailers(self, tmp_path,
+                                                       capsys):
+        # a negative pad puts the lowest peak past the window end: that
+        # character fails on its own and the run still succeeds
+        out_csv = tmp_path / "scan.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "rep": "discrete:2", "scan": {"t_max_pad": -1.5},
+            "output_path": str(out_csv)}), encoding="utf-8")
+        assert main(["norm-scan", str(path)]) == 0
+        lines = out_csv.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == CSV_HEADER
+        assert len(lines) == 2 + 8           # one line per ladder character
+        assert lines[-1].startswith("# ERROR 16 ScanError: ")
+
+    def test_unread_fields_rejected(self, tmp_path, capsys):
+        for field in ("m", "epsilon"):
+            cfg = write_config(tmp_path, output_path=str(tmp_path / "s.csv"),
+                               **{field: 7})
+            assert main(["norm-scan", str(cfg)]) == 2
+
     def test_missing_config_file(self, capsys):
         assert main(["norm-scan", "/no/such/config.json"]) == 2
 

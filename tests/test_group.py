@@ -1,39 +1,9 @@
-"""Group elements, flow coordinates and weight algebra."""
+"""Flow coordinates."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repnorm.errors import PreconditionError
-from repnorm.group import (CartanCoord, EnvelopeWeight, ExpWeight,
-                           GroupElement, LogWeight, MinimalWeight,
-                           cartan_from_t, cartan_from_x, golden_min,
-                           k_rotation, weight_eval, weight_infimum)
-
-
-def as_matrix(g):
-    return np.array([[g.alpha, g.beta],
-                     [np.conjugate(g.beta), np.conjugate(g.alpha)]])
-
-
-class TestGroupElement:
-    def test_unimodularity_enforced(self):
-        with pytest.raises(PreconditionError):
-            GroupElement(1.2 + 0.0j, 0.0 + 0.0j)
-
-    def test_compose_is_matrix_product(self):
-        g = cartan_from_t(0.8).group_element()
-        h = k_rotation(0.63)
-        ref = as_matrix(g) @ as_matrix(h)
-        got = as_matrix(g.compose(h))
-        assert np.allclose(got, ref, rtol=1e-14, atol=1e-14)
-
-    def test_flow_element_is_hyperbolic(self):
-        t = 1.3
-        g = cartan_from_t(t).group_element()
-        assert g.alpha.real == pytest.approx(math.cosh(t), rel=1e-14)
-        assert g.beta.real == pytest.approx(math.sinh(t), rel=1e-14)
+from repnorm.group import CartanCoord, cartan_from_t, cartan_from_x
 
 
 class TestCartanCoord:
@@ -54,55 +24,3 @@ class TestCartanCoord:
             cartan_from_x(1.0)
         with pytest.raises(PreconditionError):
             cartan_from_t(-0.1)
-
-
-class TestWeights:
-    def test_log_weight(self):
-        a = cartan_from_t(3.0)
-        assert weight_eval(LogWeight(2.0), a) == pytest.approx(16.0)
-
-    def test_exp_weight_uses_orbit_sup(self):
-        a = cartan_from_t(1.5)
-        assert weight_eval(ExpWeight(-0.8), a) == pytest.approx(
-            math.exp(0.8 * 1.5), rel=1e-14)
-
-    def test_envelope_drops_bounded_directions(self):
-        a = cartan_from_t(2.0)
-        assert weight_eval(EnvelopeWeight((-1.0, -0.25)), a) == 1.0
-        assert weight_eval(EnvelopeWeight((-1.0, 0.5)), a) == pytest.approx(
-            math.exp(1.0), rel=1e-14)
-
-    def test_minimal_weight_combines_both(self):
-        a = cartan_from_t(1.0)
-        w = MinimalWeight(1.5, (0.3, -2.0))
-        assert weight_eval(w, a) == pytest.approx(
-            2.0 ** 1.5 * math.exp(0.3), rel=1e-14)
-
-
-class TestGoldenMin:
-    def test_quadratic(self):
-        t, val = golden_min(lambda s: (s - 1.3) ** 2, 0.0, 4.0)
-        assert t == pytest.approx(1.3, abs=1e-9)
-        assert val == pytest.approx(0.0, abs=1e-18)
-
-
-class TestWeightInfimum:
-    def test_exp_pair_closed_form(self):
-        # inf_s e^{m1 s + m2 (t-s)} = e^{min(m1,m2) t} for s in [0, t]
-        t = 2.4
-        got = weight_infimum(ExpWeight(0.7), ExpWeight(1.9), t)
-        assert got == pytest.approx(math.exp(0.7 * t), rel=1e-8)
-
-    def test_log_pair_balanced_split(self):
-        # (1+s)^d (1+t-s)^d is minimized at the ends for d > 0
-        t = 3.0
-        got = weight_infimum(LogWeight(2.0), LogWeight(2.0), t)
-        assert got == pytest.approx((1.0 + t) ** 2, rel=1e-8)
-
-    def test_zero_time(self):
-        got = weight_infimum(LogWeight(1.0), ExpWeight(0.5), 0.0)
-        assert got == 1.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(PreconditionError):
-            weight_infimum(LogWeight(1.0), LogWeight(1.0), -1.0)

@@ -7,9 +7,9 @@ import pytest
 
 from repnorm.errors import FitError, PreconditionError, ScanError
 from repnorm.norms import (FitResult, NormSample, ScanConfig,
-                           distance_estimate, fit_exponent, pmin_scan,
-                           scan_character, sobolev_gap_estimate,
-                           sobolev_multiplier, sobolev_norm)
+                           distance_estimate, fit_exponent, golden_min,
+                           pmin_scan, scan_character, sobolev_gap_estimate,
+                           sobolev_multiplier)
 from repnorm.reps import Complementary, Discrete, Principal
 
 LADDER = [16.0 * 2.0 ** k for k in range(7)]
@@ -20,14 +20,12 @@ class TestSobolevWeights:
         assert sobolev_multiplier(0, 3.0) == 1.0
         assert sobolev_multiplier(2, 1.0) == pytest.approx(math.sqrt(5.0))
 
-    def test_norm_is_weighted_l2(self):
-        amps = {0: 1.0, 3: 2.0j}
-        ref = math.sqrt(1.0 + 10.0 * 4.0)
-        assert sobolev_norm(amps, 1.0) == pytest.approx(ref, rel=1e-14)
 
-    def test_zero_smoothness_is_plain_l2(self):
-        amps = {1: 0.6, -4: 0.8}
-        assert sobolev_norm(amps, 0.0) == pytest.approx(1.0, rel=1e-14)
+class TestGoldenMin:
+    def test_quadratic(self):
+        t, val = golden_min(lambda s: (s - 1.3) ** 2, 0.0, 4.0)
+        assert t == pytest.approx(1.3, abs=1e-9)
+        assert val == pytest.approx(0.0, abs=1e-18)
 
 
 class TestFitExponent:
