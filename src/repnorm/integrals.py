@@ -21,7 +21,7 @@ import scipy.integrate
 
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .reps import coef_vec, _discrete_log_j, _discrete_index, _principal_params
-from .specfun import log_gamma, is_nonpositive_int
+from .specfun import _terminating_order, log_gamma
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,23 @@ _WG[[1, 3, 5]] = _WG_HALF
 _WG[7] = _WG_CENTER
 _WG[[13, 11, 9]] = _WG_HALF
 
+_INIT_PANELS = 8
+_MAX_EVALS = 2_000_000
 
-def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, init_panels=8,
-                     max_evals=2_000_000):
+
+def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
     """Adaptive 15-point Kronrod rule driven by batch evaluations.
 
     f maps a flat numpy array of abscissae to values (complex ok); every
     refinement round evaluates all pending panels in a single call, so an
-    expensive vectorized integrand costs what one big batch costs.  Returns
-    (value, err_est); raises ConvergenceError past max_evals.
+    expensive vectorized integrand costs what one big batch costs.  Starts
+    from _INIT_PANELS equal panels.  Returns (value, err_est); raises
+    ConvergenceError past _MAX_EVALS evaluations.
     """
     span = float(hi) - float(lo)
     if span <= 0.0:
         raise PreconditionError("need lo < hi")
-    edges = np.linspace(float(lo), float(hi), init_panels + 1)
+    edges = np.linspace(float(lo), float(hi), _INIT_PANELS + 1)
     pend_a = edges[:-1].copy()
     pend_b = edges[1:].copy()
     total = 0.0 + 0.0j
@@ -131,7 +134,7 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, init_panels=8,
         a_bad, b_bad, m_bad = pend_a[~done], pend_b[~done], mid[~done]
         pend_a = np.concatenate([a_bad, m_bad])
         pend_b = np.concatenate([m_bad, b_bad])
-        if evals > max_evals:
+        if evals > _MAX_EVALS:
             raise ConvergenceError(
                 f"quadrature not settled after {evals} evaluations"
                 f" ({pend_a.size} panels open)")
@@ -215,27 +218,17 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     return tail, err
 
 
-def j_series(lam, sigma, n, eps):
-    """The Beta-moment series sum_k g_k B(n/2 + k + 1, eps - lam) without
-    the Gamma prefactor of the coefficient; g_k are the Gauss series
-    coefficients at the m = 0 column.  Returns (value, err_est)."""
-    lam = complex(lam)
-    a = -lam - sigma
-    b = -lam + sigma + n
-    c = n + 1.0
-    s0 = n / 2.0
-    lam_eps = eps - lam
-    if lam_eps.real <= 0.0:
-        raise DomainError(f"need eps > Re lam, got eps={eps}, lam={lam}")
+def j_series(a, b, c, s0, lam_eps):
+    """The Beta-moment series sum_k g_k B(s0 + k + 1, lam_eps) without the
+    Gamma prefactor of the coefficient; g_k are the Gauss series
+    coefficients of 2F1(a, b; c; x).  Returns (value, err_est)."""
+    if complex(lam_eps).real <= 0.0:
+        raise DomainError(f"need Re(eps - lam) > 0, got {lam_eps}")
 
-    k_cut = max(1024, 2 * int(n))
+    k_cut = max(1024, 2 * int(c - 1.0))     # c - 1 = |n| on the m = 0 column
     # terminating Gauss series (a or b a nonpositive integer): no tail,
     # and the loggamma continuation would hit a pole
-    terminates = None
-    for v in (a, b):
-        if is_nonpositive_int(v):
-            k_top = int(round(-v.real))
-            terminates = k_top if terminates is None else min(terminates, k_top)
+    terminates = _terminating_order(a, b)
     if terminates is not None:
         k_cut = max(k_cut, terminates + 1)
 
@@ -260,40 +253,29 @@ def j_series(lam, sigma, n, eps):
 def integral_series(r, n, eps):
     """Integral of coef(n, m_ref; a_x) against the eps-measure through the
     termwise route: Gamma prefactor times Beta-moment series (circle
-    families, times their normalizer) or an exact finite Beta sum (disc)."""
+    families, times their normalizer) or an exact Beta value (disc)."""
     BetaMeasure(eps)
     if r.circle is None:
-        val = _integral_discrete_exact(r.ell, n, eps)
+        # at the reference column the disc sum is its one k = 0 term:
+        # eps (-1)^p |J| B(p/2 + 1, ell/2 + eps)
+        ell = r.ell
+        p = _discrete_index(ell, n)
+        sign = -1.0 if p % 2 else 1.0
+        beta = math.exp(log_gamma(p / 2.0 + 1.0).real
+                        + log_gamma(ell / 2.0 + eps).real
+                        - log_gamma(p / 2.0 + 1.0 + ell / 2.0 + eps).real)
+        val = eps * sign * math.exp(_discrete_log_j(ell, p, 0)) * beta
         return IntegralValue(val, "exact-sum", 1e-14 * abs(val))
-    val, err = _integral_series_circle(*r.circle, n, eps)
+    sigma, lam = r.circle
+    n = int(n)
+    # coef(n, 0) = pref x^(|n|/2) (1-x)^(-lam) 2F1(a, b; c; x), and the
+    # measure turns x^(|n|/2 + k) (1-x)^(-lam) into eps B(|n|/2 + k + 1,
+    # eps - lam)
+    a, b, c, pref = _principal_params(sigma, lam, n, 0)
+    jval, jerr = j_series(a, b, c, abs(n) / 2.0, eps - lam)
+    val, err = eps * pref * jval, eps * abs(pref) * jerr
     scale = r.normalizer(n, 0)
     return IntegralValue(scale * val, "series", scale * err)
-
-
-def _integral_series_circle(sigma, lam, n, eps):
-    if n < 0:
-        raise PreconditionError("series route expects n >= 0 (m_ref = 0)")
-    _, _, _, pref = _principal_params(sigma, lam, int(n), 0)
-    jval, jerr = j_series(lam, sigma, int(n), eps)
-    return eps * pref * jval, eps * abs(pref) * jerr
-
-
-def _integral_discrete_exact(ell, n, eps):
-    """eps * J * sum_k g_k B((p+q)/2 - k + 1, ell/2 + k + eps) with the
-    signed finite expansion; q = 0 at the reference column, single term."""
-    p = _discrete_index(ell, n)
-    q = 0
-    sign = -1.0 if p % 2 else 1.0
-    j_mag = math.exp(_discrete_log_j(ell, p, q))
-    lg_top = log_gamma((p + q) / 2.0 + 1.0 + ell / 2.0 + eps).real
-    total = 0.0
-    g = 1.0
-    for k in range(min(p, q) + 1):
-        total += g * math.exp(
-            log_gamma((p + q) / 2.0 - k + 1.0).real
-            + log_gamma(ell / 2.0 + k + eps).real - lg_top)
-        g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
-    return eps * sign * j_mag * total
 
 
 def reducible_point_integral(n, eps):

@@ -21,6 +21,8 @@ from .errors import FitError, RepnormError, ScanError
 from .reps import coef_vec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# u of the concentration seeds x = 1 - 1/(1 + kappa/u) every scan probes
+_SEED_SCALES = (0.5, 1.0, 2.0)
 
 
 def sobolev_multiplier(kappa, s):
@@ -34,12 +36,11 @@ class ScanConfig:
 
     grid_c sets the step dt = grid_c/(kappa+1); t_pad sets the window
     T = t_pad + log(1+kappa).  Beyond the uniform grid, three concentration
-    seeds x = 1 - 1/(1 + kappa/u) are always probed: that is where a
-    coefficient peaking near the boundary would live.
+    seeds x = 1 - 1/(1 + kappa/u), u in _SEED_SCALES, are always probed:
+    that is where a coefficient peaking near the boundary would live.
     """
     grid_c: float = 0.1
     t_pad: float = 6.0
-    seed_scales: tuple = (0.5, 1.0, 2.0)
     refine_top: int = 8
     refine_iters: int = 48
     threads: int = 1
@@ -93,7 +94,7 @@ def scan_character(r, kappa, config=None):
     t_max = config.t_pad + math.log1p(kappa)
     ts = np.arange(dt, t_max + 0.5 * dt, dt)
     seeds = []
-    for u in config.seed_scales:
+    for u in _SEED_SCALES:
         x_seed = 1.0 - 1.0 / (1.0 + kappa / u)
         if 0.0 < x_seed < 1.0:
             t_seed = math.atanh(math.sqrt(x_seed))
@@ -207,13 +208,11 @@ def fit_exponent(ns, values, with_log=True):
                      log_amp=float(coef[0]), resid=resid, n_points=ns.size)
 
 
-def distance_estimate(p_values, q_values, ns, symmetric=True):
+def distance_estimate(p_values, q_values, ns):
     """Sobolev-scale separation of two positive sequences.
 
-    Fits p/q ~ const * (1+n^2)^(gamma/2) and clamps at zero: if p is
-    dominated by q the separation is zero, not negative.  The symmetric
-    variant takes the larger of the two directions, which for a clean power
-    law is |gamma|.
+    Fits p/q ~ const * (1+n^2)^(gamma/2) and returns |gamma|, the larger
+    of the separations in the two directions.
     """
     p = np.asarray(p_values, dtype=float)
     q = np.asarray(q_values, dtype=float)
@@ -231,10 +230,7 @@ def distance_estimate(p_values, q_values, ns, symmetric=True):
     coef, _, rank, _ = np.linalg.lstsq(cols, rhs, rcond=None)
     if rank < 2:
         raise FitError("degenerate design matrix")
-    gamma = float(coef[1])
-    if symmetric:
-        return max(gamma, -gamma, 0.0)
-    return max(gamma, 0.0)
+    return abs(float(coef[1]))
 
 
 def sobolev_gap_estimate(samples):

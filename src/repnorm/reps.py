@@ -240,11 +240,26 @@ def _discrete_log_j(ell, p, q):
 # Oracles
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+def _settled_column(column, size, oracle, request):
+    """The doubling certificate of the FFT oracles.
+
+    column(N) samples on N points and returns (values, floor), floor being
+    the roundoff floor of those values.  N starts at the power of two at or
+    above size and doubles (three times at most) until the values move by
+    at most ORACLE_TOL; returns (values, err), err being that last move plus
+    the floor.  oracle and request name the failure in ConvergenceError.
+    """
+    big_n = 1 << (int(size) - 1).bit_length()
+    prev, _ = column(big_n)
+    for _ in range(3):
+        big_n *= 2
+        cur, floor = column(big_n)
+        delta = float(np.max(np.abs(cur - prev)))
+        if delta <= ORACLE_TOL:
+            return cur, delta + floor
+        prev = cur
+    raise ConvergenceError(
+        f"{oracle} oracle not settled at N={big_n} ({request})")
 
 
 def _circle_samples(sigma, lam, m, x, big_n):
@@ -264,40 +279,30 @@ def _circle_samples(sigma, lam, m, x, big_n):
     return vals
 
 
-def coef_oracle_principal(sigma, lam, m, coord, n_max, tol=ORACLE_TOL):
+def coef_oracle_principal(sigma, lam, m, coord, n_max):
     """Column of circle-model coefficients at fixed m by Fourier analysis.
 
-    Returns ({n: value for |n| <= n_max}, err_est).  The sample count starts
-    at the next power of two above 8(n_max+|m|)+64 and doubles (three times
-    at most) until the requested coefficients move by less than tol.
+    Returns ({n: value for |n| <= n_max}, err_est) under the doubling
+    certificate of _settled_column, from 8(n_max+|m|)+64 samples up.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
     x = coord.x
     n_max = int(n_max)
-    big_n = _next_pow2(8 * (n_max + abs(int(m))) + 64)
+    ns = np.arange(-n_max, n_max + 1)
 
     def column(big_n):
         vals = _circle_samples(sigma, lam, m, x, big_n)
         spec = np.fft.fft(vals) / big_n
-        ns = np.arange(-n_max, n_max + 1)
-        return spec[(-ns) % big_n], float(np.max(np.abs(vals)))
+        return spec[(-ns) % big_n], \
+            2e-16 * float(np.max(np.abs(vals))) * math.sqrt(big_n)
 
-    prev, scale = column(big_n)
-    for _ in range(3):
-        big_n *= 2
-        cur, scale = column(big_n)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta <= tol:
-            err = delta + 2e-16 * scale * math.sqrt(big_n)
-            ns = range(-n_max, n_max + 1)
-            return {n: complex(v) for n, v in zip(ns, cur)}, err
-        prev = cur
-    raise ConvergenceError(
-        f"circle oracle not settled at N={big_n} (x={x}, n_max={n_max})")
+    cur, err = _settled_column(column, 8 * (n_max + abs(int(m))) + 64,
+                               "circle", f"x={x}, n_max={n_max}")
+    return {int(n): complex(v) for n, v in zip(ns, cur)}, err
 
 
-def coef_oracle_discrete(ell, m, coord, n_max, tol=ORACLE_TOL):
+def coef_oracle_discrete(ell, m, coord, n_max):
     """Column of disc-model coefficients at fixed m by Taylor extraction.
 
     The transformed function F = pi(a_x) f_m is holomorphic across the
@@ -336,22 +341,27 @@ def coef_oracle_discrete(ell, m, coord, n_max, tol=ORACLE_TOL):
     d_m = (-1.0) ** q * math.exp(
         0.5 * (log_gamma(m + ell / 2.0).real - log_gamma(q + 1.0).real - lg_ell))
 
-    def window_column(js, radius, big_n):
-        theta = 2.0 * np.pi * np.arange(big_n) / big_n
-        z = radius * np.exp(1j * theta)
-        den = A - B * z
-        w = (A * z - B) / den
-        fvals = d_m * den ** (-ell) * w ** q
-        spec = np.fft.fft(fvals) / big_n
+    def window(js, radius):
+        """column(N) of the orders js on the contour of this radius."""
         lead = np.array([(-1.0) ** j * math.exp(
             0.5 * (log_gamma(ell + j).real - log_gamma(j + 1.0).real - lg_ell))
             for j in js])
-        taylor = spec[js] * radius ** (-js.astype(float))
-        # sample noise is absolute; the worst relative hit in the window is
-        # at its lowest order (smallest r^j and smallest |lead|)
-        floor = 2e-16 * float(np.max(np.abs(fvals))) \
-            * radius ** (-float(js[0])) / abs(lead[0])
-        return taylor / lead, floor
+
+        def column(big_n):
+            theta = 2.0 * np.pi * np.arange(big_n) / big_n
+            z = radius * np.exp(1j * theta)
+            den = A - B * z
+            w = (A * z - B) / den
+            fvals = d_m * den ** (-ell) * w ** q
+            spec = np.fft.fft(fvals) / big_n
+            taylor = spec[js] * radius ** (-js.astype(float))
+            # sample noise is absolute; the worst relative hit in the window
+            # is at its lowest order (smallest r^j and smallest |lead|)
+            floor = 2e-16 * float(np.max(np.abs(fvals))) \
+                * radius ** (-float(js[0])) / abs(lead[0])
+            return taylor / lead, floor
+
+        return column
 
     out = np.empty(j_max + 1, dtype=complex)
     err = 0.0
@@ -363,32 +373,21 @@ def coef_oracle_discrete(ell, m, coord, n_max, tol=ORACLE_TOL):
         top = j_hi + 1.0
         radius = pole * top / (top + pole_order)
         radius = min(radius, math.exp(500.0 / top))
-        big_n = _next_pow2(8 * (j_hi + q + ell) + 64)
-        prev, floor = window_column(js, radius, big_n)
-        for attempt in range(3):
-            big_n *= 2
-            cur, floor = window_column(js, radius, big_n)
-            delta = float(np.max(np.abs(cur - prev)))
-            if delta <= tol:
-                break
-            prev = cur
-        else:
-            raise ConvergenceError(
-                f"disc oracle not settled at N={big_n} "
-                f"(x={x}, orders {j_lo}..{j_hi})")
-        out[js] = cur
-        err = max(err, delta + floor)
+        out[js], w_err = _settled_column(
+            window(js, radius), 8 * (j_hi + q + ell) + 64, "disc",
+            f"x={x}, orders {j_lo}..{j_hi}")
+        err = max(err, w_err)
         j_lo = j_hi + 1
         hi *= 4
     return {idx: complex(v) for idx, v in zip(indices, out)}, err
 
 
-def coef_oracle(r, m, coord, n_max, tol=ORACLE_TOL):
+def coef_oracle(r, m, coord, n_max):
     """Oracle column dispatcher; circle columns are rescaled by the
     family's normalizer."""
     if r.circle is None:
-        return coef_oracle_discrete(r.ell, m, coord, n_max, tol)
-    col, err = coef_oracle_principal(*r.circle, m, coord, n_max, tol)
+        return coef_oracle_discrete(r.ell, m, coord, n_max)
+    col, err = coef_oracle_principal(*r.circle, m, coord, n_max)
     scale = {n: r.normalizer(n, m) for n in col}
     return {n: scale[n] * v for n, v in col.items()}, err * max(scale.values())
 
@@ -503,9 +502,8 @@ def _f_euler_vec(a, b, c, xs, omx):
         v_hi += (a.real - 0.5) * -math.log(float(np.min(omx))) / cb.real
     osc = abs(cb.imag) + abs(a) + cb.real + 1.0
 
-    pref = gamma_ratio_signed([c], [b, cb])
-    acc = np.zeros(xs.shape, dtype=complex)
-
+    # the quadrature nodes (v, Gauss weight times dv) of every panel
+    nodes = []
     # near v = 0 the factor (1-e^{-v})^{b-1} is an algebraic cusp that fixed
     # panels cannot see; run that stretch in y = log v, where it turns into
     # a plain exponential e^{by} (skipped when the truncation point already
@@ -523,30 +521,27 @@ def _f_euler_vec(a, b, c, xs, omx):
                 mid = y_lo + (p + 0.5) * h_y
                 for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
                     vk = math.exp(mid + 0.5 * h_y * node)
-                    s = -math.expm1(-vk)
-                    t1 = cmath.exp((b - 1.0) * math.log(s) - cb * vk)
-                    wk = omx + xs * math.exp(-vk)
-                    acc += (weight * 0.5 * h_y * vk * t1) * np.exp(
-                        -a * np.log(wk))
+                    nodes.append((vk, weight * 0.5 * h_y * vk))
             v_lo = v_split
-            if v_lo >= v_hi:
-                return pref * acc
-
+    # then panels in v itself, graded to the local log-slope
     v = v_lo
     while v < v_hi:
         slope = cb.real * math.exp(max(v_star - v, 0.0)) + osc
         h = min(2.5, 16.0 / slope, v_hi - v)
         mid, half = v + h / 2.0, h / 2.0
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            vk = mid + half * node
-            s = -math.expm1(-vk)            # 1 - e^{-v}
-            t1 = cmath.exp((b - 1.0) * math.log(s) - cb * vk)
-            # e^{-v} enters on its own: recovering it as 1 - s would throw
-            # away half the mantissa once v is past ~18
-            wk = omx + xs * math.exp(-vk)   # real, in (1-x, 1]
-            acc += (weight * half * t1) * np.exp(-a * np.log(wk))
+            nodes.append((mid + half * node, weight * half))
         v += h
-    return pref * acc
+
+    acc = np.zeros(xs.shape, dtype=complex)
+    for vk, dv in nodes:
+        s = -math.expm1(-vk)            # 1 - e^{-v}
+        t1 = cmath.exp((b - 1.0) * math.log(s) - cb * vk)
+        # e^{-v} enters on its own: recovering it as 1 - s would throw away
+        # half the mantissa once v is past ~18
+        wk = omx + xs * math.exp(-vk)   # real, in (1-x, 1]
+        acc += (dv * t1) * np.exp(-a * np.log(wk))
+    return gamma_ratio_signed([c], [b, cb]) * acc
 
 
 def _unit_factor(a, b):
@@ -666,12 +661,16 @@ def coef(r, n, m, coord):
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
     below X_CUT), or above it 'euler', 'connection' or 'scalar'.  err_est
     is the branch's relative budget plus the error of the series it sums
-    (bounded by eps |J| for the disc sum).
+    (bounded by eps |J| for the disc sum).  A value that is not finite
+    raises ConvergenceError.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
     x = coord.x
     value = complex(coef_vec(r, n, m, np.array([x]))[0])
+    if not cmath.isfinite(value):
+        raise ConvergenceError(
+            f"coef({n}, {m}) of {r} at x={x} is not finite: {value}")
     if r.circle is None:
         p, q = _discrete_index(r.ell, n), _discrete_index(r.ell, m)
         j_mag = math.exp(_discrete_log_j(r.ell, p, q))

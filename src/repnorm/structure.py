@@ -21,31 +21,14 @@ OTHER_DISCRETE = "other-discrete"
 SERIES_KINDS = (PRINCIPAL_MPS, GENERALIZED_VERMA, OTHER_DISCRETE)
 
 
-def _default_rank_k(family, n):
-    """Rank of the maximal compact subalgebra, per family."""
-    if family == "so1n":
-        return n // 2
-    if family == "su1n":
-        return n
-    if family == "sp1n":
-        return n + 1
-    if family == "f4m20":
-        return 4
-    if family == "slnR":
-        return n - 1
-    raise DomainError(f"unknown family {family!r}")
-
-
 @dataclass(frozen=True)
 class LieType:
     """One of the real rank-one families (or sl(n,R) for the growth
     constant alone).  n is the defining integer and is unused for the
-    exceptional entry; rank_k defaults to the compact rank of the family
-    and is validated if supplied explicitly."""
+    exceptional entry."""
 
     family: str
     n: int = 0
-    rank_k: int = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -55,13 +38,19 @@ class LieType:
             if not isinstance(self.n, int) or self.n < 2:
                 raise PreconditionError(
                     f"{self.family} needs an integer n >= 2, got {self.n!r}")
-        expected = _default_rank_k(self.family, self.n)
-        if self.rank_k is None:
-            object.__setattr__(self, "rank_k", expected)
-        elif self.rank_k != expected:
-            raise PreconditionError(
-                f"rank_k = {self.rank_k} inconsistent with {self.label()}"
-                f" (expected {expected})")
+
+    @property
+    def rank_k(self):
+        """Rank of the maximal compact subalgebra."""
+        if self.family == "so1n":
+            return self.n // 2
+        if self.family == "su1n":
+            return self.n
+        if self.family == "sp1n":
+            return self.n + 1
+        if self.family == "f4m20":
+            return 4
+        return self.n - 1
 
     def label(self):
         if self.family == "so1n":

@@ -90,6 +90,12 @@ class TestCoefCommand:
                    for line in capsys.readouterr().out.splitlines())
         assert float(out["abs"]) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_value_exits_3(self, capsys):
+        assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "128",
+                     "--m", "-128", "--x", "0.9999"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_bad_rep_descriptor(self, capsys):
         assert main(["coef", "--rep", "spherical:1", "--m", "0",
                      "--n", "1", "--x", "0.5"]) == 2

@@ -103,12 +103,16 @@ class TestCollapsedFamily:
 
 
 class TestDualRoutes:
+    # sigma = 1/2 is not inversion-symmetric, so its negative n are a
+    # different column from its positive ones
     @pytest.mark.parametrize("r", [
         Principal(0.0, -0.5),
         Principal(0.0, -0.5 + 1.0j),
         Complementary(-0.25),
-    ], ids=["principal-real", "principal-complex", "complementary"])
-    @pytest.mark.parametrize("n", [0, 1, 3, 12])
+        Principal(0.5, -0.5 + 0.7j),
+    ], ids=["principal-real", "principal-complex", "complementary",
+            "principal-half-complex"])
+    @pytest.mark.parametrize("n", [0, 1, 3, 12, -12, -1])
     def test_series_equals_quadrature(self, r, n):
         eps = 0.4
         q = integral_quadrature(r, n, eps)
@@ -137,8 +141,9 @@ class TestDualRoutes:
 class TestJSeries:
     def test_frozen_moment_total(self):
         # [DERIVED] mpmath: B(1, 0.8) * 3F2(1/2, 1/2, 1; 1, 1.8; 1) at 30
-        # digits; the lam = -1/2, sigma = 0, n = 0, eps = 0.3 moment series
-        val, err = j_series(-0.5, 0.0, 0, 0.3)
+        # digits; the lam = -1/2, sigma = 0, n = 0, eps = 0.3 moment series:
+        # 2F1(1/2, 1/2; 1; x), s0 = 0, eps - lam = 0.8
+        val, err = j_series(0.5, 0.5, 1.0, 0.0, 0.3 + 0.5)
         ref = 1.682816664987505646227
         assert abs(val - ref) <= 1e-11 * ref
         assert abs(val - ref) <= err + 1e-13 * ref

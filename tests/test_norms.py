@@ -73,7 +73,6 @@ class TestDistanceEstimate:
         ones = [1.0] * len(LADDER)
         assert distance_estimate(p, ones, LADDER) == pytest.approx(
             0.7 / 2.0 * 2.0 - 0.7 + 0.7, abs=1e-9)  # = 0.7, clamped mirror
-        assert distance_estimate(p, ones, LADDER, symmetric=False) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(FitError):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from repnorm.errors import NormalizationError, PreconditionError
+from repnorm.errors import (ConvergenceError, NormalizationError,
+                            PreconditionError)
 from repnorm.group import cartan_from_x
 from repnorm.reps import (CoefValue, Complementary, Discrete, Principal, coef,
                           coef_oracle, coef_vec, complementary_normalizer,
@@ -218,6 +219,15 @@ class TestCoefValueContract:
             assert isinstance(cv, CoefValue)
             assert abs(cv.value - column[n]) <= 50.0 * (
                 cv.err_est + oracle_err) + 1e-13 * abs(column[n])
+
+    def test_non_finite_value_raises(self):
+        # the Euler integrand's (1-x)^-a overflows at Re a = 128.5 before
+        # the Gamma prefactor can cancel it; coef_vec returns nan there
+        r = Principal(0.0, -0.5 + 1.0j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(coef_vec(r, 128, -128, np.array([0.9999]))[0])
+            with pytest.raises(ConvergenceError):
+                coef(r, 128, -128, cartan_from_x(0.9999))
 
 
 if __name__ == "__main__":

@@ -26,11 +26,6 @@ class TestLieType:
         assert LieType("f4m20").rank_k == 4
         assert LieType("slnR", 6).rank_k == 5
 
-    def test_rank_consistency_enforced(self):
-        LieType("so1n", 6, rank_k=3)
-        with pytest.raises(PreconditionError):
-            LieType("so1n", 6, rank_k=2)
-
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             LieType("e8", 8)
