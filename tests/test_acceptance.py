@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repnorm import acceptance
+from repnorm.reps import Complementary, Discrete, Principal
 
 BUDGET_MS = {
     "1": 10_000,
@@ -26,12 +27,66 @@ BUDGET_MS = {
     "10": 5_000,
 }
 
+# [FROZEN] (kappa, pmin, x_argmax) of every criterion-7 scan.  A change to
+# the scan or to the evaluators it calls must reproduce them within
+# FROZEN_REL; a faster evaluator that sums in the same order gives them
+# bit for bit.
+FROZEN_REL = 1e-10
+FROZEN_LADDER = {
+    Principal(0.0, complex(-0.5, 1.0)): [
+        (16, 0.18600437078579282, 0.8698723715505943),
+        (32, 0.13168394242314632, 0.9325123048301566),
+        (64, 0.09314295501397371, 0.9656462268086419),
+        (128, 0.06586703688043395, 0.9826703808664972),
+        (256, 0.04657591664575024, 0.991296991970506),
+        (512, 0.03293430353637664, 0.9956389451064412),
+        (1024, 0.023288097125496756, 0.9978170849501267),
+        (2048, 0.016467176305958505, 0.9989079455171958),
+    ],
+    Complementary(-0.25): [
+        (16, 0.11427751050238641, 0.9677605433769811),
+        (32, 0.08082115428623304, 0.9837423266654811),
+        (64, 0.057151800365443345, 0.9918371095695737),
+        (128, 0.040412887991472676, 0.9959100982363835),
+        (256, 0.02857630889947743, 0.9979529423227936),
+        (512, 0.020206516256747145, 0.998975945239281),
+        (1024, 0.014288167224215829, 0.9994878413316448),
+        (2048, 0.010103260386625958, 0.9997438878350409),
+    ],
+    Discrete(2): [
+        (16, 0.2608115599580276, 0.7777777727237964),
+        (32, 0.1840596526864703, 0.8823529401427948),
+        (64, 0.13008620112192837, 0.9393939385398701),
+        (128, 0.09197360290632874, 0.9692307687235947),
+        (256, 0.06503317343826255, 0.9844961239720541),
+        (512, 0.04598504709284477, 0.9922178987730957),
+        (1024, 0.03251627661223521, 0.9961013644503343),
+        (2048, 0.022992468727779748, 0.9980487804613841),
+    ],
+}
+
 
 @pytest.fixture(scope="session")
-def records():
+def battery():
+    """One run_all, plus the criterion-7 scans it computed on the way."""
     threads = min(4, os.cpu_count() or 1)
-    recs = acceptance.run_all(threads=threads)
-    return {r.criterion_id.split("-")[0]: r for r in recs}
+    scans = {}
+    criterion_7 = acceptance.criterion_7
+
+    def keep_scans(**kwargs):
+        record, out = criterion_7(**kwargs)
+        scans.update(out)
+        return record, out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "criterion_7", keep_scans)
+        recs = acceptance.run_all(threads=threads)
+    return {r.criterion_id.split("-")[0]: r for r in recs}, scans
+
+
+@pytest.fixture(scope="session")
+def records(battery):
+    return battery[0]
 
 
 def check(records, key):
@@ -67,6 +122,17 @@ def test_criterion_06_integral_decay_exponent(records):
 
 def test_criterion_07_minimal_norm_decay(records):
     check(records, "7")
+
+
+def test_criterion_07_ladder_is_frozen(battery):
+    scans = battery[1]
+    assert set(scans) == set(FROZEN_LADDER)
+    for r, frozen in FROZEN_LADDER.items():
+        got = [(s.n, s.pmin, s.x_argmax) for s in scans[r]]
+        assert [g[0] for g in got] == [f[0] for f in frozen], r
+        for (n, pmin, x), (_, pmin_ref, x_ref) in zip(got, frozen):
+            assert pmin == pytest.approx(pmin_ref, rel=FROZEN_REL), (r, n)
+            assert x == pytest.approx(x_ref, rel=FROZEN_REL), (r, n)
 
 
 def test_criterion_08_sobolev_gap(records):
