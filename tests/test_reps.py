@@ -1,6 +1,7 @@
 """Closed-form matrix coefficients against the quadrature oracle, plus the
 structural identities (unitarity, spectrum, symmetry, normalization)."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 from repnorm.errors import (ConvergenceError, NormalizationError,
                             PreconditionError)
 from repnorm.group import cartan_from_x
-from repnorm.reps import (CoefValue, Complementary, Discrete, Principal, coef,
-                          coef_oracle, coef_vec, complementary_normalizer,
-                          parse_rep, parseval_defect)
+from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
+                          _boundary_method, _euler_nodes, _f_euler_vec,
+                          _principal_params, coef, coef_oracle, coef_vec,
+                          complementary_normalizer, parse_rep,
+                          parseval_defect)
+from repnorm.specfun import gamma_ratio_signed
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -31,10 +35,13 @@ FROZEN_COEFS = [
 
 
 # [DERIVED] 30-digit mpmath.hyp2f1 times the Gamma prefactor and shell of
-# the circle closed form, beyond X_CUT with n < m or m < 0, both parities:
+# the circle closed form beyond X_CUT, both parities, with n < m or m < 0
+# and on the reference column m = 0 up to n = 1024:
 # (sigma, n, m, x, re, im) for lam = -1/2 + i (sigma 0), -1/2 + 0.7i
 # (sigma 1/2).  Regenerate with `PYTHONPATH=src python tests/test_reps.py`.
 BOUNDARY_LAMS = {0.0: -0.5 + 1.0j, 0.5: -0.5 + 0.7j}
+BOUNDARY_NM = ((0, -128), (-3, -40), (-40, -3), (2, 7),
+               (16, 0), (256, 0), (1024, 0))
 BOUNDARY_COEFS = [
     (0.0, 0, -128, 0.99, "0.0410130372917766540917729650489", "-0.0211507362708745715498323922992"),
     (0.0, 0, -128, 0.999, "0.000019302478065224889903692935338", "-0.00000995443522086504105103466891371"),
@@ -48,6 +55,15 @@ BOUNDARY_COEFS = [
     (0.0, 2, 7, 0.99, "0.0178338995967084635064862815938", "0.0472624474790467300920630313701"),
     (0.0, 2, 7, 0.999, "-0.00586537334672414811275178408991", "-0.0155440989359228289713373952993"),
     (0.0, 2, 7, 0.9999, "0.000713850691922550272547082820551", "0.00189180894800471223308107799979"),
+    (0.0, 16, 0, 0.99, "-0.0107377532905582183803436157442", "0.00714011381073842128678739133411"),
+    (0.0, 16, 0, 0.999, "0.0130216054230162450274687455428", "-0.00865877080642361532522660279865"),
+    (0.0, 16, 0, 0.9999, "-0.00444924257456973380008341934087", "0.00295854239656862276413430005878"),
+    (0.0, 256, 0, 0.99, "0.0221698095893315771633628881917", "-0.0048878820134405635222288964629"),
+    (0.0, 256, 0, 0.999, "0.0111745437842996387356007622301", "-0.00246370413564427228145783219186"),
+    (0.0, 256, 0, 0.9999, "-0.00551626723461702140597368699711", "0.00121619733758971766029659016673"),
+    (0.0, 1024, 0, 0.99, "-0.0000101582226199047026952445773251", "-0.000312468972598076669204190424297"),
+    (0.0, 1024, 0, 0.999, "-0.000533133008886817625590586501697", "-0.0163992786709126078470288986032"),
+    (0.0, 1024, 0, 0.9999, "0.0000404901536122249790954894818862", "0.00124548527561890875832505330724"),
     (0.5, 0, -128, 0.99, "0.0109301477529820831944509299393", "-0.0180324432102225648512926709845"),
     (0.5, 0, -128, 0.999, "0.0111685488548371815782867056063", "-0.0184257548495170710880946119741"),
     (0.5, 0, -128, 0.9999, "-0.0000119998639619291240770394230208", "0.0000197972498006576566154458321146"),
@@ -60,6 +76,15 @@ BOUNDARY_COEFS = [
     (0.5, 2, 7, 0.99, "0.0298096476891053795592331766927", "0.0281845531176042501663474080067"),
     (0.5, 2, 7, 0.999, "-0.0126729635498197328892713756487", "-0.011982087747313332918740120311"),
     (0.5, 2, 7, 0.9999, "-0.00247409050214617458114886514771", "-0.00233921366340011708930145269493"),
+    (0.5, 16, 0, 0.99, "-0.0107121326578599589622997801202", "-0.0131201698556176885019492242775"),
+    (0.5, 16, 0, 0.999, "0.0130622856920630367991187302164", "0.0159986262732401046109038023465"),
+    (0.5, 16, 0, 0.9999, "0.000586524084793557366851095609993", "0.000718371949142714397411532545457"),
+    (0.5, 256, 0, 0.99, "-0.0170192840211675891498359853669", "0.0286144951793322688414143631002"),
+    (0.5, 256, 0, 0.999, "-0.00575467811645566234798343358231", "0.00967533117239985042309242477231"),
+    (0.5, 256, 0, 0.9999, "0.00298367958298396673385360746889", "-0.00501645574148598473203861199668"),
+    (0.5, 1024, 0, 0.99, "0.000332109806559363468479953230499", "0.000718812305997548912557017747384"),
+    (0.5, 1024, 0, 0.999, "0.00778268657923014724802243324562", "0.0168447024941211359176158263963"),
+    (0.5, 1024, 0, 0.9999, "-0.000242944227138393158702160139841", "-0.000525823979566607452044129508761"),
 ]
 
 
@@ -98,7 +123,8 @@ class TestFrozenValues:
 
 class TestBoundaryBranches:
     """Above X_CUT with n < m or m < 0, where the Euler branch needs the
-    2F1 pair ordered Re a <= Re b."""
+    2F1 pair ordered Re a <= Re b, and on the reference column, where on
+    sigma = 1/2 the two terms of the 1-x connection cancel."""
 
     @pytest.mark.parametrize("sigma,n,m,x,re,im", BOUNDARY_COEFS, ids=[
         f"sigma{c[0]}-n{c[1]}-m{c[2]}-x{c[3]}" for c in BOUNDARY_COEFS])
@@ -109,6 +135,88 @@ class TestBoundaryBranches:
         assert abs(cv.value - ref) <= cv.err_est <= 1e-9 * abs(ref)
         vec = coef_vec(r, n, m, np.array([0.5, x]))
         assert abs(vec[1] - ref) <= cv.err_est
+
+
+def _euler_per_node(a, b, c, xs, omx):
+    """The reference Euler kernel: one numpy pass over the points per node,
+    accumulated node by node."""
+    a, b, c = complex(a), complex(b), complex(c)
+    cb = c - b
+    acc = np.zeros(xs.shape, dtype=complex)
+    for vk, dv in _euler_nodes(a, b, cb, omx):
+        s = -math.expm1(-vk)
+        t1 = cmath.exp((b - 1.0) * math.log(s) - cb * vk)
+        wk = omx + xs * math.exp(-vk)
+        acc += (dv * t1) * np.exp(-a * np.log(wk))
+    return gamma_ratio_signed([c], [b, cb]) * acc
+
+
+REFERENCE_COLUMN_REPS = [Principal(0.0, -0.5 + 1.0j),
+                         Principal(0.5, -0.5 + 0.7j), Complementary(-0.25)]
+# above X_CUT, from the cut to deep in the boundary layer of the peaks; 200
+# points span several blocks of the kernel
+EULER_XS = 1.0 - np.geomspace(1.0 - X_CUT - 1e-4, 1e-6, 200)
+
+
+def _reference_euler_params(r, kappa):
+    """2F1 parameters of the reference column at the character -kappa
+    (moved one up where kappa is off the spectrum).  On sigma = 0 that half
+    mirrors the scanned half n >= 0; on sigma = 1/2 the half n >= 0 runs
+    through the 1-x connection, and n < 0 is the half the Euler branch
+    evaluates."""
+    if kappa not in r.spectrum(kappa):
+        kappa += 1
+    a, b, c, _ = _principal_params(*r.circle, r.basis_index(-kappa), r.m_ref)
+    assert _boundary_method(a, b, c) == "euler"
+    return a, b, c
+
+
+class TestEulerKernel:
+    """The nodes x points Euler kernel gives bit for bit the values of the
+    per-node loop, in one-point calls and in batches of several blocks."""
+
+    @staticmethod
+    def _agree(a, b, c, xs):
+        omx = 1.0 - xs
+        return np.array_equal(_f_euler_vec(a, b, c, xs, omx),
+                              _euler_per_node(a, b, c, xs, omx))
+
+    @pytest.mark.parametrize("r", REFERENCE_COLUMN_REPS,
+                             ids=lambda r: repr(r).replace(" ", ""))
+    @pytest.mark.parametrize("kappa", [16, 256, 2048])
+    def test_reference_columns(self, r, kappa):
+        a, b, c = _reference_euler_params(r, kappa)
+        assert self._agree(a, b, c, EULER_XS)
+        for x in (EULER_XS[0], EULER_XS[137]):
+            assert self._agree(a, b, c, np.array([x]))
+
+    def test_widened_window(self):
+        # Re a = 20.5 > 1/2: the window depends on min(1-x) of the batch
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 100, -20)
+        assert a.real > 0.5
+        assert self._agree(a, b, c, np.array([0.999]))
+        assert self._agree(a, b, c, EULER_XS)
+
+    def test_cusp_stretch_skipped(self):
+        # Re b = 64.5 puts the start of the log-v stretch, v = 1e-19^(1/b),
+        # above its end at v = 1/2, while the window starts below it
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 64, -4)
+        assert 1e-19 ** (1.0 / b.real) > 0.5
+        assert self._agree(a, b, c, EULER_XS)
+        assert self._agree(a, b, c, EULER_XS[-1:])
+
+    # the scanned reference columns with Re a <= 1/2, where the nodes do not
+    # depend on the batch (sigma = 1/2 has Re a = 1 on its Euler half)
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Complementary(-0.25)],
+                             ids=lambda r: repr(r).replace(" ", ""))
+    @pytest.mark.parametrize("kappa", [16, 2048])
+    def test_batch_independence(self, r, kappa):
+        n = r.basis_index(kappa)
+        batch = coef_vec(r, n, r.m_ref, EULER_XS)
+        one_by_one = [coef_vec(r, n, r.m_ref, EULER_XS[i:i + 1])[0]
+                      for i in range(EULER_XS.size)]
+        assert np.array_equal(batch, np.array(one_by_one))
 
 
 class TestStructuralIdentities:
@@ -236,7 +344,7 @@ if __name__ == "__main__":
     mpmath.mp.dps = 30
     for sigma, lam in BOUNDARY_LAMS.items():
         lam, s = mpmath.mpmathify(lam), mpmath.mpf(sigma)
-        for n, m in ((0, -128), (-3, -40), (-40, -3), (2, 7)):
+        for n, m in BOUNDARY_NM:
             for x in ("0.99", "0.999", "0.9999"):
                 xm = mpmath.mpf(x)
                 if n >= m:
