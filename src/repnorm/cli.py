@@ -9,7 +9,8 @@ Everything is deterministic given the arguments and config: numeric
 output uses 17 significant digits, CSV rows are sorted by n regardless
 of worker scheduling, and randomized checks derive from an explicit
 seed.  Exit codes: 0 success, 1 failed acceptance criterion, 2 argument
-or config validation, 3 convergence failure, 4 fit failure.
+or config validation, 3 convergence failure or uncertified scan, 4 fit
+failure.
 """
 
 import argparse
@@ -20,7 +21,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import (ConvergenceError, DomainError, FitError,
-                     NormalizationError, PoleError, PreconditionError)
+                     NormalizationError, PoleError, PreconditionError,
+                     ScanError)
 from .reps import coef, coef_oracle, parse_rep
 from .group import cartan_from_t, cartan_from_x
 from .norms import ScanConfig, default_ladder, fit_exponent, pmin_scan
@@ -51,9 +53,10 @@ def _threads_from(value):
 
 @dataclass
 class ExperimentConfig:
-    """One JSON document drives norm-scan/integral/acceptance runs; every
-    field name is checked so a typo fails loudly instead of silently
-    falling back to a default."""
+    """One JSON document drives a norm-scan or an acceptance run (integral
+    takes no config).  Each command names the fields it reads, and any
+    other field is an error, so a typo or a field meant for the other
+    command fails loudly instead of being silently ignored."""
 
     rep: str = None
     n_values: object = None
@@ -63,19 +66,22 @@ class ExperimentConfig:
     threads: int = 1
     seed: int = acceptance.DEFAULT_SEED
 
-    KEYS = ("rep", "n_values", "scan", "tolerances", "output_path",
-            "threads", "seed")
+    NORM_SCAN_KEYS = ("rep", "n_values", "scan", "output_path", "threads")
+    ACCEPTANCE_KEYS = ("tolerances", "output_path", "threads", "seed")
     SCAN_KEYS = ("c_grid", "refine_iters", "t_max_pad")
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, keys):
+        """Read and check a config; keys are the fields the command reads."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise PreconditionError("config root must be a JSON object")
-        unknown = set(raw) - set(cls.KEYS)
+        unknown = set(raw) - set(keys)
         if unknown:
-            raise PreconditionError(f"unknown config fields {sorted(unknown)}")
+            raise PreconditionError(
+                f"config fields {sorted(unknown)} are not read here;"
+                f" this command reads {list(keys)}")
         cfg = cls(**raw)
         if not isinstance(cfg.scan, dict):
             raise PreconditionError("scan must be an object")
@@ -148,7 +154,7 @@ def cmd_coef(args):
 
 
 def cmd_norm_scan(args):
-    cfg = ExperimentConfig.load(args.config)
+    cfg = ExperimentConfig.load(args.config, ExperimentConfig.NORM_SCAN_KEYS)
     if cfg.rep is None or cfg.output_path is None:
         raise PreconditionError("norm-scan config needs rep and output_path")
     r = parse_rep(cfg.rep)
@@ -276,7 +282,8 @@ def cmd_acceptance(args):
     tolerances = None
     out_path = "acceptance_report.json"
     if args.config is not None:
-        cfg = ExperimentConfig.load(args.config)
+        cfg = ExperimentConfig.load(args.config,
+                                    ExperimentConfig.ACCEPTANCE_KEYS)
         threads = cfg.threads
         seed = int(cfg.seed)
         tolerances = cfg.tolerances
@@ -358,7 +365,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ScanError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except FitError as exc:

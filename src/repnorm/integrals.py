@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-import scipy.integrate
+from scipy.special import psi
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .reps import coef_vec, _discrete_log_j, _discrete_index, _principal_params
-from .specfun import _terminating_order, log_gamma
+from .reps import (coef_vec, _discrete_log_j, _discrete_index,
+                   _principal_params, _principal_pref_args)
+from .specfun import (_gamma_ratio_rounding, _log_gamma_shift,
+                      _terminating_order, gamma_ratio_signed, log_gamma)
 
 
 @dataclass(frozen=True)
@@ -32,15 +34,6 @@ class BetaMeasure:
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise PreconditionError(f"need 0 < eps < 1, got {self.eps}")
-
-    def density(self, x):
-        return self.eps * (1.0 - np.asarray(x, dtype=float)) ** (self.eps - 1.0)
-
-    def u_from_x(self, x):
-        return (1.0 - np.asarray(x, dtype=float)) ** self.eps
-
-    def x_from_u(self, u):
-        return 1.0 - np.asarray(u, dtype=float) ** (1.0 / self.eps)
 
 
 @dataclass(frozen=True)
@@ -163,58 +156,57 @@ def integral_quadrature(r, n, eps):
 
 
 def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
-    """Sum over k > k_cut of the normalized Beta-moment terms, by midpoint
-    Euler-Maclaurin: integral from k_cut + 1/2 plus the derivative
-    correction.  The summand decays like k^(-(2 + eps + Re lam)), too slow
-    to truncate at desk scale but smooth enough for this to be exact to
-    working precision.
+    """Sum over k > k_cut of the normalized Beta-moment terms u(k), by
+    midpoint Euler-Maclaurin: the integral from lo = k_cut + 1/2 plus the
+    derivative correction u'(lo)/24.  The summand decays like
+    k^(-(2 + eps + Re lam)), too slow to truncate at desk scale but smooth
+    enough for this to be exact to working precision.
 
-    The continuation u(k) is a tiny difference of loggamma values of size
-    k log k, hopeless in double precision past k ~ 1e12, so it runs through
-    mpmath at 40 digits.  Even that cannot reach the whole half line; the
-    numeric part stops at K2 = 1e6 * k_cut and the remainder closes in
-    closed form through the exactly known power exponent
-    tau = a + b - c - 1 - (eps - lam) of the summand (relative error
-    ~ (1/K2) of a piece that is itself ~ (1e6)^(Re tau + 1) of the tail).
+    u(k) is a product of three Gamma ratios whose arguments differ by O(1),
+
+        G(k+a)/G(k+1) * G(k+b)/G(k+c) * G(k+s0+1)/G(k+s0+1+lam_eps),
+
+    over its value at k = 0; each ratio comes from _log_gamma_shift, so no
+    two log-Gamma values of size k log k are subtracted.  One complex
+    Kronrod pass in s = log(k/lo) covers k up to K2 = 1e6 lo.  The rest
+    closes in closed form from u(k) = C k^tau (1 + beta/k + ...), with
+    tau = a + b - c - 1 - lam_eps and beta the sum of d (2w + d - 1)/2 over
+    the pairs G(k+w+d)/G(k+w) (DLMF 5.11.13).  The error estimate adds the
+    Kronrod error, the next Euler-Maclaurin term 7 u'''(lo)/5760, the
+    closure remainder and the rounding of the log-Gamma values at k = 0.
     """
     tau = complex(a) + complex(b) - complex(c) - 1.0 - complex(lam_eps)
     if tau.real >= -1.0:
         raise DomainError(f"moment series diverges (tau = {tau})")
-    with mpmath.workdps(40):
-        am, bm, cm = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c)
-        lem = mpmath.mpc(lam_eps)
-        s0m = mpmath.mpf(s0)
-        base = (mpmath.loggamma(am) + mpmath.loggamma(bm)
-                - mpmath.loggamma(cm) + mpmath.loggamma(s0m + 1.0)
-                - mpmath.loggamma(s0m + 1.0 + lem))
+    # (w, d, sign): the pair G(k+w+d)/G(k+w) enters u to the power sign
+    pairs = ((1.0, a - 1.0, 1.0), (c, b - c, 1.0), (s0 + 1.0, lam_eps, -1.0))
+    base_args = (a, b, c, s0 + 1.0, s0 + 1.0 + lam_eps)
+    base = (log_gamma(a) + log_gamma(b) - log_gamma(c) + log_gamma(s0 + 1.0)
+            - log_gamma(s0 + 1.0 + lam_eps))
 
-        def u(k):
-            km = mpmath.mpf(k)
-            lu = (mpmath.loggamma(am + km) + mpmath.loggamma(bm + km)
-                  - mpmath.loggamma(cm + km) - mpmath.loggamma(1.0 + km)
-                  + mpmath.loggamma(s0m + km + 1.0)
-                  - mpmath.loggamma(s0m + km + 1.0 + lem) - base)
-            return complex(mpmath.exp(lu))
+    def u(k):
+        return np.exp(sum(sign * _log_gamma_shift(k + w, d)
+                          for w, d, sign in pairs) - base)
 
-        lo = k_cut + 0.5
-        s_hi = math.log(1e6)
-
-        # k = lo * e^s turns the algebraic decay into an exponential one
-        def quad_part(selector):
-            val, qerr = scipy.integrate.quad(
-                lambda s: selector(u(lo * math.exp(s))) * lo * math.exp(s),
-                0.0, s_hi, epsabs=0.0, epsrel=1e-11, limit=300)
-            return val, qerr
-
-        re_val, re_err = quad_part(lambda z: z.real)
-        im_val, im_err = quad_part(lambda z: z.imag)
-        k2 = lo * 1e6
-        u_k2 = u(k2)
-        far = u_k2 * k2 / (-1.0 - tau)
-        h = 1e-4 * lo
-        du = (u(lo + h) - u(lo - h)) / (2.0 * h)
-    tail = complex(re_val, im_val) + far + du / 24.0
-    err = re_err + im_err + abs(du) * h + abs(far) / k2 * abs(tau) * 4.0
+    lo = k_cut + 0.5
+    u_lo = complex(u(lo))
+    scale = abs(u_lo) * lo / abs(1.0 + tau)       # the size of the tail
+    # k = lo e^s turns the algebraic decay into an exponential one
+    body, q_err = kronrod_quad_vec(
+        lambda s: u(lo * np.exp(s)) * (lo * np.exp(s)), 0.0, math.log(1e6),
+        tol_abs=1e-13 * scale)
+    k2 = lo * 1e6
+    beta = sum(sign * d * (2.0 * w + d - 1.0) / 2.0 for w, d, sign in pairs)
+    far = complex(u(k2)) * k2 / (-1.0 - tau) * (1.0 + beta / (tau * k2))
+    du = u_lo * complex(sum(sign * (psi(lo + w + d) - psi(lo + w))
+                            for w, d, sign in pairs))
+    tail = body + far + du / 24.0
+    # on the power law u''' = u' (tau-1)(tau-2)/k^2; the closure drops terms
+    # of relative size (beta/K2)^2
+    err = (q_err
+           + 7.0 / 5760.0 * abs(du * (tau - 1.0) * (tau - 2.0)) / lo ** 2
+           + abs(far) * ((abs(beta) + abs(tau) + 1.0) / k2) ** 2
+           + _gamma_ratio_rounding(base_args) * abs(tail))
     return tail, err
 
 
@@ -243,10 +235,11 @@ def j_series(a, b, c, s0, lam_eps):
     else:
         tail, tail_err = _beta_moment_tail(a, b, c, s0, lam_eps, k_cut)
     # everything above is relative to the k = 0 term B(s0+1, eps-lam)
-    beta0 = cmath.exp(log_gamma(s0 + 1.0) + log_gamma(lam_eps)
-                      - log_gamma(s0 + 1.0 + lam_eps))
+    num, den = [s0 + 1.0, lam_eps], [s0 + 1.0 + lam_eps]
+    beta0 = gamma_ratio_signed(num, den)
     value = beta0 * (direct + tail)
-    err = abs(beta0) * (tail_err + 1e-15 * float(np.sum(np.abs(terms))))
+    err = (abs(beta0) * (tail_err + 1e-15 * float(np.sum(np.abs(terms))))
+           + _gamma_ratio_rounding(num + den) * abs(value))
     return value, err
 
 
@@ -272,8 +265,11 @@ def integral_series(r, n, eps):
     # measure turns x^(|n|/2 + k) (1-x)^(-lam) into eps B(|n|/2 + k + 1,
     # eps - lam)
     a, b, c, pref = _principal_params(sigma, lam, n, 0)
+    num, den = _principal_pref_args(sigma, lam, n, 0)
     jval, jerr = j_series(a, b, c, abs(n) / 2.0, eps - lam)
-    val, err = eps * pref * jval, eps * abs(pref) * jerr
+    val = eps * pref * jval
+    err = (eps * abs(pref) * jerr
+           + _gamma_ratio_rounding(num + den) * abs(val))
     scale = r.normalizer(n, 0)
     return IntegralValue(scale * val, "series", scale * err)
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
 from .group import cartan_from_x
-from .specfun import (SERIES_KMAX, gamma_ratio_signed, hyp2f1,
-                      is_nonpositive_int, log_gamma)
+from .specfun import (SERIES_KMAX, _gamma_ratio_rounding, gamma_ratio_signed,
+                      hyp2f1, is_nonpositive_int, log_gamma)
 
 X_CUT = 0.98
 ORACLE_TOL = 1e-9
@@ -71,7 +71,7 @@ class _Circle:
 
     def as_index(self, value):
         """A basis index given as a number; circle indices are integers."""
-        v = float(value)
+        v = _finite_index(value)
         if v != int(v):
             raise PreconditionError(f"index {value} must be an integer")
         return int(v)
@@ -161,7 +161,15 @@ class Discrete:
         return [self.ell / 2.0 + j for j in range(j_top + 1)]
 
     def as_index(self, value):
-        return float(value)
+        return _finite_index(value)
+
+
+def _finite_index(value):
+    """A basis index given as a number, as a finite float."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise PreconditionError(f"index {value} must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -193,18 +201,23 @@ def _principal_params(sigma, lam, n, m):
     if n >= m:
         a = -lam - m - sigma
         b = -lam + n + sigma
-        c = float(n - m + 1)
-        pref = gamma_ratio_signed([lam - m - sigma + 1.0],
-                                  [c, lam - n - sigma + 1.0])
     else:
         a = -lam - n - sigma
         b = -lam + m + sigma
-        c = float(m - n + 1)
-        pref = gamma_ratio_signed([lam + m + sigma + 1.0],
-                                  [c, lam + n + sigma + 1.0])
     if a.real > b.real:
         a, b = b, a
-    return a, b, c, pref
+    pref = gamma_ratio_signed(*_principal_pref_args(sigma, lam, n, m))
+    return a, b, float(abs(n - m) + 1), pref
+
+
+def _principal_pref_args(sigma, lam, n, m):
+    """Gamma arguments (numerator, denominator) of the prefactor of
+    coef(n, m), for gamma_ratio_signed and its rounding budget."""
+    if n >= m:
+        return ([lam - m - sigma + 1.0],
+                [float(n - m + 1), lam - n - sigma + 1.0])
+    return ([lam + m + sigma + 1.0],
+            [float(m - n + 1), lam + n + sigma + 1.0])
 
 
 def complementary_normalizer(lam, n, m=0):
@@ -678,13 +691,6 @@ def _series_error(a, b, c, z, tol=1e-15):
             z * (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))))))
     return (1.1e-16 * (2.0 + float(np.sum((ks + 3.0) * mags)))
             + tol * (1.0 + float(np.sum(mags))) / (1.0 - z))
-
-
-def _gamma_ratio_rounding(args):
-    """Relative rounding of gamma_ratio_signed over these arguments: it sums
-    their log-Gamma values, each rounded to about eps of its size, and the
-    final exp turns the absolute error of that sum into a relative one."""
-    return 2.2e-16 * (1.0 + sum(abs(log_gamma(z)) for z in args))
 
 
 def coef(r, n, m, coord):

@@ -15,6 +15,10 @@ SCAN_CONFIG = {
 }
 
 
+def load_scan_config(path):
+    return ExperimentConfig.load(path, ExperimentConfig.NORM_SCAN_KEYS)
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = dict(SCAN_CONFIG)
     cfg.update(overrides)
@@ -28,19 +32,19 @@ class TestExperimentConfig:
         from repnorm.errors import PreconditionError
         path = write_config(tmp_path, typo_field=1)
         with pytest.raises(PreconditionError):
-            ExperimentConfig.load(path)
+            load_scan_config(path)
 
     def test_unknown_scan_field_rejected(self, tmp_path):
         from repnorm.errors import PreconditionError
         path = write_config(tmp_path, scan={"step": 0.1})
         with pytest.raises(PreconditionError):
-            ExperimentConfig.load(path)
+            load_scan_config(path)
 
     def test_geometric_range(self, tmp_path):
         path = write_config(
             tmp_path,
             n_values={"geometric": {"start": 16, "stop": 128, "factor": 2}})
-        cfg = ExperimentConfig.load(path)
+        cfg = load_scan_config(path)
         assert cfg.resolved_n_values() == [16.0, 32.0, 64.0, 128.0]
 
     def test_bad_geometric_range(self, tmp_path):
@@ -48,7 +52,7 @@ class TestExperimentConfig:
         path = write_config(
             tmp_path, n_values={"geometric": {"start": 16, "stop": 8}})
         with pytest.raises(PreconditionError):
-            ExperimentConfig.load(path).resolved_n_values()
+            load_scan_config(path).resolved_n_values()
 
 
 class TestCoefCommand:
@@ -95,6 +99,15 @@ class TestCoefCommand:
         assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "128",
                      "--m", "-128", "--x", "0.9999"]) == 3
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rep,n,m", [
+        ("discrete:2", "1e400", "1"), ("principal:0:-0.5", "inf", "0"),
+        ("complementary:-0.25", "nan", "0"), ("discrete:2", "2", "1e999"),
+    ])
+    def test_non_finite_index_exits_2(self, rep, n, m, capsys):
+        assert main(["coef", "--rep", rep, "--n", n, "--m", m,
+                     "--x", "0.5"]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_bad_rep_descriptor(self, capsys):
         assert main(["coef", "--rep", "spherical:1", "--m", "0",
@@ -293,7 +306,45 @@ class TestAcceptanceCommand:
         out = capsys.readouterr().out
         assert "1/2 criteria passed" in out
 
+    def test_scan_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # criterion 7 re-raises a scan that cannot certify its peak
+        from repnorm import acceptance
+        from repnorm.errors import ScanError
+
+        def run_all(threads, seed, tolerances):
+            raise ScanError("argmax on the grid boundary")
+        monkeypatch.setattr(acceptance, "run_all", run_all)
+        assert main(["acceptance", "--output",
+                     str(tmp_path / "report.json")]) == 3
+        assert "argmax on the grid boundary" in capsys.readouterr().err
+
     def test_zero_tolerance_forces_failure(self):
         from repnorm import acceptance
         rec = acceptance.criterion_1(acceptance.DEFAULT_SEED, tol=0.0)
         assert rec.passed is False
+
+
+# a valid value of every config field, and the least config each command
+# runs with (an empty ladder for norm-scan)
+FIELD_VALUES = {"rep": "discrete:2", "n_values": [], "scan": {"c_grid": 0.5},
+                "tolerances": {}, "output_path": "out.txt", "threads": 1,
+                "seed": 7}
+COMMAND_BASE = {"norm-scan": {"rep": "discrete:2", "n_values": [],
+                              "output_path": "out.csv"},
+                "acceptance": {}}
+COMMAND_KEYS = {"norm-scan": ExperimentConfig.NORM_SCAN_KEYS,
+                "acceptance": ExperimentConfig.ACCEPTANCE_KEYS}
+
+
+@pytest.mark.parametrize("command,field", [
+    (command, field) for command in COMMAND_BASE for field in FIELD_VALUES])
+def test_config_fields_per_command(command, field, tmp_path, capsys,
+                                   monkeypatch):
+    """A command accepts the fields it reads and exits 2 on any other."""
+    from repnorm import acceptance
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: [])
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(COMMAND_BASE[command], **{field: FIELD_VALUES[field]})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    want = 0 if field in COMMAND_KEYS[command] else 2
+    assert main([command, "cfg.json"]) == want

@@ -11,7 +11,11 @@ x = 0.99 the frozen values came from a scalar series fallback that was
 
 Regenerate the frozen files (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+where the names (e.g. integral-principal) limit it to those cases; the
+loosely compared coef files record the values they were frozen with, so
+regenerate them only by name.
 """
 
 import contextlib
@@ -110,7 +114,13 @@ def test_replay(name, argv, cfg, loose, tmp_path):
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
+    names = sys.argv[1:]
+    unknown = set(names) - {case[0] for case in CASES}
+    if unknown:
+        sys.exit(f"no such cases: {sorted(unknown)}")
     for name, argv, cfg, _ in CASES:
+        if names and name not in names:
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             rc, out, csv = run_case(argv, cfg, tmp)
         if rc != 0:

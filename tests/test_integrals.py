@@ -12,16 +12,96 @@ from repnorm.integrals import (BetaMeasure, IntegralValue, _beta_moment_tail,
                                faulhaber_sum, integral_quadrature,
                                integral_series, j_series, kronrod_quad_vec,
                                reducible_point_integral, stirling_ratio_check)
-from repnorm.reps import Complementary, Discrete, Principal
+from repnorm.reps import (Complementary, Discrete, Principal,
+                          _principal_params, _principal_pref_args)
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
 # normalized terms, 40 digits.
 TAIL_REF = 0.01892053033208784343
 TAIL_ARGS = (0.5, 4.5, 5.0, 2, 0.75, 1024)
 
+# [DERIVED] mpmath, 40 digits: the same tail on the Principal(0, TAIL_LAM)
+# reference column at index n and measure exponent eps, where
+# (a, b, c) = (1/2 - i, 1/2 - i + n, n + 1), s0 = n/2, lam_eps = eps + 1/2 - i
+# and k_cut = max(1024, 2n).  (n, eps, re, im); regenerate with
+#     PYTHONPATH=src python tests/test_integrals.py
+TAIL_LAM = -0.5 + 1.0j
+TAILS = [
+    (64, 0.25, "-0.2980354134439981434081637", "-0.8545649288704554720055361"),
+    (64, 0.4, "-0.124179191766088983984921", "-0.4850406183906309280758623"),
+    (1024, 0.25, "-13.49198173560125401811776", "-5.778552804531952590183089"),
+    (1024, 0.4, "-9.445519724330625412801336", "-5.091083939183728064654766"),
+    (4096, 0.25, "-16.3530989196338772322206", "24.36904594983027723557176"),
+    (4096, 0.4, "-13.50308644750244841932381", "16.66665121489812273388034"),
+]
+
+# [DERIVED] mpmath, 40 digits: eps * normalizer * pref * B(s0+1, eps-lam)
+# * 3F2(a, b, s0+1; c, s0+1+eps-lam; 1) with (a, b, c, pref) of
+# coef(n, 0), the termwise form of the weighted integral; (family, n, eps,
+# re, im), regenerated by the same script.
+SERIES_REPS = {"principal-real": Principal(0.0, -0.5),
+               "principal-complex": Principal(0.0, -0.5 + 1.0j),
+               "complementary": Complementary(-0.25),
+               "principal-half-complex": Principal(0.5, -0.5 + 0.7j)}
+SERIES_TRUTH = [
+    ("principal-real", 0, 0.25, "0.4569465810444636253749666", "0.0"),
+    ("principal-real", 0, 0.4, "0.5802406056937353173234022", "0.0"),
+    ("principal-real", -1, 0.25, "-0.2147580945832174676062277", "0.0"),
+    ("principal-real", -1, 0.4, "-0.2525838021260346057289357", "0.0"),
+    ("principal-real", 4, 0.25, "0.09908687426729775111548287", "0.0"),
+    ("principal-real", 4, 0.4, "0.1038735955901671339938129", "0.0"),
+    ("principal-real", -12, 0.25, "0.04699064755886621963830741", "0.0"),
+    ("principal-real", -12, 0.4, "0.04313349083942642912060216", "0.0"),
+    ("principal-real", 256, 0.25, "0.00493011234294896627646672", "0.0"),
+    ("principal-real", 256, 0.4, "0.002911363326275922888765679", "0.0"),
+    ("principal-real", 4096, 0.25, "0.000617455560336706993141911", "0.0"),
+    ("principal-real", 4096, 0.4, "0.0002407736871121806861243277", "0.0"),
+    ("principal-complex", 0, 0.25, "0.08106915341692297989741954", "-3.068319828504171761274666e-45"),
+    ("principal-complex", 0, 0.4, "0.1362386087787021241017344", "7.129335226309852246222592e-43"),
+    ("principal-complex", -1, 0.25, "-0.0517298994693965878364462", "0.1034597989387931756728924"),
+    ("principal-complex", -1, 0.4, "-0.07733186376709007450991001", "0.15466372753418014901982"),
+    ("principal-complex", 4, 0.25, "-0.05628654760411289416524422", "-0.05653895364718066499109733"),
+    ("principal-complex", 4, 0.4, "-0.07455307261388035593905571", "-0.07488739132515336201949991"),
+    ("principal-complex", -12, 0.25, "-0.04038298107810822956107674", "0.01248146677421390702788742"),
+    ("principal-complex", -12, 0.4, "-0.04682903073860936416827414", "0.0144737950400955296243229"),
+    ("principal-complex", 256, 0.25, "0.00456878288661555332422977", "-0.001007301014689342833546528"),
+    ("principal-complex", 256, 0.4, "0.003409634517870371007901846", "-0.0007517381313155045930193079"),
+    ("principal-complex", 4096, 0.25, "-0.0005806151821157496704265805", "-0.000088941928893915413989431"),
+    ("principal-complex", 4096, 0.4, "-0.0002861343300729337428097767", "-0.00004383168064382700422864009"),
+    ("complementary", 0, 0.25, "0.5393526011883793566679357", "0.0"),
+    ("complementary", 0, 0.4, "0.6565089684806649634299442", "0.0"),
+    ("complementary", -1, 0.25, "-0.215536992686989442408878", "0.0"),
+    ("complementary", -1, 0.4, "-0.2436029043500185377064478", "0.0"),
+    ("complementary", 4, 0.25, "0.09647687531387227999073118", "0.0"),
+    ("complementary", 4, 0.4, "0.09727376804776660047598882", "0.0"),
+    ("complementary", -12, 0.25, "0.04538323030768789387567117", "0.0"),
+    ("complementary", -12, 0.4, "0.0400755226932641237975572", "0.0"),
+    ("complementary", 256, 0.25, "0.00474226910913282792706149", "0.0"),
+    ("complementary", 256, 0.4, "0.002694321381842619874720088", "0.0"),
+    ("complementary", 4096, 0.25, "0.000593817712909726791153815", "0.0"),
+    ("complementary", 4096, 0.4, "0.0002227829564348684737492303", "0.0"),
+    ("principal-half-complex", 0, 0.25, "0.1243237248869518106302839", "-4.128439139336293146315981e-43"),
+    ("principal-half-complex", 0, 0.4, "0.1998734207361125884444217", "-1.551655147996711702854161e-42"),
+    ("principal-half-complex", -1, 0.25, "5.090546305786982801022408e-41", "0.1535228185509330092419649"),
+    ("principal-half-complex", -1, 0.4, "-4.183772000263845163527368e-44", "0.2097080709976949999824241"),
+    ("principal-half-complex", 4, 0.25, "0.02058378813522264684752455", "-0.09165317716660960139520017"),
+    ("principal-half-complex", 4, 0.4, "0.0274924724478747492166439", "-0.1224153897941362647564219"),
+    ("principal-half-complex", -12, 0.25, "-0.03046333473664509702911642", "0.01405691141191160151671228"),
+    ("principal-half-complex", -12, 0.4, "-0.03086962052312524437533385", "0.01424438672798723168555993"),
+    ("principal-half-complex", 256, 0.25, "-0.003089367431195052557413034", "0.005194148552734024745243355"),
+    ("principal-half-complex", 256, 0.4, "-0.002368207724597980933866633", "0.003981663884032027525494683"),
+    ("principal-half-complex", 4096, 0.25, "0.000749751094050373549228986", "0.0001270311568402690305815557"),
+    ("principal-half-complex", 4096, 0.4, "0.0003796934845900427985794053", "0.00006433188690878438856326889"),
+]
+
 # [DERIVED] mpmath.beta: eps * (-1)^n * B(n/2 + 1, 1/2 + eps) at n=5,
 # eps=0.25.
 REDUCIBLE_REF = -0.12288617792159920076
+
+
+def _tail_args(n, eps):
+    a = -TAIL_LAM
+    return a, a + n, n + 1.0, n / 2.0, eps - TAIL_LAM, max(1024, 2 * n)
 
 
 class TestBetaMeasure:
@@ -32,25 +112,10 @@ class TestBetaMeasure:
             BetaMeasure(1.0)
 
     def test_density_normalized(self):
-        mu = BetaMeasure(0.4)
+        # in u = (1-x)^eps the measure is exactly du on [0, 1]
         val, err = kronrod_quad_vec(
             lambda u: np.ones_like(u), 0.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-13)
-        # in the u = (1-x)^eps substitution the measure is exactly du,
-        # so the density must be the Jacobian of x(u)
-        us = np.linspace(0.05, 0.95, 7)
-        xs = mu.x_from_u(us)
-        du_dx = mu.density(xs)
-        step = 1e-7
-        for u, x in zip(us, xs):
-            fd = (mu.u_from_x(x - step) - mu.u_from_x(x + step)) / (2 * step)
-            assert du_dx[np.where(us == u)][0] == pytest.approx(
-                fd, rel=1e-6)
-
-    def test_round_trip(self):
-        mu = BetaMeasure(0.7)
-        xs = np.array([0.0, 0.3, 0.999])
-        assert np.allclose(mu.x_from_u(mu.u_from_x(xs)), xs, atol=1e-12)
 
 
 class TestKronrodQuadVec:
@@ -74,6 +139,15 @@ class TestBetaMomentTail:
         tail, err = _beta_moment_tail(*TAIL_ARGS)
         assert abs(tail - TAIL_REF) < 1e-12 * TAIL_REF
         assert abs(tail - TAIL_REF) <= err
+
+    @pytest.mark.parametrize("n,eps,re,im", TAILS,
+                             ids=[f"c{t[0] + 1}-eps{t[1]}" for t in TAILS])
+    def test_against_40_digits(self, n, eps, re, im):
+        # c up to 4097 and k_cut up to 8192: the far closure and the
+        # normalization's log-Gamma values grow with c
+        ref = complex(float(re), float(im))
+        tail, err = _beta_moment_tail(*_tail_args(n, eps))
+        assert abs(tail - ref) <= err <= 1e-10 * abs(ref)
 
     def test_divergent_exponent_rejected(self):
         # tau >= -1 means the moment series itself diverges
@@ -138,6 +212,19 @@ class TestDualRoutes:
         assert val.err_est < 1e-10
 
 
+class TestSeriesTruth:
+    """The series route against 40-digit 3F2 values: its err_est covers
+    the error and stays below 1e-10 relative for |n| up to 4096."""
+
+    @pytest.mark.parametrize("name,n,eps,re,im", SERIES_TRUTH,
+                             ids=[f"{t[0]}-n{t[1]}-eps{t[2]}"
+                                  for t in SERIES_TRUTH])
+    def test_err_est_covers_truth(self, name, n, eps, re, im):
+        ref = complex(float(re), float(im))
+        s = integral_series(SERIES_REPS[name], n, eps)
+        assert abs(s.value - ref) <= s.err_est <= 1e-10 * abs(ref)
+
+
 class TestJSeries:
     def test_frozen_moment_total(self):
         # [DERIVED] mpmath: B(1, 0.8) * 3F2(1/2, 1/2, 1; 1, 1.8; 1) at 30
@@ -187,3 +274,53 @@ class TestStirlingRatio:
     def test_left_half_plane_rejected(self):
         with pytest.raises(DomainError):
             stirling_ratio_check(-3.0, 0.5)
+
+
+if __name__ == "__main__":
+    import mpmath
+
+    mpmath.mp.dps = 40
+
+    def hyp_total(a, b, c, s0, le):
+        a, b, c, le = (mpmath.mpmathify(complex(v)) for v in (a, b, c, le))
+        s0 = mpmath.mpf(s0)
+        return mpmath.hyp3f2(a, b, s0 + 1, c, s0 + 1 + le, 1), (a, b, c, s0, le)
+
+    print("TAILS = [")
+    for n in (64, 1024, 4096):
+        for eps in (0.25, 0.4):
+            *args, k_cut = _tail_args(n, eps)
+            total, (a, b, c, s0, le) = hyp_total(*args)
+            term = part = mpmath.mpf(1)
+            for k in range(1, k_cut + 1):
+                term *= ((a + k - 1) * (b + k - 1) * (s0 + k)
+                         / ((c + k - 1) * k * (s0 + k + le)))
+                part += term
+            v = total - part
+            print(f'    ({n}, {eps}, "{mpmath.nstr(v.real, 25)}",'
+                  f' "{mpmath.nstr(v.imag, 25)}"),')
+    print("]")
+    print("SERIES_TRUTH = [")
+    for name, r in SERIES_REPS.items():
+        sigma, lam = r.circle
+        for n in (0, -1, 4, -12, 256, 4096):
+            for eps in (0.25, 0.4):
+                a, b, c, _ = _principal_params(sigma, lam, n, 0)
+                num, den = _principal_pref_args(sigma, lam, n, 0)
+                em, le = mpmath.mpf(eps), mpmath.mpf(eps) - mpmath.mpc(lam)
+                total, _ = hyp_total(a, b, c, abs(n) / 2.0, le)
+                pref = mpmath.gammaprod([mpmath.mpc(z) for z in num],
+                                        [mpmath.mpc(z) for z in den])
+                v = (em * pref * mpmath.beta(mpmath.mpf(abs(n)) / 2 + 1, le)
+                     * total)
+                if isinstance(r, Complementary):
+                    lm = mpmath.mpf(r.lam)
+
+                    def h(k):
+                        return (mpmath.gamma(abs(k) + 1 + lm)
+                                / mpmath.gamma(abs(k) - lm))
+                    v *= mpmath.sqrt(h(n) / h(0))
+                print(f'    ("{name}", {n}, {eps},'
+                      f' "{mpmath.nstr(v.real, 25)}",'
+                      f' "{mpmath.nstr(v.imag, 25)}"),')
+    print("]")

@@ -3,11 +3,14 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from repnorm.errors import ConvergenceError, DomainError, PoleError
-from repnorm.specfun import (gamma_ratio_signed, hyp2f1, hyp2f1_euler_oracle,
-                             is_nonpositive_int, log_gamma, pochhammer)
+from repnorm.specfun import (_log_gamma_shift, gamma_ratio_signed, hyp2f1,
+                             hyp2f1_euler_oracle, is_nonpositive_int,
+                             log_gamma, pochhammer)
 
 # [DERIVED] mpmath.hyp2f1 at 30 digits, frozen.
 FROZEN_2F1 = [
@@ -49,6 +52,23 @@ class TestLogGamma:
         ref = cmath.log(cmath.pi / cmath.sin(cmath.pi * z))
         assert abs(cmath.exp(total) - cmath.exp(ref)) < 1e-12 * abs(
             cmath.exp(ref))
+
+
+class TestLogGammaShift:
+    """log Gamma(w + d) - log Gamma(w) at the sizes of the Beta-moment tail,
+    where a direct difference of log-Gamma values loses most digits; with
+    numpy's log1p in place of scipy's every complex d fails (numpy's real
+    log1p is accurate, so d = 0.3 passes either way)."""
+
+    @pytest.mark.parametrize("w", [1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("d", [0.5 - 1.0j, -1.5 + 0.7j, 0.3])
+    def test_against_mpmath(self, w, d):
+        with mpmath.workdps(40):
+            wm = mpmath.mpf(w)
+            ref = complex(mpmath.loggamma(wm + mpmath.mpmathify(d))
+                          - mpmath.loggamma(wm))
+        got = complex(_log_gamma_shift(np.array([w]), d)[0])
+        assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
 class TestIsNonpositiveInt:
