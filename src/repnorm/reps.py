@@ -26,6 +26,7 @@ function, and Taylor extraction of the transformed disc function.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -531,8 +532,35 @@ def _euler_nodes(a, b, cb, omx):
     return nodes
 
 
+def _euler_factors(a, b, cb, omx):
+    """The node factors of _f_euler_vec that do not depend on x, as
+    read-only arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node and
+    ev = e^{-v} as a column."""
+    nodes = _euler_nodes(a, b, cb, omx)
+    # e^{-v} enters on its own: recovering it as 1 - s, s = 1 - e^{-v},
+    # would throw away half the mantissa once v is past ~18
+    wt = np.array([dv * cmath.exp((b - 1.0) * math.log(-math.expm1(-vk))
+                                  - cb * vk) for vk, dv in nodes])
+    ev = np.array([math.exp(-vk) for vk, _ in nodes])[:, None]
+    wt.flags.writeable = False
+    ev.flags.writeable = False
+    return wt, ev
+
+
 # elements per nodes x points temporary of _f_euler_vec
 _EULER_BLOCK = 1 << 14
+# (a, b, c-b) triples whose node factors _f_euler_vec keeps; at ~720 nodes
+# an entry holds ~17 KB, so a full cache holds ~4 MB
+_EULER_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_EULER_CACHE)
+def _cached_euler_factors(key):
+    """_euler_factors for Re a <= 1/2, where the window ignores 1-x, keyed
+    on the bits of (a, b, c-b): complex equality would merge parts 0.0 and
+    -0.0, and their sign can reach the imaginary part of a value."""
+    a, b, cb = map(complex, np.frombuffer(key, dtype=complex))
+    return _euler_factors(a, b, cb, None)
 
 
 def _f_euler_vec(a, b, c, xs, omx):
@@ -560,6 +588,12 @@ def _f_euler_vec(a, b, c, xs, omx):
     point is computed exactly as in a one-point call while Re a <= 1/2;
     above that the window, and so the nodes, depend on min(1-x) over the
     batch.
+
+    Building the node factors in Python costs about 3 ms, more than
+    evaluating a small batch.  While Re a <= 1/2 they depend on (a, b, c)
+    alone and are kept in an LRU cache of _EULER_CACHE entries, so the
+    Kronrod rounds of an integral and the one-point refinement steps of a
+    scan build them once; above 1/2 each call builds its own.
     """
     a, b, c = complex(a), complex(b), complex(c)
     cb = c - b
@@ -568,14 +602,12 @@ def _f_euler_vec(a, b, c, xs, omx):
             f"Euler path needs Re b > 0, Re(c-b) > 0.05; got b={b}, c={c}")
     xs = np.asarray(xs, dtype=float)
 
-    nodes = _euler_nodes(a, b, cb, omx)
-    # e^{-v} enters on its own: recovering it as 1 - s, s = 1 - e^{-v},
-    # would throw away half the mantissa once v is past ~18
-    wt = np.array([dv * cmath.exp((b - 1.0) * math.log(-math.expm1(-vk))
-                                  - cb * vk) for vk, dv in nodes])
-    ev = np.array([math.exp(-vk) for vk, _ in nodes])[:, None]
+    if a.real <= 0.5:
+        wt, ev = _cached_euler_factors(np.array([a, b, cb]).tobytes())
+    else:
+        wt, ev = _euler_factors(a, b, cb, omx)
     acc = np.empty(xs.shape, dtype=complex)
-    step = max(1, _EULER_BLOCK // len(nodes))
+    step = max(1, _EULER_BLOCK // wt.size)
     for i in range(0, xs.size, step):
         wk = omx[i:i + step] + xs[i:i + step] * ev      # real, in (1-x, 1]
         terms = wt[:, None] * np.exp(-a * np.log(wk))

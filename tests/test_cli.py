@@ -2,6 +2,7 @@
 determinism of the CSV output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,28 @@ class TestNormScanCommand:
         assert main(["norm-scan", str(cfg_a)]) == 0
         assert main(["norm-scan", str(cfg_b)]) == 0
         assert a_csv.read_bytes() == b_csv.read_bytes()
+
+    # the golden principal and complementary scans, whose grids reach past
+    # X_CUT: the threads share one cache of Euler node factors
+    @pytest.mark.parametrize("rep", ["principal:0:-0.5+1i",
+                                     "complementary:-0.25"])
+    def test_threads_give_identical_bytes(self, rep, tmp_path, monkeypatch,
+                                          capsys):
+        family = rep.split(":")[0]
+        golden = Path(__file__).resolve().parent / "golden"
+        for threads in (1, 2):
+            workdir = tmp_path / f"threads{threads}"
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            Path("cfg.json").write_text(json.dumps({
+                "rep": rep, "n_values": [16, 32, 64],
+                "scan": {"c_grid": 0.25}, "output_path": "out.csv",
+                "threads": threads}), encoding="utf-8")
+            assert main(["norm-scan", "cfg.json"]) == 0
+            assert capsys.readouterr().out == (
+                golden / f"norm-scan-{family}.out").read_text(encoding="utf-8")
+            assert Path("out.csv").read_bytes() == (
+                golden / f"norm-scan-{family}.csv").read_bytes()
 
     def test_empty_ladder_gives_header_only(self, tmp_path, capsys):
         out_csv = tmp_path / "scan.csv"

@@ -3,11 +3,10 @@
 Each case runs one command in-process and compares what it prints (and,
 for norm-scan, the CSV it writes) with the file frozen in tests/golden/.
 The comparison is byte for byte, except for `coef` without --oracle:
-there re, im and abs must agree to 1e-12 relative to |value| plus the two
-err budgets, and the method and err lines are free, since they name the
-evaluation branch and its error budget rather than the value.  (At
-x = 0.99 the frozen values came from a scalar series fallback that was
-9e-12 off the 30-digit mpmath value; the current ones are within 5e-15.)
+there the method line, which names the evaluation branch, must match
+exactly, re, im and abs must agree to 1e-12 relative to |value| plus the
+two err budgets, and the err line, an error budget rather than a value,
+is free.
 
 Regenerate the frozen files (only when an output change is intended) with
 
@@ -106,6 +105,7 @@ def test_replay(name, argv, cfg, loose, tmp_path):
         return
     got, ref = _coef_fields(out), _coef_fields(want)
     assert set(got) == set(ref)
+    assert got["method"] == ref["method"]
     budget = 1e-12 * float(ref["abs"]) + float(ref["err"]) + float(got["err"])
     for key in ("re", "im", "abs"):
         assert abs(float(got[key]) - float(ref[key])) <= budget

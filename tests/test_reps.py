@@ -3,6 +3,8 @@ structural identities (unitarity, spectrum, symmetry, normalization)."""
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from repnorm.errors import (ConvergenceError, NormalizationError,
                             PreconditionError)
 from repnorm.group import cartan_from_x
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
-                          _boundary_method, _euler_nodes, _f_euler_vec,
+                          _boundary_method, _cached_euler_factors,
+                          _euler_nodes, _f_euler_vec,
                           _principal_params, coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
@@ -217,6 +220,69 @@ class TestEulerKernel:
         one_by_one = [coef_vec(r, n, r.m_ref, EULER_XS[i:i + 1])[0]
                       for i in range(EULER_XS.size)]
         assert np.array_equal(batch, np.array(one_by_one))
+
+    # the node factors of Re a <= 1/2 are cached per (a, b, c-b); cached or
+    # built afresh, they must give the per-node loop's values bit for bit
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Complementary(-0.25)],
+                             ids=lambda r: repr(r).replace(" ", ""))
+    @pytest.mark.parametrize("kappa", [16, 2048])
+    def test_cold_and_warm_cache(self, r, kappa):
+        a, b, c = _reference_euler_params(r, kappa)
+        assert a.real <= 0.5
+        _cached_euler_factors.cache_clear()
+        assert self._agree(a, b, c, EULER_XS)            # cold
+        assert _cached_euler_factors.cache_info().currsize == 1
+        assert self._agree(a, b, c, EULER_XS)            # warm
+        assert self._agree(a, b, c, EULER_XS[137:138])
+        assert _cached_euler_factors.cache_info().hits == 2
+
+    def test_cached_factors_are_read_only(self):
+        a, b, c = _reference_euler_params(Principal(0.0, -0.5 + 1.0j), 256)
+        _f_euler_vec(a, b, c, EULER_XS[:1], 1.0 - EULER_XS[:1])
+        key = np.array([a, b, c - b]).tobytes()
+        for arr in _cached_euler_factors(key):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_widened_window_is_not_cached(self):
+        # Re a = 20.5: the nodes depend on min(1-x), so each batch builds
+        # its own, and two batches with different min(1-x) both stay exact
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 100, -20)
+        before = _cached_euler_factors.cache_info()
+        assert self._agree(a, b, c, EULER_XS[:50])
+        assert self._agree(a, b, c, EULER_XS[150:])
+        assert _cached_euler_factors.cache_info() == before
+
+    def test_threads_share_the_cache(self):
+        # more workers than cores, a short switch interval and cache clears
+        # between calls: every value must still be the per-node loop's
+        params = [_reference_euler_params(r, kappa)
+                  for r in (Principal(0.0, -0.5 + 1.0j), Complementary(-0.25))
+                  for kappa in (16, 256)]
+        xs = EULER_XS[::20]
+        want = [_euler_per_node(a, b, c, xs, 1.0 - xs) for a, b, c in params]
+
+        def work(i):
+            for j in range(24):
+                if j % 5 == 0:
+                    _cached_euler_factors.cache_clear()
+                k = (i + j) % len(params)
+                if not np.array_equal(_f_euler_vec(*params[k], xs, 1.0 - xs),
+                                      want[k]):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(work, i) for i in range(6)]
+                done = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(done)
 
 
 class TestStructuralIdentities:
