@@ -17,12 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, RepnormError, ScanError
+from .errors import FitError, PreconditionError, RepnormError, ScanError
 from .reps import coef_vec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # u of the concentration seeds x = 1 - 1/(1 + kappa/u) every scan probes
 _SEED_SCALES = (0.5, 1.0, 2.0)
+# points of the first level of the scan grid (between this and twice it)
+_LEVEL_POINTS = 128
+# relative slack of the grid's pruning test: it covers the error budgets of
+# coef_vec (2e-10 at worst) and the last bits by which a value computed in
+# one batch differs from the same value computed in another, many times over
+_PRUNE_SLACK = 1e-6
 
 
 def sobolev_multiplier(kappa, s):
@@ -38,12 +44,24 @@ class ScanConfig:
     T = t_pad + log(1+kappa).  Beyond the uniform grid, three concentration
     seeds x = 1 - 1/(1 + kappa/u), u in _SEED_SCALES, are always probed:
     that is where a coefficient peaking near the boundary would live.
+    A grid it cannot scan (grid_c not finite and positive, t_pad not
+    finite, refine_top below 1) raises PreconditionError.
     """
     grid_c: float = 0.1
     t_pad: float = 6.0
     refine_top: int = 8
     refine_iters: int = 48
     threads: int = 1
+
+    def __post_init__(self):
+        if not (math.isfinite(self.grid_c) and self.grid_c > 0.0):
+            raise PreconditionError(
+                f"grid_c must be finite and > 0, got {self.grid_c}")
+        if not math.isfinite(self.t_pad):
+            raise PreconditionError(f"t_pad must be finite, got {self.t_pad}")
+        if self.refine_top < 1:
+            raise PreconditionError(
+                f"refine_top must be >= 1, got {self.refine_top}")
 
 
 @dataclass(frozen=True)
@@ -78,18 +96,9 @@ def golden_min(f, lo, hi, iters=60):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def scan_character(r, kappa, config=None):
-    """Peak of |coef(n_kappa, m_ref; a_t)| over t in (0, T].
-
-    Uniform grid plus concentration seeds, then golden refinement around the
-    best few grid points.  A peak that lands on the far end of the window is
-    not a peak, it is a truncation: that raises ScanError rather than
-    returning a lower bound quietly.
-    """
-    config = config or ScanConfig()
-    kappa = int(kappa)
-    n_basis, m_ref = r.basis_index(kappa), r.m_ref
-
+def _scan_grid(kappa, config):
+    """The fine grid of a scan: (ts, dt, T), ts being the uniform points
+    dt, 2 dt, ... up to T and the concentration seeds, ascending."""
     dt = config.grid_c / (kappa + 1.0)
     t_max = config.t_pad + math.log1p(kappa)
     ts = np.arange(dt, t_max + 0.5 * dt, dt)
@@ -100,13 +109,62 @@ def scan_character(r, kappa, config=None):
             t_seed = math.atanh(math.sqrt(x_seed))
             if t_seed < t_max:
                 seeds.append(t_seed)
-    ts = np.unique(np.concatenate([ts, np.array(seeds)]))
+    return np.unique(np.concatenate([ts, np.array(seeds)])), dt, t_max
 
+
+def _grid_top(r, n, m, ts, k):
+    """Indices of the k largest |coef(n, m; a_t)| over the grid ts, largest
+    first, evaluating only the points that can be among them.
+
+    L = r.lipschitz bounds |d/dt coef|, so on an interval between two
+    evaluated points |coef| stays below max(|c_lo|, |c_hi|) + L (t_hi -
+    t_lo)/2.  The grid is evaluated in levels, each one batched coef_vec
+    call: first every 2^J-th point and the last one (J from the point
+    count; J = 0, the whole grid, when L is infinite), then the midpoints
+    of the intervals whose bound still reaches the k-th largest value found
+    so far.  Every other point is certified below that value, so the top k
+    are those of the whole grid.
+    """
+    size, lip = ts.size, r.lipschitz
     xs = np.tanh(ts) ** 2
-    mags = np.abs(coef_vec(r, n_basis, m_ref, xs))
+    levels = (max(0, (size // _LEVEL_POINTS).bit_length() - 1)
+              if math.isfinite(lip) else 0)
+    mags = np.empty(size)
+    grid = np.arange(size)
+    new = np.unique(np.concatenate([grid[::1 << levels], grid[-1:]]))
+    lo, hi = new[:-1], new[1:]
+    done = grid[:0]
+    while new.size:
+        mags[new] = np.abs(coef_vec(r, n, m, xs[new]))
+        done = np.concatenate([done, new])
+        j = max(done.size - k, 0)
+        tau = np.partition(mags[done], j)[j]     # the k-th largest so far
+        bound = np.maximum(mags[lo], mags[hi]) + 0.5 * lip * (ts[hi] - ts[lo])
+        live = (hi - lo > 1) & (bound >= tau * (1.0 - _PRUNE_SLACK))
+        lo, hi = lo[live], hi[live]
+        new = (lo + hi) // 2
+        lo, hi = np.concatenate([lo, new]), np.concatenate([new, hi])
+    return done[np.argsort(mags[done])[::-1][:k]]
 
-    order = np.argsort(mags)[::-1]
-    top = order[: config.refine_top]
+
+def scan_character(r, kappa, config=None):
+    """Peak of |coef(n_kappa, m_ref; a_t)| over t in (0, T].
+
+    A fine grid, uniform plus concentration seeds, then golden refinement
+    around its best few points.  The grid is certified by the Lipschitz
+    bound r.lipschitz of the coefficient in t: it is evaluated in levels,
+    and only where a top point can still sit (_grid_top), which picks the
+    same points as evaluating all of it; a non-unitary member, whose bound
+    is infinite, evaluates the whole grid in one call.  A peak that lands
+    on the far end of the window is not a peak, it is a truncation: that
+    raises ScanError rather than returning a lower bound quietly.
+    """
+    config = config or ScanConfig()
+    kappa = int(kappa)
+    n_basis, m_ref = r.basis_index(kappa), r.m_ref
+
+    ts, dt, t_max = _scan_grid(kappa, config)
+    top = _grid_top(r, n_basis, m_ref, ts, config.refine_top)
 
     def neg_mag(t):
         x = math.tanh(t) ** 2

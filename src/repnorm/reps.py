@@ -44,7 +44,8 @@ ORACLE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # Representation descriptors: each class carries the facts of its family
 # (spectrum, basis index of a character, reference column m_ref, circle
-# parameters (sigma, lam) or None on the disc, normalizer, unitarity).
+# parameters (sigma, lam) or None on the disc, normalizer, unitarity, and
+# the Lipschitz bound of the reference column along the flow).
 
 
 class _Circle:
@@ -76,6 +77,21 @@ class _Circle:
         if v != int(v):
             raise PreconditionError(f"index {value} must be an integer")
         return int(v)
+
+    @property
+    def lipschitz(self):
+        """L = ||dpi(H) f_m||, m = m_ref: |d/dt coef(n, m; a_t)| <= L for
+        every n and t, since the derivative is <pi(a_t) dpi(H) f_m, f_n>
+        and pi(a_t) is unitary.  dpi(H) f_m has components on f_(m+-1)
+        only, each the limit of coef(m+-1, m; a_t)/t: normalizer times
+        pref of the closed form.  Infinite off the unitary line."""
+        if not self.unitary:
+            return math.inf
+        m = self.m_ref
+        return math.sqrt(sum(
+            abs(self.normalizer(k, m)
+                * _principal_params(*self.circle, k, m)[3]) ** 2
+            for k in (m - 1.0, m + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -163,6 +179,12 @@ class Discrete:
 
     def as_index(self, value):
         return _finite_index(value)
+
+    @property
+    def lipschitz(self):
+        """L = ||dpi(H) f_m||, m = m_ref (see _Circle.lipschitz): on the
+        disc only f_(m+1) is reached, with coefficient |J| at p = 1, q = 0."""
+        return math.exp(_discrete_log_j(self.ell, 1, 0))
 
 
 def _finite_index(value):

@@ -199,6 +199,16 @@ class TestNormScanCommand:
                                **{field: 7})
             assert main(["norm-scan", str(cfg)]) == 2
 
+    # a zero step divided by zero, a negative one scanned the seeds alone
+    @pytest.mark.parametrize("c_grid", [0, -0.1, "NaN"])
+    def test_grid_it_cannot_scan_exits_2(self, c_grid, tmp_path, capsys):
+        out_csv = tmp_path / "scan.csv"
+        cfg = write_config(tmp_path, output_path=str(out_csv),
+                           scan={"c_grid": c_grid})
+        assert main(["norm-scan", str(cfg)]) == 2
+        assert "grid_c must be finite and > 0" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["norm-scan", "/no/such/config.json"]) == 2
 

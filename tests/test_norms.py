@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repnorm import norms
 from repnorm.errors import FitError, PreconditionError, ScanError
-from repnorm.norms import (FitResult, NormSample, ScanConfig,
-                           distance_estimate, fit_exponent, golden_min,
-                           pmin_scan, scan_character, sobolev_gap_estimate,
+from repnorm.norms import (FitResult, NormSample, ScanConfig, _grid_top,
+                           _scan_grid, default_ladder, distance_estimate,
+                           fit_exponent, golden_min, pmin_scan,
+                           scan_character, sobolev_gap_estimate,
                            sobolev_multiplier)
-from repnorm.reps import Complementary, Discrete, Principal
+from repnorm.reps import Complementary, Discrete, Principal, coef_vec
 
 LADDER = [16.0 * 2.0 ** k for k in range(7)]
 
@@ -107,6 +109,65 @@ class TestScanCharacter:
             mag = abs(coef(Complementary(-0.25), 16, 0,
                            cartan_from_x(x_probe)).value)
             assert mag <= s.pmin * (1.0 + 1e-9)
+
+
+class TestScanConfig:
+    @pytest.mark.parametrize("fields", [
+        {"grid_c": 0.0}, {"grid_c": -0.1}, {"grid_c": math.nan},
+        {"grid_c": math.inf}, {"t_pad": math.nan}, {"t_pad": -math.inf},
+        {"refine_top": 0}])
+    def test_rejects_a_grid_it_cannot_scan(self, fields):
+        with pytest.raises(PreconditionError):
+            ScanConfig(**fields)
+
+
+# families whose level-by-level grid is checked against the one-batch grid
+GRID_FAMILIES = [Principal(0.0, -0.5 + 1.0j), Principal(0.5, -0.5 + 0.4j),
+                 Principal(0.0, -0.5), Complementary(-0.25), Discrete(2),
+                 Discrete(3)]
+
+
+class TestLevelGrid:
+    """_grid_top evaluates the scan grid in levels, certified by the
+    Lipschitz bound of the family, and must pick the same top points as
+    evaluating the whole grid in one batch.  Below X_CUT the levels come in
+    other batches than the one-batch grid, and the series stops on the
+    batch-wide largest term, so values there can differ in the last bits:
+    the indices are compared, not the values."""
+
+    @pytest.mark.parametrize("grid_c", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("r", GRID_FAMILIES,
+                             ids=lambda r: repr(r).replace(" ", ""))
+    def test_picks_the_one_batch_top(self, r, grid_c):
+        for kappa in [k for k in default_ladder(r) if k <= 1024]:
+            ts, _, _ = _scan_grid(kappa, ScanConfig(grid_c=grid_c))
+            n = r.basis_index(kappa)
+            mags = np.abs(coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2))
+            order = np.argsort(mags)[::-1]
+            for k in (2, 8):
+                assert list(_grid_top(r, n, r.m_ref, ts, k)) == \
+                    list(order[:k]), (kappa, k)
+
+    def _grid_calls(self, monkeypatch, r, kappa):
+        sizes = []
+
+        def counted(*args, **kwargs):
+            sizes.append(np.asarray(args[3]).size)
+            return coef_vec(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "coef_vec", counted)
+        ts, _, _ = _scan_grid(kappa, ScanConfig())
+        _grid_top(r, r.basis_index(kappa), r.m_ref, ts, 8)
+        return ts.size, sizes
+
+    def test_non_unitary_member_scans_the_whole_grid(self, monkeypatch):
+        size, sizes = self._grid_calls(monkeypatch,
+                                       Principal(0.0, -0.3 + 1.0j), 64)
+        assert sizes == [size]
+
+    def test_unitary_member_evaluates_a_fraction(self, monkeypatch):
+        size, sizes = self._grid_calls(monkeypatch, Complementary(-0.25), 64)
+        assert len(sizes) > 1 and sum(sizes) < 0.2 * size
 
 
 class TestPminScan:

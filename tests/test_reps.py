@@ -339,6 +339,56 @@ class TestUnitarity:
                                cartan_from_x(0.5)) > 1e-2
 
 
+# families of the scan-grid tests: both parities, both reducible-adjacent
+# lines (lam = -1/2 real), the complementary series and two disc weights
+LIPSCHITZ_FAMILIES = [
+    (Principal(0.0, -0.5 + 1.0j), math.sqrt(2.0 * 1.25)),
+    (Principal(0.5, -0.5 + 0.4j), math.sqrt(1.0 + 2.0 * 0.16)),
+    (Principal(0.0, -0.5), math.sqrt(0.5)),
+    (Complementary(-0.25), math.sqrt(2.0 * 0.25 * 0.75)),
+    (Discrete(2), math.sqrt(2.0)),
+    (Discrete(3), math.sqrt(3.0)),
+]
+LIPSCHITZ_IDS = [repr(r).replace(" ", "") for r, _ in LIPSCHITZ_FAMILIES]
+
+
+class TestLipschitz:
+    """L = ||dpi(H) f_m|| bounds |d/dt coef(n, m; a_t)| for every n: on the
+    circle sqrt(|lam - sigma|^2 + |lam + sigma|^2) times the normalizers of
+    m +- 1 (sqrt(-2 lam (1 + lam)) on the complementary series), on the
+    disc sqrt(ell)."""
+
+    @pytest.mark.parametrize("r, want", LIPSCHITZ_FAMILIES,
+                             ids=LIPSCHITZ_IDS)
+    def test_closed_form(self, r, want):
+        assert r.lipschitz == pytest.approx(want, rel=1e-13)
+        # the components of dpi(H) f_m: coef(m +- 1, m; a_t)/t as t -> 0
+        t = 1e-7
+        m = r.m_ref
+        ks = [m + 1.0] if r.circle is None else [m - 1.0, m + 1.0]
+        lim = math.sqrt(sum(abs(coef(r, k, m, math.tanh(t) ** 2).value
+                                / t) ** 2 for k in ks))
+        assert lim == pytest.approx(want, rel=1e-9)
+
+    def test_reducible_point_reaches_one_side(self):
+        # lam + sigma = 0 kills the prefactor of f_(-1)
+        assert Principal(0.5, -0.5).lipschitz == pytest.approx(1.0, rel=1e-13)
+
+    def test_infinite_off_the_unitary_line(self):
+        assert Principal(0.0, -0.3 + 1.0j).lipschitz == math.inf
+
+    @pytest.mark.parametrize("r, want", LIPSCHITZ_FAMILIES,
+                             ids=LIPSCHITZ_IDS)
+    @pytest.mark.parametrize("kappa", [16, 256, 2048])
+    def test_bounds_the_difference_quotients(self, r, want, kappa):
+        kappa = kappa if kappa in r.spectrum(kappa) else kappa + 1
+        n = r.basis_index(kappa)
+        ts = np.linspace(0.0, 6.0 + math.log1p(kappa), 8193)
+        mags = np.abs(coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2))
+        slope = float(np.max(np.abs(np.diff(mags)) / np.diff(ts)))
+        assert 0.0 < slope <= r.lipschitz
+
+
 class TestSpectrum:
     def test_principal_parity(self):
         assert Principal(0.0, -0.5 + 1.0j).spectrum(6) == [
