@@ -1,6 +1,7 @@
 """Peak scans, exponent fits and Sobolev-scale separations."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ class TestLevelGrid:
             for k in (2, 8):
                 assert list(_grid_top(r, n, r.m_ref, ts, k)) == \
                     list(order[:k]), (kappa, k)
+
+    def test_finds_a_narrow_peak_the_first_level_misses(self, monkeypatch):
+        # a fake family along t: a low broad hump and, away from it, a
+        # slightly higher spike (slopes 0.9 and 0.8, below L = 1) narrower
+        # than the spacing of the first level; swept over one spacing, it
+        # sits between two first-level points for some of the centres, and
+        # only the bound keeps the interval that hides it
+        fake = types.SimpleNamespace(lipschitz=1.0)
+        ts = np.arange(1, 8001) * 1e-3
+        for centre in 6.0 + 0.002 * np.arange(16):
+            def mags(r, n, m, xs, omx=None, centre=centre):
+                t = np.arctanh(np.sqrt(xs))
+                spike = 0.012 - np.where(t < centre, 0.9, 0.8) \
+                    * np.abs(t - centre)
+                return (0.5 + 0.01 * np.exp(-(t - 3.0) ** 2) + 1e-4 * t
+                        + np.maximum(spike, 0.0))
+
+            monkeypatch.setattr(norms, "coef_vec", mags)
+            order = np.argsort(mags(fake, 0, 0, np.tanh(ts) ** 2))[::-1]
+            assert abs(ts[order[0]] - centre) < 1e-3
+            for k in (2, 8):
+                assert list(_grid_top(fake, 0, 0, ts, k)) == \
+                    list(order[:k]), (centre, k)
 
     def _grid_calls(self, monkeypatch, r, kappa):
         sizes = []

@@ -339,8 +339,8 @@ class TestUnitarity:
                                cartan_from_x(0.5)) > 1e-2
 
 
-# families of the scan-grid tests: both parities, both reducible-adjacent
-# lines (lam = -1/2 real), the complementary series and two disc weights
+# (family, L) of the scan-grid tests: both parities, the real point
+# lam = -1/2 of the unitary line, the complementary series, two disc weights
 LIPSCHITZ_FAMILIES = [
     (Principal(0.0, -0.5 + 1.0j), math.sqrt(2.0 * 1.25)),
     (Principal(0.5, -0.5 + 0.4j), math.sqrt(1.0 + 2.0 * 0.16)),
