@@ -251,12 +251,12 @@ def criterion_6(tol=0.05):
         f"{tol:g}", passed, t0)
 
 
-def criterion_7(threads=1, tol=0.07, tol_beta=0.2):
+def criterion_7(tol=0.07, tol_beta=0.2):
     """Minimal-norm decay: fitted exponent -1/2 on three families, with the
     log-correction coefficient pinned near zero for the discrete member.
     Returns (record, scans) so criterion 8 can reuse the scans."""
     t0 = time.perf_counter()
-    config = ScanConfig(threads=threads)
+    config = ScanConfig()
     scan_reps = (Principal(0.0, complex(-0.5, 1.0)), Complementary(-0.25),
                  Discrete(2))
     scans = {r: pmin_scan(r, default_ladder(r), config) for r in scan_reps}
@@ -383,7 +383,7 @@ def criterion_10():
         "1e-3 / 0.6 / 1.0", passed, t0)
 
 
-def run_all(threads=1, seed=DEFAULT_SEED, tolerances=None):
+def run_all(seed=DEFAULT_SEED, tolerances=None):
     """All ten checks in order, sharing the norm scans between 7 and 8.
 
     tolerances maps criterion numbers (as strings "1".."7") to overrides
@@ -406,7 +406,7 @@ def run_all(threads=1, seed=DEFAULT_SEED, tolerances=None):
         criterion_5(**tol_kw("5")),
         criterion_6(**tol_kw("6")),
     ]
-    rec7, scans = criterion_7(threads=threads, **tol_kw("7"))
+    rec7, scans = criterion_7(**tol_kw("7"))
     records.append(rec7)
     records.append(criterion_8(scans))
     records.append(criterion_9())

@@ -6,17 +6,16 @@ weighted integrals), constants (exact rational table), acceptance (the
 ten-check suite with a JSON report).
 
 Everything is deterministic given the arguments and config: numeric
-output uses 17 significant digits, CSV rows are sorted by n regardless
-of worker scheduling, and randomized checks derive from an explicit
-seed.  Exit codes: 0 success, 1 failed acceptance criterion, 2 argument
-or config validation, 3 convergence failure or uncertified scan, 4 fit
-failure.
+output uses 17 significant digits, a ladder is scanned in one loop and
+its CSV rows are sorted by n, and randomized checks derive from an
+explicit seed.  Exit codes: 0 success, 1 failed acceptance criterion,
+2 argument or config validation, 3 convergence failure or uncertified
+scan, 4 fit failure.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -33,6 +32,8 @@ _VALIDATION_ERRORS = (PreconditionError, DomainError, NormalizationError,
                       PoleError, ValueError, KeyError)
 
 CSV_HEADER = "n,pmin,x_argmax,pmax_proxy,q_s_half,err_est"
+# most characters a geometric n_values range may expand to
+MAX_LADDER = 4096
 
 
 def _g17(x):
@@ -40,11 +41,15 @@ def _g17(x):
     return f"{float(x):.17g}"
 
 
-def _threads_from(value):
-    env = os.environ.get("REPNORM_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, int(value))
+def _finite(value, name):
+    """A config number as a finite float; json reads Infinity and NaN."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise PreconditionError(f"{name} is not a finite number: {value!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +68,10 @@ class ExperimentConfig:
     scan: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     output_path: str = None
-    threads: int = 1
     seed: int = acceptance.DEFAULT_SEED
 
-    NORM_SCAN_KEYS = ("rep", "n_values", "scan", "output_path", "threads")
-    ACCEPTANCE_KEYS = ("tolerances", "output_path", "threads", "seed")
+    NORM_SCAN_KEYS = ("rep", "n_values", "scan", "output_path")
+    ACCEPTANCE_KEYS = ("tolerances", "output_path", "seed")
     SCAN_KEYS = ("c_grid", "refine_iters", "t_max_pad")
 
     @classmethod
@@ -92,8 +96,8 @@ class ExperimentConfig:
             raise PreconditionError("tolerances must be an object")
         return cfg
 
-    def scan_config(self, threads):
-        kwargs = {"threads": threads}
+    def scan_config(self):
+        kwargs = {}
         if "c_grid" in self.scan:
             kwargs["grid_c"] = float(self.scan["c_grid"])
         if "refine_iters" in self.scan:
@@ -104,26 +108,30 @@ class ExperimentConfig:
 
     def resolved_n_values(self):
         """A list of indices, or a geometric-range object
-        {"geometric": {"start": a, "stop": b, "factor": f}}."""
+        {"geometric": {"start": a, "stop": b, "factor": f}} of at most
+        MAX_LADDER entries.  Every number in either must be finite."""
         spec = self.n_values
         if spec is None:
             return None
         if isinstance(spec, list):
-            return [float(v) for v in spec]
-        if isinstance(spec, dict) and set(spec) == {"geometric"}:
-            g = spec["geometric"]
+            return [_finite(v, "n_values entry") for v in spec]
+        g = spec.get("geometric") if isinstance(spec, dict) else None
+        if isinstance(g, dict) and set(spec) == {"geometric"}:
             bad = set(g) - {"start", "stop", "factor"}
             if bad:
                 raise PreconditionError(f"unknown range fields {sorted(bad)}")
-            start, stop = float(g["start"]), float(g["stop"])
-            factor = float(g.get("factor", 2.0))
+            start = _finite(g.get("start"), "start")
+            stop = _finite(g.get("stop"), "stop")
+            factor = _finite(g.get("factor", 2.0), "factor")
             if not (start > 0 and stop >= start and factor > 1.0):
                 raise PreconditionError(f"bad geometric range {g}")
-            out = []
-            v = start
-            while v <= stop * (1.0 + 1e-12):
+            out, v = [], start
+            while v <= stop * (1.0 + 1e-12) and len(out) <= MAX_LADDER:
                 out.append(v)
                 v *= factor
+            if len(out) > MAX_LADDER:
+                raise PreconditionError(
+                    f"geometric range {g} has over {MAX_LADDER} entries")
             return out
         raise PreconditionError(f"cannot interpret n_values {spec!r}")
 
@@ -158,8 +166,7 @@ def cmd_norm_scan(args):
     if cfg.rep is None or cfg.output_path is None:
         raise PreconditionError("norm-scan config needs rep and output_path")
     r = parse_rep(cfg.rep)
-    threads = _threads_from(cfg.threads)
-    scan_cfg = cfg.scan_config(threads)
+    scan_cfg = cfg.scan_config()
     kappas = cfg.resolved_n_values()
     kappas = sorted(default_ladder(r) if kappas is None else kappas)
 
@@ -277,24 +284,20 @@ def cmd_constants(args):
 
 
 def cmd_acceptance(args):
-    threads = 1
     seed = acceptance.DEFAULT_SEED
     tolerances = None
     out_path = "acceptance_report.json"
     if args.config is not None:
         cfg = ExperimentConfig.load(args.config,
                                     ExperimentConfig.ACCEPTANCE_KEYS)
-        threads = cfg.threads
         seed = int(cfg.seed)
         tolerances = cfg.tolerances
         if cfg.output_path is not None:
             out_path = cfg.output_path
     if args.output is not None:
         out_path = args.output
-    threads = _threads_from(threads)
 
-    records = acceptance.run_all(threads=threads, seed=seed,
-                                 tolerances=tolerances)
+    records = acceptance.run_all(seed=seed, tolerances=tolerances)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump([r.as_dict() for r in records], fh, indent=2)
         fh.write("\n")

@@ -11,7 +11,6 @@ log coordinates, with a log-log column so that genuine logarithmic factors
 show up as a nonzero secondary coefficient instead of polluting the slope.
 """
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,8 @@ class ScanConfig:
     grid_c sets the step dt = grid_c/(kappa+1); t_pad sets the window
     T = t_pad + log(1+kappa).  Beyond the uniform grid, three concentration
     seeds x = 1 - 1/(1 + kappa/u), u in _SEED_SCALES, are always probed:
-    that is where a coefficient peaking near the boundary would live.
+    that is where a coefficient peaking near the boundary would live.  The
+    refine_top best grid points get refine_iters golden steps each.
     A grid it cannot scan (grid_c not finite and positive, t_pad not
     finite, refine_top below 1) raises PreconditionError.
     """
@@ -51,7 +51,6 @@ class ScanConfig:
     t_pad: float = 6.0
     refine_top: int = 8
     refine_iters: int = 48
-    threads: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.grid_c) and self.grid_c > 0.0):
@@ -207,12 +206,9 @@ def default_ladder(r):
 
 
 def pmin_scan(r, kappas, config=None):
-    """Scan a ladder of characters; returns one outcome per character, in
-    ascending order: its NormSample, or the RepnormError its scan raised.
-
-    With config.threads > 1 the characters are scanned concurrently (the
-    work is numpy-bound, so threads help despite the GIL).
-    """
+    """Scan a ladder of characters one after another, in ascending order;
+    returns one outcome per character: its NormSample, or the RepnormError
+    its scan raised."""
     config = config or ScanConfig()
 
     def outcome(kappa):
@@ -221,11 +217,7 @@ def pmin_scan(r, kappas, config=None):
         except RepnormError as exc:
             return exc
 
-    kappas = sorted(kappas)
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(config.threads) as pool:
-            return list(pool.map(outcome, kappas))
-    return [outcome(k) for k in kappas]
+    return [outcome(k) for k in sorted(kappas)]
 
 
 @dataclass(frozen=True)

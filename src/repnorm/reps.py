@@ -96,9 +96,9 @@ class _Circle:
 
 @dataclass(frozen=True)
 class Principal(_Circle):
-    """Circle-model series with parity sigma in {0, 1/2} and spectral
-    parameter lam in the open strip -1 < Re lam < 0 (uniformly bounded
-    range).  Unitary on the line Re lam = -1/2; irreducible unless
+    """Circle-model series with parity sigma in {0, 1/2} and a finite
+    spectral parameter lam in the open strip -1 < Re lam < 0 (uniformly
+    bounded range).  Unitary on the line Re lam = -1/2; irreducible unless
     lam + sigma is an integer (the reducible points stay evaluable)."""
     sigma: float
     lam: complex
@@ -107,6 +107,8 @@ class Principal(_Circle):
         if self.sigma not in (0.0, 0.5):
             raise PreconditionError(f"sigma must be 0 or 1/2, got {self.sigma}")
         lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise PreconditionError(f"lam must be finite, got {lam}")
         if not (-1.0 < lam.real < 0.0):
             raise PreconditionError(f"need -1 < Re lam < 0, got {lam}")
         object.__setattr__(self, "lam", lam)

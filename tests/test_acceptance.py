@@ -7,8 +7,6 @@ budgets are asserted per criterion as well: the suite is meant to stay
 usable on a laptop, not just on a build machine.
 """
 
-import os
-
 import pytest
 
 from repnorm import acceptance
@@ -69,7 +67,6 @@ FROZEN_LADDER = {
 @pytest.fixture(scope="session")
 def battery():
     """One run_all, plus the criterion-7 scans it computed on the way."""
-    threads = min(4, os.cpu_count() or 1)
     scans = {}
     criterion_7 = acceptance.criterion_7
 
@@ -80,7 +77,7 @@ def battery():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "criterion_7", keep_scans)
-        recs = acceptance.run_all(threads=threads)
+        recs = acceptance.run_all()
     return {r.criterion_id.split("-")[0]: r for r in recs}, scans
 
 

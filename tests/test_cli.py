@@ -1,18 +1,24 @@
 """End-to-end command checks: parsing, exit codes, file formats and
 determinism of the CSV output."""
 
+import cmath
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repnorm.cli import CSV_HEADER, ExperimentConfig, main
+from repnorm.cli import CSV_HEADER, MAX_LADDER, ExperimentConfig, main
+from repnorm.errors import PreconditionError
+from repnorm.norms import ScanConfig
+from repnorm.reps import Complementary, Discrete, Principal, parse_rep
 
 SCAN_CONFIG = {
     "rep": "discrete:2",
     "n_values": [16, 32, 48, 64],
     "scan": {"c_grid": 0.25, "refine_iters": 32, "t_max_pad": 5.0},
-    "threads": 2,
 }
 
 
@@ -54,6 +60,11 @@ class TestExperimentConfig:
             tmp_path, n_values={"geometric": {"start": 16, "stop": 8}})
         with pytest.raises(PreconditionError):
             load_scan_config(path).resolved_n_values()
+
+
+# an infinite or NaN imaginary part passes the strip test -1 < Re lam < 0
+NON_FINITE_LAMS = ["principal:0:-0.5+1e999i", "principal:0.5:-0.5+nani",
+                   "principal:0:-0.5+nani"]
 
 
 class TestCoefCommand:
@@ -114,6 +125,14 @@ class TestCoefCommand:
         assert main(["coef", "--rep", "spherical:1", "--m", "0",
                      "--n", "1", "--x", "0.5"]) == 2
 
+    @pytest.mark.parametrize("rep", NON_FINITE_LAMS)
+    def test_non_finite_lam_exits_2(self, rep, capsys):
+        assert main(["coef", "--rep", rep, "--m", "0", "--n", "4",
+                     "--x", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "lam must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestNormScanCommand:
     def test_csv_contract(self, tmp_path, capsys):
@@ -131,36 +150,14 @@ class TestNormScanCommand:
         assert "\r" not in text
 
     def test_deterministic_across_runs_and_threads(self, tmp_path, capsys):
+        # two runs of one config give the same bytes (the name predates
+        # the removal of the scan threads)
         a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
-        cfg_a = write_config(tmp_path, "a.json", output_path=str(a_csv),
-                             threads=1)
-        cfg_b = write_config(tmp_path, "b.json", output_path=str(b_csv),
-                             threads=3)
+        cfg_a = write_config(tmp_path, "a.json", output_path=str(a_csv))
+        cfg_b = write_config(tmp_path, "b.json", output_path=str(b_csv))
         assert main(["norm-scan", str(cfg_a)]) == 0
         assert main(["norm-scan", str(cfg_b)]) == 0
         assert a_csv.read_bytes() == b_csv.read_bytes()
-
-    # the golden principal and complementary scans, whose grids reach past
-    # X_CUT: the threads share one cache of Euler node factors
-    @pytest.mark.parametrize("rep", ["principal:0:-0.5+1i",
-                                     "complementary:-0.25"])
-    def test_threads_give_identical_bytes(self, rep, tmp_path, monkeypatch,
-                                          capsys):
-        family = rep.split(":")[0]
-        golden = Path(__file__).resolve().parent / "golden"
-        for threads in (1, 2):
-            workdir = tmp_path / f"threads{threads}"
-            workdir.mkdir()
-            monkeypatch.chdir(workdir)
-            Path("cfg.json").write_text(json.dumps({
-                "rep": rep, "n_values": [16, 32, 64],
-                "scan": {"c_grid": 0.25}, "output_path": "out.csv",
-                "threads": threads}), encoding="utf-8")
-            assert main(["norm-scan", "cfg.json"]) == 0
-            assert capsys.readouterr().out == (
-                golden / f"norm-scan-{family}.out").read_text(encoding="utf-8")
-            assert Path("out.csv").read_bytes() == (
-                golden / f"norm-scan-{family}.csv").read_bytes()
 
     def test_empty_ladder_gives_header_only(self, tmp_path, capsys):
         out_csv = tmp_path / "scan.csv"
@@ -216,12 +213,38 @@ class TestNormScanCommand:
         cfg = write_config(tmp_path, typo_field=1)
         assert main(["norm-scan", str(cfg)]) == 2
 
-    def test_threads_env_override(self, tmp_path, capsys, monkeypatch):
-        from repnorm.cli import _threads_from
-        monkeypatch.setenv("REPNORM_THREADS", "5")
-        assert _threads_from(1) == 5
-        monkeypatch.delenv("REPNORM_THREADS")
-        assert _threads_from(2) == 2
+    # json reads Infinity and NaN; an infinite stop would never end the range
+    @pytest.mark.parametrize("n_values", [
+        "[16, Infinity]", "[16, NaN]",
+        '{"geometric": {"start": 16, "stop": Infinity}}',
+        '{"geometric": {"start": NaN, "stop": 64}}',
+        '{"geometric": {"start": 16, "stop": NaN}}',
+        '{"geometric": {"start": 16, "stop": 64, "factor": Infinity}}',
+        '{"geometric": {"start": 16, "stop": 64, "factor": NaN}}',
+    ])
+    def test_non_finite_n_values_exit_2(self, n_values, tmp_path, capsys):
+        out_csv = tmp_path / "scan.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"rep": "discrete:2", "output_path": %s, "n_values": %s}'
+            % (json.dumps(str(out_csv)), n_values), encoding="utf-8")
+        assert main(["norm-scan", str(cfg)]) == 2
+        assert "is not a finite number" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_readme_config_example_loads(self, tmp_path):
+        # every json block of the README is a norm-scan config that loads
+        # and builds its scan
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```",
+                            readme.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            path = tmp_path / "readme.json"
+            path.write_text(block, encoding="utf-8")
+            cfg = load_scan_config(path)
+            assert isinstance(cfg.scan_config(), ScanConfig)
+            assert parse_rep(cfg.rep) and cfg.resolved_n_values()
 
 
 class TestFitCommand:
@@ -278,6 +301,12 @@ class TestIntegralCommand:
         assert float(row[1]) == pytest.approx(0.5, abs=1e-10)
         assert float(row[3]) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("rep", NON_FINITE_LAMS)
+    def test_non_finite_lam_exits_2(self, rep, capsys):
+        assert main(["integral", "--rep", rep, "--eps", "0.25",
+                     "--n", "4"]) == 2
+        assert "lam must be finite" in capsys.readouterr().err
+
     def test_empty_index_list_prints_header_only(self, capsys):
         assert main(["integral", "--rep", "principal:0:-0.5",
                      "--eps", "0.25"]) == 0
@@ -331,7 +360,7 @@ class TestAcceptanceCommand:
                 observed="x", tolerance="exact", passed=True, runtime_ms=0),
         ]
         monkeypatch.setattr(acceptance, "run_all",
-                            lambda threads, seed, tolerances: fake)
+                            lambda seed, tolerances: fake)
         report = tmp_path / "report.json"
         assert main(["acceptance", "--output", str(report)]) == 1
         doc = json.loads(report.read_text(encoding="utf-8"))
@@ -344,7 +373,7 @@ class TestAcceptanceCommand:
         from repnorm import acceptance
         from repnorm.errors import ScanError
 
-        def run_all(threads, seed, tolerances):
+        def run_all(seed, tolerances):
             raise ScanError("argmax on the grid boundary")
         monkeypatch.setattr(acceptance, "run_all", run_all)
         assert main(["acceptance", "--output",
@@ -358,7 +387,7 @@ class TestAcceptanceCommand:
 
 
 # a valid value of every config field, and the least config each command
-# runs with (an empty ladder for norm-scan)
+# runs with (an empty ladder for norm-scan); no command reads threads
 FIELD_VALUES = {"rep": "discrete:2", "n_values": [], "scan": {"c_grid": 0.5},
                 "tolerances": {}, "output_path": "out.txt", "threads": 1,
                 "seed": 7}
@@ -381,3 +410,65 @@ def test_config_fields_per_command(command, field, tmp_path, capsys,
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
     want = 0 if field in COMMAND_KEYS[command] else 2
     assert main([command, "cfg.json"]) == want
+
+
+# ---------------------------------------------------------------------------
+# Properties of the two parsers of user input
+
+
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "0.5", "-0.5", "-0.25", "2", "nan", "1e999"]),
+    st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
+    st.text(max_size=8))
+# "+nan" and "+1e999" give a non-finite imaginary part; "+inf" does not
+# parse, since every i becomes j
+IMAG_TEXT = st.one_of(st.sampled_from(["+nan", "+1e999", "-1e999", "+1"]),
+                      st.floats().map("{:+}".format), NUMBER_TEXT)
+REP_TEXT = st.one_of(
+    st.text(),
+    st.builds("principal:{}:{}{}i".format,
+              st.one_of(st.sampled_from(["0", "0.5"]), NUMBER_TEXT),
+              st.one_of(st.floats(-1.0, 0.0).map(repr), NUMBER_TEXT),
+              IMAG_TEXT),
+    st.builds("principal:{}:{}".format, NUMBER_TEXT, NUMBER_TEXT),
+    st.builds("complementary:{}".format, NUMBER_TEXT),
+    st.builds("discrete:{}".format, NUMBER_TEXT))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(REP_TEXT)
+def test_parse_rep_gives_a_valid_family_or_precondition_error(text):
+    try:
+        r = parse_rep(text)
+    except PreconditionError:
+        return
+    if isinstance(r, Principal):
+        assert r.sigma in (0.0, 0.5)
+        assert cmath.isfinite(r.lam) and -1.0 < r.lam.real < 0.0
+    elif isinstance(r, Complementary):
+        assert math.isfinite(r.lam) and -0.5 < r.lam < 0.0
+    else:
+        assert isinstance(r, Discrete) and r.ell >= 2
+
+
+JSON_NUMBER = st.one_of(st.integers(), st.floats())
+N_VALUES = st.one_of(
+    JSON_NUMBER,
+    st.lists(JSON_NUMBER, max_size=8),
+    st.fixed_dictionaries({}, optional={
+        "start": JSON_NUMBER, "stop": JSON_NUMBER, "factor": JSON_NUMBER,
+    }).map(lambda g: {"geometric": g}))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(N_VALUES)
+def test_n_values_are_finite_and_bounded_or_precondition_error(spec):
+    try:
+        out = ExperimentConfig(n_values=spec).resolved_n_values()
+    except PreconditionError:
+        return
+    assert all(math.isfinite(v) for v in out)
+    if isinstance(spec, list):
+        assert len(out) == len(spec)
+    else:
+        assert 1 <= len(out) <= MAX_LADDER

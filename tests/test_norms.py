@@ -201,15 +201,6 @@ class TestPminScan:
         samples = pmin_scan(Discrete(2), [64, 16, 32], config=self.CFG)
         assert [s.n for s in samples] == [16, 32, 64]
 
-    def test_threading_is_deterministic(self):
-        r = Principal(0.0, -0.5 + 1.0j)
-        serial = pmin_scan(r, [16, 32, 64], config=self.CFG)
-        threaded = pmin_scan(
-            r, [16, 32, 64],
-            config=ScanConfig(grid_c=0.2, refine_iters=40, threads=3))
-        for a, b in zip(serial, threaded):
-            assert a == b
-
     def test_default_ladder_respects_parity(self):
         samples = pmin_scan(Principal(0.5, -0.5 + 0.4j),
                             [17, 33], config=self.CFG)
