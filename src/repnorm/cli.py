@@ -52,6 +52,14 @@ def _finite(value, name):
     return v
 
 
+def _whole(value, name):
+    """A config integer; json reads Infinity and NaN, which int() rejects
+    with OverflowError or ValueError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PreconditionError(f"{name} is not a finite number: {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
@@ -101,7 +109,8 @@ class ExperimentConfig:
         if "c_grid" in self.scan:
             kwargs["grid_c"] = float(self.scan["c_grid"])
         if "refine_iters" in self.scan:
-            kwargs["refine_iters"] = int(self.scan["refine_iters"])
+            kwargs["refine_iters"] = _whole(self.scan["refine_iters"],
+                                            "scan.refine_iters")
         if "t_max_pad" in self.scan:
             kwargs["t_pad"] = float(self.scan["t_max_pad"])
         return ScanConfig(**kwargs)
@@ -290,7 +299,7 @@ def cmd_acceptance(args):
     if args.config is not None:
         cfg = ExperimentConfig.load(args.config,
                                     ExperimentConfig.ACCEPTANCE_KEYS)
-        seed = int(cfg.seed)
+        seed = _whole(cfg.seed, "seed")
         tolerances = cfg.tolerances
         if cfg.output_path is not None:
             out_path = cfg.output_path

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
 from .group import cartan_from_x
@@ -61,8 +62,9 @@ class _Circle:
                 if (k - parity) % 2 == 0]
 
     def basis_index(self, kappa):
-        """Basis index whose compact character is kappa."""
-        if int(kappa) not in self.spectrum(abs(int(kappa))):
+        """Basis index whose compact character is kappa: the spectrum is
+        the characters of the parity of 2 sigma."""
+        if (int(kappa) - int(2 * self.sigma)) % 2 != 0:
             raise PreconditionError(
                 f"character {kappa} not in the spectrum of {self}")
         return (int(kappa) - 2 * self.sigma) / 2.0
@@ -246,25 +248,29 @@ def _principal_pref_args(sigma, lam, n, m):
 
 
 def complementary_normalizer(lam, n, m=0):
-    """Ratio of renormalizations C(n, m) = sqrt(H(n)/H(m)).
+    """Ratio of renormalizations C(n, m) = sqrt(H(n)/H(m)), for an index n
+    or an array of them (one loggamma call per Gamma argument).
 
     The defining quadratic form has H(k) = G(lam-k+1)/G(-lam-k) on the k-th
-    basis vector; reflection turns this into G(|k|+1+lam)/G(|k|-lam), which
-    is manifestly positive for -1 < lam < 0.  Positivity of the defining
-    form is still checked on the requested indices.
+    basis vector; reflection turns this into G(|k|+1+lam)/G(|k|-lam).  The
+    form is positive on every index exactly when -1 < lam < 0, so that is
+    the test.  There, for k >= 0 both arguments lie in (-k, 1-k), where G
+    has the sign (-1)^k, and for k < 0 both exceed 0.  Outside it,
+    H(0) = lam/(-lam-1) H(1) by G(z+1) = z G(z), and that factor is
+    negative, so H(0) or H(1) is; an integer lam puts a pole into H(0).
     """
     lam = float(lam)
-
-    def log_h(k):
-        k = abs(int(k))
-        return (log_gamma(k + 1.0 + lam) - log_gamma(k - lam)).real
-
-    for k in (n, m):
-        h_sign = gamma_ratio_signed([lam - int(k) + 1.0], [-lam - int(k)])
-        if h_sign.real <= 0.0 or abs(h_sign.imag) > 1e-9 * abs(h_sign):
-            raise NormalizationError(
-                f"renormalizing form not positive at index {k}: {h_sign}")
-    return math.exp(0.5 * (log_h(n) - log_h(m)))
+    if not -1.0 < lam < 0.0:
+        raise NormalizationError(
+            f"renormalizing form not positive on every index: need"
+            f" -1 < lam < 0, got {lam}")
+    # exp per element: np.exp and math.exp differ in the last bit
+    ks = np.abs(np.append(n, m).astype(np.int64)).astype(complex)
+    log_h = (loggamma(ks + 1.0 + lam) - loggamma(ks - lam)).real
+    half = 0.5 * (log_h[:-1] - log_h[-1])
+    if np.ndim(n) == 0:
+        return math.exp(half[0])
+    return np.array([math.exp(v) for v in half.tolist()])
 
 
 def _discrete_log_j(ell, p, q):
@@ -278,20 +284,29 @@ def _discrete_log_j(ell, p, q):
 # Oracles
 
 
-def _settled_column(column, size, oracle, request):
+def _settled_column(samples, column, size, oracle, request):
     """The doubling certificate of the FFT oracles.
 
-    column(N) samples on N points and returns (values, floor), floor being
-    the roundoff floor of those values.  N starts at the power of two at or
-    above size and doubles (three times at most) until the values move by
-    at most ORACLE_TOL; returns (values, err), err being that last move plus
-    the floor.  oracle and request name the failure in ConvergenceError.
+    samples(theta) evaluates the transformed function at the angles theta,
+    and column(vals) turns its values on the N-point grid 2 pi k / N into
+    (values, floor), floor being the roundoff floor of those values.  N
+    starts at the power of two at or above size and doubles (three times at
+    most) until the values move by at most ORACLE_TOL; returns (values,
+    err), err being that last move plus the floor.  A doubling keeps the
+    samples it has, which are the even points of the finer grid to the bit,
+    and evaluates only the new odd angles; each sample depends on its angle
+    alone.  oracle and request name the failure in ConvergenceError.
     """
     big_n = 1 << (int(size) - 1).bit_length()
-    prev, _ = column(big_n)
+    vals = samples(2.0 * np.pi * np.arange(big_n) / big_n)
+    prev, _ = column(vals)
     for _ in range(3):
+        finer = np.empty(2 * big_n, dtype=complex)
+        finer[0::2] = vals
         big_n *= 2
-        cur, floor = column(big_n)
+        finer[1::2] = samples(2.0 * np.pi * np.arange(1, big_n, 2) / big_n)
+        vals = finer
+        cur, floor = column(vals)
         delta = float(np.max(np.abs(cur - prev)))
         if delta <= ORACLE_TOL:
             return cur, delta + floor
@@ -300,20 +315,26 @@ def _settled_column(column, size, oracle, request):
         f"{oracle} oracle not settled at N={big_n} ({request})")
 
 
-def _circle_samples(sigma, lam, m, x, big_n):
-    """The transformed circle function on a uniform theta grid."""
+def _circle_samples(sigma, lam, m, x, theta):
+    """The transformed circle function at the angles theta.
+
+    Above 256 KiB numpy reuses the buffer of a temporary operand and, for
+    a commutative operation, swaps the operands, and complex multiply is
+    not bitwise commutative.  So no product here has a temporary array
+    operand, and a sample does not depend on the array size."""
     lam = complex(lam)
     A = 1.0 / math.sqrt(1.0 - x)
     B = math.sqrt(x) / math.sqrt(1.0 - x)
-    theta = 2.0 * np.pi * np.arange(big_n) / big_n
     e_pos = np.exp(1j * theta)
     base_pos = B * e_pos + A            # Re > 0: principal powers are safe
     base_neg = B * np.conj(e_pos) + A
-    vals = np.exp((lam + sigma) * np.log(base_pos)
-                  + (lam - sigma) * np.log(base_neg))
+    log_pos = np.log(base_pos)
+    log_neg = np.log(base_neg)
+    vals = np.exp((lam + sigma) * log_pos + (lam - sigma) * log_neg)
     if m != 0:
         moebius = base_pos / (A * e_pos + B)   # unit modulus on the circle
-        vals = vals * moebius ** int(m)
+        power = moebius ** int(m)
+        vals = vals * power
     return vals
 
 
@@ -329,15 +350,33 @@ def coef_oracle_principal(sigma, lam, m, coord, n_max):
     n_max = int(n_max)
     ns = np.arange(-n_max, n_max + 1)
 
-    def column(big_n):
-        vals = _circle_samples(sigma, lam, m, x, big_n)
+    def column(vals):
+        big_n = vals.size
         spec = np.fft.fft(vals) / big_n
         return spec[(-ns) % big_n], \
             2e-16 * float(np.max(np.abs(vals))) * math.sqrt(big_n)
 
-    cur, err = _settled_column(column, 8 * (n_max + abs(int(m))) + 64,
-                               "circle", f"x={x}, n_max={n_max}")
+    cur, err = _settled_column(
+        functools.partial(_circle_samples, sigma, lam, m, x), column,
+        8 * (n_max + abs(int(m))) + 64, "circle", f"x={x}, n_max={n_max}")
     return {int(n): complex(v) for n, v in zip(ns, cur)}, err
+
+
+def _disc_samples(ell, q, d_m, x, radius, theta):
+    """The transformed disc function d_m (A - B z)^-ell w^q, w = (A z - B) /
+    (A - B z), at z = radius e^{i theta}; as in _circle_samples, no
+    product has a temporary array operand, so a sample does not depend on
+    the array size."""
+    A = 1.0 / math.sqrt(1.0 - x)
+    B = math.sqrt(x) / math.sqrt(1.0 - x)
+    e_pos = np.exp(1j * theta)
+    z = radius * e_pos
+    den = A - B * z
+    w = (A * z - B) / den
+    inverse = den ** (-ell)
+    power = w ** q
+    fvals = d_m * inverse
+    return fvals * power
 
 
 def coef_oracle_discrete(ell, m, coord, n_max):
@@ -370,8 +409,6 @@ def coef_oracle_discrete(ell, m, coord, n_max):
                 for idx in indices}
         return vals, 0.0
 
-    A = 1.0 / math.sqrt(1.0 - x)
-    B = math.sqrt(x) / math.sqrt(1.0 - x)
     pole = 1.0 / math.sqrt(x)
     pole_order = ell + q
 
@@ -380,18 +417,15 @@ def coef_oracle_discrete(ell, m, coord, n_max):
         0.5 * (log_gamma(m + ell / 2.0).real - log_gamma(q + 1.0).real - lg_ell))
 
     def window(js, radius):
-        """column(N) of the orders js on the contour of this radius."""
-        lead = np.array([(-1.0) ** j * math.exp(
-            0.5 * (log_gamma(ell + j).real - log_gamma(j + 1.0).real - lg_ell))
-            for j in js])
+        """(samples, column) of the orders js on the contour of this
+        radius, for _settled_column."""
+        log_lead = 0.5 * (loggamma((ell + js).astype(complex)).real
+                          - loggamma((js + 1.0).astype(complex)).real - lg_ell)
+        lead = np.array([(-1.0) ** j * math.exp(v)
+                         for j, v in zip(js.tolist(), log_lead.tolist())])
 
-        def column(big_n):
-            theta = 2.0 * np.pi * np.arange(big_n) / big_n
-            z = radius * np.exp(1j * theta)
-            den = A - B * z
-            w = (A * z - B) / den
-            fvals = d_m * den ** (-ell) * w ** q
-            spec = np.fft.fft(fvals) / big_n
+        def column(fvals):
+            spec = np.fft.fft(fvals) / fvals.size
             taylor = spec[js] * radius ** (-js.astype(float))
             # sample noise is absolute; the worst relative hit in the window
             # is at its lowest order (smallest r^j and smallest |lead|)
@@ -399,7 +433,7 @@ def coef_oracle_discrete(ell, m, coord, n_max):
                 * radius ** (-float(js[0])) / abs(lead[0])
             return taylor / lead, floor
 
-        return column
+        return functools.partial(_disc_samples, ell, q, d_m, x, radius), column
 
     out = np.empty(j_max + 1, dtype=complex)
     err = 0.0
@@ -412,7 +446,7 @@ def coef_oracle_discrete(ell, m, coord, n_max):
         radius = pole * top / (top + pole_order)
         radius = min(radius, math.exp(500.0 / top))
         out[js], w_err = _settled_column(
-            window(js, radius), 8 * (j_hi + q + ell) + 64, "disc",
+            *window(js, radius), 8 * (j_hi + q + ell) + 64, "disc",
             f"x={x}, orders {j_lo}..{j_hi}")
         err = max(err, w_err)
         j_lo = j_hi + 1
@@ -426,8 +460,10 @@ def coef_oracle(r, m, coord, n_max):
     if r.circle is None:
         return coef_oracle_discrete(r.ell, m, coord, n_max)
     col, err = coef_oracle_principal(*r.circle, m, coord, n_max)
-    scale = {n: r.normalizer(n, m) for n in col}
-    return {n: scale[n] * v for n, v in col.items()}, err * max(scale.values())
+    ns = np.fromiter(col, dtype=np.int64, count=len(col))
+    scale = np.broadcast_to(r.normalizer(ns, m), ns.shape).tolist()
+    return ({n: s * v for (n, v), s in zip(col.items(), scale)},
+            err * max(scale))
 
 
 def parseval_defect(r, m, coord):

@@ -232,6 +232,19 @@ class TestNormScanCommand:
         assert "is not a finite number" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_refine_iters_exits_2(self, value, tmp_path, capsys):
+        out_csv = tmp_path / "o.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"rep": "discrete:2", "n_values": [16], "output_path": %s,'
+            ' "scan": {"refine_iters": %s}}'
+            % (json.dumps(str(out_csv)), value), encoding="utf-8")
+        assert main(["norm-scan", str(cfg)]) == 2
+        assert "scan.refine_iters is not a finite number" in \
+            capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_readme_config_example_loads(self, tmp_path):
         # every json block of the README is a norm-scan config that loads
         # and builds its scan
@@ -339,6 +352,21 @@ class TestAcceptanceCommand:
         path = tmp_path / "acc.json"
         path.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert main(["acceptance", str(path)]) == 2
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_seed_exits_2(self, value, tmp_path, capsys,
+                                     monkeypatch):
+        from repnorm import acceptance
+
+        def refuse(**kwargs):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(acceptance, "run_all", refuse)
+        path = tmp_path / "acc.json"
+        path.write_text('{"seed": %s}' % value, encoding="utf-8")
+        assert main(["acceptance", str(path),
+                     "--output", str(tmp_path / "r.json")]) == 2
+        assert "seed is not a finite number" in capsys.readouterr().err
 
     def test_unknown_tolerance_key(self, tmp_path, capsys):
         path = tmp_path / "acc.json"

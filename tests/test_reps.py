@@ -12,13 +12,16 @@ import pytest
 from repnorm.errors import (ConvergenceError, NormalizationError,
                             PreconditionError)
 from repnorm.group import cartan_from_x
+from repnorm import reps
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
                           _boundary_method, _cached_euler_factors,
-                          _euler_nodes, _f_euler_vec,
-                          _principal_params, coef, coef_oracle, coef_vec,
+                          _circle_samples, _disc_samples, _euler_nodes,
+                          _f_euler_vec, _principal_params, _settled_column,
+                          coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
-from repnorm.specfun import gamma_ratio_signed
+from repnorm.errors import PoleError
+from repnorm.specfun import gamma_ratio_signed, log_gamma
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -396,6 +399,25 @@ class TestSpectrum:
         assert Principal(0.5, -0.5 + 1.0j).spectrum(6) == [
             -5, -3, -1, 1, 3, 5]
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_basis_index_matches_the_spectrum(self, sigma):
+        r = Principal(sigma, -0.5 + 1.0j)
+        for k in range(-64, 65):
+            if k in r.spectrum(abs(k)):
+                assert r.basis_index(k) == (k - 2 * sigma) / 2.0
+            else:
+                with pytest.raises(PreconditionError):
+                    r.basis_index(k)
+
+    def test_basis_index_does_not_list_the_spectrum(self, monkeypatch):
+        def refuse(self, limit):
+            raise AssertionError("spectrum listed")
+
+        monkeypatch.setattr(Principal, "spectrum", refuse)
+        assert Principal(0.0, -0.5 + 1.0j).basis_index(10 ** 12) == 5e11
+        assert Principal(0.5, -0.5 + 1.0j).basis_index(
+            10 ** 12 + 1) == 5e11
+
     def test_discrete_ray(self):
         assert Discrete(3).spectrum(9) == [3, 5, 7, 9]
 
@@ -415,6 +437,137 @@ class TestComplementaryNormalizer:
     def test_positivity_guard(self):
         with pytest.raises(NormalizationError):
             complementary_normalizer(-1.4, 2)
+
+    @pytest.mark.parametrize("lam", [-0.1, -0.25, -0.49])
+    @pytest.mark.parametrize("m", [0, 3, -7])
+    def test_array_equals_scalar_calls(self, lam, m):
+        ns = np.arange(-8192, 8193)
+        column = complementary_normalizer(lam, ns, m)
+        scalar = [complementary_normalizer(lam, int(n), m) for n in ns]
+        assert all(type(v) is float for v in scalar[:3])
+        assert column.tolist() == scalar
+        assert scalar == [_normalizer_per_index(lam, int(n), m) for n in ns]
+
+    def test_domain_test_is_the_per_index_test(self):
+        ks = np.arange(-64, 65)
+        near = np.array([-2.0, -1.0, 0.0])
+        sweep = np.concatenate([np.linspace(-3.0, 1.0, 801),
+                                near - 1e-9, near + 1e-9])
+        for lam in sweep.tolist():
+            try:
+                complementary_normalizer(lam, ks)
+                accepted = True
+            except NormalizationError:
+                accepted = False
+            assert accepted == _positive_on(lam, ks.tolist()), lam
+
+    @pytest.mark.parametrize("lam", [-1.0 + 1e-12, -1e-12])
+    def test_domain_ends_within_the_pole_tolerance(self, lam):
+        # the per-index test took a Gamma argument within 1e-12 of a pole
+        # for the pole and refused; the form is positive there
+        assert not _positive_on(lam, [0])
+        values = complementary_normalizer(lam, np.arange(-64, 65))
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+
+
+def _normalizer_per_index(lam, n, m):
+    """complementary_normalizer as it was, one index at a time with
+    log_gamma, which the array form must reproduce to the bit."""
+    def log_h(k):
+        k = abs(int(k))
+        return (log_gamma(k + 1.0 + lam) - log_gamma(k - lam)).real
+
+    return math.exp(0.5 * (log_h(n) - log_h(m)))
+
+
+def _positive_on(lam, ks):
+    """The per-index positivity test the domain test replaces: the form
+    G(lam-k+1)/G(-lam-k) is positive and real on every index k."""
+    for k in ks:
+        try:
+            h = gamma_ratio_signed([lam - k + 1.0], [-lam - k])
+        except PoleError:
+            return False
+        if h.real <= 0.0 or abs(h.imag) > 1e-9 * abs(h):
+            return False
+    return True
+
+
+class TestOracleSamples:
+    """Each oracle sample depends on its angle alone, so a doubling can
+    keep the samples it has and evaluate only the new odd angles."""
+
+    @staticmethod
+    def _grids(big_n):
+        return (2.0 * np.pi * np.arange(big_n) / big_n,
+                2.0 * np.pi * np.arange(1, big_n, 2) / big_n,
+                2.0 * np.pi * np.arange(big_n // 2) / (big_n // 2))
+
+    @pytest.mark.parametrize("big_n", [8192, 16384, 32768])
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Principal(0.5, -0.5 + 0.7j),
+                                   Principal(0.0, -0.3 + 0.5j)],
+                             ids=str)
+    def test_circle_full_grid_equals_its_halves(self, r, m, big_n):
+        full, odd, coarse = self._grids(big_n)
+        vals = _circle_samples(*r.circle, m, 0.99, full)
+        assert np.array_equal(vals[1::2],
+                              _circle_samples(*r.circle, m, 0.99, odd))
+        assert np.array_equal(vals[0::2],
+                              _circle_samples(*r.circle, m, 0.99, coarse))
+
+    @pytest.mark.parametrize("big_n", [8192, 16384, 32768])
+    @pytest.mark.parametrize("ell, q", [(2, 1), (3, 2), (4, 5)])
+    def test_disc_full_grid_equals_its_halves(self, ell, q, big_n):
+        full, odd, coarse = self._grids(big_n)
+        args = (ell, q, -0.7, 0.99, 1.002)
+        vals = _disc_samples(*args, full)
+        assert np.array_equal(vals[1::2], _disc_samples(*args, odd))
+        assert np.array_equal(vals[0::2], _disc_samples(*args, coarse))
+
+    def test_each_angle_is_sampled_once(self):
+        r = Principal(0.5, -0.5 + 0.7j)
+        sizes = []
+
+        def samples(theta):
+            sizes.append(theta.size)
+            return _circle_samples(*r.circle, 0, 0.99, theta)
+
+        def column(vals):
+            return np.fft.fft(vals)[:8] / vals.size, 0.0
+
+        with pytest.raises(reps.ConvergenceError):
+            # the tolerance is never met at this size: all three doublings
+            _settled_column(samples, column, 16, "circle", "test")
+        assert sizes == [16, 16, 32, 64]
+
+    @pytest.mark.parametrize("r, m, x, n_max", [
+        (Principal(0.5, -0.5 + 0.7j), 0, 0.99, 1024),
+        (Principal(0.0, -0.5 + 1.0j), 2, 0.99, 128),
+        (Complementary(-0.25), 0, 0.9, 128),
+    ], ids=str)
+    def test_column_is_the_fft_of_a_fresh_grid(self, r, m, x, n_max):
+        column, _ = coef_oracle(r, m, x, n_max)
+        sizes = []
+        original = np.fft.fft
+
+        def spy(vals):
+            sizes.append(vals.size)
+            return original(vals)
+
+        try:
+            np.fft.fft = spy
+            coef_oracle(r, m, x, n_max)
+        finally:
+            np.fft.fft = original
+        big_n = sizes[-1]
+        theta = 2.0 * np.pi * np.arange(big_n) / big_n
+        spec = np.fft.fft(_circle_samples(*r.circle, m, x, theta)) / big_n
+        ns = np.arange(-n_max, n_max + 1)
+        scale = [r.normalizer(int(n), m) for n in ns]
+        assert [column[int(n)] for n in ns] == [
+            s * complex(v) for s, v in zip(scale, spec[(-ns) % big_n])]
 
 
 class TestParseRep:
