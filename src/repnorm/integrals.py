@@ -15,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.special import psi
 
@@ -300,6 +299,8 @@ def faulhaber_sum(n, c):
     Valid for c != 1 (simple pole of both the leading term and zeta);
     complex c is fine.  The error is O(n^(-1-Re c)).
     """
+    import mpmath      # for zeta alone, kept out of every CLI call's import
+
     c = complex(c)
     if abs(c - 1.0) < 1e-12:
         raise DomainError("c = 1 is the harmonic pole; no closed form here")

@@ -494,33 +494,82 @@ def parseval_defect(r, m, coord):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+# elements per terms x points block of _f_series_vec, 256 KB per complex
+# buffer as with _EULER_BLOCK, and the most terms one block holds
+_SERIES_BLOCK = 1 << 14
+_SERIES_ROWS = 256
+
+
 def _f_series_vec(a, b, c, xs, tol=1e-15):
     """Gauss series over an array of arguments (max |x| safely below 1).
 
-    Plain term recursion; the loop stops once the largest live term is
-    below tol relative to the largest partial sum, with an iteration cap
-    from the geometric envelope of the worst point.
+    Plain term recursion t_{k+1} = t_k x (a+k)(b+k)/((c+k)(k+1)), t_0 = 1;
+    the walk stops once the largest live term is below tol relative to
+    the largest partial sum, tested at every 16th term, with an iteration
+    cap from the geometric envelope of the worst point.
+
+    The terms are walked in blocks of up to _SERIES_ROWS terms and
+    _SERIES_BLOCK elements, growing from 16 terms so that a short series
+    computes few terms past its stop; those are dropped.  A block takes its
+    factors in one broadcast product and its stop tests from its rows.
+    Each term is one elementwise multiply of the term before it by its
+    factor, with both operands named.  It is not np.cumprod, because
+    multiply.accumulate rounds complex products differently from the
+    elementwise multiply; and it is not an expression whose temporary
+    numpy may reuse in place above 256 KB, because that swaps the operands
+    and complex multiply is not bitwise commutative.  The partial sums add
+    in term order: one cumsum seeded with the running total when the block
+    has at least as many terms as points (cumsum pays per point), else one
+    add per term.  So every value has the bits of the term-by-term loop,
+    whatever the batch it is in.
     """
     xs = np.asarray(xs, dtype=float)
     x_hi = float(np.max(np.abs(xs))) if xs.size else 0.0
     if x_hi >= 0.995:
         raise PreconditionError(f"series batch needs |x| < 0.995, got {x_hi}")
-    total = np.ones(xs.shape, dtype=complex)
-    term = np.ones(xs.shape, dtype=complex)
     if x_hi == 0.0:
-        return total
+        return np.ones(xs.shape, dtype=complex)
     k_cap = int(4 * abs(b) + 64 + math.log(1e-18) / math.log(x_hi))
+    flat = xs.reshape(-1)
+    most = max(1, min(_SERIES_ROWS, _SERIES_BLOCK // flat.size))
+    # row 0 carries the term and the partial sum before the block; rows 1..
+    # of sums hold the block's factors until its terms are known
+    terms = np.empty((most + 1, flat.size), dtype=complex)
+    sums = np.empty_like(terms)
+    terms[0] = 1.0
+    sums[0] = 1.0
     scale = 1.0
-    for k in range(k_cap):
-        term = term * (xs * ((a + k) * (b + k) / ((c + k) * (k + 1.0))))
-        total += term
-        if k % 16 == 15:
-            scale = max(scale, float(np.max(np.abs(total))))
-            if float(np.max(np.abs(term))) <= tol * scale:
-                return total
-    if float(np.max(np.abs(term))) > 1e-10 * scale:
+    k, width = 0, min(16, most)
+    while k < k_cap:
+        rows = min(width, k_cap - k)
+        ratios = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
+                           for j in range(k, k + rows)], dtype=complex)
+        np.multiply(flat, ratios[:, None], out=sums[1:rows + 1])
+        for j in range(rows):
+            np.multiply(terms[j], sums[j + 1], out=terms[j + 1])
+        if rows >= flat.size:
+            sums[1:rows + 1] = terms[1:rows + 1]
+            np.cumsum(sums[:rows + 1], axis=0, out=sums[:rows + 1])
+        else:
+            for j in range(rows):
+                np.add(sums[j], terms[j + 1], out=sums[j + 1])
+        first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
+        if rows >= first:
+            # fmax skips a nan, as max(scale, nan) does
+            peaks = np.fmax.accumulate(np.concatenate(
+                ([scale], np.abs(sums[first:rows + 1:16]).max(axis=1))))[1:]
+            done = np.abs(terms[first:rows + 1:16]).max(axis=1) <= tol * peaks
+            if done.any():
+                return sums[first + 16 * int(np.argmax(done))].reshape(
+                    xs.shape).copy()
+            scale = float(peaks[-1])
+        terms[0] = terms[rows]
+        sums[0] = sums[rows]
+        k += rows
+        width = min(2 * width, most)
+    if float(np.max(np.abs(terms[0]))) > 1e-10 * scale:
         raise ConvergenceError(f"vector series stalled (x_hi={x_hi})")
-    return total
+    return sums[0].reshape(xs.shape).copy()
 
 
 def _f_connection_vec(a, b, c, xs, omx):

@@ -4,12 +4,16 @@ determinism of the CSV output."""
 import cmath
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repnorm
 from repnorm.cli import CSV_HEADER, MAX_LADDER, ExperimentConfig, main
 from repnorm.errors import PreconditionError
 from repnorm.norms import ScanConfig
@@ -500,3 +504,18 @@ def test_n_values_are_finite_and_bounded_or_precondition_error(spec):
         assert len(out) == len(spec)
     else:
         assert 1 <= len(out) <= MAX_LADDER
+
+
+def test_import_leaves_out_the_libraries_of_single_criteria():
+    # every CLI call pays the import of repnorm.cli; scipy.integrate serves
+    # criterion 1's Euler oracle alone, mpmath criterion 10's zeta, and
+    # scipy.optimize nothing
+    src = str(Path(repnorm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, repnorm.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'mpmath') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

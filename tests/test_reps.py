@@ -9,13 +9,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repnorm import reps
 from repnorm.errors import (ConvergenceError, NormalizationError,
                             PoleError, PreconditionError)
 from repnorm.group import cartan_from_x
+from repnorm.norms import scan_character
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
                           _boundary_method, _cached_euler_factors,
                           _circle_samples, _disc_samples, _euler_nodes,
-                          _f_euler_vec, _principal_params, _settled_column,
+                          _f_euler_vec, _f_series_vec, _principal_params,
+                          _settled_column,
                           coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
@@ -284,6 +287,118 @@ class TestEulerKernel:
         finally:
             sys.setswitchinterval(interval)
         assert all(done)
+
+
+def _series_per_term(a, b, c, xs, tol=1e-15):
+    """The reference Gauss series kernel: one numpy pass over the points per
+    term, with the stop test every 16 terms."""
+    xs = np.asarray(xs, dtype=float)
+    x_hi = float(np.max(np.abs(xs))) if xs.size else 0.0
+    if x_hi >= 0.995:
+        raise PreconditionError(f"series batch needs |x| < 0.995, got {x_hi}")
+    total = np.ones(xs.shape, dtype=complex)
+    term = np.ones(xs.shape, dtype=complex)
+    if x_hi == 0.0:
+        return total
+    k_cap = int(4 * abs(b) + 64 + math.log(1e-18) / math.log(x_hi))
+    scale = 1.0
+    for k in range(k_cap):
+        term = term * (xs * ((a + k) * (b + k) / ((c + k) * (k + 1.0))))
+        total += term
+        if k % 16 == 15:
+            scale = max(scale, float(np.max(np.abs(total))))
+            if float(np.max(np.abs(term))) <= tol * scale:
+                return total
+    if float(np.max(np.abs(term))) > 1e-10 * scale:
+        raise ConvergenceError(f"vector series stalled (x_hi={x_hi})")
+    return total
+
+
+def _same_bits(u, v):
+    return u.shape == v.shape and np.array_equal(u.view(np.uint64),
+                                                 v.view(np.uint64))
+
+
+# circle families whose series the kernel walks: the three of the grid, a
+# reducible point and a point off the unitary line
+SERIES_REPS = [Principal(0.0, -0.5 + 1.0j), Principal(0.5, -0.5 + 0.7j),
+               Complementary(-0.25), Principal(0.0, -0.5),
+               Principal(0.5, -0.3 + 0.4j)]
+
+
+class TestSeriesKernel:
+    """The term-block Gauss series kernel gives bit for bit the values of
+    the per-term loop, in every batch size, and at its edges the same
+    value or the same error."""
+
+    # 125 seeded cases per size, 500 in all; batches of 1 and 3 points sum
+    # each block in one cumsum, 500 points one add per term, 40 points both
+    @pytest.mark.parametrize("size", [1, 3, 40, 500])
+    def test_per_term_loop_bits(self, size):
+        rng = np.random.default_rng(size)
+        differ = []
+        for case in range(125):
+            r = SERIES_REPS[case % len(SERIES_REPS)]
+            n = int(rng.integers(-300, 301))
+            m = int(rng.integers(-8, 9))
+            a, b, c, _ = _principal_params(*r.circle, n, m)
+            # the series runs on x <= X_CUT, and on 1-x < 1-X_CUT for the
+            # connection branch
+            hi = X_CUT if case % 4 else 1.0 - X_CUT
+            xs = rng.uniform(0.0, hi, size)
+            if not _same_bits(_f_series_vec(a, b, c, xs),
+                              _series_per_term(a, b, c, xs)):
+                differ.append((r, n, m))
+        assert differ == []
+
+    def test_terminating_series(self):
+        # Principal(1/2, -1/2) at m = 5: a = -5, a polynomial of degree 5
+        a, b, c, _ = _principal_params(0.5, -0.5, 40, 5)
+        assert a == -5.0
+        xs = np.linspace(0.0, X_CUT, 7)
+        assert _same_bits(_f_series_vec(a, b, c, xs),
+                          _series_per_term(a, b, c, xs))
+
+    @pytest.mark.parametrize("xs", [np.zeros(0), np.zeros(4)],
+                             ids=["empty", "zero"])
+    def test_trivial_batches(self, xs):
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        assert _same_bits(_f_series_vec(a, b, c, xs),
+                          _series_per_term(a, b, c, xs))
+
+    def test_rejects_the_boundary(self):
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        for kernel in (_f_series_vec, _series_per_term):
+            with pytest.raises(PreconditionError, match="0.995"):
+                kernel(a, b, c, np.array([0.5, 0.995]))
+
+    def test_stall_is_the_per_term_loops(self, monkeypatch):
+        # the sigma = 1/2 connection series of kappa = 4097 runs into the cap
+        calls = []
+
+        def recording(a, b, c, xs, tol=1e-15):
+            calls.append((a, b, c, np.array(xs)))
+            return _f_series_vec(a, b, c, xs, tol)
+
+        monkeypatch.setattr(reps, "_f_series_vec", recording)
+        with pytest.raises(ConvergenceError, match="vector series stalled"):
+            scan_character(Principal(0.5, -0.5 + 0.7j), 4097)
+        with pytest.raises(ConvergenceError) as want:
+            _series_per_term(*calls[-1])
+        with pytest.raises(ConvergenceError) as got:
+            _f_series_vec(*calls[-1])
+        assert str(got.value) == str(want.value)
+
+    def test_large_batch_equals_its_parts(self):
+        # above 16384 points numpy reused a temporary of the per-term loop
+        # in place, swapped the operands of its complex multiply and so
+        # changed 1 value in 3 of this column
+        r = Principal(0.0, -0.5 + 1.0j)
+        xs = np.linspace(0.01, X_CUT, 8000)
+        part = coef_vec(r, 64, 0, xs)
+        whole = coef_vec(r, 64, 0, np.concatenate([xs, xs, xs]))
+        for i in range(3):
+            assert _same_bits(whole[8000 * i:8000 * (i + 1)], part)
 
 
 class TestStructuralIdentities:
