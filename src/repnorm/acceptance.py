@@ -89,7 +89,7 @@ def criterion_1(seed=DEFAULT_SEED, tol=1e-8):
         a = -float(k)
         b = complex(4.0 * rng.random() - 2.0, 4.0 * rng.random() - 2.0)
         c = complex(0.25 + 3.0 * rng.random(), 2.0 * rng.random() - 1.0)
-        z = complex(1.8 * rng.random() - 0.9)
+        z = float(1.8 * rng.random() - 0.9)
         ref = 0.0 + 0.0j
         scale = 1.0            # alternating sums cancel; measure against
         for j in range(k + 1):  # the term magnitudes, not the tiny result

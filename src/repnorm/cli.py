@@ -41,23 +41,30 @@ def _g17(x):
     return f"{float(x):.17g}"
 
 
+def _number(value, name):
+    """A config number as a float; JSON null, true, false, lists and
+    objects are not numbers (float() reads true as 1)."""
+    if not isinstance(value, (bool, list, dict, type(None))):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise PreconditionError(f"{name} is not a number: {value!r}")
+
+
 def _finite(value, name):
     """A config number as a finite float; json reads Infinity and NaN."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        v = math.nan
+    v = _number(value, name)
     if not math.isfinite(v):
         raise PreconditionError(f"{name} is not a finite number: {value!r}")
     return v
 
 
 def _whole(value, name):
-    """A config integer; json reads Infinity and NaN, which int() rejects
-    with OverflowError or ValueError."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise PreconditionError(f"{name} is not a finite number: {value!r}")
-    return int(value)
+    """A config integer; an int keeps its exact value, however large."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return int(_finite(value, name))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +102,9 @@ class ExperimentConfig:
                 f"config fields {sorted(unknown)} are not read here;"
                 f" this command reads {list(keys)}")
         cfg = cls(**raw)
+        if not isinstance(cfg.output_path, (str, type(None))):
+            raise PreconditionError(
+                f"output_path must be a string: {cfg.output_path!r}")
         if not isinstance(cfg.scan, dict):
             raise PreconditionError("scan must be an object")
         bad = set(cfg.scan) - set(cls.SCAN_KEYS)
@@ -106,13 +116,15 @@ class ExperimentConfig:
 
     def scan_config(self):
         kwargs = {}
+        # ScanConfig checks grid_c and t_pad further
         if "c_grid" in self.scan:
-            kwargs["grid_c"] = float(self.scan["c_grid"])
+            kwargs["grid_c"] = _number(self.scan["c_grid"], "scan.c_grid")
         if "refine_iters" in self.scan:
             kwargs["refine_iters"] = _whole(self.scan["refine_iters"],
                                             "scan.refine_iters")
         if "t_max_pad" in self.scan:
-            kwargs["t_pad"] = float(self.scan["t_max_pad"])
+            kwargs["t_pad"] = _number(self.scan["t_max_pad"],
+                                      "scan.t_max_pad")
         return ScanConfig(**kwargs)
 
     def resolved_n_values(self):
@@ -300,7 +312,8 @@ def cmd_acceptance(args):
         cfg = ExperimentConfig.load(args.config,
                                     ExperimentConfig.ACCEPTANCE_KEYS)
         seed = _whole(cfg.seed, "seed")
-        tolerances = cfg.tolerances
+        tolerances = {key: _finite(value, f"tolerances.{key}")
+                      for key, value in cfg.tolerances.items()}
         if cfg.output_path is not None:
             out_path = cfg.output_path
     if args.output is not None:

@@ -35,8 +35,8 @@ from scipy.special import loggamma
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
 from .group import cartan_from_x
-from .specfun import (SERIES_KMAX, _gamma_ratio_rounding, gamma_ratio_signed,
-                      hyp2f1, is_nonpositive_int, log_gamma)
+from .specfun import (_EPS, _gamma_ratio_rounding, gamma_ratio_signed, hyp2f1,
+                      is_nonpositive_int, log_gamma)
 
 X_CUT = 0.98
 ORACLE_TOL = 1e-9
@@ -126,6 +126,9 @@ class Principal(_Circle):
     def normalizer(self, n, m):
         return 1.0
 
+    def normalizer_rounding(self, n, m):
+        return 0.0
+
 
 @dataclass(frozen=True)
 class Complementary(_Circle):
@@ -147,6 +150,11 @@ class Complementary(_Circle):
 
     def normalizer(self, n, m):
         return complementary_normalizer(self.lam, n, m)
+
+    def normalizer_rounding(self, n, m):
+        """Relative rounding of normalizer(n, m), the root of a ratio."""
+        return _EPS + 0.5 * _gamma_ratio_rounding(
+            [abs(k) + d for k in (n, m) for d in (1.0 + self.lam, -self.lam)])
 
 
 @dataclass(frozen=True)
@@ -494,102 +502,42 @@ def parseval_defect(r, m, coord):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-# elements per terms x points block of _f_series_vec, 256 KB per complex
-# buffer as with _EULER_BLOCK, and the most terms one block holds
-_SERIES_BLOCK = 1 << 14
-_SERIES_ROWS = 256
-
-
-def _f_series_vec(a, b, c, xs, tol=1e-15):
-    """Gauss series over an array of arguments (max |x| safely below 1).
-
-    Plain term recursion t_{k+1} = t_k x (a+k)(b+k)/((c+k)(k+1)), t_0 = 1;
-    the walk stops once the largest live term is below tol relative to
-    the largest partial sum, tested at every 16th term, with an iteration
-    cap from the geometric envelope of the worst point.
-
-    The terms are walked in blocks of up to _SERIES_ROWS terms and
-    _SERIES_BLOCK elements, growing from 16 terms so that a short series
-    computes few terms past its stop; those are dropped.  A block takes its
-    factors in one broadcast product and its stop tests from its rows.
-    Each term is one elementwise multiply of the term before it by its
-    factor, with both operands named.  It is not np.cumprod, because
-    multiply.accumulate rounds complex products differently from the
-    elementwise multiply; and it is not an expression whose temporary
-    numpy may reuse in place above 256 KB, because that swaps the operands
-    and complex multiply is not bitwise commutative.  The partial sums add
-    in term order: one cumsum seeded with the running total when the block
-    has at least as many terms as points (cumsum pays per point), else one
-    add per term.  So every value has the bits of the term-by-term loop,
-    whatever the batch it is in.
-    """
-    xs = np.asarray(xs, dtype=float)
-    x_hi = float(np.max(np.abs(xs))) if xs.size else 0.0
-    if x_hi >= 0.995:
-        raise PreconditionError(f"series batch needs |x| < 0.995, got {x_hi}")
-    if x_hi == 0.0:
-        return np.ones(xs.shape, dtype=complex)
-    k_cap = int(4 * abs(b) + 64 + math.log(1e-18) / math.log(x_hi))
-    flat = xs.reshape(-1)
-    most = max(1, min(_SERIES_ROWS, _SERIES_BLOCK // flat.size))
-    # row 0 carries the term and the partial sum before the block; rows 1..
-    # of sums hold the block's factors until its terms are known
-    terms = np.empty((most + 1, flat.size), dtype=complex)
-    sums = np.empty_like(terms)
-    terms[0] = 1.0
-    sums[0] = 1.0
-    scale = 1.0
-    k, width = 0, min(16, most)
-    while k < k_cap:
-        rows = min(width, k_cap - k)
-        ratios = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
-                           for j in range(k, k + rows)], dtype=complex)
-        np.multiply(flat, ratios[:, None], out=sums[1:rows + 1])
-        for j in range(rows):
-            np.multiply(terms[j], sums[j + 1], out=terms[j + 1])
-        if rows >= flat.size:
-            sums[1:rows + 1] = terms[1:rows + 1]
-            np.cumsum(sums[:rows + 1], axis=0, out=sums[:rows + 1])
-        else:
-            for j in range(rows):
-                np.add(sums[j], terms[j + 1], out=sums[j + 1])
-        first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
-        if rows >= first:
-            # fmax skips a nan, as max(scale, nan) does
-            peaks = np.fmax.accumulate(np.concatenate(
-                ([scale], np.abs(sums[first:rows + 1:16]).max(axis=1))))[1:]
-            done = np.abs(terms[first:rows + 1:16]).max(axis=1) <= tol * peaks
-            if done.any():
-                return sums[first + 16 * int(np.argmax(done))].reshape(
-                    xs.shape).copy()
-            scale = float(peaks[-1])
-        terms[0] = terms[rows]
-        sums[0] = sums[rows]
-        k += rows
-        width = min(2 * width, most)
-    if float(np.max(np.abs(terms[0]))) > 1e-10 * scale:
-        raise ConvergenceError(f"vector series stalled (x_hi={x_hi})")
-    return sums[0].reshape(xs.shape).copy()
+# Relative error of a branch beside its series and Gamma and shell rounding
+# (a factor identically 1 or 0, the Euler quadrature, the connection): ten
+# times the worst seen against 30-digit mpmath on six circle families, |n|,
+# |m| <= 128, x from 0.05 to 0.9999.
+_BRANCH_REL = {"closed": 2e-14, "euler": 2e-10, "connection": 2e-12}
 
 
 def _f_connection_vec(a, b, c, xs, omx):
-    """2F1 over an array of x near 1 through the two-term 1-x connection.
+    """2F1 over an array of x near 1 through the two-term 1-x connection;
+    returns (F, err).
 
     Both transformed series run in the variable 1-x <= 1-X_CUT, so they
     converge in a handful of terms.  Requires c-a-b at distance > 0.05
     from the integers (the logarithmic case is excluded); prefactor poles
     that kill one of the terms are resolved by the signed Gamma ratio.
+    err adds each term's series error and Gamma rounding at that term's
+    size, which far exceeds |2F1| when the two cancel, and at |2F1| the
+    rounding of G(c), common to both, and the branch's budget.
     """
     s = c - a - b
-    pref1 = gamma_ratio_signed([c, s], [c - a, c - b])
-    pref2 = gamma_ratio_signed([c, -s], [a, b])
     out = np.zeros(np.asarray(xs).shape, dtype=complex)
-    if pref1 != 0.0:
-        out += pref1 * _f_series_vec(a, b, a + b - c + 1.0, omx)
-    if pref2 != 0.0:
-        out += pref2 * np.exp(s * np.log(omx)) * _f_series_vec(
-            c - a, c - b, s + 1.0, omx)
-    return out
+    err = np.zeros(out.shape)
+    for num, den, power, params in (
+            ([s], [c - a, c - b], None, (a, b, a + b - c + 1.0)),
+            ([-s], [a, b], s, (c - a, c - b, s + 1.0))):
+        pref = gamma_ratio_signed([c] + num, den)
+        if pref == 0.0:
+            continue
+        if power is not None:
+            pref = pref * np.exp(power * np.log(omx))
+        f, f_err = hyp2f1(*params, omx)
+        out += pref * f
+        err += np.abs(pref) * (f_err
+                               + _gamma_ratio_rounding(num + den) * np.abs(f))
+    rel = _BRANCH_REL["connection"] + _gamma_ratio_rounding([c])
+    return out, err + rel * np.abs(out)
 
 
 def _euler_nodes(a, b, cb, omx):
@@ -641,35 +589,37 @@ def _euler_nodes(a, b, cb, omx):
     return nodes
 
 
-def _euler_factors(a, b, cb, omx):
-    """The node factors of _f_euler_vec that do not depend on x, as
-    read-only arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node and
-    ev = e^{-v} as a column."""
+def _euler_factors(a, b, c, omx):
+    """The factors of _f_euler_vec that do not depend on x, as read-only
+    arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node, ev = e^{-v} as
+    a column, and the Gamma prefactor G(c)/(G(b)G(c-b)) as one element."""
+    cb = c - b
     nodes = _euler_nodes(a, b, cb, omx)
     # e^{-v} enters on its own: recovering it as 1 - s, s = 1 - e^{-v},
     # would throw away half the mantissa once v is past ~18
     wt = np.array([dv * cmath.exp((b - 1.0) * math.log(-math.expm1(-vk))
                                   - cb * vk) for vk, dv in nodes])
     ev = np.array([math.exp(-vk) for vk, _ in nodes])[:, None]
-    wt.flags.writeable = False
-    ev.flags.writeable = False
-    return wt, ev
+    pref = np.array([gamma_ratio_signed([c], [b, cb])])
+    for arr in (wt, ev, pref):
+        arr.flags.writeable = False
+    return wt, ev, pref
 
 
 # elements per nodes x points temporary of _f_euler_vec
 _EULER_BLOCK = 1 << 14
-# (a, b, c-b) triples whose node factors _f_euler_vec keeps; at ~720 nodes
-# an entry holds ~17 KB, so a full cache holds ~4 MB
+# (a, b, c) triples whose factors _f_euler_vec keeps; at ~720 nodes an
+# entry holds ~17 KB, so a full cache holds ~4 MB
 _EULER_CACHE = 256
 
 
 @functools.lru_cache(maxsize=_EULER_CACHE)
 def _cached_euler_factors(key):
     """_euler_factors for Re a <= 1/2, where the window ignores 1-x, keyed
-    on the bits of (a, b, c-b): complex equality would merge parts 0.0 and
+    on the bits of (a, b, c): complex equality would merge parts 0.0 and
     -0.0, and their sign can reach the imaginary part of a value."""
-    a, b, cb = map(complex, np.frombuffer(key, dtype=complex))
-    return _euler_factors(a, b, cb, None)
+    a, b, c = map(complex, np.frombuffer(key, dtype=complex))
+    return _euler_factors(a, b, c, None)
 
 
 def _f_euler_vec(a, b, c, xs, omx):
@@ -699,8 +649,9 @@ def _f_euler_vec(a, b, c, xs, omx):
     batch.
 
     Building the node factors in Python costs about 3 ms, more than
-    evaluating a small batch.  While Re a <= 1/2 they depend on (a, b, c)
-    alone and are kept in an LRU cache of _EULER_CACHE entries, so the
+    evaluating a small batch.  While Re a <= 1/2 they, and the Gamma
+    prefactor, depend on (a, b, c) alone and are kept in an LRU cache of
+    _EULER_CACHE entries, so the
     Kronrod rounds of an integral and the one-point refinement steps of a
     scan build them once; above 1/2 each call builds its own.
     """
@@ -712,16 +663,16 @@ def _f_euler_vec(a, b, c, xs, omx):
     xs = np.asarray(xs, dtype=float)
 
     if a.real <= 0.5:
-        wt, ev = _cached_euler_factors(np.array([a, b, cb]).tobytes())
+        wt, ev, pref = _cached_euler_factors(np.array([a, b, c]).tobytes())
     else:
-        wt, ev = _euler_factors(a, b, cb, omx)
+        wt, ev, pref = _euler_factors(a, b, c, omx)
     acc = np.empty(xs.shape, dtype=complex)
     step = max(1, _EULER_BLOCK // wt.size)
     for i in range(0, xs.size, step):
         wk = omx[i:i + step] + xs[i:i + step] * ev      # real, in (1-x, 1]
         terms = wt[:, None] * np.exp(-a * np.log(wk))
         acc[i:i + step] = np.cumsum(terms, axis=0)[-1]
-    return gamma_ratio_signed([c], [b, cb]) * acc
+    return pref[0] * acc
 
 
 def _unit_factor(a, b):
@@ -741,38 +692,49 @@ def _boundary_method(a, b, c):
 
 
 def principal_coef_vec(sigma, lam, n, m, xs, omx=None):
-    """Circle-model coefficients over an array of Cartan x.
+    """Circle-model coefficients over an array of Cartan x; returns
+    (value, err, method), err of the shape of xs.
 
     Closed form: pref * x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x), with
     the series below X_CUT and, above it, the Euler integral, the 1-x
-    connection or (when neither applies) the scalar series point by point.
-    Callers sitting extremely close to the boundary pass omx = 1-x directly
-    so the boundary factor keeps its full precision.
+    connection or (when neither applies) the series itself.  method names
+    the branch: 'closed' for a factor identically 1 or 0, else that of the
+    points above X_CUT ('euler', 'connection', 'scalar') or 'series'.  err
+    is |pref shell| times the error of the 2F1 factor, plus |value| times
+    the rounding of the Gamma prefactor and the shell.  Callers sitting
+    extremely close to the boundary pass omx = 1-x directly so the boundary
+    factor keeps its full precision.
     """
     lam = complex(lam)
     xs = np.asarray(xs, dtype=float)
     omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
     a, b, c, pref = _principal_params(sigma, lam, n, m)
-    shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * np.log(omx))
-    if pref == 0.0:
-        return np.zeros(xs.shape, dtype=complex)
-    if _unit_factor(a, b):
-        return pref * shell
-    F = np.empty(xs.shape, dtype=complex)
+    log_omx = np.log(omx)
+    shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * log_omx)
+    if pref == 0.0 or _unit_factor(a, b):
+        value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
+        return value, _BRANCH_REL["closed"] * np.abs(value), "closed"
+    F, F_err = np.empty(xs.shape, dtype=complex), np.empty(xs.shape)
     low = xs <= X_CUT
     if np.any(low):
-        F[low] = _f_series_vec(a, b, c, xs[low])
-    if np.any(~low):
+        F[low], F_err[low] = hyp2f1(a, b, c, xs[low])
+    method = "series"
+    if not np.all(low):
         hi = ~low
         method = _boundary_method(a, b, c)
         if method == "euler":
             F[hi] = _f_euler_vec(a, b, c, xs[hi], omx[hi])
+            F_err[hi] = _BRANCH_REL["euler"] * np.abs(F[hi])
         elif method == "connection":
-            F[hi] = _f_connection_vec(a, b, c, xs[hi], omx[hi])
+            F[hi], F_err[hi] = _f_connection_vec(a, b, c, xs[hi], omx[hi])
         else:
-            F[hi] = [hyp2f1(a, b, c, float(xx), tol=1e-13)[0]
-                     for xx in xs[hi]]
-    return pref * shell * F
+            F[hi], F_err[hi] = hyp2f1(a, b, c, xs[hi])
+    scaled = pref * shell
+    value = scaled * F
+    num, den = _principal_pref_args(sigma, lam, n, m)
+    rel = _gamma_ratio_rounding(num + den) + _EPS * (
+        6.0 + 2.0 * abs(lam) * np.abs(log_omx))
+    return value, np.abs(scaled) * F_err + rel * np.abs(value), method
 
 
 def discrete_coef_vec(ell, n, m, xs, omx=None):
@@ -808,30 +770,7 @@ def coef_vec(r, n, m, xs, omx=None):
     if r.circle is None:
         return discrete_coef_vec(r.ell, n, m, xs, omx=omx)
     return r.normalizer(n, m) * principal_coef_vec(*r.circle, n, m, xs,
-                                                   omx=omx)
-
-
-# Relative error of each branch beside its series sums (prefactor, shell,
-# Euler quadrature): ten times the worst seen against 30-digit mpmath on
-# six circle families, |n|, |m| <= 128, x from 0.05 to 0.9999.
-_BRANCH_REL = {"closed": 2e-14, "series": 1.5e-12, "euler": 2e-10,
-               "connection": 2e-12, "scalar": 1.5e-12}
-
-
-def _series_error(a, b, c, z, tol=1e-15):
-    """Error bound of the Gauss series 2F1(a, b; c; z), z in [0, 1), summed
-    until its terms fall below tol times the largest partial sum: roundoff
-    eps sum (k+2)|t_k| (t_k carries k rounded products) plus the tail past
-    the stop, tol sum |t_k| / (1 - z), over the terms the series may sum."""
-    if z <= 0.0:
-        return 0.0
-    ks = np.arange(min(int(4 * abs(b) + 64 + math.log(1e-18) / math.log(z)),
-                       SERIES_KMAX))
-    with np.errstate(divide="ignore"):     # a terminating series
-        mags = np.exp(np.cumsum(np.log(np.abs(
-            z * (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))))))
-    return (1.1e-16 * (2.0 + float(np.sum((ks + 3.0) * mags)))
-            + tol * (1.0 + float(np.sum(mags))) / (1.0 - z))
+                                                   omx=omx)[0]
 
 
 def coef(r, n, m, coord):
@@ -839,55 +778,29 @@ def coef(r, n, m, coord):
 
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
-    below X_CUT), or above it 'euler', 'connection' or 'scalar'.  err_est
-    is the branch's relative budget plus the error of the series it sums
-    (bounded by eps |J| for the disc sum) and, on the connection, the
-    rounding of each term's Gamma prefactor at that term's size.  A value
-    that is not finite raises ConvergenceError.
+    below X_CUT), or above it 'euler', 'connection' or 'scalar'.  On the
+    circle err_est is principal_coef_vec's err of the same call times the
+    normalizer, plus its rounding.  A value that is not finite raises
+    ConvergenceError.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
-    x = coord.x
-    value = complex(coef_vec(r, n, m, np.array([x]))[0])
-    if not cmath.isfinite(value):
-        raise ConvergenceError(
-            f"coef({n}, {m}) of {r} at x={x} is not finite: {value}")
+    xs = np.array([coord.x])
     if r.circle is None:
-        p, q = _discrete_index(r.ell, n), _discrete_index(r.ell, m)
-        j_mag = math.exp(_discrete_log_j(r.ell, p, q))
-        return CoefValue(value, "closed", 1e-14 * (abs(value) + j_mag))
-    sigma, lam = r.circle
-    a, b, c, pref = _principal_params(sigma, lam, n, m)
-    if pref == 0.0 or _unit_factor(a, b):
-        return CoefValue(value, "closed", _BRANCH_REL["closed"] * abs(value))
-    method = "series" if x <= X_CUT else _boundary_method(a, b, c)
-    rel = _BRANCH_REL[method]
-    scale = r.normalizer(n, m) * abs(pref) * x ** (abs(n - m) / 2.0) \
-        * (1.0 - x) ** (-lam.real)
-    if method == "series":
-        terms = _series_error(a, b, c, x)
-    elif method == "scalar":
-        terms = _series_error(a, b, c, x, tol=1e-13)
-    elif method == "connection":
-        # each term's Gamma prefactor rounds at that term's magnitude, which
-        # far exceeds |2F1| when the two cancel; G(c), common to both, scales
-        # their sum and rounds at |2F1| itself
-        s = c - a - b
-        rel += _gamma_ratio_rounding([c])
-        terms = 0.0
-        for num, den, power, params in (
-                ([s], [c - a, c - b], 0.0, (a, b, 1.0 - s)),
-                ([-s], [a, b], s.real, (c - a, c - b, s + 1.0))):
-            size = abs(gamma_ratio_signed([c] + num, den)) \
-                * (1.0 - x) ** power
-            if size == 0.0:
-                continue
-            mag = abs(_f_series_vec(*params, np.array([1.0 - x]))[0])
-            terms += size * (_series_error(*params, 1.0 - x)
-                             + _gamma_ratio_rounding(num + den) * mag)
+        value = complex(discrete_coef_vec(r.ell, n, m, xs)[0])
+        j_mag = math.exp(_discrete_log_j(r.ell, _discrete_index(r.ell, n),
+                                         _discrete_index(r.ell, m)))
+        cv = CoefValue(value, "closed", 1e-14 * (abs(value) + j_mag))
     else:
-        terms = 0.0
-    return CoefValue(value, method, rel * abs(value) + scale * terms)
+        values, errs, method = principal_coef_vec(*r.circle, n, m, xs)
+        scale = r.normalizer(n, m)
+        value = complex((scale * values)[0])
+        cv = CoefValue(value, method, scale * float(errs[0])
+                       + r.normalizer_rounding(n, m) * abs(value))
+    if not cmath.isfinite(cv.value):
+        raise ConvergenceError(
+            f"coef({n}, {m}) of {r} at x={coord.x} is not finite: {cv.value}")
+    return cv
 
 
 def parse_rep(text):

@@ -7,9 +7,8 @@ the conventions are pinned here once:
     (d)_m = d (d+1) ... (d+m-1) = Gamma(d+m) / Gamma(d)
     2F1(a,b;c;z) = sum_k (a)_k (b)_k / ((c)_k k!) z^k
 
-The series evaluator refuses z >= 1 and non-convergent near-boundary
-regimes; callers that need the wall use an integral representation or the
-circle oracle instead.
+The series refuses |z| >= 1 unless it terminates; callers that need the
+wall use an integral representation or the circle oracle instead.
 """
 
 import cmath
@@ -21,6 +20,12 @@ from scipy.special import log1p, loggamma
 from .errors import ConvergenceError, DomainError, PoleError, PreconditionError
 
 SERIES_KMAX = 1_000_000
+# elements per terms x points block of hyp2f1, 256 KB per complex buffer,
+# and the most terms one block holds
+_SERIES_BLOCK = 1 << 14
+_SERIES_ROWS = 256
+# the rounding unit of the series' running error bound
+_EPS = 2.2e-16
 _POLE_TOL = 1e-12
 # B_2j / (2j (2j - 1)), j = 1..3: the Stirling series coefficients (DLMF 5.11.1)
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0)
@@ -52,14 +57,10 @@ def pochhammer(d, m):
     """Rising factorial (d)_m for integer m >= 0 (complex d allowed)."""
     if int(m) != m or m < 0:
         raise PreconditionError(f"pochhammer wants integer m >= 0, got {m}")
-    m = int(m)
-    d = complex(d)
-    if m <= 128 or is_nonpositive_int(d) or is_nonpositive_int(d + m):
-        out = 1.0 + 0.0j
-        for j in range(m):
-            out *= d + j
-        return out
-    return cmath.exp(log_gamma(d + m) - log_gamma(d))
+    d, out = complex(d), 1.0 + 0.0j
+    for j in range(int(m)):
+        out *= d + j
+    return out
 
 
 def gamma_ratio_signed(num, den):
@@ -103,7 +104,7 @@ def _gamma_ratio_rounding(args):
     against mpmath, scipy's loggamma is off by about eps times its size for
     large |z|, but by up to 30 eps, whatever its size, below |z| ~ 12.
     Pole arguments are skipped: gamma_ratio_signed resolves them exactly."""
-    return 2.2e-16 * sum(8.0 + abs(log_gamma(z)) for z in args
+    return 2.2e-16 * sum(8.0 + abs(loggamma(complex(z))) for z in args
                          if not is_nonpositive_int(z))
 
 
@@ -137,50 +138,122 @@ def _terminating_order(a, b):
     return min(orders) if orders else None
 
 
-def hyp2f1(a, b, c, z, tol=1e-14, kmax=SERIES_KMAX):
-    """Gauss series for 2F1(a,b;c;z); returns (value, err_est).
+def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
+    """Gauss series 2F1(a, b; c; x) over an array of real x; returns
+    (F, err), arrays of the shape of xs.
 
-    Terminating cases (a or b in -N0) run the same ascending recursion and
-    stop exactly; otherwise the series is summed with Kahan compensation
-    until a geometric tail bound drops below tol.  Refuses z >= 1 (use the
-    Euler-integral oracle or the circle oracle there).
+    Term recursion t_{k+1} = t_k x (a+k)(b+k)/((c+k)(k+1)), t_0 = 1.  Each
+    point stops at the first 16th term with |t_k| <= tol times the largest
+    of 1 and its partial sums at the 16th terms so far, a terminating series
+    (a or b in -N0) at its order, and a point whose terms overflow at once,
+    with a value that is not finite.  err is the running rounding bound
+    eps sum (k+2) |t_k| over the terms walked (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, 3.3) plus the
+    tail past the stop, |t_k| q / (1 - q), q bounding the ratio of the
+    later terms (err is infinite where q >= 1).  Refuses |x| >= 1 unless
+    the series terminates; raises ConvergenceError past kmax terms.
+
+    The terms are walked in blocks of at most _SERIES_ROWS terms and
+    _SERIES_BLOCK elements, each sized for the terms that the point of
+    largest |x| still needs; finished points leave the working set after a
+    block.  A block takes its factors in one broadcast product; each term
+    is one elementwise multiply with named operands (np.cumprod, and
+    numpy's reuse of a temporary above 256 KB, which swaps the operands,
+    round complex products differently), and the partial sums add in term
+    order.  So a point has the bits of its one-point call in any batch.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    K = _terminating_order(a, b)
-    if K is None and z.imag == 0.0 and z.real >= 1.0:
-        raise DomainError(f"series undefined/non-convergent at z={z.real}")
-    if K is None and abs(z) >= 1.0:
-        raise DomainError(f"series non-convergent at |z|={abs(z):.3f}")
-    if is_nonpositive_int(c) and (K is None or K >= -round(c.real) + 1):
+    a, b, c = complex(a), complex(b), complex(c)
+    xs = np.asarray(xs, dtype=float)
+    order = _terminating_order(a, b)
+    if order is None and np.any(np.abs(xs) >= 1.0):
+        raise DomainError(
+            f"series non-convergent at |x|={float(np.max(np.abs(xs)))}")
+    if is_nonpositive_int(c) and (order is None
+                                  or order >= -round(c.real) + 1):
         raise DomainError(f"c={c} is a pole not cleared by termination")
 
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j          # Kahan compensation
-    term = 1.0 + 0.0j
-    small_streak = 0
-    k = 0
-    while k < kmax:
-        if K is not None and k == K:
-            return total, 1e-15 * (abs(total) + 1.0)
-        term *= z * (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        k += 1
-        if K is not None:
-            continue
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                ratio = abs(z * (a + k) * (b + k) / ((c + k) * (k + 1.0)))
-                q = min(max(ratio, abs(z)), 0.999999)
-                tail = abs(term) * q / (1.0 - q)
-                return total, tail + 1e-15 * abs(total)
+    def factor(j):
+        return abs((a + j) * (b + j) / ((c + j) * (j + 1.0)))
+
+    n = xs.size
+    value, err = np.empty(n, dtype=complex), np.empty(n)
+    # the live points: their index, x, last term and partial sum, stop
+    # scale and rounding bound so far (t_0 = 1 adds 2 eps)
+    live, x = np.arange(n), xs.reshape(-1)
+    term = total = np.ones(n, dtype=complex)
+    scale, run = np.ones(n), np.full(n, 2.0 * _EPS)
+    # row 0 carries the term and the partial sum before the block; rows 1..
+    # of sums hold the block's factors until its terms are known
+    buf_t = np.empty(min(_SERIES_ROWS * n, _SERIES_BLOCK) + 2 * n, complex)
+    buf_s = np.empty_like(buf_t)
+    k, width = 0, 16
+    while live.size:
+        if k == order:
+            value[live], err[live] = total, run
+            break
+        if k >= kmax:
+            raise ConvergenceError(f"2F1 series not converged after {kmax}"
+                                   f" terms (c-a-b={c - a - b})")
+        size = live.size
+        rows = min(max(16, width), _SERIES_ROWS,
+                   max(1, _SERIES_BLOCK // size), kmax - k,
+                   kmax if order is None else order - k)
+        terms = buf_t[:(rows + 1) * size].reshape(rows + 1, size)
+        sums = buf_s[:(rows + 1) * size].reshape(rows + 1, size)
+        terms[0], sums[0] = term, total
+        ratios = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
+                           for j in range(k, k + rows)], dtype=complex)
+        np.multiply(x, ratios[:, None], out=sums[1:])
+        for j in range(rows):
+            np.multiply(terms[j], sums[j + 1], out=terms[j + 1])
+        if rows >= size:
+            sums[1:] = terms[1:]
+            np.cumsum(sums, axis=0, out=sums)
         else:
-            small_streak = 0
-    raise ConvergenceError(
-        f"2F1 series not converged after {kmax} terms (z={z}, c-a-b={c - a - b})")
+            for j in range(rows):
+                np.add(sums[j], terms[j + 1], out=sums[j + 1])
+        term, total = terms[rows], sums[rows]
+        # row j - 1: |t_{k+j}|, of weight eps (k+j+2)
+        mags = np.abs(terms[1:])
+        block = _EPS * np.arange(k + 3.0, k + rows + 3.0) @ mags
+        first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
+        if order is None and rows >= first:
+            # fmax skips a nan, as max(scale, nan) does
+            peaks = np.fmax.accumulate(np.concatenate(
+                (scale[None], np.abs(sums[first::16]))), axis=0)[1:]
+            scale = peaks[-1]
+            # a nan term compares false and stops its point
+            small = ~(mags[first - 1::16] > tol * peaks)
+            stop = small.any(axis=0)
+            if stop.any():
+                done = np.flatnonzero(stop)
+                row = first + 16 * np.argmax(small[:, done], axis=0)
+                # |x| times the largest of the factor's limit 1 and its
+                # values at the block's first 16th term and near its end
+                q = np.abs(x[done]) * max(1.0, factor(k + first),
+                                          factor(k + rows - rows % 16))
+                tail = np.divide(q, 1.0 - q, out=np.full(q.shape, np.inf),
+                                 where=q < 1.0)
+                value[live[done]] = sums[row, done]
+                err[live[done]] = (run[done] + block[done]
+                                   + tail * mags[row - 1, done])
+                if done.size == size:
+                    break
+                keep = ~stop
+                live, x, scale, run, block = (live[keep], x[keep],
+                                              scale[keep], run[keep],
+                                              block[keep])
+                term, total = term[keep], total[keep]
+        run = run + block
+        k += rows
+        # the next block holds the terms that the live point of largest |x|
+        # needs to reach tol if they keep falling at their present ratio
+        i = int(np.argmax(np.abs(x)))
+        r, t = abs(x[i]) * factor(k), abs(term[i])
+        width = (16 * math.ceil(math.log(tol * scale[i] / t)
+                                / (16.0 * math.log(r)))
+                 if 0.0 < r < 1.0 and t > tol * scale[i] else 2 * width)
+    return value.reshape(xs.shape), err.reshape(xs.shape)
 
 
 def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):

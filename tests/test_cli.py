@@ -2,21 +2,26 @@
 determinism of the CSV output."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repnorm
+from repnorm import cli
 from repnorm.cli import CSV_HEADER, MAX_LADDER, ExperimentConfig, main
-from repnorm.errors import PreconditionError
-from repnorm.norms import ScanConfig
+from repnorm.errors import PreconditionError, ScanError
+from repnorm.norms import NormSample, ScanConfig
 from repnorm.reps import Complementary, Discrete, Principal, parse_rep
 
 SCAN_CONFIG = {
@@ -444,6 +449,36 @@ def test_config_fields_per_command(command, field, tmp_path, capsys,
     assert main([command, "cfg.json"]) == want
 
 
+# JSON values of the wrong type for a config number or path: float() and
+# int() raised TypeError on them, which printed a traceback and exited 1,
+# and open() took an integer output_path for a file descriptor
+@pytest.mark.parametrize("command,config", [
+    ("norm-scan", {"scan": {"c_grid": None}}),
+    ("norm-scan", {"scan": {"c_grid": [0.5]}}),
+    ("norm-scan", {"scan": {"t_max_pad": None}}),
+    ("norm-scan", {"scan": {"t_max_pad": True}}),
+    ("norm-scan", {"scan": {"refine_iters": None}}),
+    ("norm-scan", {"scan": {"refine_iters": [32]}}),
+    ("norm-scan", {"output_path": 7}),
+    ("norm-scan", {"output_path": ["out.csv"]}),
+    ("acceptance", {"seed": None}),
+    ("acceptance", {"seed": [1]}),
+    ("acceptance", {"tolerances": {"1": None}}),
+    ("acceptance", {"tolerances": {"2": [1e-8]}}),
+    ("acceptance", {"output_path": 7}),
+])
+def test_config_values_of_the_wrong_type_exit_2(command, config, tmp_path,
+                                                capsys, monkeypatch):
+    from repnorm import acceptance
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: [])
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(COMMAND_BASE[command], **config)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "cfg.json"]) == 2
+    assert "invalid request" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # Properties of the two parsers of user input
 
@@ -504,6 +539,71 @@ def test_n_values_are_finite_and_bounded_or_precondition_error(spec):
         assert len(out) == len(spec)
     else:
         assert 1 <= len(out) <= MAX_LADDER
+
+
+def _seeded_outcomes(seed):
+    """A pmin_scan that returns, per character in ascending order, a
+    NormSample of seeded values across the double range or, one time in
+    three, a ScanError."""
+    def pmin_scan(r, kappas, config=None):
+        rng = np.random.default_rng(seed)
+        out = []
+        for kappa in sorted(kappas):
+            if rng.random() < 1.0 / 3.0:
+                out.append(ScanError(f"no peak for {kappa!r}"))
+            else:
+                out.append(NormSample(kappa, *(
+                    float(rng.uniform(-1.0, 1.0)
+                          * 10.0 ** int(rng.integers(-300, 300)))
+                    for _ in range(5))))
+        return out
+    return pmin_scan
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 10 ** 6),
+                          st.floats(1e-3, 1e6)), max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+def test_norm_scan_csv_contract_on_any_ladder(ladder, seed):
+    """The exact header, rows sorted by n, every field the .17g form that
+    reads back to its value, and one # ERROR trailer per failed character,
+    in ladder order."""
+    # the command reads every ladder entry as a float
+    ladder = [float(v) for v in ladder]
+    want = _seeded_outcomes(seed)(None, ladder)
+    saved = cli.pmin_scan
+    cli.pmin_scan = _seeded_outcomes(seed)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            out_csv = Path(tmp) / "scan.csv"
+            path.write_text(json.dumps({
+                "rep": "discrete:2", "n_values": ladder,
+                "output_path": str(out_csv)}), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["norm-scan", str(path)]) == 0
+            lines = out_csv.read_text(encoding="utf-8").splitlines()
+    finally:
+        cli.pmin_scan = saved
+    assert lines[:2] == ["# repnorm norm-scan rep=discrete:2", CSV_HEADER]
+    rows = [line for line in lines[2:] if not line.startswith("#")]
+    samples = sorted((s for s in want if isinstance(s, NormSample)),
+                     key=lambda s: s.n)
+    assert len(rows) == len(samples)
+    for row, s in zip(rows, samples):
+        fields = row.split(",")
+        values = [s.n, s.pmin, s.x_argmax, s.pmax_proxy, s.q_s_half,
+                  s.err_est]
+        assert fields == [f"{v:.17g}" for v in values]
+        assert [float(f) for f in fields] == values
+    assert [float(f) for f in (row.split(",")[0] for row in rows)] == \
+        sorted(s.n for s in samples)
+    failed = [k for k, o in zip(sorted(ladder), want)
+              if isinstance(o, ScanError)]
+    trailers = [line for line in lines if line.startswith("# ERROR ")]
+    assert trailers == [f"# ERROR {k:.17g} ScanError: no peak for {k!r}"
+                        for k in failed]
+    assert lines[2 + len(rows):] == trailers
 
 
 def test_import_leaves_out_the_libraries_of_single_criteria():

@@ -9,20 +9,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repnorm import reps
-from repnorm.errors import (ConvergenceError, NormalizationError,
-                            PoleError, PreconditionError)
+from repnorm.errors import (ConvergenceError, DomainError,
+                            NormalizationError, PoleError, PreconditionError)
 from repnorm.group import cartan_from_x
-from repnorm.norms import scan_character
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
-                          _boundary_method, _cached_euler_factors,
-                          _circle_samples, _disc_samples, _euler_nodes,
-                          _f_euler_vec, _f_series_vec, _principal_params,
-                          _settled_column,
+                          _BRANCH_REL, _boundary_method,
+                          _cached_euler_factors, _circle_samples,
+                          _disc_samples, _euler_nodes, _f_connection_vec,
+                          _f_euler_vec, _principal_params, _settled_column,
                           coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
-from repnorm.specfun import gamma_ratio_signed, log_gamma
+from repnorm.specfun import gamma_ratio_signed, hyp2f1, log_gamma
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -244,7 +242,7 @@ class TestEulerKernel:
     def test_cached_factors_are_read_only(self):
         a, b, c = _reference_euler_params(Principal(0.0, -0.5 + 1.0j), 256)
         _f_euler_vec(a, b, c, EULER_XS[:1], 1.0 - EULER_XS[:1])
-        key = np.array([a, b, c - b]).tobytes()
+        key = np.array([a, b, c]).tobytes()
         for arr in _cached_euler_factors(key):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -289,6 +287,28 @@ class TestEulerKernel:
         assert all(done)
 
 
+class TestEulerAgainstConnection:
+    """Where both boundary branches apply, Re(c-b) > 0.05 with c-a-b off
+    the integers and n(1-x) up to about 4, the Euler integral and the
+    two-term 1-x connection (DLMF 15.6.1, 15.8.4) are independent routes to
+    one 2F1: they agree within the sum of their budgets."""
+
+    @pytest.mark.parametrize("lam", [-0.5 + 1.0j, -0.25])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_agree_within_budgets(self, lam, n):
+        a, b, c, _ = _principal_params(0.0, lam, n, 0)
+        s = c - a - b
+        assert _boundary_method(a, b, c) == "euler"
+        assert abs(s - round(s.real)) > 0.05
+        xs = np.array([0.985, 0.99, 0.999, 0.9999])
+        omx = 1.0 - xs
+        assert np.all(n * omx <= 4.0)
+        euler = _f_euler_vec(a, b, c, xs, omx)
+        conn, conn_err = _f_connection_vec(a, b, c, xs, omx)
+        assert np.all(np.abs(euler - conn)
+                      <= _BRANCH_REL["euler"] * np.abs(euler) + conn_err)
+
+
 def _series_per_term(a, b, c, xs, tol=1e-15):
     """The reference Gauss series kernel: one numpy pass over the points per
     term, with the stop test every 16 terms."""
@@ -326,18 +346,28 @@ SERIES_REPS = [Principal(0.0, -0.5 + 1.0j), Principal(0.5, -0.5 + 0.7j),
                Principal(0.5, -0.3 + 0.4j)]
 
 
-class TestSeriesKernel:
-    """The term-block Gauss series kernel gives bit for bit the values of
-    the per-term loop, in every batch size, and at its edges the same
-    value or the same error."""
+def _one_point_each(a, b, c, xs):
+    """The reference loop run one point at a time."""
+    out = np.empty(xs.shape, dtype=complex)
+    for i, x in enumerate(xs):
+        out[i] = _series_per_term(a, b, c, np.array([x]))[0]
+    return out
 
-    # 125 seeded cases per size, 500 in all; batches of 1 and 3 points sum
-    # each block in one cumsum, 500 points one add per term, 40 points both
-    @pytest.mark.parametrize("size", [1, 3, 40, 500])
-    def test_per_term_loop_bits(self, size):
+
+class TestSeriesKernel:
+    """Each point of a batch of the Gauss series kernel has the bits of the
+    per-term loop run on that point alone, and at its edges the kernel
+    gives the same value or a DomainError."""
+
+    # 125 seeded cases of one point and fewer of the wider batches, 1,125
+    # points of each; batches of 1 and 3 points sum each block in one
+    # cumsum, 500 points one add per term, 40 points both
+    @pytest.mark.parametrize("size,cases", [(1, 125), (3, 60), (40, 8),
+                                            (500, 1)])
+    def test_per_term_loop_bits(self, size, cases):
         rng = np.random.default_rng(size)
         differ = []
-        for case in range(125):
+        for case in range(cases):
             r = SERIES_REPS[case % len(SERIES_REPS)]
             n = int(rng.integers(-300, 301))
             m = int(rng.integers(-8, 9))
@@ -346,48 +376,52 @@ class TestSeriesKernel:
             # connection branch
             hi = X_CUT if case % 4 else 1.0 - X_CUT
             xs = rng.uniform(0.0, hi, size)
-            if not _same_bits(_f_series_vec(a, b, c, xs),
-                              _series_per_term(a, b, c, xs)):
+            if not _same_bits(hyp2f1(a, b, c, xs)[0],
+                              _one_point_each(a, b, c, xs)):
                 differ.append((r, n, m))
         assert differ == []
 
     def test_terminating_series(self):
-        # Principal(1/2, -1/2) at m = 5: a = -5, a polynomial of degree 5
+        # Principal(1/2, -1/2) at m = 5: a = -5, a polynomial of degree 5,
+        # which the kernel sums to its order and no further
         a, b, c, _ = _principal_params(0.5, -0.5, 40, 5)
         assert a == -5.0
         xs = np.linspace(0.0, X_CUT, 7)
-        assert _same_bits(_f_series_vec(a, b, c, xs),
-                          _series_per_term(a, b, c, xs))
+        assert _same_bits(hyp2f1(a, b, c, xs)[0],
+                          _one_point_each(a, b, c, xs))
+        assert np.isfinite(hyp2f1(a, b, c, np.array([1.0, -3.0]))[0]).all()
 
     @pytest.mark.parametrize("xs", [np.zeros(0), np.zeros(4)],
                              ids=["empty", "zero"])
     def test_trivial_batches(self, xs):
         a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
-        assert _same_bits(_f_series_vec(a, b, c, xs),
-                          _series_per_term(a, b, c, xs))
+        value, err = hyp2f1(a, b, c, xs)
+        assert _same_bits(value, _series_per_term(a, b, c, xs))
+        assert err.shape == xs.shape and np.all(err <= 1e-15)
 
-    def test_rejects_the_boundary(self):
+    def test_domain(self):
+        # the reference loop refused x >= 0.995; the kernel runs up to 1
         a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
-        for kernel in (_f_series_vec, _series_per_term):
-            with pytest.raises(PreconditionError, match="0.995"):
-                kernel(a, b, c, np.array([0.5, 0.995]))
+        for xs in ([0.5, 1.0], [-1.0]):
+            with pytest.raises(DomainError, match="non-convergent"):
+                hyp2f1(a, b, c, np.array(xs))
+        value, err = hyp2f1(a, b, c, np.array([0.995]))
+        assert np.isfinite(value).all() and np.isfinite(err).all()
+        with pytest.raises(DomainError, match="pole"):
+            hyp2f1(0.5, 1.5, -2.0, np.array([0.5]))
+        # a pole of c that termination clears
+        assert np.isfinite(hyp2f1(-2.0, 1.5, -3.0, np.array([0.5]))[0]).all()
 
-    def test_stall_is_the_per_term_loops(self, monkeypatch):
-        # the sigma = 1/2 connection series of kappa = 4097 runs into the cap
-        calls = []
-
-        def recording(a, b, c, xs, tol=1e-15):
-            calls.append((a, b, c, np.array(xs)))
-            return _f_series_vec(a, b, c, xs, tol)
-
-        monkeypatch.setattr(reps, "_f_series_vec", recording)
-        with pytest.raises(ConvergenceError, match="vector series stalled"):
-            scan_character(Principal(0.5, -0.5 + 0.7j), 4097)
-        with pytest.raises(ConvergenceError) as want:
-            _series_per_term(*calls[-1])
-        with pytest.raises(ConvergenceError) as got:
-            _f_series_vec(*calls[-1])
-        assert str(got.value) == str(want.value)
+    def test_batch_independence_on_the_boundary_column(self):
+        # a stop on the batch-wide largest term gives 137 of the 138 points
+        # at or below X_CUT of this column other last bits than alone
+        r = Principal(0.0, -0.5 + 1.0j)
+        xs = np.linspace(0.97, 0.999, 400)
+        whole = coef_vec(r, 512, 0, xs)
+        alone = np.array([coef_vec(r, 512, 0, xs[i:i + 1])[0]
+                          for i in range(xs.size)])
+        assert np.count_nonzero(xs <= X_CUT) == 138
+        assert _same_bits(whole, alone)
 
     def test_large_batch_equals_its_parts(self):
         # above 16384 points numpy reused a temporary of the per-term loop
