@@ -178,10 +178,12 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
     n = xs.size
     value, err = np.empty(n, dtype=complex), np.empty(n)
     # the live points: their index, x, last term and partial sum, stop
-    # scale and rounding bound so far (t_0 = 1 adds 2 eps)
+    # scale and rounding bound over eps so far (t_0 = 1 adds 2); i is the
+    # point of largest |x|
     live, x = np.arange(n), xs.reshape(-1)
     term = total = np.ones(n, dtype=complex)
-    scale, run = np.ones(n), np.full(n, 2.0 * _EPS)
+    scale, run = np.ones(n), np.full(n, 2.0)
+    i = int(np.argmax(np.abs(x))) if n else 0
     # row 0 carries the term and the partial sum before the block; rows 1..
     # of sums hold the block's factors until its terms are known
     buf_t = np.empty(min(_SERIES_ROWS * n, _SERIES_BLOCK) + 2 * n, complex)
@@ -189,7 +191,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
     k, width = 0, 16
     while live.size:
         if k == order:
-            value[live], err[live] = total, run
+            value[live], err[live] = total, _EPS * run
             break
         if k >= kmax:
             raise ConvergenceError(f"2F1 series not converged after {kmax}"
@@ -213,9 +215,9 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
             for j in range(rows):
                 np.add(sums[j], terms[j + 1], out=sums[j + 1])
         term, total = terms[rows], sums[rows]
-        # row j - 1: |t_{k+j}|, of weight eps (k+j+2)
+        # row j - 1: |t_{k+j}|, of weight k+j+2
         mags = np.abs(terms[1:])
-        block = _EPS * np.arange(k + 3.0, k + rows + 3.0) @ mags
+        run = run + np.arange(k + 3.0, k + rows + 3.0) @ mags
         first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
         if order is None and rows >= first:
             # fmax skips a nan, as max(scale, nan) does
@@ -224,8 +226,8 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
             scale = peaks[-1]
             # a nan term compares false and stops its point
             small = ~(mags[first - 1::16] > tol * peaks)
-            stop = small.any(axis=0)
-            if stop.any():
+            if small.any():
+                stop = small.any(axis=0)
                 done = np.flatnonzero(stop)
                 row = first + 16 * np.argmax(small[:, done], axis=0)
                 # |x| times the largest of the factor's limit 1 and its
@@ -234,21 +236,19 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
                                           factor(k + rows - rows % 16))
                 tail = np.divide(q, 1.0 - q, out=np.full(q.shape, np.inf),
                                  where=q < 1.0)
-                value[live[done]] = sums[row, done]
-                err[live[done]] = (run[done] + block[done]
-                                   + tail * mags[row - 1, done])
+                at = live[done]
+                value[at] = sums[row, done]
+                err[at] = _EPS * run[done] + tail * mags[row - 1, done]
                 if done.size == size:
                     break
                 keep = ~stop
-                live, x, scale, run, block = (live[keep], x[keep],
-                                              scale[keep], run[keep],
-                                              block[keep])
+                live, x, scale, run = live[keep], x[keep], scale[keep], \
+                    run[keep]
                 term, total = term[keep], total[keep]
-        run = run + block
+                i = int(np.argmax(np.abs(x)))
         k += rows
-        # the next block holds the terms that the live point of largest |x|
-        # needs to reach tol if they keep falling at their present ratio
-        i = int(np.argmax(np.abs(x)))
+        # the next block holds the terms that point i needs to reach tol if
+        # they keep falling at their present ratio
         r, t = abs(x[i]) * factor(k), abs(term[i])
         width = (16 * math.ceil(math.log(tol * scale[i] / t)
                                 / (16.0 * math.log(r)))
