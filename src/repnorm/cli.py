@@ -116,7 +116,6 @@ class ExperimentConfig:
 
     def scan_config(self):
         kwargs = {}
-        # ScanConfig checks grid_c and t_pad further
         if "c_grid" in self.scan:
             kwargs["grid_c"] = _number(self.scan["c_grid"], "scan.c_grid")
         if "refine_iters" in self.scan:

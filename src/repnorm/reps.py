@@ -525,13 +525,12 @@ def _f_connection_vec(a, b, c, xs, omx):
     out = np.zeros(np.asarray(xs).shape, dtype=complex)
     err = np.zeros(out.shape)
     for num, den, power, params in (
-            ([s], [c - a, c - b], None, (a, b, a + b - c + 1.0)),
+            ([s], [c - a, c - b], 0.0, (a, b, a + b - c + 1.0)),
             ([-s], [a, b], s, (c - a, c - b, s + 1.0))):
         pref = gamma_ratio_signed([c] + num, den)
         if pref == 0.0:
             continue
-        if power is not None:
-            pref = pref * np.exp(power * np.log(omx))
+        pref = pref * np.exp(power * np.log(omx))
         f, f_err = hyp2f1(*params, omx)
         out += pref * f
         err += np.abs(pref) * (f_err
@@ -589,37 +588,35 @@ def _euler_nodes(a, b, cb, omx):
     return nodes
 
 
-def _euler_factors(a, b, c, omx):
-    """The factors of _f_euler_vec that do not depend on x, as read-only
-    arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node, ev = e^{-v} as
-    a column, and the Gamma prefactor G(c)/(G(b)G(c-b)) as one element."""
-    cb = c - b
+def _euler_factors(a, b, cb, omx):
+    """The node factors of _f_euler_vec that do not depend on x, as
+    read-only arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node and
+    ev = e^{-v} as a column."""
     nodes = _euler_nodes(a, b, cb, omx)
     # e^{-v} enters on its own: recovering it as 1 - s, s = 1 - e^{-v},
     # would throw away half the mantissa once v is past ~18
     wt = np.array([dv * cmath.exp((b - 1.0) * math.log(-math.expm1(-vk))
                                   - cb * vk) for vk, dv in nodes])
     ev = np.array([math.exp(-vk) for vk, _ in nodes])[:, None]
-    pref = np.array([gamma_ratio_signed([c], [b, cb])])
-    for arr in (wt, ev, pref):
-        arr.flags.writeable = False
-    return wt, ev, pref
+    wt.flags.writeable = False
+    ev.flags.writeable = False
+    return wt, ev
 
 
 # elements per nodes x points temporary of _f_euler_vec
 _EULER_BLOCK = 1 << 14
-# (a, b, c) triples whose factors _f_euler_vec keeps; at ~720 nodes an
-# entry holds ~17 KB, so a full cache holds ~4 MB
+# (a, b, c-b) triples whose node factors _f_euler_vec keeps; at ~720 nodes
+# an entry holds ~17 KB, so a full cache holds ~4 MB
 _EULER_CACHE = 256
 
 
 @functools.lru_cache(maxsize=_EULER_CACHE)
 def _cached_euler_factors(key):
     """_euler_factors for Re a <= 1/2, where the window ignores 1-x, keyed
-    on the bits of (a, b, c): complex equality would merge parts 0.0 and
+    on the bits of (a, b, c-b): complex equality would merge parts 0.0 and
     -0.0, and their sign can reach the imaginary part of a value."""
-    a, b, c = map(complex, np.frombuffer(key, dtype=complex))
-    return _euler_factors(a, b, c, None)
+    a, b, cb = map(complex, np.frombuffer(key, dtype=complex))
+    return _euler_factors(a, b, cb, None)
 
 
 def _f_euler_vec(a, b, c, xs, omx):
@@ -649,9 +646,8 @@ def _f_euler_vec(a, b, c, xs, omx):
     batch.
 
     Building the node factors in Python costs about 3 ms, more than
-    evaluating a small batch.  While Re a <= 1/2 they, and the Gamma
-    prefactor, depend on (a, b, c) alone and are kept in an LRU cache of
-    _EULER_CACHE entries, so the
+    evaluating a small batch.  While Re a <= 1/2 they depend on (a, b, c)
+    alone and are kept in an LRU cache of _EULER_CACHE entries, so the
     Kronrod rounds of an integral and the one-point refinement steps of a
     scan build them once; above 1/2 each call builds its own.
     """
@@ -663,16 +659,16 @@ def _f_euler_vec(a, b, c, xs, omx):
     xs = np.asarray(xs, dtype=float)
 
     if a.real <= 0.5:
-        wt, ev, pref = _cached_euler_factors(np.array([a, b, c]).tobytes())
+        wt, ev = _cached_euler_factors(np.array([a, b, cb]).tobytes())
     else:
-        wt, ev, pref = _euler_factors(a, b, c, omx)
+        wt, ev = _euler_factors(a, b, cb, omx)
     acc = np.empty(xs.shape, dtype=complex)
     step = max(1, _EULER_BLOCK // wt.size)
     for i in range(0, xs.size, step):
         wk = omx[i:i + step] + xs[i:i + step] * ev      # real, in (1-x, 1]
         terms = wt[:, None] * np.exp(-a * np.log(wk))
         acc[i:i + step] = np.cumsum(terms, axis=0)[-1]
-    return pref[0] * acc
+    return gamma_ratio_signed([c], [b, cb]) * acc
 
 
 def _unit_factor(a, b):
@@ -705,12 +701,23 @@ def principal_coef_vec(sigma, lam, n, m, xs, omx=None):
     extremely close to the boundary pass omx = 1-x directly so the boundary
     factor keeps its full precision.
     """
+    value, err, method = _principal_coef(sigma, lam, n, m, xs, omx)
+    if method == "closed":
+        return value, err, method
+    num, den = _principal_pref_args(sigma, lam, n, m)
+    omx = 1.0 - np.asarray(xs, dtype=float) if omx is None else omx
+    rel = _gamma_ratio_rounding(num + den) + _EPS * (
+        6.0 + 2.0 * abs(lam) * np.abs(np.log(omx)))
+    return value, err + rel * np.abs(value), method
+
+
+def _principal_coef(sigma, lam, n, m, xs, omx):
+    """principal_coef_vec less its prefactor and shell rounding."""
     lam = complex(lam)
     xs = np.asarray(xs, dtype=float)
     omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
     a, b, c, pref = _principal_params(sigma, lam, n, m)
-    log_omx = np.log(omx)
-    shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * log_omx)
+    shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * np.log(omx))
     if pref == 0.0 or _unit_factor(a, b):
         value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
         return value, _BRANCH_REL["closed"] * np.abs(value), "closed"
@@ -730,11 +737,7 @@ def principal_coef_vec(sigma, lam, n, m, xs, omx=None):
         else:
             F[hi], F_err[hi] = hyp2f1(a, b, c, xs[hi])
     scaled = pref * shell
-    value = scaled * F
-    num, den = _principal_pref_args(sigma, lam, n, m)
-    rel = _gamma_ratio_rounding(num + den) + _EPS * (
-        6.0 + 2.0 * abs(lam) * np.abs(log_omx))
-    return value, np.abs(scaled) * F_err + rel * np.abs(value), method
+    return scaled * F, np.abs(scaled) * F_err, method
 
 
 def discrete_coef_vec(ell, n, m, xs, omx=None):
@@ -769,8 +772,7 @@ def coef_vec(r, n, m, xs, omx=None):
     and (one point at a time) by coef."""
     if r.circle is None:
         return discrete_coef_vec(r.ell, n, m, xs, omx=omx)
-    return r.normalizer(n, m) * principal_coef_vec(*r.circle, n, m, xs,
-                                                   omx=omx)[0]
+    return r.normalizer(n, m) * _principal_coef(*r.circle, n, m, xs, omx)[0]
 
 
 def coef(r, n, m, coord):

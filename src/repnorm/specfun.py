@@ -143,24 +143,24 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
     (F, err), arrays of the shape of xs.
 
     Term recursion t_{k+1} = t_k x (a+k)(b+k)/((c+k)(k+1)), t_0 = 1.  Each
-    point stops at the first 16th term with |t_k| <= tol times the largest
-    of 1 and its partial sums at the 16th terms so far, a terminating series
-    (a or b in -N0) at its order, and a point whose terms overflow at once,
-    with a value that is not finite.  err is the running rounding bound
-    eps sum (k+2) |t_k| over the terms walked (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, 3.3) plus the
-    tail past the stop, |t_k| q / (1 - q), q bounding the ratio of the
-    later terms (err is infinite where q >= 1).  Refuses |x| >= 1 unless
-    the series terminates; raises ConvergenceError past kmax terms.
+    point stops at the first 16th term t_j where |t_j| and the bound
+    |t_j| q / (1 - q) on the tail past it, q = |x| max(1, |t_{j+1}/(x t_j)|)
+    while the later terms fall monotonically, are at most tol times the
+    largest of 1 and its partial sums at the 16th terms; a terminating
+    series (a or b in -N0) at its order.  err is that tail bound plus the
+    running rounding bound eps (sum (k+2) |t_k| + sum |S_k|) of the k
+    products that make t_k and of the partial sums S_k (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, 3.3 and
+    4.2).  Refuses |x| >= 1 unless the series terminates; raises
+    ConvergenceError past kmax terms.
 
     The terms are walked in blocks of at most _SERIES_ROWS terms and
-    _SERIES_BLOCK elements, each sized for the terms that the point of
-    largest |x| still needs; finished points leave the working set after a
-    block.  A block takes its factors in one broadcast product; each term
-    is one elementwise multiply with named operands (np.cumprod, and
-    numpy's reuse of a temporary above 256 KB, which swaps the operands,
-    round complex products differently), and the partial sums add in term
-    order.  So a point has the bits of its one-point call in any batch.
+    _SERIES_BLOCK elements, sized for the point of largest |x|; finished
+    points leave the working set after a block.  Each term is one
+    elementwise multiply with named operands (np.cumprod, and numpy's
+    in-place temporaries above 256 KB, round complex products differently)
+    and the partial sums add in term order, so a point has the bits of its
+    one-point call in any batch.
     """
     a, b, c = complex(a), complex(b), complex(c)
     xs = np.asarray(xs, dtype=float)
@@ -172,14 +172,10 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
                                   or order >= -round(c.real) + 1):
         raise DomainError(f"c={c} is a pole not cleared by termination")
 
-    def factor(j):
-        return abs((a + j) * (b + j) / ((c + j) * (j + 1.0)))
-
     n = xs.size
     value, err = np.empty(n, dtype=complex), np.empty(n)
-    # the live points: their index, x, last term and partial sum, stop
-    # scale and rounding bound over eps so far (t_0 = 1 adds 2); i is the
-    # point of largest |x|
+    # the live points' index, x, last term and partial sum, stop scale and
+    # rounding bound over eps (t_0 = 1 adds 2); i, that of largest |x|
     live, x = np.arange(n), xs.reshape(-1)
     term = total = np.ones(n, dtype=complex)
     scale, run = np.ones(n), np.full(n, 2.0)
@@ -189,6 +185,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
     buf_t = np.empty(min(_SERIES_ROWS * n, _SERIES_BLOCK) + 2 * n, complex)
     buf_s = np.empty_like(buf_t)
     k, width = 0, 16
+    multiply, add = np.multiply, np.add
     while live.size:
         if k == order:
             value[live], err[live] = total, _EPS * run
@@ -203,56 +200,58 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
         terms = buf_t[:(rows + 1) * size].reshape(rows + 1, size)
         sums = buf_s[:(rows + 1) * size].reshape(rows + 1, size)
         terms[0], sums[0] = term, total
-        ratios = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
-                           for j in range(k, k + rows)], dtype=complex)
-        np.multiply(x, ratios[:, None], out=sums[1:])
+        # t_{j+1} / (x t_j) over the block and, unless the series
+        # terminates (c + j may be 0 past its order), the term after it
+        ratio = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0)) for j
+                          in range(k, k + rows + (order is None))], complex)
+        multiply(x, ratio[:rows, None], sums[1:])
+        t_rows, s_rows = list(terms), list(sums)    # views made once
         for j in range(rows):
-            np.multiply(terms[j], sums[j + 1], out=terms[j + 1])
+            multiply(t_rows[j], s_rows[j + 1], t_rows[j + 1])
         if rows >= size:
             sums[1:] = terms[1:]
             np.cumsum(sums, axis=0, out=sums)
         else:
             for j in range(rows):
-                np.add(sums[j], terms[j + 1], out=sums[j + 1])
+                add(s_rows[j], t_rows[j + 1], s_rows[j + 1])
         term, total = terms[rows], sums[rows]
-        # row j - 1: |t_{k+j}|, of weight k+j+2
-        mags = np.abs(terms[1:])
-        run = run + np.arange(k + 3.0, k + rows + 3.0) @ mags
+        # row j - 1: |t_{k+j}|, of weight k+j+2, and |S_{k+j}|
+        mags, sizes = np.abs(terms[1:]), np.abs(sums[1:])
+        run = run + np.arange(k + 3.0, k + rows + 3.0) @ mags \
+            + sizes.sum(axis=0)
         first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
         if order is None and rows >= first:
             # fmax skips a nan, as max(scale, nan) does
             peaks = np.fmax.accumulate(np.concatenate(
-                (scale[None], np.abs(sums[first::16]))), axis=0)[1:]
+                (scale[None], sizes[first - 1::16])), axis=0)[1:]
             scale = peaks[-1]
-            # a nan term compares false and stops its point
-            small = ~(mags[first - 1::16] > tol * peaks)
+            # the 16th terms and their tail bounds (infinite at q >= 1); a
+            # nan compares false and stops its point
+            m16 = mags[first - 1::16]
+            q = np.abs(x) * np.maximum(1.0, np.abs(ratio[first::16, None]))
+            tails = m16 * np.divide(q, 1.0 - q, out=np.full(q.shape, np.inf),
+                                    where=q < 1.0)
+            small = ~(np.maximum(m16, tails) > tol * peaks)
             if small.any():
                 stop = small.any(axis=0)
                 done = np.flatnonzero(stop)
                 row = first + 16 * np.argmax(small[:, done], axis=0)
-                # |x| times the largest of the factor's limit 1 and its
-                # values at the block's first 16th term and near its end
-                q = np.abs(x[done]) * max(1.0, factor(k + first),
-                                          factor(k + rows - rows % 16))
-                tail = np.divide(q, 1.0 - q, out=np.full(q.shape, np.inf),
-                                 where=q < 1.0)
                 at = live[done]
                 value[at] = sums[row, done]
-                err[at] = _EPS * run[done] + tail * mags[row - 1, done]
+                err[at] = _EPS * run[done] + tails[(row - first) // 16, done]
                 if done.size == size:
                     break
-                keep = ~stop
-                live, x, scale, run = live[keep], x[keep], scale[keep], \
-                    run[keep]
-                term, total = term[keep], total[keep]
+                live, x, scale, run, term, total = (
+                    v[~stop] for v in (live, x, scale, run, term, total))
                 i = int(np.argmax(np.abs(x)))
         k += rows
-        # the next block holds the terms that point i needs to reach tol if
-        # they keep falling at their present ratio
-        r, t = abs(x[i]) * factor(k), abs(term[i])
-        width = (16 * math.ceil(math.log(tol * scale[i] / t)
-                                / (16.0 * math.log(r)))
-                 if 0.0 < r < 1.0 and t > tol * scale[i] else 2 * width)
+        # the next block holds the terms that point i needs to stop if they
+        # fall at their present ratio r; twice as many if r is no guide
+        r = abs(x[i]) * abs(ratio[rows]) if order is None else 0.0
+        goal = tol * scale[i] * min(1.0, (1.0 - r) / r) if r else 0.0
+        t = abs(term[i])
+        width = (16 * math.ceil(math.log(goal / t) / (16.0 * math.log(r)))
+                 if 0.0 < r < 1.0 and t > goal else 2 * width)
     return value.reshape(xs.shape), err.reshape(xs.shape)
 
 

@@ -242,7 +242,7 @@ class TestEulerKernel:
     def test_cached_factors_are_read_only(self):
         a, b, c = _reference_euler_params(Principal(0.0, -0.5 + 1.0j), 256)
         _f_euler_vec(a, b, c, EULER_XS[:1], 1.0 - EULER_XS[:1])
-        key = np.array([a, b, c]).tobytes()
+        key = np.array([a, b, c - b]).tobytes()
         for arr in _cached_euler_factors(key):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -311,7 +311,9 @@ class TestEulerAgainstConnection:
 
 def _series_per_term(a, b, c, xs, tol=1e-15):
     """The reference Gauss series kernel: one numpy pass over the points per
-    term, with the stop test every 16 terms."""
+    term, with the stop test every 16 terms: the term, or the bound
+    |t_j| q / (1 - q) on the tail past it, whichever is larger, at most tol
+    times the largest partial sum, q = |x| max(1, |t_{j+1} / (x t_j)|)."""
     xs = np.asarray(xs, dtype=float)
     x_hi = float(np.max(np.abs(xs))) if xs.size else 0.0
     if x_hi >= 0.995:
@@ -322,12 +324,19 @@ def _series_per_term(a, b, c, xs, tol=1e-15):
         return total
     k_cap = int(4 * abs(b) + 64 + math.log(1e-18) / math.log(x_hi))
     scale = 1.0
+    def ratio(j):
+        return (a + j) * (b + j) / ((c + j) * (j + 1.0))
+
     for k in range(k_cap):
-        term = term * (xs * ((a + k) * (b + k) / ((c + k) * (k + 1.0))))
+        term = term * (xs * ratio(k))
         total += term
         if k % 16 == 15:
             scale = max(scale, float(np.max(np.abs(total))))
-            if float(np.max(np.abs(term))) <= tol * scale:
+            q = np.abs(xs) * max(1.0, abs(ratio(k + 1)))
+            tail = np.divide(q, 1.0 - q, out=np.full(q.shape, np.inf),
+                             where=q < 1.0)
+            mag = np.abs(term)
+            if float(np.max(np.maximum(mag, mag * tail))) <= tol * scale:
                 return total
     if float(np.max(np.abs(term))) > 1e-10 * scale:
         raise ConvergenceError(f"vector series stalled (x_hi={x_hi})")
@@ -346,11 +355,12 @@ SERIES_REPS = [Principal(0.0, -0.5 + 1.0j), Principal(0.5, -0.5 + 0.7j),
                Principal(0.5, -0.3 + 0.4j)]
 
 
-def _one_point_each(a, b, c, xs):
-    """The reference loop run one point at a time."""
+def _one_point_each(a, b, c, xs, walk=None):
+    """Each point of xs on its own: by the reference loop, or by walk."""
+    walk = walk or (lambda xs: _series_per_term(a, b, c, xs))
     out = np.empty(xs.shape, dtype=complex)
     for i, x in enumerate(xs):
-        out[i] = _series_per_term(a, b, c, np.array([x]))[0]
+        out[i] = walk(np.array([x]))[0]
     return out
 
 
@@ -359,15 +369,16 @@ class TestSeriesKernel:
     per-term loop run on that point alone, and at its edges the kernel
     gives the same value or a DomainError."""
 
-    # 125 seeded cases of one point and fewer of the wider batches, 1,125
-    # points of each; batches of 1 and 3 points sum each block in one
-    # cumsum, 500 points one add per term, 40 points both
-    @pytest.mark.parametrize("size,cases", [(1, 125), (3, 60), (40, 8),
-                                            (500, 1)])
-    def test_per_term_loop_bits(self, size, cases):
+    # 125 seeded cases per size, 500 in all.  A one-point call is compared
+    # with the reference loop; each point of a wider batch with the
+    # kernel's one-point call, so with the reference loop in turn.  Batches
+    # of 1 and 3 points sum each block in one cumsum, 500 points one add per
+    # term, 40 points both
+    @pytest.mark.parametrize("size", [1, 3, 40, 500])
+    def test_per_term_loop_bits(self, size):
         rng = np.random.default_rng(size)
         differ = []
-        for case in range(cases):
+        for case in range(125):
             r = SERIES_REPS[case % len(SERIES_REPS)]
             n = int(rng.integers(-300, 301))
             m = int(rng.integers(-8, 9))
@@ -376,8 +387,10 @@ class TestSeriesKernel:
             # connection branch
             hi = X_CUT if case % 4 else 1.0 - X_CUT
             xs = rng.uniform(0.0, hi, size)
-            if not _same_bits(hyp2f1(a, b, c, xs)[0],
-                              _one_point_each(a, b, c, xs)):
+            alone = _one_point_each(
+                a, b, c, xs,
+                None if size == 1 else lambda xs: hyp2f1(a, b, c, xs)[0])
+            if not _same_bits(hyp2f1(a, b, c, xs)[0], alone):
                 differ.append((r, n, m))
         assert differ == []
 
@@ -397,7 +410,9 @@ class TestSeriesKernel:
         a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
         value, err = hyp2f1(a, b, c, xs)
         assert _same_bits(value, _series_per_term(a, b, c, xs))
-        assert err.shape == xs.shape and np.all(err <= 1e-15)
+        # the rounding bound of one block of 16 zero terms: 2 eps for t_0
+        # and eps for each of the 16 partial sums
+        assert err.shape == xs.shape and np.all(err <= 18 * 2.2e-16)
 
     def test_domain(self):
         # the reference loop refused x >= 0.995; the kernel runs up to 1
@@ -409,8 +424,14 @@ class TestSeriesKernel:
         assert np.isfinite(value).all() and np.isfinite(err).all()
         with pytest.raises(DomainError, match="pole"):
             hyp2f1(0.5, 1.5, -2.0, np.array([0.5]))
-        # a pole of c that termination clears
-        assert np.isfinite(hyp2f1(-2.0, 1.5, -3.0, np.array([0.5]))[0]).all()
+        # a pole of c that termination clears, also at the order that
+        # reaches c + k = 0: at a = c = -3 the sum is that of (1.5)_k x^k/k!
+        # to k = 3, 1 + 0.75 + 0.46875 + 0.2734375 at x = 1/2
+        for a in (-2.0, -3.0):
+            value, err = hyp2f1(a, 1.5, -3.0, np.array([0.5]))
+            assert np.isfinite(value).all() and np.isfinite(err).all()
+        assert hyp2f1(-3.0, 1.5, -3.0, np.array([0.5]))[0][0] == \
+            pytest.approx(2.4921875, rel=1e-15)
 
     def test_batch_independence_on_the_boundary_column(self):
         # a stop on the batch-wide largest term gives 137 of the 138 points
