@@ -61,10 +61,14 @@ def _finite(value, name):
 
 
 def _whole(value, name):
-    """A config integer; an int keeps its exact value, however large."""
+    """A config integer; an int keeps its exact value, however large, and
+    a float must be integral (int() would truncate 2.5 to 2)."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    return int(_finite(value, name))
+    v = _finite(value, name)
+    if not v.is_integer():
+        raise PreconditionError(f"{name} is not a whole number: {value!r}")
+    return int(v)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,10 @@ class ScanConfig:
     T = t_pad + log(1+kappa).  Beyond the uniform grid, three concentration
     seeds x = 1 - 1/(1 + kappa/u), u in _SEED_SCALES, are always probed:
     that is where a coefficient peaking near the boundary would live.  The
-    refine_top best grid points get refine_iters golden steps each.
+    brackets around the refine_top best grid points are refined together,
+    refine_iters golden steps each, one batched coef_vec call per step.
     A grid it cannot scan (grid_c not finite and positive, t_pad not
-    finite, refine_top below 1) raises PreconditionError.
+    finite, refine_top or refine_iters below 1) raises PreconditionError.
     """
     grid_c: float = 0.1
     t_pad: float = 6.0
@@ -61,6 +62,9 @@ class ScanConfig:
         if self.refine_top < 1:
             raise PreconditionError(
                 f"refine_top must be >= 1, got {self.refine_top}")
+        if self.refine_iters < 1:
+            raise PreconditionError(
+                f"refine_iters must be >= 1, got {self.refine_iters}")
 
 
 @dataclass(frozen=True)
@@ -76,23 +80,40 @@ class NormSample:
 
 
 def golden_min(f, lo, hi, iters=60):
-    """Golden-section minimum of f on [lo, hi]; returns (x, f(x))."""
-    a, b = float(lo), float(hi)
+    """Golden-section minima of f on the brackets [lo, hi], all searched in
+    lockstep; returns (x, f(x)) of the shape of lo (scalars for a scalar
+    bracket).
+
+    f maps an array of points to the array of its values.  The first call
+    evaluates both inner points of every bracket; each step after it is
+    one call on the new inner point of every bracket still live.  A bracket
+    takes the scalar update and leaves once it is narrower than
+    1e-14 (1 + |a|), so where f computes each point as it would alone, each
+    result has the bits of a search of that bracket by itself.
+    """
+    a = np.array(lo, dtype=float).ravel()
+    b = np.array(hi, dtype=float).ravel()
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float),
+                      2)
+    live = np.ones(a.size, dtype=bool)
     for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-14 * (1.0 + abs(a)):
+        # the brackets that keep their left end, and those that keep the right
+        left, right = live & (f1 <= f2), live & ~(f1 <= f2)
+        b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        x1[left] = b[left] - _GOLDEN * (b[left] - a[left])
+        a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        x2[right] = a[right] + _GOLDEN * (b[right] - a[right])
+        fx = np.asarray(f(np.where(left, x1, x2)[live]), dtype=float)
+        f1[left], f2[right] = fx[left[live]], fx[right[live]]
+        live &= ~(b - a < 1e-14 * (1.0 + np.abs(a)))
+        if not live.any():
             break
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    first = f1 <= f2
+    shape = np.shape(lo)
+    return (np.where(first, x1, x2).reshape(shape)[()],
+            np.where(first, f1, f2).reshape(shape)[()])
 
 
 def _scan_grid(kappa, config):
@@ -150,11 +171,13 @@ def scan_character(r, kappa, config=None):
     """Peak of |coef(n_kappa, m_ref; a_t)| over t in (0, T].
 
     A fine grid, uniform plus concentration seeds, then golden refinement
-    around its best few points.  The grid is certified by the Lipschitz
-    bound r.lipschitz of the coefficient in t: it is evaluated in levels,
-    and only where a top point can still sit (_grid_top), which picks the
-    same points as evaluating all of it; a non-unitary member, whose bound
-    is infinite, evaluates the whole grid in one call.  A peak that lands
+    of the brackets around its best few points, in lockstep: one batched
+    coef_vec call per step, the first one for both inner points of every
+    bracket.  The grid is certified by the Lipschitz bound r.lipschitz of
+    the coefficient in t: it is evaluated in levels, and only where a top
+    point can still sit (_grid_top), which picks the same points as
+    evaluating all of it; a non-unitary member, whose bound is infinite,
+    evaluates the whole grid in one call.  A peak that lands
     on the far end of the window is not a peak, it is a truncation: that
     raises ScanError rather than returning a lower bound quietly.
     """
@@ -165,15 +188,17 @@ def scan_character(r, kappa, config=None):
     ts, dt, t_max = _scan_grid(kappa, config)
     top = _grid_top(r, n_basis, m_ref, ts, config.refine_top)
 
+    # math.tanh and Python's abs on each point, the bits of a search one
+    # point at a time: np.tanh and numpy's complex abs round some otherwise
     def neg_mag(t):
-        x = math.tanh(t) ** 2
-        return -abs(coef_vec(r, n_basis, m_ref, np.array([x]))[0])
+        xs = np.array([math.tanh(v) ** 2 for v in t])
+        return np.array([-abs(v) for v in coef_vec(r, n_basis, m_ref, xs)])
 
+    lo = np.where(top > 0, ts[top] - dt, 1e-12)
+    hi = np.minimum(ts[top] + dt, t_max)
+    t_stars, negs = golden_min(neg_mag, lo, hi, iters=config.refine_iters)
     best_t, best_val = 0.0, 0.0
-    for idx in top:
-        lo = ts[idx] - dt if idx > 0 else 1e-12
-        hi = min(ts[idx] + dt, t_max)
-        t_star, neg = golden_min(neg_mag, lo, hi, iters=config.refine_iters)
+    for t_star, neg in zip(t_stars, negs):
         if -neg > best_val:
             best_t, best_val = t_star, -neg
 

@@ -254,6 +254,24 @@ class TestNormScanCommand:
             capsys.readouterr().err
         assert not out_csv.exists()
 
+    # 0 and -3 printed the unrefined grid peak with its refined err_est,
+    # and int() truncated 2.5 to 2 steps
+    @pytest.mark.parametrize("value,message", [
+        ("0", "refine_iters must be >= 1"),
+        ("-3", "refine_iters must be >= 1"),
+        ("2.5", "scan.refine_iters is not a whole number")])
+    def test_refine_iters_not_whole_and_positive_exits_2(
+            self, value, message, tmp_path, capsys):
+        out_csv = tmp_path / "o.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"rep": "discrete:2", "n_values": [16], "output_path": %s,'
+            ' "scan": {"refine_iters": %s}}'
+            % (json.dumps(str(out_csv)), value), encoding="utf-8")
+        assert main(["norm-scan", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_readme_config_example_loads(self, tmp_path):
         # every json block of the README is a norm-scan config that loads
         # and builds its scan
@@ -376,6 +394,19 @@ class TestAcceptanceCommand:
         assert main(["acceptance", str(path),
                      "--output", str(tmp_path / "r.json")]) == 2
         assert "seed is not a finite number" in capsys.readouterr().err
+
+    def test_fractional_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        from repnorm import acceptance
+
+        def refuse(**kwargs):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(acceptance, "run_all", refuse)
+        path = tmp_path / "acc.json"
+        path.write_text('{"seed": 2.5}', encoding="utf-8")
+        assert main(["acceptance", str(path),
+                     "--output", str(tmp_path / "r.json")]) == 2
+        assert "seed is not a whole number" in capsys.readouterr().err
 
     def test_unknown_tolerance_key(self, tmp_path, capsys):
         path = tmp_path / "acc.json"

@@ -31,6 +31,85 @@ class TestGoldenMin:
         assert val == pytest.approx(0.0, abs=1e-18)
 
 
+def _scalar_golden(f, lo, hi, iters):
+    """The golden section on one bracket, one point per call of f: the
+    reference whose bits golden_min must give on every bracket.  Returns
+    (x, f(x), steps taken)."""
+    a, b = float(lo), float(hi)
+    x1 = b - norms._GOLDEN * (b - a)
+    x2 = a + norms._GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    steps = 0
+    for _ in range(iters):
+        steps += 1
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - norms._GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + norms._GOLDEN * (b - a)
+            f2 = f(x2)
+        if b - a < 1e-14 * (1.0 + abs(a)):
+            break
+    return ((x1, f1) if f1 <= f2 else (x2, f2)) + (steps,)
+
+
+class TestLockstepGolden:
+    """golden_min searches all its brackets at once, one call of f per
+    step over the brackets still live; each bracket must end on the bits
+    of the scalar search of that bracket alone."""
+
+    @staticmethod
+    def _check(f, lo, hi, iters):
+        sizes = []
+
+        def batched(xs):
+            sizes.append(xs.size)
+            return np.array([f(x) for x in xs])
+
+        xs, fs = golden_min(batched, lo, hi, iters=iters)
+        want = [_scalar_golden(f, a, b, iters) for a, b in zip(lo, hi)]
+        assert [x for x, _, _ in want] == xs.tolist()
+        assert [v for _, v, _ in want] == fs.tolist()
+        # one call for both inner points, then one per step, over the
+        # brackets whose own search has not stopped yet
+        steps = [k for _, _, k in want]
+        assert sizes == [2 * len(lo)] + [
+            sum(k > j for k in steps) for j in range(max(steps))]
+        return steps
+
+    def test_brackets_of_different_widths_stop_on_their_own(self):
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(-3.0, 3.0, 40)
+        hi = lo + 10.0 ** rng.uniform(-13.0, 1.0, 40)
+        steps = self._check(lambda x: math.cos(3.0 * x) + 0.1 * x, lo, hi,
+                            200)
+        assert len(set(steps)) > 10 and max(steps) < 200
+
+    def test_steps_cut_short_by_iters(self):
+        lo = np.linspace(0.1, 0.9, 6)
+        hi = lo + np.array([2e-14, 1e-13, 5e-13, 1e-6, 0.1, 1.0])
+        steps = self._check(lambda x: (x - 0.5) ** 2, lo, hi, 9)
+        assert min(steps) < 9 == max(steps)
+
+    def test_ties(self):
+        # a staircase and a constant: f1 == f2 on most steps
+        lo = np.array([0.0, -1.0, 0.3, 2.0, 5.0])
+        hi = np.array([1.0, 1.0, 0.31, 2.0 + 1e-9, 6.0])
+
+        def stairs(x):
+            return math.floor(8.0 * abs(x - 0.45)) / 8.0 if x < 4.0 else 1.0
+
+        self._check(stairs, lo, hi, 80)
+
+    def test_scalar_bracket_gives_scalars(self):
+        x, fx = golden_min(lambda s: (s - 0.25) ** 2, 0.0, 1.0, iters=30)
+        assert np.ndim(x) == 0 and np.ndim(fx) == 0
+        assert (x, fx) == _scalar_golden(lambda s: (s - 0.25) ** 2,
+                                         0.0, 1.0, 30)[:2]
+
+
 class TestFitExponent:
     def test_recovers_planted_power_law(self):
         amp, alpha, beta = 3.0, -0.5, 0.7
@@ -112,11 +191,71 @@ class TestScanCharacter:
             assert mag <= s.pmin * (1.0 + 1e-9)
 
 
+class TestLockstepScan:
+    """scan_character refines its brackets together; the result must be
+    the one of refining them one after another."""
+
+    # numpy's abs of a complex value rounds unlike Python's on about a
+    # third of the values, and np.tanh unlike math.tanh on some: either
+    # in the lockstep objective moves the last bit of some of these peaks
+    @pytest.mark.parametrize("r,kappa,cfg", [
+        (Principal(0.0, -0.5 + 1.0j), 16, ScanConfig(0.4, 6.0, 2, 32)),
+        (Principal(0.0, -0.5 + 1.0j), 256, ScanConfig(0.4, 6.0, 8, 24)),
+        (Principal(0.0, -0.5 + 2.0j), 64, ScanConfig(0.2, 6.0, 8, 60)),
+        (Principal(0.5, -0.5 + 0.4j), 17, ScanConfig(0.25, 6.0, 5, 60)),
+        (Complementary(-0.25), 64, ScanConfig(0.4, 6.0, 8, 24)),
+        (Discrete(2), 16, ScanConfig(0.4, 6.0, 8, 24)),
+        (Principal(0.5, -0.5 + 0.7j), 1025, ScanConfig(0.4, 6.0, 2, 32)),
+        (Principal(0.0, -0.3 + 1.0j), 32, ScanConfig(0.4, 6.0, 8, 24)),
+        (Principal(0.5, -0.5), 33, ScanConfig(0.4, 6.0, 8, 24))],
+        ids=lambda v: repr(v).replace(" ", ""))
+    def test_same_sample_as_one_bracket_at_a_time(self, r, kappa, cfg,
+                                                  monkeypatch):
+        lockstep = scan_character(r, kappa, cfg)
+        n = r.basis_index(kappa)
+
+        def one_point(t):
+            # the refinement's objective, one point per coef_vec call
+            x = math.tanh(t) ** 2
+            return -abs(coef_vec(r, n, r.m_ref, np.array([x]))[0])
+
+        def sequential(f, lo, hi, iters=60):
+            out = [_scalar_golden(one_point, a, b, iters)
+                   for a, b in zip(lo, hi)]
+            return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+
+        monkeypatch.setattr(norms, "golden_min", sequential)
+        assert repr(scan_character(r, kappa, cfg)) == repr(lockstep)
+
+    @pytest.mark.parametrize("refine_top", [1, 2, 8])
+    def test_one_coef_vec_call_per_step(self, refine_top, monkeypatch):
+        sizes, refining = [], []
+        golden = norms.golden_min
+
+        def marked(*args, **kwargs):
+            refining.append(True)
+            try:
+                return golden(*args, **kwargs)
+            finally:
+                refining.pop()
+
+        def counted(*args, **kwargs):
+            if refining:
+                sizes.append(np.asarray(args[3]).size)
+            return coef_vec(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "golden_min", marked)
+        monkeypatch.setattr(norms, "coef_vec", counted)
+        cfg = ScanConfig(grid_c=0.4, refine_top=refine_top, refine_iters=12)
+        scan_character(Principal(0.0, -0.5 + 1.0j), 64, cfg)
+        assert sizes == [2 * refine_top] + [refine_top] * 12
+
+
 class TestScanConfig:
     @pytest.mark.parametrize("fields", [
         {"grid_c": 0.0}, {"grid_c": -0.1}, {"grid_c": math.nan},
         {"grid_c": math.inf}, {"t_pad": math.nan}, {"t_pad": -math.inf},
-        {"refine_top": 0}])
+        {"refine_top": 0}, {"refine_iters": 0}, {"refine_iters": -3}])
     def test_rejects_a_grid_it_cannot_scan(self, fields):
         with pytest.raises(PreconditionError):
             ScanConfig(**fields)
