@@ -136,16 +136,19 @@ def _grid_top(r, n, m, ts, k):
     """Indices of the k largest |coef(n, m; a_t)| over the grid ts, largest
     first, evaluating only the points that can be among them.
 
-    L = r.lipschitz bounds |d/dt coef|, so on an interval between two
-    evaluated points |coef| stays below max(|c_lo|, |c_hi|) + L (t_hi -
-    t_lo)/2.  The grid is evaluated in levels, each one batched coef_vec
-    call: first every 2^J-th point and the last one (J from the point
-    count; J = 0, the whole grid, when L is infinite), then the midpoints
-    of the intervals whose bound still reaches the k-th largest value found
-    so far.  Every other point is certified below that value, so the top k
-    are those of the whole grid.
+    L = r.lipschitz bounds |d/dt coef| and K = r.curvature bounds
+    |d^2/dt^2 coef|, so on an interval of width h between two evaluated
+    points |coef| stays below max(|c_lo|, |c_hi|) + min(L h/2, K h^2/8):
+    the linear interpolant of the complex coef stays below the larger end,
+    and coef leaves it by at most K (t - t_lo)(t_hi - t)/2.  The grid is
+    evaluated in levels, each one batched coef_vec call: first every 2^J-th
+    point and the last one (J from the point count; J = 0, the whole grid,
+    when L is infinite), then the midpoints of the intervals whose bound
+    still reaches the k-th largest value found so far.  Every other point
+    is certified below that value, so the top k are those of the whole
+    grid.
     """
-    size, lip = ts.size, r.lipschitz
+    size, lip, curv = ts.size, r.lipschitz, r.curvature
     xs = np.tanh(ts) ** 2
     levels = (max(0, (size // _LEVEL_POINTS).bit_length() - 1)
               if math.isfinite(lip) else 0)
@@ -159,7 +162,9 @@ def _grid_top(r, n, m, ts, k):
         done = np.concatenate([done, new])
         j = max(done.size - k, 0)
         tau = np.partition(mags[done], j)[j]     # the k-th largest so far
-        bound = np.maximum(mags[lo], mags[hi]) + 0.5 * lip * (ts[hi] - ts[lo])
+        h = ts[hi] - ts[lo]
+        bound = np.maximum(mags[lo], mags[hi]) + np.minimum(
+            0.5 * lip * h, 0.125 * curv * h * h)
         live = (hi - lo > 1) & (bound >= tau * (1.0 - _PRUNE_SLACK))
         lo, hi = lo[live], hi[live]
         new = (lo + hi) // 2
@@ -173,11 +178,12 @@ def scan_character(r, kappa, config=None):
     A fine grid, uniform plus concentration seeds, then golden refinement
     of the brackets around its best few points, in lockstep: one batched
     coef_vec call per step, the first one for both inner points of every
-    bracket.  The grid is certified by the Lipschitz bound r.lipschitz of
-    the coefficient in t: it is evaluated in levels, and only where a top
-    point can still sit (_grid_top), which picks the same points as
-    evaluating all of it; a non-unitary member, whose bound is infinite,
-    evaluates the whole grid in one call.  A peak that lands
+    bracket.  The grid is certified by the unitarity bounds of the
+    coefficient in t, r.lipschitz on its slope and r.curvature on its
+    bend: it is evaluated in levels, and only where a top point can still
+    sit (_grid_top), which picks the same points as evaluating all of it;
+    a non-unitary member, whose bounds are infinite, evaluates the whole
+    grid in one call.  A peak that lands
     on the far end of the window is not a peak, it is a truncation: that
     raises ScanError rather than returning a lower bound quietly.
     """

@@ -46,7 +46,9 @@ ORACLE_TOL = 1e-9
 # Representation descriptors: each class carries the facts of its family
 # (spectrum, basis index of a character, reference column m_ref, circle
 # parameters (sigma, lam) or None on the disc, normalizer, unitarity, and
-# the Lipschitz bound of the reference column along the flow).
+# two unitarity bounds of the reference column along the flow: the
+# Lipschitz bound L of its first derivative in t and the curvature bound K
+# of its second).
 
 
 class _Circle:
@@ -80,20 +82,36 @@ class _Circle:
             raise PreconditionError(f"index {value} must be an integer")
         return int(v)
 
+    def _leading(self, d):
+        """Norm of the components of f_m, m = m_ref, on f_(m+-d) at order
+        t^d: each the limit of coef(m+-d, m; a_t)/t^d, normalizer times
+        pref of the closed form (tanh(t)^d ~ t^d is its x^(d/2))."""
+        m = self.m_ref
+        return math.sqrt(sum(
+            abs(self.normalizer(k, m)
+                * _principal_params(*self.circle, k, m)[3]) ** 2
+            for k in (m - d, m + d)))
+
     @property
     def lipschitz(self):
         """L = ||dpi(H) f_m||, m = m_ref: |d/dt coef(n, m; a_t)| <= L for
         every n and t, since the derivative is <pi(a_t) dpi(H) f_m, f_n>
         and pi(a_t) is unitary.  dpi(H) f_m has components on f_(m+-1)
-        only, each the limit of coef(m+-1, m; a_t)/t: normalizer times
-        pref of the closed form.  Infinite off the unitary line."""
+        only, each the limit of coef(m+-1, m; a_t)/t.  Infinite off the
+        unitary line."""
+        return self._leading(1.0) if self.unitary else math.inf
+
+    @property
+    def curvature(self):
+        """K = ||dpi(H)^2 f_m||, m = m_ref: |d^2/dt^2 coef(n, m; a_t)| <= K
+        for every n and t, since the second derivative is
+        <pi(a_t) dpi(H)^2 f_m, f_n>.  dpi(H)^2 f_m has components on
+        f_(m+-2), each twice the limit of coef(m+-2, m; a_t)/t^2, and -L^2
+        on f_m, since dpi(H) is skew-adjoint.  Infinite off the unitary
+        line."""
         if not self.unitary:
             return math.inf
-        m = self.m_ref
-        return math.sqrt(sum(
-            abs(self.normalizer(k, m)
-                * _principal_params(*self.circle, k, m)[3]) ** 2
-            for k in (m - 1.0, m + 1.0)))
+        return math.hypot(self.lipschitz ** 2, 2.0 * self._leading(2.0))
 
 
 @dataclass(frozen=True)
@@ -197,6 +215,14 @@ class Discrete:
         """L = ||dpi(H) f_m||, m = m_ref (see _Circle.lipschitz): on the
         disc only f_(m+1) is reached, with coefficient |J| at p = 1, q = 0."""
         return math.exp(_discrete_log_j(self.ell, 1, 0))
+
+    @property
+    def curvature(self):
+        """K = ||dpi(H)^2 f_m||, m = m_ref (see _Circle.curvature): on the
+        disc f_(m+2) is reached with coefficient 2 |J| at p = 2, q = 0, and
+        f_m with -L^2."""
+        return math.hypot(self.lipschitz ** 2,
+                          2.0 * math.exp(_discrete_log_j(self.ell, 2, 0)))
 
 
 def _finite_index(value):
@@ -741,16 +767,26 @@ def _principal_coef(sigma, lam, n, m, xs, omx):
 
 
 def discrete_coef_vec(ell, n, m, xs, omx=None):
-    """Disc-model coefficients over an array of Cartan x.
+    """Disc-model coefficients over an array of Cartan x; returns
+    (value, err), err of the shape of xs.
 
     With p = n - ell/2, q = m - ell/2 the value is the finite sum
 
-      (-1)^p |J| sum_k g_k x^((p+q-2k)/2) (1-x)^(ell/2+k),   k <= min(p, q),
+      (-1)^p |J| sum_k t_k,   t_k = g_k x^((p+q-2k)/2) (1-x)^(ell/2+k),
 
-    g_0 = 1 and g_{k+1} = -g_k (p-k)(q-k) / ((ell+k)(k+1)): the terminating
-    Gauss polynomial in -(1-x)/x written out so the x -> 0 and x -> 1
-    limits are manifest.  The alternating sign is real: the column
-    oscillates in n at fixed x, as the Fourier oracle confirms.
+    k <= K = min(p, q), g_0 = 1 and g_{k+1} = -g_k (p-k)(q-k) /
+    ((ell+k)(k+1)): the terminating Gauss polynomial in -(1-x)/x written
+    out so the x -> 0 and x -> 1 limits are manifest.  The alternating sign
+    is real: the column oscillates in n at fixed x, as the Fourier oracle
+    confirms.
+
+    err is |J| eps (4 + ell/2 + 2K) sum_k |t_k|, the rounding of the sum
+    at the size of its terms (k eps from g_k, eps from each power and from
+    the products, (ell/2 + k) eps/2 from the rounding of 1-x inside its
+    power, (K+1) eps/2 from the running sum), plus |value| times the
+    rounding of |J| and of the final product.  Where the terms cancel, err
+    is far above |value|; on the reference column q = 0 the sum is one
+    term.
     """
     p = _discrete_index(ell, n)
     q = _discrete_index(ell, m)
@@ -759,11 +795,20 @@ def discrete_coef_vec(ell, n, m, xs, omx=None):
     sign = -1.0 if p % 2 else 1.0
     j_mag = math.exp(_discrete_log_j(ell, p, q))
     total = np.zeros(xs.shape, dtype=float)
+    size = np.zeros(xs.shape)
     g = 1.0
     for k in range(min(p, q) + 1):
-        total += g * xs ** ((p + q - 2 * k) / 2.0) * one_minus ** (ell / 2.0 + k)
+        term = g * xs ** ((p + q - 2 * k) / 2.0) * one_minus ** (ell / 2.0 + k)
+        total += term
+        size += np.abs(term)
         g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
-    return (sign * j_mag) * total.astype(complex)
+    value = (sign * j_mag) * total.astype(complex)
+    # the log-Gamma sum of |J| rounds at the size of its terms, which the
+    # square root does not halve
+    j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
+        [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
+    return value, (j_mag * _EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * size
+                   + j_rel * np.abs(value))
 
 
 def coef_vec(r, n, m, xs, omx=None):
@@ -771,7 +816,7 @@ def coef_vec(r, n, m, xs, omx=None):
     closed-form evaluator of each family, used by the scans, the integrals
     and (one point at a time) by coef."""
     if r.circle is None:
-        return discrete_coef_vec(r.ell, n, m, xs, omx=omx)
+        return discrete_coef_vec(r.ell, n, m, xs, omx=omx)[0]
     return r.normalizer(n, m) * _principal_coef(*r.circle, n, m, xs, omx)[0]
 
 
@@ -781,18 +826,17 @@ def coef(r, n, m, coord):
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
     below X_CUT), or above it 'euler', 'connection' or 'scalar'.  On the
-    circle err_est is principal_coef_vec's err of the same call times the
-    normalizer, plus its rounding.  A value that is not finite raises
+    disc err_est is discrete_coef_vec's err; on the circle it is
+    principal_coef_vec's err of the same call times the normalizer, plus
+    its rounding.  A value that is not finite raises
     ConvergenceError.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
     xs = np.array([coord.x])
     if r.circle is None:
-        value = complex(discrete_coef_vec(r.ell, n, m, xs)[0])
-        j_mag = math.exp(_discrete_log_j(r.ell, _discrete_index(r.ell, n),
-                                         _discrete_index(r.ell, m)))
-        cv = CoefValue(value, "closed", 1e-14 * (abs(value) + j_mag))
+        values, errs = discrete_coef_vec(r.ell, n, m, xs)
+        cv = CoefValue(complex(values[0]), "closed", float(errs[0]))
     else:
         values, errs, method = principal_coef_vec(*r.circle, n, m, xs)
         scale = r.normalizer(n, m)

@@ -1,14 +1,16 @@
-"""The constant error budgets of the closed forms, as coef reports them,
-against 40-digit mpmath: every frozen value must lie within its err_est
-times the factor COVER states, except the MISSES, where the disc budget is
-known to fail and which are expected to fail until it is derived.
+"""The error budgets of the closed forms, as coef reports them, against
+40-digit mpmath: every frozen value must lie within its err_est times the
+factor COVER states.
 
-Two budgets are still constants rather than derived from the computation:
-the disc sum's 1e-14 (|value| + |J|), and the 2e-14 |value| of a circle
-factor that is identically 1 (at the reducible point Principal(1/2, -1/2)
-on the columns m = 0 and n = 0, or a Gamma prefactor that vanishes).  The
-points sit off the disc's reference column, where the terminating sum has
-more than one term, and on the circle from x = 0.05 to 0.9999.  Each
+The disc budget is derived from the terms of the terminating sum (see
+discrete_coef_vec), so it covers a sum that cancels: on the diagonal
+p = q = 63 at x = 0.5 the sum gives -4.97 for a coefficient of 0.0497, and
+err_est says so.  The circle budget is still a constant: the 2e-14 |value|
+of a factor that is identically 1 (at the reducible point
+Principal(1/2, -1/2) on the columns m = 0 and n = 0, or a Gamma prefactor
+that vanishes).  The points sit off the disc's reference column, where the
+terminating sum has more than one term, and on the circle from x = 0.05 to
+0.9999.  Each
 reference is evaluated at the double nearest to x, which is what coef
 evaluates; the disc one by the Pfaff transform of the sum,
 x^((p-q)/2) (1-x)^(ell/2) 2F1(-q, ell+p; ell; 1-x), not by the sum itself.
@@ -21,12 +23,10 @@ import pytest
 
 from repnorm.reps import Discrete, Principal, coef
 
-# the largest |value - mpmath| / err_est allowed.  The circle budget covers
-# every point four times over (the worst: 0.10, at (6, 0) and x = 0.98).
-# The disc one covers p = q = 13 at x = 0.45 with little to spare (0.73)
-# and fails beyond it (MISSES); off the diagonal the worst is 0.27, at
-# (27, 11) and x = 0.7
-COVER = {"disc": 1.0, "circle": 0.25}
+# the largest |value - mpmath| / err_est allowed.  Both budgets cover every
+# point four times over: the circle's worst is 0.10, at (6, 0) and
+# x = 0.98, the disc's 0.10, at (22, 4) and x = 0.99
+COVER = {"disc": 0.25, "circle": 0.25}
 POINTS = (
     ("disc", 2, 2.0, 3.0, "0.3"), ("disc", 2, 7.0, 10.0, "0.45"),
     ("disc", 2, 14.0, 14.0, "0.45"), ("disc", 2, 27.0, 11.0, "0.7"),
@@ -41,11 +41,10 @@ POINTS = (
     ("circle", 0.5, -3, -1, "0.999"), ("circle", 0.5, -1, -17, "0.99"),
     ("circle", 0.5, 128, 0, "0.5"), ("circle", 0.5, 2, 0, "0.05"),
     ("circle", 0.5, 0, 0, "0.9"), ("circle", 0.5, 3, -2, "0.9"),
+    # sums that cancel on the diagonal, where a budget at the size of the
+    # value would not cover the rounding: at (64, 64) the sum gives -4.97
+    ("disc", 2, 17.0, 17.0, "0.45"), ("disc", 2, 64.0, 64.0, "0.5"),
 )
-# the disc budget does not cover a sum that cancels: p = q = 16 at
-# x = 0.45 is 1.6 budgets off, and p = q = 63 at x = 0.5 gives -4.97 for
-# a coefficient of 0.0497
-MISSES = (("disc", 2, 17.0, 17.0, "0.45"), ("disc", 2, 64.0, 64.0, "0.5"))
 # [DERIVED] mpmath at 40 digits (80 working digits) at the double nearest
 # to x; see _reference
 FROZEN = [
@@ -87,10 +86,7 @@ def _frozen(point):
 
 
 @pytest.mark.parametrize(
-    "point", [p[:5] for p in FROZEN if p[:5] not in MISSES]
-    + [pytest.param(p, marks=pytest.mark.xfail(
-        strict=True, reason="the disc sum cancels; its budget is constant"))
-       for p in MISSES],
+    "point", [p[:5] for p in FROZEN],
     ids=lambda p: "{}{}-{}-{}-x{}".format(*p))
 def test_err_covers_mpmath(point):
     kind, param, n, m, x, re, im = _frozen(point)
@@ -132,7 +128,7 @@ def _reference(kind, param, n, m, x):
 
 
 if __name__ == "__main__":
-    for point in POINTS + MISSES:
+    for point in POINTS:
         re, im = _reference(*point)
         kind, param, n, m, x = point
         print(f'    ("{kind}", {param}, {n}, {m}, "{x}", "{re}", "{im}"),')

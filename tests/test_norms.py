@@ -269,11 +269,10 @@ GRID_FAMILIES = [Principal(0.0, -0.5 + 1.0j), Principal(0.5, -0.5 + 0.4j),
 
 class TestLevelGrid:
     """_grid_top evaluates the scan grid in levels, certified by the
-    Lipschitz bound of the family, and must pick the same top points as
-    evaluating the whole grid in one batch.  Below X_CUT the levels come in
-    other batches than the one-batch grid, and the series stops on the
-    batch-wide largest term, so values there can differ in the last bits:
-    the indices are compared, not the values."""
+    Lipschitz and curvature bounds of the family, and must pick the same
+    top points as evaluating the whole grid in one batch.  Each point has
+    the bits of its one-point call in any batch, so the same indices mean
+    the same values."""
 
     @pytest.mark.parametrize("grid_c", [0.1, 0.25, 0.4])
     @pytest.mark.parametrize("r", GRID_FAMILIES,
@@ -293,8 +292,9 @@ class TestLevelGrid:
         # slightly higher spike (slopes 0.9 and 0.8, below L = 1) narrower
         # than the spacing of the first level; swept over one spacing, it
         # sits between two first-level points for some of the centres, and
-        # only the bound keeps the interval that hides it
-        fake = types.SimpleNamespace(lipschitz=1.0)
+        # only the bound keeps the interval that hides it.  The spike has a
+        # kink, so no curvature bound holds
+        fake = types.SimpleNamespace(lipschitz=1.0, curvature=math.inf)
         ts = np.arange(1, 8001) * 1e-3
         for centre in 6.0 + 0.002 * np.arange(16):
             def mags(r, n, m, xs, omx=None, centre=centre):
@@ -303,6 +303,32 @@ class TestLevelGrid:
                     * np.abs(t - centre)
                 return (0.5 + 0.01 * np.exp(-(t - 3.0) ** 2) + 1e-4 * t
                         + np.maximum(spike, 0.0))
+
+            monkeypatch.setattr(norms, "coef_vec", mags)
+            order = np.argsort(mags(fake, 0, 0, np.tanh(ts) ** 2))[::-1]
+            assert abs(ts[order[0]] - centre) < 1e-3
+            for k in (2, 8):
+                assert list(_grid_top(fake, 0, 0, ts, k)) == \
+                    list(order[:k]), (centre, k)
+
+    def test_finds_a_smooth_narrow_peak_by_its_curvature(self, monkeypatch):
+        # as above, with a smooth spike: a Gaussian of height A and width
+        # w = 0.003, a tenth of the first-level spacing.  L = A / (w sqrt(e))
+        # and K = A / w^2 bound its slope and its bend (the hump adds below
+        # 0.03 to either).  For half of the centres the interval of the
+        # second level (spacing h = 0.016) that hides the spike stays live
+        # only on a bound 0.009 above its ends: L h/2 = 0.033 and
+        # K h^2/8 = 0.071 give it, K h^2/80 = 0.007 would not
+        height, width = 0.02, 0.003
+        fake = types.SimpleNamespace(
+            lipschitz=height / (width * math.sqrt(math.e)) + 0.03,
+            curvature=height / width ** 2 + 0.03)
+        ts = np.arange(1, 8001) * 1e-3
+        for centre in 6.0 + 0.002 * np.arange(16) + 0.0007:
+            def mags(r, n, m, xs, omx=None, centre=centre):
+                t = np.arctanh(np.sqrt(xs))
+                return (0.5 + 0.01 * np.exp(-(t - 3.0) ** 2) + 1e-4 * t
+                        + height * np.exp(-0.5 * ((t - centre) / width) ** 2))
 
             monkeypatch.setattr(norms, "coef_vec", mags)
             order = np.argsort(mags(fake, 0, 0, np.tanh(ts) ** 2))[::-1]
@@ -331,6 +357,17 @@ class TestLevelGrid:
     def test_unitary_member_evaluates_a_fraction(self, monkeypatch):
         size, sizes = self._grid_calls(monkeypatch, Complementary(-0.25), 64)
         assert len(sizes) > 1 and sum(sizes) < 0.2 * size
+
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Complementary(-0.25), Discrete(2)],
+                             ids=lambda r: repr(r).replace(" ", ""))
+    @pytest.mark.parametrize("kappa", [1024, 2048])
+    def test_large_characters_evaluate_under_one_percent(self, monkeypatch,
+                                                         r, kappa):
+        # the curvature bound prunes the first level, spacing ~0.1, where
+        # L h/2 alone exceeds the peak: 237 to 342 of 132k-279k points
+        size, sizes = self._grid_calls(monkeypatch, r, kappa)
+        assert sum(sizes) < 0.01 * size
 
 
 class TestPminScan:

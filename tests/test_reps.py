@@ -560,6 +560,69 @@ class TestLipschitz:
         assert 0.0 < slope <= r.lipschitz
 
 
+def _curvature_closed_form(r):
+    """K = ||dpi(H)^2 f_m|| by hand: on the circle the components
+    (lam -+ sigma)(lam -+ sigma - 1) on f_(m+-2), times their normalizers
+    N_2 = sqrt((2 + lam)(1 + lam) / ((1 - lam)(-lam))) on the complementary
+    series, and -L^2 on f_m; on the disc 3 ell^2 + 2 ell under the root."""
+    if r.circle is None:
+        return math.sqrt(3.0 * r.ell ** 2 + 2.0 * r.ell)
+    sigma, lam = r.circle
+    n1, n2 = 1.0, 1.0
+    if isinstance(r, Complementary):
+        lam = r.lam
+        n1, n2 = (1 + lam) / -lam, (2 + lam) * (1 + lam) / ((1 - lam) * -lam)
+    l2 = (abs(lam - sigma) ** 2 + abs(lam + sigma) ** 2) * n1
+    sides = sum(abs((lam - s) * (lam - s - 1.0)) ** 2 * n2
+                for s in (sigma, -sigma))
+    return math.sqrt(l2 ** 2 + sides)
+
+
+class TestCurvature:
+    """K = ||dpi(H)^2 f_m|| bounds |d^2/dt^2 coef(n, m; a_t)| for every n,
+    the second derivative being <pi(a_t) dpi(H)^2 f_m, f_n> with pi(a_t)
+    unitary; the scan grid prunes its intervals with it."""
+
+    @pytest.mark.parametrize("r", [r for r, _ in LIPSCHITZ_FAMILIES],
+                             ids=LIPSCHITZ_IDS)
+    def test_closed_form(self, r):
+        assert r.curvature == pytest.approx(_curvature_closed_form(r),
+                                            rel=1e-13)
+        # the components of dpi(H)^2 f_m: the second difference quotients
+        # of the columns m and m +- 2 at t = 0, where coef(n, m; a_0) is 1
+        # on n = m and 0 elsewhere
+        t = 1e-4
+        m = r.m_ref
+        ks = [m, m + 2.0] if r.circle is None else [m - 2.0, m, m + 2.0]
+
+        def col(k, s):
+            return coef(r, k, m, math.tanh(s) ** 2).value
+
+        d2 = [(col(k, 2.0 * t) - 2.0 * col(k, t) + (k == m)) / t ** 2
+              for k in ks]
+        assert math.sqrt(sum(abs(v) ** 2 for v in d2)) == \
+            pytest.approx(r.curvature, rel=1e-5)
+
+    def test_reducible_point_is_finite(self):
+        # lam + sigma = 0 kills the component on f_(-2): K^2 = 2^2 + 1^2
+        assert Principal(0.5, -0.5).curvature == pytest.approx(
+            math.sqrt(5.0), rel=1e-13)
+
+    def test_infinite_off_the_unitary_line(self):
+        assert Principal(0.0, -0.3 + 1.0j).curvature == math.inf
+
+    @pytest.mark.parametrize("r", [r for r, _ in LIPSCHITZ_FAMILIES],
+                             ids=LIPSCHITZ_IDS)
+    @pytest.mark.parametrize("kappa", [16, 256, 2048])
+    def test_bounds_the_second_difference_quotients(self, r, kappa):
+        kappa = kappa if kappa in r.spectrum(kappa) else kappa + 1
+        n = r.basis_index(kappa)
+        ts = np.linspace(0.0, 6.0 + math.log1p(kappa), 8193)
+        col = coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2)
+        bend = float(np.max(np.abs(np.diff(col, 2)))) / (ts[1] - ts[0]) ** 2
+        assert 0.0 < bend <= r.curvature
+
+
 class TestSpectrum:
     def test_principal_parity(self):
         assert Principal(0.0, -0.5 + 1.0j).spectrum(6) == [
