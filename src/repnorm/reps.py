@@ -83,9 +83,10 @@ class _Circle:
         return int(v)
 
     def _leading(self, d):
-        """Norm of the components of f_m, m = m_ref, on f_(m+-d) at order
-        t^d: each the limit of coef(m+-d, m; a_t)/t^d, normalizer times
-        pref of the closed form (tanh(t)^d ~ t^d is its x^(d/2))."""
+        """Norm of the components on f_(m+-d), m = m_ref, of the order-t^d
+        terms of pi(a_t) f_m: each the limit of coef(m+-d, m; a_t)/t^d,
+        which is normalizer times pref of the closed form, since its
+        x^(d/2) = tanh(t)^d ~ t^d."""
         m = self.m_ref
         return math.sqrt(sum(
             abs(self.normalizer(k, m)
@@ -790,6 +791,19 @@ def discrete_coef_vec(ell, n, m, xs, omx=None):
     """
     p = _discrete_index(ell, n)
     q = _discrete_index(ell, m)
+    value, size = _discrete_coef(ell, n, m, xs, omx)
+    # the log-Gamma sum of |J| rounds at the size of its terms, which the
+    # square root does not halve
+    j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
+        [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
+    return value, (_EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * size
+                   + j_rel * np.abs(value))
+
+
+def _discrete_coef(ell, n, m, xs, omx):
+    """discrete_coef_vec less its error budget: (value, |J| sum_k |t_k|)."""
+    p = _discrete_index(ell, n)
+    q = _discrete_index(ell, m)
     xs = np.asarray(xs, dtype=float)
     one_minus = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
     sign = -1.0 if p % 2 else 1.0
@@ -802,13 +816,7 @@ def discrete_coef_vec(ell, n, m, xs, omx=None):
         total += term
         size += np.abs(term)
         g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
-    value = (sign * j_mag) * total.astype(complex)
-    # the log-Gamma sum of |J| rounds at the size of its terms, which the
-    # square root does not halve
-    j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
-        [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
-    return value, (j_mag * _EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * size
-                   + j_rel * np.abs(value))
+    return (sign * j_mag) * total.astype(complex), j_mag * size
 
 
 def coef_vec(r, n, m, xs, omx=None):
@@ -816,7 +824,7 @@ def coef_vec(r, n, m, xs, omx=None):
     closed-form evaluator of each family, used by the scans, the integrals
     and (one point at a time) by coef."""
     if r.circle is None:
-        return discrete_coef_vec(r.ell, n, m, xs, omx=omx)[0]
+        return _discrete_coef(r.ell, n, m, xs, omx)[0]
     return r.normalizer(n, m) * _principal_coef(*r.circle, n, m, xs, omx)[0]
 
 
@@ -828,8 +836,7 @@ def coef(r, n, m, coord):
     below X_CUT), or above it 'euler', 'connection' or 'scalar'.  On the
     disc err_est is discrete_coef_vec's err; on the circle it is
     principal_coef_vec's err of the same call times the normalizer, plus
-    its rounding.  A value that is not finite raises
-    ConvergenceError.
+    its rounding.  A value that is not finite raises ConvergenceError.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
