@@ -19,7 +19,11 @@ import numpy as np
 from .errors import FitError, PreconditionError, RepnormError, ScanError
 from .reps import coef_vec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a root step stops once its root is known to within _ROOT_TOL (1 + |t|)
+# in t: about 20 eps, above the few ulps of t over which the computed slope
+# of |coef|, a sum of terms up to 1/(1-x) that cancel at the peak, sits at
+# its rounding level, and far below the 1e-12 that x_argmax needs
+_ROOT_TOL = 5e-15
 # u of the concentration seeds x = 1 - 1/(1 + kappa/u) every scan probes
 _SEED_SCALES = (0.5, 1.0, 2.0)
 # points of the first level of the scan grid (between this and twice it)
@@ -42,9 +46,11 @@ class ScanConfig:
     grid_c sets the step dt = grid_c/(kappa+1); t_pad sets the window
     T = t_pad + log(1+kappa).  Beyond the uniform grid, three concentration
     seeds x = 1 - 1/(1 + kappa/u), u in _SEED_SCALES, are always probed:
-    that is where a coefficient peaking near the boundary would live.  The
-    brackets around the refine_top best grid points are refined together,
-    refine_iters golden steps each, one batched coef_vec call per step.
+    that is where a coefficient peaking near the boundary would live.  Of
+    the refine_top best grid points, each local maximum gets the bracket
+    of its two grid neighbours, and the peak in each bracket is refined as
+    the root of the slope of |coef|, all brackets together, at most
+    refine_iters root steps each, one batched coef_vec call per step.
     A grid it cannot scan (grid_c not finite and positive, t_pad not
     finite, refine_top or refine_iters below 1) raises PreconditionError.
     """
@@ -70,7 +76,8 @@ class ScanConfig:
 @dataclass(frozen=True)
 class NormSample:
     """One scanned character: the peak (pmin), where it sits, the reciprocal
-    proxy for the dual norm, and the s = 1/2 Sobolev weight of n."""
+    proxy for the dual norm, the s = 1/2 Sobolev weight of n, and the error
+    bound of pmin (see scan_character)."""
     n: int
     pmin: float
     x_argmax: float
@@ -79,41 +86,119 @@ class NormSample:
     err_est: float
 
 
-def golden_min(f, lo, hi, iters=60):
-    """Golden-section minima of f on the brackets [lo, hi], all searched in
-    lockstep; returns (x, f(x)) of the shape of lo (scalars for a scalar
-    bracket).
+class _Zeroin:
+    """Brent's zeroin (Brent, Algorithms for Minimization without
+    Derivatives, Prentice-Hall 1973, ch. 4) on one bracket [a, b] whose
+    slope g changes sign: secant and inverse quadratic steps, each kept
+    inside the bracket, with a bisection wherever they would not shrink it
+    fast enough.  It holds the objective value v beside g at each point, so
+    that the point b it returns comes with its value.
 
-    f maps an array of points to the array of its values.  The first call
-    evaluates both inner points of every bracket; each step after it is
-    one call on the new inner point of every bracket still live.  A bracket
-    takes the scalar update and leaves once it is narrower than
-    1e-14 (1 + |a|), so where f computes each point as it would alone, each
-    result has the bits of a search of that bracket by itself.
+    point() is the next point to evaluate, or None once the root is known
+    to within _ROOT_TOL (1 + |b|) or g(b) is 0; take(g, v) hands it the
+    values there.
+    """
+
+    def __init__(self, a, ga, va, b, gb, vb):
+        self.a, self.ga, self.va = a, ga, va
+        self.b, self.gb, self.vb = b, gb, vb
+        self.c, self.gc, self.vc = a, ga, va
+        self.d = self.e = b - a
+        self._next = self._step()
+
+    def point(self):
+        return self._next
+
+    def take(self, g, v):
+        self.a, self.ga, self.va = self.b, self.gb, self.vb
+        self.b, self.gb, self.vb = self._next, g, v
+        if (self.gb > 0.0) == (self.gc > 0.0):
+            self.c, self.gc, self.vc = self.a, self.ga, self.va
+            self.d = self.e = self.b - self.a
+        self._next = self._step()
+
+    def _step(self):
+        if abs(self.gc) < abs(self.gb):
+            self.a, self.ga, self.va = self.b, self.gb, self.vb
+            self.b, self.gb, self.vb = self.c, self.gc, self.vc
+            self.c, self.gc, self.vc = self.a, self.ga, self.va
+        a, b, c, ga, gb, gc = self.a, self.b, self.c, self.ga, self.gb, self.gc
+        tol = _ROOT_TOL * (1.0 + abs(b))
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or gb == 0.0:
+            return None
+        if abs(self.e) >= tol and abs(ga) > abs(gb):
+            s = gb / ga
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q),
+                             abs(self.e * q)):
+                self.e, self.d = self.d, p / q
+            else:
+                self.d = self.e = half
+        else:
+            self.d = self.e = half
+        return b + (self.d if abs(self.d) > tol else math.copysign(tol, half))
+
+
+def golden_min(f, lo, hi, iters=60):
+    """Minima of f on the brackets [lo, hi], each found as the root of its
+    slope, all brackets in lockstep; returns (x, f(x), width) of the shape
+    of lo (scalars for a scalar bracket), width being that of the last
+    bracket around the root.
+
+    f maps an array of points to (values, slopes): the values to minimise
+    and anything with the sign and the roots of their derivative, such as
+    a log-derivative.  The first call evaluates both ends of every
+    bracket.  A bracket whose slope goes from negative to positive is
+    searched by Brent's zeroin (_Zeroin), each step after the first call
+    being one call on the next point of every bracket still live; a
+    bracket stops on its own once its root is known to within
+    _ROOT_TOL (1 + |x|), or after iters steps; the width of a root where
+    the slope is 0 is 0.  A bracket whose slope does not
+    change sign returns the end with the smaller value (the lower end on a
+    tie), at width hi - lo.  Each bracket's steps are
+    scalar, so where f computes each point as it would alone, each result
+    has the bits of the search of that bracket by itself.
+
+    The name is the one of the golden-section search this root step
+    replaced: the scans' tracer and its callers know the refinement by it.
     """
     a = np.array(lo, dtype=float).ravel()
     b = np.array(hi, dtype=float).ravel()
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float),
-                      2)
-    live = np.ones(a.size, dtype=bool)
+    count = a.size
+    values, slopes = (np.asarray(v, dtype=float).tolist()
+                      for v in f(np.concatenate([a, b])))
+    x, fx, width = np.empty(count), np.empty(count), b - a
+    searches = {}
+    for j, (aj, bj) in enumerate(zip(a.tolist(), b.tolist())):
+        va, vb = values[j], values[count + j]
+        ga, gb = slopes[j], slopes[count + j]
+        if ga < 0.0 < gb:
+            searches[j] = _Zeroin(aj, ga, va, bj, gb, vb)
+        else:
+            x[j], fx[j] = (aj, va) if va <= vb else (bj, vb)
     for _ in range(iters):
-        # the brackets that keep their left end, and those that keep the right
-        left, right = live & (f1 <= f2), live & ~(f1 <= f2)
-        b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
-        x1[left] = b[left] - _GOLDEN * (b[left] - a[left])
-        a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
-        x2[right] = a[right] + _GOLDEN * (b[right] - a[right])
-        fx = np.asarray(f(np.where(left, x1, x2)[live]), dtype=float)
-        f1[left], f2[right] = fx[left[live]], fx[right[live]]
-        live &= ~(b - a < 1e-14 * (1.0 + np.abs(a)))
-        if not live.any():
+        live = [j for j, z in searches.items() if z.point() is not None]
+        if not live:
             break
-    first = f1 <= f2
+        values, slopes = (np.asarray(v, dtype=float) for v in f(
+            np.array([searches[j].point() for j in live])))
+        for j, v, g in zip(live, values.tolist(), slopes.tolist()):
+            searches[j].take(g, v)
+    for j, z in searches.items():
+        x[j], fx[j] = z.b, z.vb
+        width[j] = abs(z.c - z.b) if z.gb != 0.0 else 0.0
     shape = np.shape(lo)
-    return (np.where(first, x1, x2).reshape(shape)[()],
-            np.where(first, f1, f2).reshape(shape)[()])
+    return (x.reshape(shape)[()], fx.reshape(shape)[()],
+            width.reshape(shape)[()])
 
 
 def _scan_grid(kappa, config):
@@ -175,10 +260,13 @@ def _grid_top(r, n, m, ts, k):
 def scan_character(r, kappa, config=None):
     """Peak of |coef(n_kappa, m_ref; a_t)| over t in (0, T].
 
-    A fine grid, uniform plus concentration seeds, then golden refinement
-    of the brackets around its best few points, in lockstep: one batched
-    coef_vec call per step, the first one for both inner points of every
-    bracket.  The grid is certified by the unitarity bounds of the
+    A fine grid, uniform plus concentration seeds, then each local maximum
+    among its refine_top best points refined as the root of the slope
+    d log|coef|/dx in the bracket of its two grid neighbours (golden_min),
+    all brackets in lockstep: one batched coef_vec call, values and slopes
+    from one pass, per root step, the first one for both ends of every
+    bracket.  The slope is taken in x, whose roots and sign are those of
+    the slope in t.  The grid is certified by the unitarity bounds of the
     coefficient in t, r.lipschitz on its slope and r.curvature on its
     bend: it is evaluated in levels, and only where a top point can still
     sit (_grid_top), which picks the same points as evaluating all of it;
@@ -186,6 +274,12 @@ def scan_character(r, kappa, config=None):
     grid in one call.  A peak that lands
     on the far end of the window is not a peak, it is a truncation: that
     raises ScanError rather than returning a lower bound quietly.
+
+    err_est bounds the distance of pmin from the peak of the true |coef|
+    over the bracket: coef's err_est at x_argmax, plus K dt^2 / 2 for the
+    width dt of the last bracket around the root of the slope, K being
+    r.curvature (|coef| is within K (t - t*)^2 / 2 of its peak at t*).  It
+    is infinite off the unitary line, where K is.
     """
     config = config or ScanConfig()
     kappa = int(kappa)
@@ -193,20 +287,35 @@ def scan_character(r, kappa, config=None):
 
     ts, dt, t_max = _scan_grid(kappa, config)
     top = _grid_top(r, n_basis, m_ref, ts, config.refine_top)
+    # the local maxima among the top points: no grid neighbour ranks above
+    # them (a point outside the top is lower than all of them)
+    rank = {int(i): k for k, i in enumerate(top)}
+    peaks = np.array([i for i, k in rank.items()
+                      if rank.get(i - 1, k) >= k and rank.get(i + 1, k) >= k])
+    lo = np.where(peaks > 0, ts[np.maximum(peaks - 1, 0)], 1e-12)
+    hi = ts[np.minimum(peaks + 1, ts.size - 1)]
 
     # math.tanh and Python's abs on each point, the bits of a search one
-    # point at a time: np.tanh and numpy's complex abs round some otherwise
+    # point at a time: np.tanh and numpy's complex abs round some otherwise.
+    # 1-x goes in as sech(t)^2: 1 - tanh(t)^2 keeps only the ulps of x,
+    # which near x = 1 would hold the slope still over runs of t.  Each
+    # point's err_est is kept for the one that becomes the peak
+    budget = {}
+
     def neg_mag(t):
         xs = np.array([math.tanh(v) ** 2 for v in t])
-        return np.array([-abs(v) for v in coef_vec(r, n_basis, m_ref, xs)])
+        omx = np.array([math.cosh(v) ** -2 for v in t])
+        values, slopes, errs = coef_vec(r, n_basis, m_ref, xs, omx,
+                                        slope=True)
+        budget.update(zip(t.tolist(), errs.tolist()))
+        return np.array([-abs(v) for v in values]), -slopes
 
-    lo = np.where(top > 0, ts[top] - dt, 1e-12)
-    hi = np.minimum(ts[top] + dt, t_max)
-    t_stars, negs = golden_min(neg_mag, lo, hi, iters=config.refine_iters)
-    best_t, best_val = 0.0, 0.0
-    for t_star, neg in zip(t_stars, negs):
+    t_stars, negs, widths = golden_min(neg_mag, lo, hi,
+                                       iters=config.refine_iters)
+    best_t, best_val, best_width = 0.0, 0.0, 0.0
+    for t_star, neg, width in zip(t_stars, negs, widths):
         if -neg > best_val:
-            best_t, best_val = t_star, -neg
+            best_t, best_val, best_width = t_star, -neg, width
 
     if best_t >= t_max - 2.0 * dt:
         raise ScanError(
@@ -216,14 +325,14 @@ def scan_character(r, kappa, config=None):
         raise ScanError(f"no positive peak found for character {kappa}")
 
     pmin = float(best_val)
-    err = 3e-9 * pmin
+    bend = 0.5 * r.curvature * best_width ** 2 if best_width else 0.0
     return NormSample(
         n=kappa,
         pmin=pmin,
         x_argmax=float(math.tanh(best_t) ** 2),
         pmax_proxy=1.0 / pmin,
         q_s_half=sobolev_multiplier(kappa, 0.5),
-        err_est=err,
+        err_est=float(budget[best_t] + bend),
     )
 
 

@@ -171,8 +171,10 @@ class Complementary(_Circle):
         return complementary_normalizer(self.lam, n, m)
 
     def normalizer_rounding(self, n, m):
-        """Relative rounding of normalizer(n, m), the root of a ratio."""
-        return _EPS + 0.5 * _gamma_ratio_rounding(
+        """Relative rounding of normalizer(n, m), the root of a ratio: the
+        log-Gamma sum rounds at the size of its terms, which the square
+        root does not halve."""
+        return _EPS + _gamma_ratio_rounding(
             [abs(k) + d for k in (n, m) for d in (1.0 + self.lam, -self.lam)])
 
 
@@ -536,9 +538,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BRANCH_REL = {"closed": 2e-14, "euler": 2e-10, "connection": 2e-12}
 
 
-def _f_connection_vec(a, b, c, xs, omx):
+def _f_connection_vec(a, b, c, xs, omx, deriv=False):
     """2F1 over an array of x near 1 through the two-term 1-x connection;
-    returns (F, err).
+    returns (F, err), and with deriv=True (F, err, F').
 
     Both transformed series run in the variable 1-x <= 1-X_CUT, so they
     converge in a handful of terms.  Requires c-a-b at distance > 0.05
@@ -546,11 +548,14 @@ def _f_connection_vec(a, b, c, xs, omx):
     that kill one of the terms are resolved by the signed Gamma ratio.
     err adds each term's series error and Gamma rounding at that term's
     size, which far exceeds |2F1| when the two cancel, and at |2F1| the
-    rounding of G(c), common to both, and the branch's budget.
+    rounding of G(c), common to both, and the branch's budget.  F' is the
+    sum of the terms' derivatives in x, each series' own from its pass
+    (DLMF 15.5.1, in the variable 1-x).
     """
     s = c - a - b
     out = np.zeros(np.asarray(xs).shape, dtype=complex)
     err = np.zeros(out.shape)
+    slope = np.zeros(out.shape, dtype=complex)
     for num, den, power, params in (
             ([s], [c - a, c - b], 0.0, (a, b, a + b - c + 1.0)),
             ([-s], [a, b], s, (c - a, c - b, s + 1.0))):
@@ -558,11 +563,15 @@ def _f_connection_vec(a, b, c, xs, omx):
         if pref == 0.0:
             continue
         pref = pref * np.exp(power * np.log(omx))
-        f, f_err = hyp2f1(*params, omx)
+        f, f_err, *df = hyp2f1(*params, omx, deriv=deriv)
         out += pref * f
         err += np.abs(pref) * (f_err
                                + _gamma_ratio_rounding(num + den) * np.abs(f))
+        if deriv:
+            slope -= pref * (power * f / omx + df[0])
     rel = _BRANCH_REL["connection"] + _gamma_ratio_rounding([c])
+    if deriv:
+        return out, err + rel * np.abs(out), slope
     return out, err + rel * np.abs(out)
 
 
@@ -617,17 +626,18 @@ def _euler_nodes(a, b, cb, omx):
 
 def _euler_factors(a, b, cb, omx):
     """The node factors of _f_euler_vec that do not depend on x, as
-    read-only arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node and
-    ev = e^{-v} as a column."""
+    read-only arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node, and
+    ev = e^{-v} and sv = 1-e^{-v} as columns."""
     nodes = _euler_nodes(a, b, cb, omx)
     # e^{-v} enters on its own: recovering it as 1 - s, s = 1 - e^{-v},
     # would throw away half the mantissa once v is past ~18
     wt = np.array([dv * cmath.exp((b - 1.0) * math.log(-math.expm1(-vk))
                                   - cb * vk) for vk, dv in nodes])
     ev = np.array([math.exp(-vk) for vk, _ in nodes])[:, None]
-    wt.flags.writeable = False
-    ev.flags.writeable = False
-    return wt, ev
+    sv = -np.expm1(-np.array([vk for vk, _ in nodes]))[:, None]
+    for arr in (wt, ev, sv):
+        arr.flags.writeable = False
+    return wt, ev, sv
 
 
 # elements per nodes x points temporary of _f_euler_vec
@@ -646,8 +656,9 @@ def _cached_euler_factors(key):
     return _euler_factors(a, b, cb, None)
 
 
-def _f_euler_vec(a, b, c, xs, omx):
-    """2F1 over an array of x in (X_CUT, 1) via the Euler integral.
+def _f_euler_vec(a, b, c, xs, omx, deriv=False):
+    """2F1 over an array of x in (X_CUT, 1) via the Euler integral; with
+    deriv=True returns (F, F').
 
     Substituting t = 1 - e^{-v} gives
 
@@ -677,6 +688,10 @@ def _f_euler_vec(a, b, c, xs, omx):
     alone and are kept in an LRU cache of _EULER_CACHE entries, so the
     Kronrod rounds of an integral and the one-point refinement steps of a
     scan build them once; above 1/2 each call builds its own.
+
+    F' differentiates under the integral: each node's term times
+    a (1-e^{-v}) / w, w = (1-x) + x e^{-v}, on the same nodes and summed
+    the same way; the value keeps its bits.
     """
     a, b, c = complex(a), complex(b), complex(c)
     cb = c - b
@@ -686,16 +701,22 @@ def _f_euler_vec(a, b, c, xs, omx):
     xs = np.asarray(xs, dtype=float)
 
     if a.real <= 0.5:
-        wt, ev = _cached_euler_factors(np.array([a, b, cb]).tobytes())
+        wt, ev, sv = _cached_euler_factors(np.array([a, b, cb]).tobytes())
     else:
-        wt, ev = _euler_factors(a, b, cb, omx)
+        wt, ev, sv = _euler_factors(a, b, cb, omx)
     acc = np.empty(xs.shape, dtype=complex)
+    dacc = np.empty(xs.shape, dtype=complex) if deriv else None
     step = max(1, _EULER_BLOCK // wt.size)
     for i in range(0, xs.size, step):
         wk = omx[i:i + step] + xs[i:i + step] * ev      # real, in (1-x, 1]
         terms = wt[:, None] * np.exp(-a * np.log(wk))
         acc[i:i + step] = np.cumsum(terms, axis=0)[-1]
-    return gamma_ratio_signed([c], [b, cb]) * acc
+        if deriv:
+            dacc[i:i + step] = np.cumsum(terms * (sv / wk), axis=0)[-1]
+    pref = gamma_ratio_signed([c], [b, cb])
+    if deriv:
+        return pref * acc, (pref * a) * dacc
+    return pref * acc
 
 
 def _unit_factor(a, b):
@@ -714,9 +735,10 @@ def _boundary_method(a, b, c):
     return "scalar"
 
 
-def principal_coef_vec(sigma, lam, n, m, xs, omx=None):
+def principal_coef_vec(sigma, lam, n, m, xs, omx=None, slope=False):
     """Circle-model coefficients over an array of Cartan x; returns
-    (value, err, method), err of the shape of xs.
+    (value, err, method), err of the shape of xs, and with slope=True
+    (value, err, method, d log|value|/dx).
 
     Closed form: pref * x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x), with
     the series below X_CUT and, above it, the Euler integral, the 1-x
@@ -727,49 +749,72 @@ def principal_coef_vec(sigma, lam, n, m, xs, omx=None):
     the rounding of the Gamma prefactor and the shell.  Callers sitting
     extremely close to the boundary pass omx = 1-x directly so the boundary
     factor keeps its full precision.
+
+    The slope is Re[|n-m|/(2x) + lam/(1-x) + F'/F], F' coming from the
+    same pass of the branch that computes F (see _principal_coef).
     """
-    value, err, method = _principal_coef(sigma, lam, n, m, xs, omx)
-    if method == "closed":
-        return value, err, method
-    num, den = _principal_pref_args(sigma, lam, n, m)
-    omx = 1.0 - np.asarray(xs, dtype=float) if omx is None else omx
-    rel = _gamma_ratio_rounding(num + den) + _EPS * (
-        6.0 + 2.0 * abs(lam) * np.abs(np.log(omx)))
-    return value, err + rel * np.abs(value), method
+    value, err, method, dlog = _principal_coef(sigma, lam, n, m, xs, omx,
+                                               slope)
+    if method != "closed":
+        num, den = _principal_pref_args(sigma, lam, n, m)
+        omx = 1.0 - np.asarray(xs, dtype=float) if omx is None else omx
+        rel = _gamma_ratio_rounding(num + den) + _EPS * (
+            6.0 + 2.0 * abs(lam) * np.abs(np.log(omx)))
+        err = err + rel * np.abs(value)
+    return (value, err, method, dlog) if slope else (value, err, method)
 
 
-def _principal_coef(sigma, lam, n, m, xs, omx):
-    """principal_coef_vec less its prefactor and shell rounding."""
+def _principal_coef(sigma, lam, n, m, xs, omx, slope=False):
+    """principal_coef_vec less its prefactor and shell rounding: (value,
+    err, method, d log|value|/dx or None).
+
+    With slope=True each branch also returns F' from the pass that computes
+    F: the series and the scalar fallback sum k t_k / x, the Euler integral
+    differentiates under the integral, the connection differentiates its
+    two series; F is 1 on a closed factor, so F' is 0.  F and err keep
+    their bits either way."""
     lam = complex(lam)
     xs = np.asarray(xs, dtype=float)
     omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
     a, b, c, pref = _principal_params(sigma, lam, n, m)
     shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * np.log(omx))
+    # d log|shell|/dx, to which the slope adds Re F'/F
+    dlog = abs(n - m) / (2.0 * xs) + lam.real / omx if slope else None
     if pref == 0.0 or _unit_factor(a, b):
         value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
-        return value, _BRANCH_REL["closed"] * np.abs(value), "closed"
+        return value, _BRANCH_REL["closed"] * np.abs(value), "closed", dlog
     F, F_err = np.empty(xs.shape, dtype=complex), np.empty(xs.shape)
+    dF = np.empty(xs.shape, dtype=complex) if slope else None
     low = xs <= X_CUT
     if np.any(low):
-        F[low], F_err[low] = hyp2f1(a, b, c, xs[low])
+        F[low], F_err[low], *df = hyp2f1(a, b, c, xs[low], deriv=slope)
+        if slope:
+            dF[low] = df[0]
     method = "series"
     if not np.all(low):
         hi = ~low
         method = _boundary_method(a, b, c)
         if method == "euler":
-            F[hi] = _f_euler_vec(a, b, c, xs[hi], omx[hi])
+            got = _f_euler_vec(a, b, c, xs[hi], omx[hi], deriv=slope)
+            F[hi], *df = got if slope else (got,)
             F_err[hi] = _BRANCH_REL["euler"] * np.abs(F[hi])
         elif method == "connection":
-            F[hi], F_err[hi] = _f_connection_vec(a, b, c, xs[hi], omx[hi])
+            F[hi], F_err[hi], *df = _f_connection_vec(
+                a, b, c, xs[hi], omx[hi], deriv=slope)
         else:
-            F[hi], F_err[hi] = hyp2f1(a, b, c, xs[hi])
+            F[hi], F_err[hi], *df = hyp2f1(a, b, c, xs[hi], deriv=slope)
+        if slope:
+            dF[hi] = df[0]
     scaled = pref * shell
-    return scaled * F, np.abs(scaled) * F_err, method
+    if slope:
+        dlog = dlog + (dF / F).real
+    return scaled * F, np.abs(scaled) * F_err, method, dlog
 
 
-def discrete_coef_vec(ell, n, m, xs, omx=None):
+def discrete_coef_vec(ell, n, m, xs, omx=None, slope=False):
     """Disc-model coefficients over an array of Cartan x; returns
-    (value, err), err of the shape of xs.
+    (value, err), err of the shape of xs, and with slope=True
+    (value, err, d log|value|/dx).
 
     With p = n - ell/2, q = m - ell/2 the value is the finite sum
 
@@ -788,20 +833,25 @@ def discrete_coef_vec(ell, n, m, xs, omx=None):
     rounding of |J| and of the final product.  Where the terms cancel, err
     is far above |value|; on the reference column q = 0 the sum is one
     term.
+
+    The slope differentiates the sum term by term: t_k times
+    (p+q-2k)/(2x) - (ell/2+k)/(1-x), over the sum.
     """
     p = _discrete_index(ell, n)
     q = _discrete_index(ell, m)
-    value, size = _discrete_coef(ell, n, m, xs, omx)
+    value, size, dlog = _discrete_coef(ell, n, m, xs, omx, slope)
     # the log-Gamma sum of |J| rounds at the size of its terms, which the
     # square root does not halve
     j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
         [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
-    return value, (_EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * size
-                   + j_rel * np.abs(value))
+    err = (_EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * size
+           + j_rel * np.abs(value))
+    return (value, err, dlog) if slope else (value, err)
 
 
-def _discrete_coef(ell, n, m, xs, omx):
-    """discrete_coef_vec less its error budget: (value, |J| sum_k |t_k|)."""
+def _discrete_coef(ell, n, m, xs, omx, slope=False):
+    """discrete_coef_vec less its error budget: (value, |J| sum_k |t_k|,
+    d log|value|/dx or None)."""
     p = _discrete_index(ell, n)
     q = _discrete_index(ell, m)
     xs = np.asarray(xs, dtype=float)
@@ -810,22 +860,41 @@ def _discrete_coef(ell, n, m, xs, omx):
     j_mag = math.exp(_discrete_log_j(ell, p, q))
     total = np.zeros(xs.shape, dtype=float)
     size = np.zeros(xs.shape)
+    dtotal = np.zeros(xs.shape) if slope else None
     g = 1.0
     for k in range(min(p, q) + 1):
         term = g * xs ** ((p + q - 2 * k) / 2.0) * one_minus ** (ell / 2.0 + k)
         total += term
         size += np.abs(term)
+        if slope:
+            dtotal += term * ((p + q - 2 * k) / (2.0 * xs)
+                              - (ell / 2.0 + k) / one_minus)
         g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
-    return (sign * j_mag) * total.astype(complex), j_mag * size
+    dlog = dtotal / total if slope else None
+    return (sign * j_mag) * total.astype(complex), j_mag * size, dlog
 
 
-def coef_vec(r, n, m, xs, omx=None):
+def coef_vec(r, n, m, xs, omx=None, slope=False):
     """Coefficients coef(n, m) of r over an array of Cartan x: the one
     closed-form evaluator of each family, used by the scans, the integrals
-    and (one point at a time) by coef."""
+    and (one point at a time) by coef.
+
+    With slope=True returns (values, slopes, errs): slopes is
+    d log|coef|/dx, from the same pass as the values, and errs is the
+    err_est that coef gives each point; the values keep their bits."""
+    if not slope:
+        if r.circle is None:
+            return _discrete_coef(r.ell, n, m, xs, omx)[0]
+        return r.normalizer(n, m) * _principal_coef(*r.circle, n, m, xs,
+                                                    omx)[0]
     if r.circle is None:
-        return _discrete_coef(r.ell, n, m, xs, omx)[0]
-    return r.normalizer(n, m) * _principal_coef(*r.circle, n, m, xs, omx)[0]
+        values, errs, dlog = discrete_coef_vec(r.ell, n, m, xs, omx, True)
+        return values, dlog, errs
+    values, errs, _, dlog = principal_coef_vec(*r.circle, n, m, xs, omx, True)
+    scale = r.normalizer(n, m)
+    values = scale * values
+    return values, dlog, scale * errs + r.normalizer_rounding(n, m) * np.abs(
+        values)
 
 
 def coef(r, n, m, coord):

@@ -138,9 +138,10 @@ def _terminating_order(a, b):
     return min(orders) if orders else None
 
 
-def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
+def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     """Gauss series 2F1(a, b; c; x) over an array of real x; returns
-    (F, err), arrays of the shape of xs.
+    (F, err), arrays of the shape of xs, and with deriv=True (F, err, F'),
+    F' = dF/dx from the same terms.
 
     Term recursion t_{k+1} = t_k x (a+k)(b+k)/((c+k)(k+1)), t_0 = 1.  Each
     point stops at the first 16th term t_j where |t_j| and the bound
@@ -161,6 +162,10 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
     in-place temporaries above 256 KB, round complex products differently)
     and the partial sums add in term order, so a point has the bits of its
     one-point call in any batch.
+
+    F' is sum_k k t_k / x (DLMF 15.5.1 term by term), its partial sums
+    added in term order as F's are and cut at F's stop; at x = 0 it is
+    ab/c.  Asking for it leaves the bits of F and err as they are.
     """
     a, b, c = complex(a), complex(b), complex(c)
     xs = np.asarray(xs, dtype=float)
@@ -174,6 +179,9 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
 
     n = xs.size
     value, err = np.empty(n, dtype=complex), np.empty(n)
+    # sum_k k t_k of each point, and its partial sum while it is live
+    if deriv:
+        dvalue, dtotal = np.empty(n, dtype=complex), np.zeros(n, complex)
     # the live points' index, x, last term and partial sum, stop scale and
     # rounding bound over eps (t_0 = 1 adds 2); i, that of largest |x|
     live, x = np.arange(n), xs.reshape(-1)
@@ -184,11 +192,14 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
     # of sums hold the block's factors until its terms are known
     buf_t = np.empty(min(_SERIES_ROWS * n, _SERIES_BLOCK) + 2 * n, complex)
     buf_s = np.empty_like(buf_t)
+    buf_d = np.empty_like(buf_t) if deriv else None
     k, width = 0, 16
     multiply, add = np.multiply, np.add
     while live.size:
         if k == order:
             value[live], err[live] = total, _EPS * run
+            if deriv:
+                dvalue[live] = dtotal
             break
         if k >= kmax:
             raise ConvergenceError(f"2F1 series not converged after {kmax}"
@@ -215,6 +226,13 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
             for j in range(rows):
                 add(s_rows[j], t_rows[j + 1], s_rows[j + 1])
         term, total = terms[rows], sums[rows]
+        if deriv:
+            dsums = buf_d[:(rows + 1) * size].reshape(rows + 1, size)
+            dsums[0] = dtotal
+            np.multiply(terms[1:], np.arange(k + 1.0, k + rows + 1.0)[:, None],
+                        dsums[1:])
+            np.cumsum(dsums, axis=0, out=dsums)
+            dtotal = dsums[rows]
         # row j - 1: |t_{k+j}|, of weight k+j+2, and |S_{k+j}|
         mags, sizes = np.abs(terms[1:]), np.abs(sums[1:])
         run = run + np.arange(k + 3.0, k + rows + 3.0) @ mags \
@@ -239,10 +257,14 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
                 at = live[done]
                 value[at] = sums[row, done]
                 err[at] = _EPS * run[done] + tails[(row - first) // 16, done]
+                if deriv:
+                    dvalue[at] = dsums[row, done]
                 if done.size == size:
                     break
                 live, x, scale, run, term, total = (
                     v[~stop] for v in (live, x, scale, run, term, total))
+                if deriv:
+                    dtotal = dtotal[~stop]
                 i = int(np.argmax(np.abs(x)))
         k += rows
         # the next block holds the terms that point i needs to stop if they
@@ -252,7 +274,13 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX):
         t = abs(term[i])
         width = (16 * math.ceil(math.log(goal / t) / (16.0 * math.log(r)))
                  if 0.0 < r < 1.0 and t > goal else 2 * width)
-    return value.reshape(xs.shape), err.reshape(xs.shape)
+    if not deriv:
+        return value.reshape(xs.shape), err.reshape(xs.shape)
+    flat = xs.reshape(-1)
+    at_zero = a * b / c if c != 0.0 else complex(math.nan)
+    slope = np.divide(dvalue, flat, out=np.full(n, at_zero), where=flat != 0.0)
+    return value.reshape(xs.shape), err.reshape(xs.shape), \
+        slope.reshape(xs.shape)
 
 
 def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):

@@ -25,40 +25,73 @@ class TestSobolevWeights:
 
 
 class TestGoldenMin:
+    """golden_min keeps the name of the golden section it replaced; it
+    finds each minimum as the root of the slope that f returns with its
+    values."""
+
+    @staticmethod
+    def _cosine(xs):
+        # minima where sin 3x = 1/30 and cos 3x < 0
+        return np.cos(3.0 * xs) + 0.1 * xs, -3.0 * np.sin(3.0 * xs) + 0.1
+
     def test_quadratic(self):
-        t, val = golden_min(lambda s: (s - 1.3) ** 2, 0.0, 4.0)
-        assert t == pytest.approx(1.3, abs=1e-9)
-        assert val == pytest.approx(0.0, abs=1e-18)
+        t, val, width = golden_min(
+            lambda s: ((s - 1.3) ** 2, 2.0 * (s - 1.3)), 0.0, 4.0)
+        assert t == pytest.approx(1.3, abs=1e-14)
+        assert val == pytest.approx(0.0, abs=1e-28)
+        assert width <= 2.0 * norms._ROOT_TOL * (1.0 + t)
 
+    def test_root_to_its_tolerance_in_few_steps(self):
+        want = (math.pi - math.asin(1.0 / 30.0)) / 3.0
+        calls = []
 
-def _scalar_golden(f, lo, hi, iters):
-    """The golden section on one bracket, one point per call of f: the
-    reference whose bits golden_min must give on every bracket.  Returns
-    (x, f(x), steps taken)."""
-    a, b = float(lo), float(hi)
-    x1 = b - norms._GOLDEN * (b - a)
-    x2 = a + norms._GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    steps = 0
-    for _ in range(iters):
-        steps += 1
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - norms._GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + norms._GOLDEN * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-14 * (1.0 + abs(a)):
-            break
-    return ((x1, f1) if f1 <= f2 else (x2, f2)) + (steps,)
+        def f(xs):
+            calls.append(xs.size)
+            return self._cosine(xs)
+
+        x, _, width = golden_min(f, 0.7, 1.3)
+        assert abs(x - want) <= width <= 2.0 * norms._ROOT_TOL * (1.0 + x)
+        assert len(calls) <= 9
+
+    @pytest.mark.parametrize("f,lo,hi,end", [
+        (lambda s: ((s - 3.0) ** 2, 2.0 * (s - 3.0)), 0.0, 1.0, 1.0),
+        (lambda s: ((s + 1.0) ** 2, 2.0 * (s + 1.0)), 0.0, 1.0, 0.0),
+        # a maximum inside: the slope changes sign the other way; a tie
+        # keeps the lower end
+        (lambda s: (-(s - 0.5) ** 2, -2.0 * (s - 0.5)), 0.0, 1.0, 0.0)])
+    def test_no_sign_change_returns_the_better_end(self, f, lo, hi, end):
+        calls = []
+
+        def counted(xs):
+            calls.append(xs.size)
+            return f(xs)
+
+        x, val, width = golden_min(counted, lo, hi)
+        assert (x, val, width) == (end, f(np.array(end))[0], hi - lo)
+        assert calls == [2]
+
+    def test_steps_capped_by_iters(self):
+        calls = []
+
+        def f(xs):
+            calls.append(xs.size)
+            return self._cosine(xs)
+
+        x, _, width = golden_min(f, 0.7, 1.3, iters=2)
+        assert calls == [2, 1, 1]
+        assert 0.7 < x < 1.3 and width > 1e-6
+
+    def test_exact_root_has_zero_width(self):
+        # the first secant step from slopes -1 and 1 lands on 0.5
+        x, val, width = golden_min(
+            lambda s: ((s - 0.5) ** 2, 2.0 * (s - 0.5)), 0.0, 1.0)
+        assert (x, val, width) == (0.5, 0.0, 0.0)
 
 
 class TestLockstepGolden:
     """golden_min searches all its brackets at once, one call of f per
     step over the brackets still live; each bracket must end on the bits
-    of the scalar search of that bracket alone."""
+    of the search of that bracket alone, one point per call of f."""
 
     @staticmethod
     def _check(f, lo, hi, iters):
@@ -66,48 +99,59 @@ class TestLockstepGolden:
 
         def batched(xs):
             sizes.append(xs.size)
-            return np.array([f(x) for x in xs])
+            return f(xs)
 
-        xs, fs = golden_min(batched, lo, hi, iters=iters)
-        want = [_scalar_golden(f, a, b, iters) for a, b in zip(lo, hi)]
-        assert [x for x, _, _ in want] == xs.tolist()
-        assert [v for _, v, _ in want] == fs.tolist()
-        # one call for both inner points, then one per step, over the
-        # brackets whose own search has not stopped yet
-        steps = [k for _, _, k in want]
+        def one_point(xs):
+            calls.append(xs.size)
+            parts = [f(xs[i:i + 1]) for i in range(xs.size)]
+            return (np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]))
+
+        got = golden_min(batched, lo, hi, iters=iters)
+        want, steps = [], []
+        for a, b in zip(lo, hi):
+            calls = []
+            want.append(golden_min(one_point, a, b, iters=iters))
+            steps.append(len(calls) - 1)
+        for k in range(3):
+            assert [w[k] for w in want] == got[k].tolist()
+        # one call for both ends of every bracket, then one per step, over
+        # the brackets whose own search has not stopped yet
         assert sizes == [2 * len(lo)] + [
             sum(k > j for k in steps) for j in range(max(steps))]
         return steps
 
     def test_brackets_of_different_widths_stop_on_their_own(self):
+        # brackets around ten minima of cos 3x + x/10, from 1e-12 to 0.3
+        # wide, and ten that hold no minimum
         rng = np.random.default_rng(7)
-        lo = rng.uniform(-3.0, 3.0, 40)
-        hi = lo + 10.0 ** rng.uniform(-13.0, 1.0, 40)
-        steps = self._check(lambda x: math.cos(3.0 * x) + 0.1 * x, lo, hi,
-                            200)
-        assert len(set(steps)) > 10 and max(steps) < 200
+        roots = (math.pi - math.asin(1.0 / 30.0)
+                 + 2.0 * math.pi * np.arange(-5, 5)) / 3.0
+        widths = 10.0 ** rng.uniform(-12.0, -0.5, 10)
+        lo = np.concatenate([roots - widths * rng.uniform(0.05, 1.0, 10),
+                             roots + 0.4])
+        hi = np.concatenate([roots + widths * rng.uniform(0.05, 1.0, 10),
+                             roots + 0.6])
+        steps = self._check(TestGoldenMin._cosine, lo, hi, 60)
+        assert steps[10:] == [0] * 10
+        assert len(set(steps[:10])) > 2 and max(steps) < 60
 
     def test_steps_cut_short_by_iters(self):
-        lo = np.linspace(0.1, 0.9, 6)
-        hi = lo + np.array([2e-14, 1e-13, 5e-13, 1e-6, 0.1, 1.0])
-        steps = self._check(lambda x: (x - 0.5) ** 2, lo, hi, 9)
-        assert min(steps) < 9 == max(steps)
-
-    def test_ties(self):
-        # a staircase and a constant: f1 == f2 on most steps
-        lo = np.array([0.0, -1.0, 0.3, 2.0, 5.0])
-        hi = np.array([1.0, 1.0, 0.31, 2.0 + 1e-9, 6.0])
-
-        def stairs(x):
-            return math.floor(8.0 * abs(x - 0.45)) / 8.0 if x < 4.0 else 1.0
-
-        self._check(stairs, lo, hi, 80)
+        roots = (math.pi - math.asin(1.0 / 30.0)
+                 + 2.0 * math.pi * np.arange(6)) / 3.0
+        widths = np.array([2e-14, 1e-13, 5e-13, 1e-6, 0.1, 0.6])
+        steps = self._check(TestGoldenMin._cosine, roots - 0.3 * widths,
+                            roots + 0.7 * widths, 3)
+        assert min(steps) < 3 == max(steps)
 
     def test_scalar_bracket_gives_scalars(self):
-        x, fx = golden_min(lambda s: (s - 0.25) ** 2, 0.0, 1.0, iters=30)
-        assert np.ndim(x) == 0 and np.ndim(fx) == 0
-        assert (x, fx) == _scalar_golden(lambda s: (s - 0.25) ** 2,
-                                         0.0, 1.0, 30)[:2]
+        out = golden_min(lambda s: ((s - 0.25) ** 2, 2.0 * (s - 0.25)),
+                         0.0, 1.0, iters=30)
+        assert all(np.ndim(v) == 0 for v in out)
+        both = golden_min(lambda s: ((s - 0.25) ** 2, 2.0 * (s - 0.25)),
+                          np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                          iters=30)
+        assert [v.tolist() for v in both] == [[v, v] for v in out]
 
 
 class TestFitExponent:
@@ -197,7 +241,7 @@ class TestLockstepScan:
 
     # numpy's abs of a complex value rounds unlike Python's on about a
     # third of the values, and np.tanh unlike math.tanh on some: either
-    # in the lockstep objective moves the last bit of some of these peaks
+    # in the lockstep objective would move the last bit of some peaks
     @pytest.mark.parametrize("r,kappa,cfg", [
         (Principal(0.0, -0.5 + 1.0j), 16, ScanConfig(0.4, 6.0, 2, 32)),
         (Principal(0.0, -0.5 + 1.0j), 256, ScanConfig(0.4, 6.0, 8, 24)),
@@ -212,35 +256,32 @@ class TestLockstepScan:
     def test_same_sample_as_one_bracket_at_a_time(self, r, kappa, cfg,
                                                   monkeypatch):
         lockstep = scan_character(r, kappa, cfg)
-        n = r.basis_index(kappa)
-
-        def one_point(t):
-            # the refinement's objective, one point per coef_vec call
-            x = math.tanh(t) ** 2
-            return -abs(coef_vec(r, n, r.m_ref, np.array([x]))[0])
+        root = norms.golden_min
 
         def sequential(f, lo, hi, iters=60):
-            out = [_scalar_golden(one_point, a, b, iters)
-                   for a, b in zip(lo, hi)]
-            return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+            # each bracket alone, one coef_vec call per point
+            def one_point(ts):
+                parts = [f(ts[i:i + 1]) for i in range(ts.size)]
+                return (np.concatenate([p[0] for p in parts]),
+                        np.concatenate([p[1] for p in parts]))
+
+            out = [root(one_point, a, b, iters) for a, b in zip(lo, hi)]
+            return tuple(np.array([o[k] for o in out]) for k in range(3))
 
         monkeypatch.setattr(norms, "golden_min", sequential)
         assert repr(scan_character(r, kappa, cfg)) == repr(lockstep)
 
     @pytest.mark.parametrize("refine_top", [1, 2, 8])
     def test_one_coef_vec_call_per_step(self, refine_top, monkeypatch):
-        sizes, refining = [], []
-        golden = norms.golden_min
+        sizes, searches = [], []
+        root = norms.golden_min
 
-        def marked(*args, **kwargs):
-            refining.append(True)
-            try:
-                return golden(*args, **kwargs)
-            finally:
-                refining.pop()
+        def marked(f, lo, hi, iters=60):
+            searches.append((f, lo, hi, iters))
+            return root(f, lo, hi, iters)
 
         def counted(*args, **kwargs):
-            if refining:
+            if kwargs.get("slope"):
                 sizes.append(np.asarray(args[3]).size)
             return coef_vec(*args, **kwargs)
 
@@ -248,7 +289,63 @@ class TestLockstepScan:
         monkeypatch.setattr(norms, "coef_vec", counted)
         cfg = ScanConfig(grid_c=0.4, refine_top=refine_top, refine_iters=12)
         scan_character(Principal(0.0, -0.5 + 1.0j), 64, cfg)
-        assert sizes == [2 * refine_top] + [refine_top] * 12
+        (f, lo, hi, iters), = searches
+        # the top points sit around one peak: one bracket
+        assert len(lo) == 1
+        steps = []
+        for a, b in zip(lo, hi):
+            before = len(sizes)
+            root(f, a, b, iters)
+            steps.append(len(sizes) - before - 1)
+            del sizes[before:]
+        assert sizes == [2 * len(lo)] + [
+            sum(k > j for k in steps) for j in range(max(steps))]
+        assert 0 < max(steps) <= 8
+
+    def test_one_bracket_per_local_maximum(self, monkeypatch):
+        # a fake family along t with two humps, of heights 0.5 at t = 1 and
+        # 0.49 at t = 2: the top 8 grid points hold both, so there are two
+        # brackets, each searched to its own hump's peak, and the higher
+        # one is the sample
+        fake = types.SimpleNamespace(lipschitz=math.inf, curvature=1e3,
+                                     m_ref=0, basis_index=lambda k: k)
+
+        def humps(t):
+            one = 0.5 * np.exp(-(t - 1.0) ** 2 / 0.01)
+            two = 0.49 * np.exp(-(t - 2.0) ** 2 / 0.01)
+            return one + two, -200.0 * ((t - 1.0) * one + (t - 2.0) * two)
+
+        def fake_coef_vec(r, n, m, xs, omx=None, slope=False):
+            t = np.arctanh(np.sqrt(xs))
+            mag, dmag = humps(t)
+            if not slope:
+                return mag.astype(complex)
+            # d log|c|/dx = (d|c|/dt / |c|) dt/dx
+            dtdx = 0.5 / (np.sqrt(xs) * (1.0 - xs))
+            return mag.astype(complex), dmag / mag * dtdx, np.zeros(xs.size)
+
+        searches = []
+        root = norms.golden_min
+
+        def marked(f, lo, hi, iters=60):
+            out = root(f, lo, hi, iters)
+            searches.append(out)
+            return out
+
+        monkeypatch.setattr(norms, "coef_vec", fake_coef_vec)
+        monkeypatch.setattr(norms, "golden_min", marked)
+        s = scan_character(fake, 16, ScanConfig(grid_c=0.4, refine_top=8))
+        (t_stars, negs, _), = searches
+        assert sorted(t_stars.tolist()) == pytest.approx([1.0, 2.0],
+                                                         abs=1e-12)
+        assert s.pmin == pytest.approx(0.5, rel=1e-15)
+        assert s.x_argmax == pytest.approx(math.tanh(1.0) ** 2, rel=1e-12)
+
+    def test_err_est_off_the_unitary_line_is_infinite(self):
+        # no curvature bound holds there
+        s = scan_character(Principal(0.0, -0.3 + 1.0j), 32,
+                           ScanConfig(grid_c=0.4))
+        assert s.err_est == math.inf
 
 
 class TestScanConfig:

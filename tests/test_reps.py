@@ -456,6 +456,119 @@ class TestSeriesKernel:
             assert _same_bits(whole[8000 * i:8000 * (i + 1)], part)
 
 
+def _reference_slope(r, n, m, x):
+    """d log|coef(n, m)|/dx at x by mpmath at 40 digits, and the size of
+    the terms it sums (the scale of its rounding): on the circle
+    Re[|n-m|/(2x) + lam/(1-x) + F'/F] with F' = (ab/c) F(a+1, b+1; c+1; x)
+    (DLMF 15.5.1), on the disc the log-derivative of the Pfaff form
+    x^((p-q)/2) (1-x)^(ell/2) 2F1(-q, ell+p; ell; 1-x)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(float(x))
+        if r.circle is None:
+            ell = r.ell
+            p, q = int(n - ell / 2), int(m - ell / 2)
+            f = mpmath.hyp2f1(-q, ell + p, ell, 1 - xm)
+            df = -(-q) * (ell + p) / mpmath.mpf(ell) * mpmath.hyp2f1(
+                1 - q, ell + p + 1, ell + 1, 1 - xm)
+            terms = [mpmath.mpf(p - q) / (2 * xm), ell / (2 * (1 - xm)),
+                     df / f]
+            slope = terms[0] - terms[1] + terms[2]
+        else:
+            sigma, lam = r.circle
+            a, b, c, _ = _principal_params(sigma, lam, n, m)
+            a, b = mpmath.mpc(a.real, a.imag), mpmath.mpc(b.real, b.imag)
+            lam = mpmath.mpc(lam.real, lam.imag)
+            ratio = (a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, xm)
+                     / mpmath.hyp2f1(a, b, c, xm))
+            terms = [abs(n - m) / (2 * xm), lam / (1 - xm), ratio]
+            slope = mpmath.re(sum(terms))
+        return float(slope), float(sum(abs(t) for t in terms))
+
+
+class TestSlope:
+    """coef_vec(slope=True) returns d log|coef|/dx from the pass that
+    computes the values, on every branch, and leaves the values' bits as
+    they are."""
+
+    @pytest.mark.parametrize("r,n,m,x,method,tol", [
+        (Principal(0.0, -0.5 + 1.0j), 32, 0, 0.5, "series", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 32, 0, 0.97, "series", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 128, 0, 0.99, "euler", 1e-13),
+        (Complementary(-0.25), 512, 0, 0.999, "euler", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 7, -20, 0.995, "euler", 1e-13),
+        (Principal(0.5, -0.5 + 0.7j), 64, 0, 0.99, "connection", 1e-13),
+        (Principal(0.5, -0.5 + 0.7j), 64, 0, 0.9995, "connection", 1e-13),
+        (Principal(0.5, -0.5 + 0.7j), 128, 0, 0.9986, "connection", 1e-13),
+        (Principal(0.5, -0.5), 6, 2, 0.99, "scalar", 1e-13),
+        (Principal(0.0, -0.5), 5, 2, 0.99, "scalar", 1e-12),
+        (Principal(0.5, -0.5), 6, 0, 0.99, "closed", 1e-13),
+        (Discrete(2), 8.0, 1.0, 0.7, "closed", 1e-13),
+        (Discrete(2), 8.0, 1.0, 0.3, "closed", 1e-13),
+        (Discrete(3), 12.5, 9.5, 0.9, "closed", 1e-13),
+        (Discrete(4), 22.0, 4.0, 0.99, "closed", 1e-13)],
+        ids=lambda v: repr(v).replace(" ", ""))
+    def test_against_mpmath(self, r, n, m, x, method, tol):
+        xs = np.array([x])
+        values, slopes, errs = coef_vec(r, n, m, xs, slope=True)
+        assert coef(r, n, m, x).method == method
+        want, scale = _reference_slope(r, n, m, x)
+        # F' is cut at F's stop: on the non-terminating scalar fallback
+        # (c - a - b = 0) its tail is 1/(1-x) times F's, 2.9e-13 of the
+        # scale at x = 0.99; every other case is within 2e-15 of it
+        assert abs(slopes[0] - want) <= tol * scale
+        # the same value bits as without the slope, and coef's budget
+        assert _same_bits(values, coef_vec(r, n, m, xs))
+        cv = coef(r, n, m, x)
+        assert values[0] == cv.value
+        assert errs[0] == pytest.approx(cv.err_est, rel=1e-12)
+
+    def test_disc_reference_column_peaks_at_its_closed_form(self):
+        # q = 0: |coef| = |J| x^(p/2) (1-x)^(ell/2), slope
+        # p/(2x) - ell/(2(1-x)), zero at x = p/(p+ell)
+        ell, p = 3, 11
+        xs = np.array([0.2, p / (p + ell), 0.9])
+        _, slopes, _ = coef_vec(Discrete(ell), p + ell / 2.0, ell / 2.0, xs,
+                                slope=True)
+        want = p / (2.0 * xs) - ell / (2.0 * (1.0 - xs))
+        assert slopes == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert abs(slopes[1]) < 1e-14
+
+    @pytest.mark.parametrize("r,n", [(Principal(0.0, -0.5 + 1.0j), 64),
+                                     (Principal(0.5, -0.5 + 0.7j), 64),
+                                     (Complementary(-0.25), 256),
+                                     (Discrete(2), 40.0)],
+                             ids=lambda v: repr(v).replace(" ", ""))
+    def test_batch_has_the_bits_of_one_point_calls(self, r, n):
+        # points on both sides of X_CUT, as the scan's root steps give them
+        xs = np.concatenate([np.linspace(0.3, 0.98, 7),
+                             1.0 - np.geomspace(1e-2, 1e-4, 6)])
+        # (err, a bound, sums its series' rounding over whole term blocks,
+        # which the batch sizes)
+        batch = coef_vec(r, n, r.m_ref, xs, slope=True)[:2]
+        for i in range(xs.size):
+            alone = coef_vec(r, n, r.m_ref, xs[i:i + 1], slope=True)[:2]
+            for got, want in zip(batch, alone):
+                assert _same_bits(got[i:i + 1], want), (i, xs[i])
+
+    @pytest.mark.parametrize("a,b,c", [(0.5 - 1.0j, 64.5 - 1.0j, 65.0),
+                                       (-3.0, 1.5, 2.5),
+                                       (0.3 + 0.1j, 2.2, 2.2)])
+    def test_series_derivative(self, a, b, c):
+        import mpmath
+
+        xs = np.array([0.0, 0.1, 0.5, 0.9, 0.98])
+        value, err, slope = hyp2f1(a, b, c, xs, deriv=True)
+        assert _same_bits(value, hyp2f1(a, b, c, xs)[0])
+        assert _same_bits(err, hyp2f1(a, b, c, xs)[1])
+        with mpmath.workdps(40):
+            for x, got in zip(xs.tolist(), slope.tolist()):
+                want = complex(a * b / c * mpmath.hyp2f1(
+                    a + 1, b + 1, c + 1, x))
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 class TestStructuralIdentities:
     def test_identity_at_origin(self):
         coord = cartan_from_x(0.0)
@@ -668,6 +781,28 @@ class TestComplementaryNormalizer:
     def test_positivity_guard(self):
         with pytest.raises(NormalizationError):
             complementary_normalizer(-1.4, 2)
+
+    @pytest.mark.parametrize("lam", [-0.1, -0.25, -0.4, -0.45])
+    def test_rounding_covers_mpmath(self, lam):
+        # the log-Gamma sum rounds at the size of its terms: half of that
+        # budget, for the square root, was 1.22 times short at n = 4096,
+        # lam = -0.4; the whole of it covers every index up to 4096 (worst
+        # 0.61 of it)
+        import mpmath
+
+        r = Complementary(lam)
+        ns = list(range(40)) + [64, 100, 511, 1000, 2047, 3001, 4095, 4096]
+        with mpmath.workdps(50):
+            def h(k):
+                return (mpmath.gamma(abs(k) + 1 + mpmath.mpf(lam))
+                        / mpmath.gamma(abs(k) - mpmath.mpf(lam)))
+
+            for m in (0, 3):
+                for n in ns:
+                    want = mpmath.sqrt(h(n) / h(m))
+                    got = r.normalizer(n, m)
+                    assert abs(got - want) <= \
+                        r.normalizer_rounding(n, m) * want, (n, m)
 
     @pytest.mark.parametrize("lam", [-0.1, -0.25, -0.49])
     @pytest.mark.parametrize("m", [0, 3, -7])
