@@ -123,8 +123,7 @@ def criterion_1(seed=DEFAULT_SEED, tol=1e-8):
 def criterion_2(tol=1e-8):
     """Closed-form coefficients against the quadrature oracle across the
     family grid, full columns up to index 128, seven Cartan points.  The
-    two above X_CUT check the boundary branches: the Euler integral and,
-    on sigma = 1/2, the 1-x connection."""
+    two above X_CUT check the ODE branch there."""
     t0 = time.perf_counter()
     worst = 0.0
     passed = True

@@ -29,8 +29,7 @@ _SEED_SCALES = (0.5, 1.0, 2.0)
 # points of the first level of the scan grid (between this and twice it)
 _LEVEL_POINTS = 128
 # relative slack of the grid's pruning test: it covers the error budgets of
-# coef_vec (2e-10 at worst) and the last bits by which a value computed in
-# one batch differs from the same value computed in another, many times over
+# coef_vec (below 1e-10 of a column's peak on the scan grids) many times over
 _PRUNE_SLACK = 1e-6
 
 
@@ -43,14 +42,14 @@ def sobolev_multiplier(kappa, s):
 class ScanConfig:
     """Knobs of the peak scan.
 
-    grid_c sets the step dt = grid_c/(kappa+1); t_pad sets the window
-    T = t_pad + log(1+kappa).  Beyond the uniform grid, three concentration
-    seeds x = 1 - 1/(1 + kappa/u), u in _SEED_SCALES, are always probed:
-    that is where a coefficient peaking near the boundary would live.  Of
-    the refine_top best grid points, each local maximum gets the bracket
-    of its two grid neighbours, and the peak in each bracket is refined as
-    the root of the slope of |coef|, all brackets together, at most
-    refine_iters root steps each, one batched coef_vec call per step.
+    grid_c sets the step dt = grid_c/(k+1), k = |kappa|; t_pad sets the
+    window T = t_pad + log(1+k).  Beyond the uniform grid, three
+    concentration seeds x = 1 - 1/(1 + k/u), u in _SEED_SCALES, are always
+    probed: that is where a coefficient peaking near the boundary would
+    live.  Of the refine_top best grid points, each local maximum gets the
+    bracket of its two grid neighbours, and the peak in each bracket is
+    refined as the root of the slope of |coef|, all brackets together, at
+    most refine_iters root steps each, one batched coef_vec call per step.
     A grid it cannot scan (grid_c not finite and positive, t_pad not
     finite, refine_top or refine_iters below 1) raises PreconditionError.
     """
@@ -202,8 +201,9 @@ def golden_min(f, lo, hi, iters=60):
 
 
 def _scan_grid(kappa, config):
-    """The fine grid of a scan: (ts, dt, T), ts being the uniform points
-    dt, 2 dt, ... up to T and the concentration seeds, ascending."""
+    """The fine grid of a scan of |kappa|: (ts, dt, T), ts being the
+    uniform points dt, 2 dt, ... up to T and the seeds, ascending."""
+    kappa = abs(kappa)
     dt = config.grid_c / (kappa + 1.0)
     t_max = config.t_pad + math.log1p(kappa)
     ts = np.arange(dt, t_max + 0.5 * dt, dt)

@@ -26,8 +26,10 @@ function, and Taylor extraction of the transformed disc function.
 """
 
 import cmath
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,8 +261,8 @@ def _discrete_index(ell, n):
 def _principal_params(sigma, lam, n, m):
     """Series parameters and Gamma prefactor of coef(n, m); the two index
     orders are mirror images of one another.  2F1 is symmetric in a and b
-    (DLMF 15.2.1), so the pair is returned with Re a <= Re b, the order the
-    Euler integral above X_CUT needs."""
+    (DLMF 15.2.1), so the pair is returned with Re a <= Re b: b is near c,
+    and the ODE branch above X_CUT forms c-a-b as (c-b) - a."""
     lam = complex(lam)
     if n >= m:
         a = -lam - m - sigma
@@ -528,195 +530,199 @@ def parseval_defect(r, m, coord):
 # ---------------------------------------------------------------------------
 # Vectorized evaluators (scan and quadrature fast paths)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Relative error of a circle factor identically 1 or 0, beside its Gamma and
+# shell rounding: ten times the worst seen against 30-digit mpmath on six
+# circle families, |n|, |m| <= 128, x from 0.05 to 0.9999.
+_CLOSED_REL = 2e-14
+
+# The ODE branch (see _OdeTable): Taylor terms, step over 1-z, cap on step
+# times rate, centres per chunk (a quarter in the first: 1-x to 2e-4 in 8 KB),
+# largest condition number of an error window, bytes of rows kept, 1-x floor.
+_ODE_ORDER, _ODE_RHO, _ODE_RATE, _ODE_CHUNK = 32, 0.25, 2.0, 64
+_ODE_WINDOW, _ODE_CACHE_BYTES, _ODE_FLOOR = 64.0, 4 << 20, 1e-290
 
 
-# Relative error of a branch beside its series and Gamma and shell rounding
-# (a factor identically 1 or 0, the Euler quadrature, the connection): ten
-# times the worst seen against 30-digit mpmath on six circle families, |n|,
-# |m| <= 128, x from 0.05 to 0.9999.
-_BRANCH_REL = {"closed": 2e-14, "euler": 2e-10, "connection": 2e-12}
+class _OdeTable:
+    """Scaled Taylor rows of w = 2F1(a, b; c; z) about centres stepping
+    from X_CUT toward z = 1, with a bound on the error of evaluating w from
+    each (Pearson, Olver & Porter, Numer. Algorithms 74, 2017, 4).
 
+    About z_j = 1 - o, with step h, the u_k = w_k h^k of w(z_j + t h) =
+    sum u_k t^k obey, by the hypergeometric ODE, with p0 = (1-o) o,
+    p1 = 2o - 1, q0 = (s-1) + (a+b+1) o and s = (c-b) - a (never 1 - z):
 
-def _f_connection_vec(a, b, c, xs, omx, deriv=False):
-    """2F1 over an array of x near 1 through the two-term 1-x connection;
-    returns (F, err), and with deriv=True (F, err, F').
+      p0 (k+1)(k+2) u_{k+2} = (k+a)(k+b) h^2 u_k - (k+1)(p1 k + q0) h u_{k+1}
 
-    Both transformed series run in the variable 1-x <= 1-X_CUT, so they
-    converge in a handful of terms.  Requires c-a-b at distance > 0.05
-    from the integers (the logarithmic case is excluded); prefactor poles
-    that kill one of the terms are resolved by the signed Gamma ratio.
-    err adds each term's series error and Gamma rounding at that term's
-    size, which far exceeds |2F1| when the two cancel, and at |2F1| the
-    rounding of G(c), common to both, and the branch's budget.  F' is the
-    sum of the terms' derivatives in x, each series' own from its pass
-    (DLMF 15.5.1, in the variable 1-x).
+    A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1)
+    built for a chunk of centres at once; their sums at t = 1, last term
+    first, carry (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT
+    (F' to a tolerance 1/(1-X_CUT) tighter: its tail falls that much
+    slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), capped where
+    the solutions' rates would make rows rise like (|b| h)^k/k!, is a
+    difference of centres, so exact.  A centre's bound adds the tail past
+    N (Johansson, ACM TOMS 45, 2019): for k >= N, |u_{k+2}| <= A |u_k| +
+    B |u_{k+1}| with A = (1 + |a-1|/(N+1))(1 + |b-2|/(N+2)) h^2/p0 and
+    B = (|p1| + |q0-2 p1|/(N+2)) h/p0, so |u_k| <= M r^(k-N), r^2 = B r + A,
+    M = max(|u_N|, |u_{N+1}|/r); the rows' rounding, 16 eps of each
+    coefficient's two terms carried by the recurrence; and the errors of
+    (u_0, u_1), from hyp2f1's bounds plus, per step, its tail, rounding and
+    eps sum (k+7) |u_k| of its sums, 2 x 2 product and scaling by h.  In a
+    window of steps whose product Phi has a condition number below
+    _ODE_WINDOW an error added at step i reaches step j as
+    |Phi_j| |Phi_i^-1| of it, linear in the steps where the solutions
+    rotate; a step past that carries the bound by its own absolute values,
+    never taking up the growth of |Phi^-1| where a solution falls like
+    e^(-|b| (z - z_j)).
     """
-    s = c - a - b
-    out = np.zeros(np.asarray(xs).shape, dtype=complex)
-    err = np.zeros(out.shape)
-    slope = np.zeros(out.shape, dtype=complex)
-    for num, den, power, params in (
-            ([s], [c - a, c - b], 0.0, (a, b, a + b - c + 1.0)),
-            ([-s], [a, b], s, (c - a, c - b, s + 1.0))):
-        pref = gamma_ratio_signed([c] + num, den)
-        if pref == 0.0:
-            continue
-        pref = pref * np.exp(power * np.log(omx))
-        f, f_err, *df = hyp2f1(*params, omx, deriv=deriv)
-        out += pref * f
-        err += np.abs(pref) * (f_err
-                               + _gamma_ratio_rounding(num + den) * np.abs(f))
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c = complex(a), complex(b), complex(c)
+        self._s1, self._ab1 = (c - b) - a - 1.0, a + b + 1.0
+        self.centres, self.steps, self.err = (np.empty(0),) * 3
+        self.rows = np.empty((0, _ODE_ORDER), dtype=complex)
+        self._next = None       # next centre, its (u_0, u_1), error window
+
+    def add_chunk(self):
+        n, a, b, ab = _ODE_ORDER, self.a, self.b, abs(self.a * self.b)
+        size = _ODE_CHUNK // 4 if self._next is None else _ODE_CHUNK
+        o = [1.0 - X_CUT if self._next is None else self._next[0]]
+        for _ in range(size + 1):
+            p0 = (1.0 - o[-1]) * o[-1]
+            rate = abs(self._s1 + self._ab1 * o[-1]) + math.sqrt(ab * p0)
+            o.append(o[-1] - min(_ODE_RHO * o[-1], _ODE_RATE * p0 / rate))
+        steps = (o := np.array(o))[:-1] - o[1:]
+        o, h, ratio = o[:size], steps[:size], steps[1:] / steps[:size]
+        if self._next is None:
+            f, f_err, df, df_err = hyp2f1(a, b, self.c, np.array([X_CUT]),
+                                          1e-15 * (1.0 - X_CUT), deriv=True)
+            u1 = complex(df[0]) * h[0]
+            self._next = (o[0], complex(f[0]), u1, float(f_err[0]),
+                          float(df_err[0]) * h[0] + _EPS * abs(u1),
+                          1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        _, u0, u1, base0, base1, p00, p01, p10, p11, acc0, acc1 = self._next
+
+        # alpha and beta over the chunk, their rounding and their tail
+        p0, p1, q0 = (1.0 - o) * o, 2.0 * o - 1.0, self._s1 + self._ab1 * o
+        hp, ks = h / p0, np.arange(n + 0.0)[:, None]
+        ca = np.array([(k + a) * (k + b) / ((k + 1.0) * (k + 2.0))
+                       for k in range(n)])[:, None] * (hp * h)
+        cb = (p1 * ks + q0) * (hp / (ks + 2.0))
+        mb = (np.abs(p1) * ks + abs(self._s1) + abs(self._ab1) * o) \
+            * (hp / (ks + 2.0))
+        basis = np.zeros((2, n + 2, size), dtype=complex)
+        basis[0, 0] = basis[1, 1] = 1.0
+        for k in range(n):
+            basis[:, k + 2] = ca[k] * basis[:, k] - cb[k] * basis[:, k + 1]
+        # the rows' rounding: each drift holds 16 eps of its coefficient, and
+        # the recurrence carries it into 16 eps of the terms of the next two
+        mags, ma = np.abs(basis), np.abs(ca)
+        drift = 16.0 * _EPS * mags
+        for k in range(n):
+            drift[:, k + 2] += ma[k] * drift[:, k] + mb[k] * drift[:, k + 1]
+        big_a = ((1.0 + abs(a - 1.0) / (n + 1.0))
+                 * (1.0 + abs(b - 2.0) / (n + 2.0))) * hp * h
+        big_b = (np.abs(p1) + np.abs(q0 - 2.0 * p1) / (n + 2.0)) * hp
+        r = 0.5 * (big_b + np.sqrt(big_b * big_b + 4.0 * big_a))
+
+        # the step matrices [sum alpha, sum beta; sum k alpha, sum k beta],
+        # and the values, centre by centre
+        weights = np.stack([np.ones(n), ks[:, 0]])[:, None, :, None]
+        moves = np.cumsum((weights * basis[:, :n])[:, :, ::-1], axis=2)[
+            :, :, -1] * np.stack([np.ones(size), ratio])[:, None]
+        s00, s01, s10, s11 = moves.reshape(4, size).tolist()
+        starts = np.empty((2, size), dtype=complex)
+        for j in range(size):
+            starts[:, j] = u0, u1
+            u0, u1 = s00[j] * u0 + s01[j] * u1, s10[j] * u0 + s11[j] * u1
+        # what each step adds to the errors of (u_0, u_1): its tail, the
+        # rows' rounding and that of its sums; and each centre's own part
+        m = np.abs(starts)
+        lead = (m[:, None] * (mags[:, n:] + drift[:, n:])).sum(axis=0)
+        tails = np.maximum(lead[0], lead[1] / r) * np.where(r < 1.0, np.stack(
+            [1.0 / (1.0 - r), n / (1.0 - r) + r / (1.0 - r) ** 2]), math.inf)
+        rounding = np.einsum("bj,sbkj->sj", m, weights * drift[:, :n])
+        added = tails + rounding + _EPS * np.einsum(
+            "bj,sbkj->sj", m, weights * (ks + 7.0) * mags[:, :n])
+        added[1] *= ratio
+        sizes = mags[:, :n].sum(axis=1)
+        own = tails[0] + rounding[0] + 4.0 * _EPS * (m * sizes).sum(axis=0)
+        row_err = np.empty(size)
+        for j, (size0, size1, own_j, in0, in1) in enumerate(zip(
+                *sizes.tolist(), own.tolist(), *added.tolist())):
+            err0 = abs(p00) * (base0 + acc0) + abs(p01) * (base1 + acc1)
+            err1 = abs(p10) * (base0 + acc0) + abs(p11) * (base1 + acc1)
+            row_err[j] = err0 * size0 + err1 * size1 + own_j
+            q00, q01 = s00[j] * p00 + s01[j] * p10, s00[j] * p01 + s01[j] * p11
+            q10, q11 = s10[j] * p00 + s11[j] * p10, s10[j] * p01 + s11[j] * p11
+            det = abs(q00 * q11 - q01 * q10)
+            if max(map(abs, (q00, q01, q10, q11))) ** 2 <= _ODE_WINDOW * det:
+                p00, p01, p10, p11 = q00, q01, q10, q11
+                acc0 += (abs(p11) * in0 + abs(p01) * in1) / det
+                acc1 += (abs(p10) * in0 + abs(p00) * in1) / det
+            else:
+                base0 = abs(s00[j]) * err0 + abs(s01[j]) * err1 + in0
+                base1 = abs(s10[j]) * err0 + abs(s11[j]) * err1 + in1
+                p00, p01, p10, p11, acc0, acc1 = 1.0, 0.0, 0.0, 1.0, 0.0, 0.0
+        self._next = (o[-1] - h[-1], u0, u1, base0, base1,
+                      p00, p01, p10, p11, acc0, acc1)
+        rows = (starts[:, :, None] * basis[:, :n].transpose(0, 2, 1)).sum(0)
+        self.centres, self.steps, self.rows, self.err = (np.concatenate(
+            p) for p in zip((self.centres, self.steps, self.rows, self.err),
+                            (o, h, rows, row_err)))
+
+
+class _OdeCache:
+    """_OdeTable per (a, b, c), keyed on their bits (so 0.0 and -0.0 differ),
+    least recently used out first once their rows pass max_bytes."""
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self._tables = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def rows(self, a, b, c, omx_min):
+        """(centres, steps, rows, err) of (a, b, c)'s table past omx_min."""
+        key = np.array([a, b, c], dtype=complex).tobytes()
+        with self._lock:
+            table = self._tables.pop(key, None) or _OdeTable(a, b, c)
+            while not table.centres.size or table.centres[-1] > max(
+                    omx_min, _ODE_FLOOR):
+                table.add_chunk()
+            self._tables[key] = table
+            total = sum(t.rows.nbytes for t in self._tables.values())
+            while total > self.max_bytes and len(self._tables) > 1:
+                total -= self._tables.popitem(last=False)[1].rows.nbytes
+            return table.centres, table.steps, table.rows, table.err
+
+
+_ODE_TABLES = _OdeCache(_ODE_CACHE_BYTES)
+
+
+def _f_ode_vec(a, b, c, omx, deriv=False, tables=_ODE_TABLES):
+    """2F1(a, b; c; 1 - omx) for omx = 1-x below 1 - X_CUT from the table
+    of (a, b, c): (F, err), with deriv=True (F, err, dF/dx).  Each point
+    takes its nearest centre (by the steps' midpoints, |t| <= 2/3) and one
+    Horner pass, elementwise, so it has the same bits alone or in any
+    batch; err adds (3N + 2) eps sum |u_k| |t|^k, the rounding of the pass
+    and of t, to the centre's bound.  omx past the table's reach (about
+    _ODE_FLOOR) is taken at the last step's end, with an infinite err."""
+    omx = np.asarray(omx, dtype=float)
+    centres, steps, rows, row_err = tables.rows(
+        a, b, c, float(np.min(omx)) if omx.size else 1.0)
+    j = np.minimum(np.searchsorted(steps / 2.0 - centres, -omx, side="right"),
+                   centres.size - 1)
+    t = np.minimum((centres[j] - omx) / steps[j], 1.0)
+    sizes, at = np.abs(picked := rows[j]), np.abs(t)
+    value, size = picked[:, -1], sizes[:, -1]
+    slope = np.zeros(value.shape, dtype=complex)
+    for k in range(_ODE_ORDER - 2, -1, -1):
         if deriv:
-            slope -= pref * (power * f / omx + df[0])
-    rel = _BRANCH_REL["connection"] + _gamma_ratio_rounding([c])
-    if deriv:
-        return out, err + rel * np.abs(out), slope
-    return out, err + rel * np.abs(out)
-
-
-def _euler_nodes(a, b, cb, omx):
-    """Quadrature nodes (v, Gauss weight times dv) of the Euler integral of
-    _f_euler_vec: the log-v cusp panels first, then the graded linear
-    panels.  omx enters only through the window, and only when Re a > 1/2.
-    """
-    br = b.real
-    v_star = math.log1p(max(br - 1.0, 0.0) / cb.real)
-    v_lo = max(1e-9, v_star - math.log1p(60.0 / cb.real))
-    v_hi = v_star + 48.0 / cb.real
-    # past v_star the factor w^-a can still grow, by up to (1-x)^-Re a.
-    # Beyond Re a = 1/2 the window widens to absorb that growth; up to 1/2,
-    # which covers every unitary reference column, it stays as it was, and
-    # the cut is bounded by e^-48 (1-x)^-1/2 of the peak
-    if a.real > 0.5:
-        v_hi += (a.real - 0.5) * -math.log(float(np.min(omx))) / cb.real
-    osc = abs(cb.imag) + abs(a) + cb.real + 1.0
-
-    nodes = []
-    # near v = 0 the factor (1-e^{-v})^{b-1} is an algebraic cusp that fixed
-    # panels cannot see; run that stretch in y = log v, where it turns into
-    # a plain exponential e^{by} (skipped when the truncation point already
-    # exceeds the split, which happens only for large Re b, where the cusp
-    # is flat and carries no mass anyway)
-    if v_lo < 0.5:
-        v_split = min(0.5, v_hi)
-        y_lo = math.log(1e-19) / br
-        y_hi = math.log(v_split)
-        if y_hi > y_lo:
-            h_y = min(2.5, 16.0 / (1.0 + abs(b - 1.0) + abs(cb) * v_split))
-            n_panels = max(1, math.ceil((y_hi - y_lo) / h_y))
-            h_y = (y_hi - y_lo) / n_panels
-            for p in range(n_panels):
-                mid = y_lo + (p + 0.5) * h_y
-                for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                    vk = math.exp(mid + 0.5 * h_y * node)
-                    nodes.append((vk, weight * 0.5 * h_y * vk))
-            v_lo = v_split
-    # then panels in v itself, graded to the local log-slope
-    v = v_lo
-    while v < v_hi:
-        slope = cb.real * math.exp(max(v_star - v, 0.0)) + osc
-        h = min(2.5, 16.0 / slope, v_hi - v)
-        mid, half = v + h / 2.0, h / 2.0
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            nodes.append((mid + half * node, weight * half))
-        v += h
-    return nodes
-
-
-def _euler_factors(a, b, cb, omx):
-    """The node factors of _f_euler_vec that do not depend on x, as
-    read-only arrays: wt = dv e^{-(c-b) v} (1-e^{-v})^{b-1} per node, and
-    ev = e^{-v} and sv = 1-e^{-v} as columns."""
-    nodes = _euler_nodes(a, b, cb, omx)
-    # e^{-v} enters on its own: recovering it as 1 - s, s = 1 - e^{-v},
-    # would throw away half the mantissa once v is past ~18
-    wt = np.array([dv * cmath.exp((b - 1.0) * math.log(-math.expm1(-vk))
-                                  - cb * vk) for vk, dv in nodes])
-    ev = np.array([math.exp(-vk) for vk, _ in nodes])[:, None]
-    sv = -np.expm1(-np.array([vk for vk, _ in nodes]))[:, None]
-    for arr in (wt, ev, sv):
-        arr.flags.writeable = False
-    return wt, ev, sv
-
-
-# elements per nodes x points temporary of _f_euler_vec
-_EULER_BLOCK = 1 << 14
-# (a, b, c-b) triples whose node factors _f_euler_vec keeps; at ~720 nodes
-# an entry holds ~17 KB, so a full cache holds ~4 MB
-_EULER_CACHE = 256
-
-
-@functools.lru_cache(maxsize=_EULER_CACHE)
-def _cached_euler_factors(key):
-    """_euler_factors for Re a <= 1/2, where the window ignores 1-x, keyed
-    on the bits of (a, b, c-b): complex equality would merge parts 0.0 and
-    -0.0, and their sign can reach the imaginary part of a value."""
-    a, b, cb = map(complex, np.frombuffer(key, dtype=complex))
-    return _euler_factors(a, b, cb, None)
-
-
-def _f_euler_vec(a, b, c, xs, omx, deriv=False):
-    """2F1 over an array of x in (X_CUT, 1) via the Euler integral; with
-    deriv=True returns (F, F').
-
-    Substituting t = 1 - e^{-v} gives
-
-      2F1 = [G(c)/(G(b)G(c-b))] int_0^inf e^{-v(c-b)} (1-e^{-v})^{b-1}
-                                          (1 - x(1-e^{-v}))^{-a} dv
-
-    which is smooth for Re b > 0, Re(c-b) > 0 and concentrates near
-    v* = log(1 + (b-1)/(c-b)).  Panels are graded to the local log-slope so
-    a 16-point Gauss rule per panel resolves both the rise and the tail.
-    omx carries 1-x at full precision; the inner factor is evaluated as
-    (1-x) + x e^{-v}, which stays exact however close x is to 1.
-
-    The factors of each node that do not depend on x are scalars; the
-    integrand is evaluated over a nodes x points block in one pass and
-    summed node by node, in node order, with a running sum.  np.sum would
-    sum a one-point block pairwise and a wider one row by row, so a value
-    would depend on the batch it came in.  A block holds at most
-    _EULER_BLOCK elements, 256 KB per complex temporary (with ~700 nodes,
-    23 points), which stays in cache: 4x wider blocks ran a 40k-point
-    column a third slower and raised the peak memory of a scan.  Every
-    point is computed exactly as in a one-point call while Re a <= 1/2;
-    above that the window, and so the nodes, depend on min(1-x) over the
-    batch.
-
-    Building the node factors in Python costs about 3 ms, more than
-    evaluating a small batch.  While Re a <= 1/2 they depend on (a, b, c)
-    alone and are kept in an LRU cache of _EULER_CACHE entries, so the
-    Kronrod rounds of an integral and the one-point refinement steps of a
-    scan build them once; above 1/2 each call builds its own.
-
-    F' differentiates under the integral: each node's term times
-    a (1-e^{-v}) / w, w = (1-x) + x e^{-v}, on the same nodes and summed
-    the same way; the value keeps its bits.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    cb = c - b
-    if not (b.real > 0.0 and cb.real > 0.05):
-        raise PreconditionError(
-            f"Euler path needs Re b > 0, Re(c-b) > 0.05; got b={b}, c={c}")
-    xs = np.asarray(xs, dtype=float)
-
-    if a.real <= 0.5:
-        wt, ev, sv = _cached_euler_factors(np.array([a, b, cb]).tobytes())
-    else:
-        wt, ev, sv = _euler_factors(a, b, cb, omx)
-    acc = np.empty(xs.shape, dtype=complex)
-    dacc = np.empty(xs.shape, dtype=complex) if deriv else None
-    step = max(1, _EULER_BLOCK // wt.size)
-    for i in range(0, xs.size, step):
-        wk = omx[i:i + step] + xs[i:i + step] * ev      # real, in (1-x, 1]
-        terms = wt[:, None] * np.exp(-a * np.log(wk))
-        acc[i:i + step] = np.cumsum(terms, axis=0)[-1]
-        if deriv:
-            dacc[i:i + step] = np.cumsum(terms * (sv / wk), axis=0)[-1]
-    pref = gamma_ratio_signed([c], [b, cb])
-    if deriv:
-        return pref * acc, (pref * a) * dacc
-    return pref * acc
+            slope = slope * t + value
+        value = value * t + picked[:, k]
+        size = size * at + sizes[:, k]
+    err = np.where(omx < centres[-1] - steps[-1], math.inf, row_err[j]
+                   + (3.0 * _ODE_ORDER + 2.0) * _EPS * size)
+    return (value, err, slope / steps[j]) if deriv else (value, err)
 
 
 def _unit_factor(a, b):
@@ -725,30 +731,20 @@ def _unit_factor(a, b):
     return any(is_nonpositive_int(v) and round(v.real) == 0 for v in (a, b))
 
 
-def _boundary_method(a, b, c):
-    """The branch that evaluates 2F1(a, b; c; x) for x above X_CUT."""
-    if (c - b).real > 0.05:
-        return "euler"
-    s = c - a - b
-    if abs(s.imag) > 0.05 or abs(s.real - round(s.real)) > 0.05:
-        return "connection"
-    return "scalar"
-
-
 def principal_coef_vec(sigma, lam, n, m, xs, omx=None, slope=False):
     """Circle-model coefficients over an array of Cartan x; returns
     (value, err, method), err of the shape of xs, and with slope=True
     (value, err, method, d log|value|/dx).
 
     Closed form: pref * x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x), with
-    the series below X_CUT and, above it, the Euler integral, the 1-x
-    connection or (when neither applies) the series itself.  method names
-    the branch: 'closed' for a factor identically 1 or 0, else that of the
-    points above X_CUT ('euler', 'connection', 'scalar') or 'series'.  err
-    is |pref shell| times the error of the 2F1 factor, plus |value| times
-    the rounding of the Gamma prefactor and the shell.  Callers sitting
-    extremely close to the boundary pass omx = 1-x directly so the boundary
-    factor keeps its full precision.
+    the series at or below X_CUT and, above it, the Taylor continuation of
+    the hypergeometric ODE from X_CUT (_f_ode_vec).  method names the
+    branch: 'closed' for a factor identically 1 or 0, else 'ode' if any
+    point lies above X_CUT, else 'series'.  err is |pref shell| times the
+    derived error of the 2F1 factor, plus |value| times the rounding of the
+    Gamma prefactor and the shell.  Callers sitting extremely close to the
+    boundary pass omx = 1-x directly: the ODE branch reads omx alone, so
+    the boundary factor keeps its full precision at any 1-x.
 
     The slope is Re[|n-m|/(2x) + lam/(1-x) + F'/F], F' coming from the
     same pass of the branch that computes F (see _principal_coef).
@@ -769,10 +765,9 @@ def _principal_coef(sigma, lam, n, m, xs, omx, slope=False):
     err, method, d log|value|/dx or None).
 
     With slope=True each branch also returns F' from the pass that computes
-    F: the series and the scalar fallback sum k t_k / x, the Euler integral
-    differentiates under the integral, the connection differentiates its
-    two series; F is 1 on a closed factor, so F' is 0.  F and err keep
-    their bits either way."""
+    F: the series sums k t_k / x, the ODE branch differentiates its Horner
+    pass; F is 1 on a closed factor, so F' is 0.  F and err keep their
+    bits either way."""
     lam = complex(lam)
     xs = np.asarray(xs, dtype=float)
     omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
@@ -782,29 +777,16 @@ def _principal_coef(sigma, lam, n, m, xs, omx, slope=False):
     dlog = abs(n - m) / (2.0 * xs) + lam.real / omx if slope else None
     if pref == 0.0 or _unit_factor(a, b):
         value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
-        return value, _BRANCH_REL["closed"] * np.abs(value), "closed", dlog
+        return value, _CLOSED_REL * np.abs(value), "closed", dlog
     F, F_err = np.empty(xs.shape, dtype=complex), np.empty(xs.shape)
     dF = np.empty(xs.shape, dtype=complex) if slope else None
     low = xs <= X_CUT
-    if np.any(low):
-        F[low], F_err[low], *df = hyp2f1(a, b, c, xs[low], deriv=slope)
-        if slope:
-            dF[low] = df[0]
-    method = "series"
-    if not np.all(low):
-        hi = ~low
-        method = _boundary_method(a, b, c)
-        if method == "euler":
-            got = _f_euler_vec(a, b, c, xs[hi], omx[hi], deriv=slope)
-            F[hi], *df = got if slope else (got,)
-            F_err[hi] = _BRANCH_REL["euler"] * np.abs(F[hi])
-        elif method == "connection":
-            F[hi], F_err[hi], *df = _f_connection_vec(
-                a, b, c, xs[hi], omx[hi], deriv=slope)
-        else:
-            F[hi], F_err[hi], *df = hyp2f1(a, b, c, xs[hi], deriv=slope)
-        if slope:
-            dF[hi] = df[0]
+    method = "series" if np.all(low) else "ode"
+    for part, branch, arg in ((low, hyp2f1, xs), (~low, _f_ode_vec, omx)):
+        if np.any(part):
+            F[part], F_err[part], *df = branch(a, b, c, arg[part], deriv=slope)
+            if slope:
+                dF[part] = df[0]
     scaled = pref * shell
     if slope:
         dlog = dlog + (dF / F).real
@@ -902,10 +884,11 @@ def coef(r, n, m, coord):
 
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
-    below X_CUT), or above it 'euler', 'connection' or 'scalar'.  On the
-    disc err_est is discrete_coef_vec's err; on the circle it is
-    principal_coef_vec's err of the same call times the normalizer, plus
-    its rounding.  A value that is not finite raises ConvergenceError.
+    below X_CUT) or 'ode' (above it, the Taylor continuation of the
+    hypergeometric ODE).  On the disc err_est is discrete_coef_vec's err;
+    on the circle it is principal_coef_vec's err of the same call times the
+    normalizer, plus its rounding.  A value that is not finite raises
+    ConvergenceError.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))

@@ -140,8 +140,8 @@ def _terminating_order(a, b):
 
 def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     """Gauss series 2F1(a, b; c; x) over an array of real x; returns
-    (F, err), arrays of the shape of xs, and with deriv=True (F, err, F'),
-    F' = dF/dx from the same terms.
+    (F, err), arrays of the shape of xs, and with deriv=True
+    (F, err, F', F'_err), F' = dF/dx from the same terms.
 
     Term recursion t_{k+1} = t_k x (a+k)(b+k)/((c+k)(k+1)), t_0 = 1.  Each
     point stops at the first 16th term t_j where |t_j| and the bound
@@ -160,12 +160,15 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     points leave the working set after a block.  Each term is one
     elementwise multiply with named operands (np.cumprod, and numpy's
     in-place temporaries above 256 KB, round complex products differently)
-    and the partial sums add in term order, so a point has the bits of its
-    one-point call in any batch.
+    and the partial sums add in term order, as do the terms of the rounding
+    bound, up to each point's own stop; so a point's F and err have the
+    bits of its one-point call in any batch.
 
-    F' is sum_k k t_k / x (DLMF 15.5.1 term by term), its partial sums
+    F' is sum_k k t_k / x (DLMF 15.5.1 term by term), its partial sums D_k
     added in term order as F's are and cut at F's stop; at x = 0 it is
-    ab/c.  Asking for it leaves the bits of F and err as they are.
+    ab/c.  F'_err is (|t_j| (j q/(1-q) + q/(1-q)^2), the tail past the
+    stop term t_j, plus eps (sum k (k+3) |t_k| + sum |D_k|))/|x| +
+    eps |F'|.  Asking for F' leaves the bits of F and err as they are.
     """
     a, b, c = complex(a), complex(b), complex(c)
     xs = np.asarray(xs, dtype=float)
@@ -179,9 +182,10 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
 
     n = xs.size
     value, err = np.empty(n, dtype=complex), np.empty(n)
-    # sum_k k t_k of each point, and its partial sum while it is live
+    # per point: sum k t_k, its live partial sum, bound and rounding / eps
     if deriv:
         dvalue, dtotal = np.empty(n, dtype=complex), np.zeros(n, complex)
+        derr, drun = np.empty(n), np.zeros(n)
     # the live points' index, x, last term and partial sum, stop scale and
     # rounding bound over eps (t_0 = 1 adds 2); i, that of largest |x|
     live, x = np.arange(n), xs.reshape(-1)
@@ -199,7 +203,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         if k == order:
             value[live], err[live] = total, _EPS * run
             if deriv:
-                dvalue[live] = dtotal
+                dvalue[live], derr[live] = dtotal, _EPS * drun
             break
         if k >= kmax:
             raise ConvergenceError(f"2F1 series not converged after {kmax}"
@@ -226,17 +230,22 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
             for j in range(rows):
                 add(s_rows[j], t_rows[j + 1], s_rows[j + 1])
         term, total = terms[rows], sums[rows]
+        # row j: the rounding bounds over eps through t_{k+j} (of weight
+        # k+j+2, and S_{k+j}) and through (k+j) t_{k+j} (weight (k+j)(k+j+3),
+        # and D_{k+j}), in term order, so that they stop with their point
+        mags, sizes = np.abs(terms[1:]), np.abs(sums[1:])
+        ks = np.arange(k + 1.0, k + rows + 1.0)[:, None]
+        runs = np.cumsum(np.vstack([run, (ks + 2.0) * mags + sizes]), axis=0)
+        run = runs[rows]
         if deriv:
             dsums = buf_d[:(rows + 1) * size].reshape(rows + 1, size)
             dsums[0] = dtotal
-            np.multiply(terms[1:], np.arange(k + 1.0, k + rows + 1.0)[:, None],
-                        dsums[1:])
+            np.multiply(terms[1:], ks, dsums[1:])
             np.cumsum(dsums, axis=0, out=dsums)
             dtotal = dsums[rows]
-        # row j - 1: |t_{k+j}|, of weight k+j+2, and |S_{k+j}|
-        mags, sizes = np.abs(terms[1:]), np.abs(sums[1:])
-        run = run + np.arange(k + 3.0, k + rows + 3.0) @ mags \
-            + sizes.sum(axis=0)
+            druns = np.cumsum(np.vstack(
+                [drun, ks * (ks + 3.0) * mags + np.abs(dsums[1:])]), axis=0)
+            drun = druns[rows]
         first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
         if order is None and rows >= first:
             # fmax skips a nan, as max(scale, nan) does
@@ -255,16 +264,21 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
                 done = np.flatnonzero(stop)
                 row = first + 16 * np.argmax(small[:, done], axis=0)
                 at = live[done]
+                hit = (row - first) // 16
                 value[at] = sums[row, done]
-                err[at] = _EPS * run[done] + tails[(row - first) // 16, done]
+                err[at] = _EPS * runs[row, done] + tails[hit, done]
                 if deriv:
                     dvalue[at] = dsums[row, done]
+                    # the tail of sum k t_k past the stop term t_j, j = k+row
+                    qs, j = q[hit, done], k + row
+                    derr[at] = _EPS * druns[row, done] + m16[hit, done] * (
+                        j * qs / (1.0 - qs) + qs / (1.0 - qs) ** 2)
                 if done.size == size:
                     break
                 live, x, scale, run, term, total = (
                     v[~stop] for v in (live, x, scale, run, term, total))
                 if deriv:
-                    dtotal = dtotal[~stop]
+                    dtotal, drun = dtotal[~stop], drun[~stop]
                 i = int(np.argmax(np.abs(x)))
         k += rows
         # the next block holds the terms that point i needs to stop if they
@@ -279,8 +293,11 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     flat = xs.reshape(-1)
     at_zero = a * b / c if c != 0.0 else complex(math.nan)
     slope = np.divide(dvalue, flat, out=np.full(n, at_zero), where=flat != 0.0)
+    # the division by x rounds once; ab/c at x = 0 three times
+    slope_err = np.where(flat != 0.0, _EPS, 4.0 * _EPS) * np.abs(slope) \
+        + np.divide(derr, np.abs(flat), out=np.zeros(n), where=flat != 0.0)
     return value.reshape(xs.shape), err.reshape(xs.shape), \
-        slope.reshape(xs.shape)
+        slope.reshape(xs.shape), slope_err.reshape(xs.shape)
 
 
 def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):

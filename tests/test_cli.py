@@ -117,9 +117,16 @@ class TestCoefCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_value_exits_3(self, capsys):
-        assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "128",
-                     "--m", "-128", "--x", "0.9999"]) == 3
+        # the Gauss series of the diagonal (700, 700) overflows at x = 0.9
+        assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "700",
+                     "--m", "700", "--x", "0.9"]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_both_indices_large_at_the_boundary_exit_0(self, capsys):
+        # the Euler integrand overflowed here, and this call exited 3
+        assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "128",
+                     "--m", "-128", "--x", "0.9999"]) == 0
+        assert "method ode" in capsys.readouterr().out
 
     @pytest.mark.parametrize("rep,n,m", [
         ("discrete:2", "1e400", "1"), ("principal:0:-0.5", "inf", "0"),
@@ -183,6 +190,19 @@ class TestNormScanCommand:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert sum(1 for l in lines if not l.startswith("#")) == 3
         assert lines[-1].startswith("# ERROR 0.25 ")
+
+    def test_negative_character_writes_a_row(self, tmp_path, capsys):
+        # -16 is in the spectrum of every circle family; on sigma = 0 its
+        # peak is that of 16 (the window was sized from log1p(-16), which
+        # raised "math domain error" and exited 2)
+        out_csv = tmp_path / "scan.csv"
+        cfg = write_config(tmp_path, output_path=str(out_csv),
+                           rep="principal:0:-0.5+1i", n_values=[-16, 16])
+        assert main(["norm-scan", str(cfg)]) == 0
+        rows = [l.split(",") for l in
+                out_csv.read_text(encoding="utf-8").splitlines()[2:]]
+        assert [r[0] for r in rows] == ["-16", "16"]
+        assert rows[0][1:] == rows[1][1:]
 
     def test_default_ladder_scan_error_writes_trailers(self, tmp_path,
                                                        capsys):

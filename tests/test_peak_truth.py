@@ -70,6 +70,17 @@ def test_every_point_is_frozen():
     assert [p[:2] for p in FROZEN] == POINTS + WIDE_POINTS
 
 
+# a negative character, in the spectrum of every circle family: on the
+# sigma = 0 reference column coef(-n, 0) = coef(n, 0), so the scan of -kappa
+# must find the frozen peak of kappa
+@pytest.mark.parametrize("fam,kappa,x_ref,pmin_ref",
+                         [p for p in FROZEN if p[0] != "discrete"],
+                         ids=[f"{p[0]}-{-p[1]}" for p in FROZEN
+                              if p[0] != "discrete"])
+def test_negative_character_peaks_as_its_mirror(fam, kappa, x_ref, pmin_ref):
+    _check(fam, -kappa, x_ref, pmin_ref, PMIN_REL)
+
+
 def _reference(fam, kappa):
     """(x*, pmin*) of the family at the character kappa, as 40-digit
     strings."""

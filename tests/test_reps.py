@@ -12,15 +12,16 @@ import pytest
 from repnorm.errors import (ConvergenceError, DomainError,
                             NormalizationError, PoleError, PreconditionError)
 from repnorm.group import cartan_from_x
+from repnorm import reps
+from repnorm.norms import ScanConfig, _scan_grid
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
-                          _BRANCH_REL, _boundary_method,
-                          _cached_euler_factors, _circle_samples,
-                          _disc_samples, _euler_nodes, _f_connection_vec,
-                          _f_euler_vec, _principal_params, _settled_column,
+                          _OdeCache, _circle_samples, _disc_samples,
+                          _f_ode_vec, _principal_params, _settled_column,
                           coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
-from repnorm.specfun import gamma_ratio_signed, hyp2f1, log_gamma
+from repnorm.specfun import (_gamma_ratio_rounding, gamma_ratio_signed, hyp2f1,
+                             log_gamma)
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -127,9 +128,9 @@ class TestFrozenValues:
 
 
 class TestBoundaryBranches:
-    """Above X_CUT with n < m or m < 0, where the Euler branch needs the
-    2F1 pair ordered Re a <= Re b, and on the reference column, where on
-    sigma = 1/2 the two terms of the 1-x connection cancel."""
+    """Above X_CUT with n < m or m < 0, where the 2F1 pair is ordered
+    Re a <= Re b, and on the reference column up to n = 1024, where the
+    ODE branch's steps are capped by the rate of its solutions."""
 
     @pytest.mark.parametrize("sigma,n,m,x,re,im", BOUNDARY_COEFS, ids=[
         f"sigma{c[0]}-n{c[1]}-m{c[2]}-x{c[3]}" for c in BOUNDARY_COEFS])
@@ -142,137 +143,228 @@ class TestBoundaryBranches:
         assert abs(vec[1] - ref) <= cv.err_est
 
 
-def _euler_per_node(a, b, c, xs, omx):
-    """The reference Euler kernel: one numpy pass over the points per node,
-    accumulated node by node."""
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _euler_nodes(a, b, cb, omx):
+    """Quadrature nodes (v, Gauss weight times dv) of the Euler integral of
+    _euler_route: log-v panels over the cusp near v = 0, then linear panels
+    graded to the local log-slope around the peak v* = log(1 + (b-1)/(c-b)),
+    the window widened by (Re a - 1/2) log(1/(1-x)) / Re(c-b) past Re a =
+    1/2, where the factor w^-a can still grow."""
+    br = b.real
+    v_star = math.log1p(max(br - 1.0, 0.0) / cb.real)
+    v_lo = max(1e-9, v_star - math.log1p(60.0 / cb.real))
+    v_hi = v_star + 48.0 / cb.real
+    if a.real > 0.5:
+        v_hi += (a.real - 0.5) * -math.log(float(np.min(omx))) / cb.real
+    osc = abs(cb.imag) + abs(a) + cb.real + 1.0
+    nodes = []
+    if v_lo < 0.5:
+        v_split = min(0.5, v_hi)
+        y_lo, y_hi = math.log(1e-19) / br, math.log(v_split)
+        if y_hi > y_lo:
+            h_y = min(2.5, 16.0 / (1.0 + abs(b - 1.0) + abs(cb) * v_split))
+            n_panels = max(1, math.ceil((y_hi - y_lo) / h_y))
+            h_y = (y_hi - y_lo) / n_panels
+            for p in range(n_panels):
+                mid = y_lo + (p + 0.5) * h_y
+                for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                    vk = math.exp(mid + 0.5 * h_y * node)
+                    nodes.append((vk, weight * 0.5 * h_y * vk))
+            v_lo = v_split
+    v = v_lo
+    while v < v_hi:
+        slope = cb.real * math.exp(max(v_star - v, 0.0)) + osc
+        h = min(2.5, 16.0 / slope, v_hi - v)
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            nodes.append((v + h / 2.0 * (1.0 + node), weight * h / 2.0))
+        v += h
+    return nodes
+
+
+def _euler_route(a, b, c, omx):
+    """2F1(a, b; c; 1 - omx) by the Euler integral in t = 1 - e^-v,
+
+      [G(c)/(G(b)G(c-b))] int_0^inf e^{-v(c-b)} (1-e^{-v})^{b-1}
+                                 ((1-x) + x e^{-v})^{-a} dv,
+
+    for Re b > 0 and Re(c-b) > 0.05, on the graded panels of _euler_nodes,
+    one numpy pass over the points per node.  Its window cuts the integrand
+    at about e^-48 (1-x)^-1/2 of its peak, so it holds to about 1e-10 where
+    1-x is not far below 1e-16."""
     a, b, c = complex(a), complex(b), complex(c)
     cb = c - b
-    acc = np.zeros(xs.shape, dtype=complex)
+    assert b.real > 0.0 and cb.real > 0.05
+    xs = 1.0 - omx
+    acc = np.zeros(omx.shape, dtype=complex)
     for vk, dv in _euler_nodes(a, b, cb, omx):
         s = -math.expm1(-vk)
         t1 = cmath.exp((b - 1.0) * math.log(s) - cb * vk)
-        wk = omx + xs * math.exp(-vk)
-        acc += (dv * t1) * np.exp(-a * np.log(wk))
+        acc += (dv * t1) * np.exp(-a * np.log(omx + xs * math.exp(-vk)))
     return gamma_ratio_signed([c], [b, cb]) * acc
+
+
+def _connection_route(a, b, c, omx):
+    """2F1(a, b; c; 1 - omx) by the two-term 1-x connection (DLMF 15.8.4,
+    15.10.21), both series in the variable 1-x, for c-a-b off the integers
+    by more than 0.05; returns (F, err), err adding each term's series
+    error and Gamma rounding at that term's size, far above |F| where the
+    two terms cancel (n(1-x) large), plus 2e-12 |F|."""
+    a, b, c = complex(a), complex(b), complex(c)
+    s = c - a - b
+    assert abs(s.imag) > 0.05 or abs(s.real - round(s.real)) > 0.05
+    out = np.zeros(omx.shape, dtype=complex)
+    err = np.zeros(omx.shape)
+    for num, den, power, params in (
+            ([s], [c - a, c - b], 0.0, (a, b, a + b - c + 1.0)),
+            ([-s], [a, b], s, (c - a, c - b, s + 1.0))):
+        pref = gamma_ratio_signed([c] + num, den)
+        if pref == 0.0:
+            continue
+        pref = pref * np.exp(power * np.log(omx))
+        f, f_err = hyp2f1(*params, omx)
+        out += pref * f
+        err += np.abs(pref) * (f_err
+                               + _gamma_ratio_rounding(num + den) * np.abs(f))
+    return out, err + (2e-12 + _gamma_ratio_rounding([c])) * np.abs(out)
 
 
 REFERENCE_COLUMN_REPS = [Principal(0.0, -0.5 + 1.0j),
                          Principal(0.5, -0.5 + 0.7j), Complementary(-0.25)]
-# above X_CUT, from the cut to deep in the boundary layer of the peaks; 200
-# points span several blocks of the kernel
-EULER_XS = 1.0 - np.geomspace(1.0 - X_CUT - 1e-4, 1e-6, 200)
 
 
-def _reference_euler_params(r, kappa):
-    """2F1 parameters of the reference column at the character -kappa
-    (moved one up where kappa is off the spectrum).  On sigma = 0 that half
-    mirrors the scanned half n >= 0; on sigma = 1/2 the half n >= 0 runs
-    through the 1-x connection, and n < 0 is the half the Euler branch
-    evaluates."""
-    if kappa not in r.spectrum(kappa):
+def _grid_params(r, kappa):
+    """2F1 parameters of the reference column at the character kappa
+    (moved one up where kappa is off the spectrum), and 1-x on the default
+    scan grid of kappa above X_CUT."""
+    if kappa not in r.spectrum(abs(kappa) + 1):
         kappa += 1
-    a, b, c, _ = _principal_params(*r.circle, r.basis_index(-kappa), r.m_ref)
-    assert _boundary_method(a, b, c) == "euler"
-    return a, b, c
+    a, b, c, _ = _principal_params(*r.circle, r.basis_index(kappa), r.m_ref)
+    ts, _, _ = _scan_grid(abs(kappa), ScanConfig())
+    omx = 1.0 / np.cosh(ts) ** 2
+    return a, b, c, omx[omx < 1.0 - X_CUT]
 
 
-class TestEulerKernel:
-    """The nodes x points Euler kernel gives bit for bit the values of the
-    per-node loop, in one-point calls and in batches of several blocks."""
+# every 37th point of the grid, about 6,000 of its 225,000 above X_CUT
+GRID_STRIDE = 37
 
-    @staticmethod
-    def _agree(a, b, c, xs):
-        omx = 1.0 - xs
-        return np.array_equal(_f_euler_vec(a, b, c, xs, omx),
-                              _euler_per_node(a, b, c, xs, omx))
+
+class TestOdeAgainstReferences:
+    """The Euler integral and the two-term 1-x connection are independent
+    routes to 2F1 above X_CUT: on the kappa = +-2048 scan grids of the
+    reference columns the ODE branch agrees with each route that applies
+    within the sum of the two budgets, the Euler route's taken as 2e-10
+    |F|.  On sigma = 1/2 the half n >= 0 has Re(c-b) = 0, where only the
+    connection applies; its budget there is far above |F| once n(1-x) is
+    large, so there the Euler half n < 0 is the sharp check."""
 
     @pytest.mark.parametrize("r", REFERENCE_COLUMN_REPS,
                              ids=lambda r: repr(r).replace(" ", ""))
-    @pytest.mark.parametrize("kappa", [16, 256, 2048])
-    def test_reference_columns(self, r, kappa):
-        a, b, c = _reference_euler_params(r, kappa)
-        assert self._agree(a, b, c, EULER_XS)
-        for x in (EULER_XS[0], EULER_XS[137]):
-            assert self._agree(a, b, c, np.array([x]))
+    @pytest.mark.parametrize("kappa", [2048, -2048])
+    def test_kappa_2048_grid(self, r, kappa):
+        a, b, c, omx = _grid_params(r, kappa)
+        omx = omx[::GRID_STRIDE]
+        assert omx.size > 5000
+        value, err = _f_ode_vec(a, b, c, omx)
+        routes = 0
+        if (c - b).real > 0.05:
+            euler = _euler_route(a, b, c, omx)
+            assert np.all(np.abs(value - euler) <= err + 2e-10 * np.abs(euler))
+            routes += 1
+        s = c - a - b
+        if abs(s.imag) > 0.05 or abs(s.real - round(s.real)) > 0.05:
+            conn, conn_err = _connection_route(a, b, c, omx)
+            assert np.all(np.abs(value - conn) <= err + conn_err)
+            routes += 1
+        assert routes >= 1
+        # the ODE's own budget stays far below the column's size
+        assert np.all(err <= 1e-10 * np.max(np.abs(value)))
 
-    def test_widened_window(self):
-        # Re a = 20.5 > 1/2: the window depends on min(1-x) of the batch
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 100, -20)
-        assert a.real > 0.5
-        assert self._agree(a, b, c, np.array([0.999]))
-        assert self._agree(a, b, c, EULER_XS)
+    @pytest.mark.parametrize("lam", [-0.5 + 1.0j, -0.25])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_euler_against_connection(self, lam, n):
+        # where both references apply, with n(1-x) up to about 4, they agree
+        # with one another within their budgets
+        a, b, c, _ = _principal_params(0.0, lam, n, 0)
+        omx = 1.0 - np.array([0.985, 0.99, 0.999, 0.9999])
+        assert np.all(n * omx <= 4.0)
+        euler = _euler_route(a, b, c, omx)
+        conn, conn_err = _connection_route(a, b, c, omx)
+        assert np.all(np.abs(euler - conn) <= 2e-10 * np.abs(euler) + conn_err)
 
-    def test_cusp_stretch_skipped(self):
-        # Re b = 64.5 puts the start of the log-v stretch, v = 1e-19^(1/b),
-        # above its end at v = 1/2, while the window starts below it
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 64, -4)
-        assert 1e-19 ** (1.0 / b.real) > 0.5
-        assert self._agree(a, b, c, EULER_XS)
-        assert self._agree(a, b, c, EULER_XS[-1:])
 
-    # the scanned reference columns with Re a <= 1/2, where the nodes do not
-    # depend on the batch (sigma = 1/2 has Re a = 1 on its Euler half)
-    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
-                                   Complementary(-0.25)],
+class TestOdeTables:
+    """The tables behind the ODE branch: a point's bits do not depend on
+    its batch or on how far its table was built, the cache keeps to its
+    byte cap, and threads may share it."""
+
+    @pytest.mark.parametrize("r", REFERENCE_COLUMN_REPS,
                              ids=lambda r: repr(r).replace(" ", ""))
-    @pytest.mark.parametrize("kappa", [16, 2048])
-    def test_batch_independence(self, r, kappa):
-        n = r.basis_index(kappa)
-        batch = coef_vec(r, n, r.m_ref, EULER_XS)
-        one_by_one = [coef_vec(r, n, r.m_ref, EULER_XS[i:i + 1])[0]
-                      for i in range(EULER_XS.size)]
-        assert np.array_equal(batch, np.array(one_by_one))
+    def test_batch_and_table_independence(self, r):
+        a, b, c, omx = _grid_params(r, 256)
+        omx = np.concatenate([omx[::40], [1e-20, 1e-45]])
+        deep = _f_ode_vec(a, b, c, omx, deriv=True)
+        # a fresh cache, extended point by point from the cut
+        tables = _OdeCache(1 << 30)
+        for i in np.argsort(-omx):
+            alone = _f_ode_vec(a, b, c, omx[i:i + 1], deriv=True,
+                               tables=tables)
+            for got, want in zip(deep, alone):
+                assert _same_bits(got[i:i + 1], want), omx[i]
 
-    # the node factors of Re a <= 1/2 are cached per (a, b, c-b); cached or
-    # built afresh, they must give the per-node loop's values bit for bit
-    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
-                                   Complementary(-0.25)],
-                             ids=lambda r: repr(r).replace(" ", ""))
-    @pytest.mark.parametrize("kappa", [16, 2048])
-    def test_cold_and_warm_cache(self, r, kappa):
-        a, b, c = _reference_euler_params(r, kappa)
-        assert a.real <= 0.5
-        _cached_euler_factors.cache_clear()
-        assert self._agree(a, b, c, EULER_XS)            # cold
-        assert _cached_euler_factors.cache_info().currsize == 1
-        assert self._agree(a, b, c, EULER_XS)            # warm
-        assert self._agree(a, b, c, EULER_XS[137:138])
-        assert _cached_euler_factors.cache_info().hits == 2
+    def test_table_reaches_only_as_far_as_asked(self):
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 64, 0)
+        tables = _OdeCache(1 << 30)
+        # a first chunk of 16 centres reaches 1-x = 2e-4, then 64 at a time
+        centres = tables.rows(a, b, c, 1e-3)[0]
+        assert centres[-1] < 1e-3 and centres.size == 16
+        centres = tables.rows(a, b, c, 1e-56)[0]
+        assert centres[-1] < 1e-56 and centres.size <= 512
+        # the step is a quarter of 1-x away from the cap, and exact
+        steps = tables.rows(a, b, c, 1e-56)[1]
+        assert np.all(centres[:-1] - steps[:-1] == centres[1:])
+        assert np.all(steps <= 0.25 * centres * (1.0 + 1e-15))
 
-    def test_cached_factors_are_read_only(self):
-        a, b, c = _reference_euler_params(Principal(0.0, -0.5 + 1.0j), 256)
-        _f_euler_vec(a, b, c, EULER_XS[:1], 1.0 - EULER_XS[:1])
-        key = np.array([a, b, c - b]).tobytes()
-        for arr in _cached_euler_factors(key):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    def test_byte_cap(self):
+        tables = _OdeCache(600_000)
+        params = [_principal_params(0.0, -0.5 + 1.0j, n, 0)[:3]
+                  for n in (4, 16, 64)]
+        for a, b, c in params:
+            tables.rows(a, b, c, 1e-56)
+        # each table to 1e-56 holds about 230 KB: the oldest one went
+        assert len(tables._tables) == 2
+        assert sum(t.rows.nbytes for t in tables._tables.values()) <= 600_000
+        # a table above the cap alone still serves its call
+        small = _OdeCache(1000)
+        value, err = _f_ode_vec(*params[0], np.array([1e-30]), tables=small)
+        assert np.isfinite(value).all() and len(small._tables) == 1
 
-    def test_widened_window_is_not_cached(self):
-        # Re a = 20.5: the nodes depend on min(1-x), so each batch builds
-        # its own, and two batches with different min(1-x) both stay exact
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 100, -20)
-        before = _cached_euler_factors.cache_info()
-        assert self._agree(a, b, c, EULER_XS[:50])
-        assert self._agree(a, b, c, EULER_XS[150:])
-        assert _cached_euler_factors.cache_info() == before
+    def test_below_the_floor(self):
+        # 1-x under the table's floor, 0 included: a finite value taken at
+        # the end of the last step, with an infinite err
+        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        value, err = _f_ode_vec(a, b, c, np.array([1e-300, 0.0, 1e-3]))
+        assert np.isfinite(value).all()
+        assert np.isinf(err[:2]).all() and np.isfinite(err[2])
 
     def test_threads_share_the_cache(self):
-        # more workers than cores, a short switch interval and cache clears
-        # between calls: every value must still be the per-node loop's
-        params = [_reference_euler_params(r, kappa)
+        # more workers than cores, a short switch interval and a cache so
+        # small that the tables evict one another: every value must still
+        # have the bits of a call on a fresh cache
+        params = [_principal_params(*r.circle, n, 0)[:3]
                   for r in (Principal(0.0, -0.5 + 1.0j), Complementary(-0.25))
-                  for kappa in (16, 256)]
-        xs = EULER_XS[::20]
-        want = [_euler_per_node(a, b, c, xs, 1.0 - xs) for a, b, c in params]
+                  for n in (16, 256)]
+        omx = np.geomspace(1e-2, 1e-30, 25)
+        want = [_f_ode_vec(a, b, c, omx, tables=_OdeCache(1 << 30))[0]
+                for a, b, c in params]
+        tables = _OdeCache(300_000)
 
         def work(i):
-            for j in range(24):
-                if j % 5 == 0:
-                    _cached_euler_factors.cache_clear()
+            for j in range(16):
                 k = (i + j) % len(params)
-                if not np.array_equal(_f_euler_vec(*params[k], xs, 1.0 - xs),
-                                      want[k]):
+                got = _f_ode_vec(*params[k], omx, tables=tables)[0]
+                if not _same_bits(got, want[k]):
                     return False
             return True
 
@@ -285,28 +377,6 @@ class TestEulerKernel:
         finally:
             sys.setswitchinterval(interval)
         assert all(done)
-
-
-class TestEulerAgainstConnection:
-    """Where both boundary branches apply, Re(c-b) > 0.05 with c-a-b off
-    the integers and n(1-x) up to about 4, the Euler integral and the
-    two-term 1-x connection (DLMF 15.6.1, 15.8.4) are independent routes to
-    one 2F1: they agree within the sum of their budgets."""
-
-    @pytest.mark.parametrize("lam", [-0.5 + 1.0j, -0.25])
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_agree_within_budgets(self, lam, n):
-        a, b, c, _ = _principal_params(0.0, lam, n, 0)
-        s = c - a - b
-        assert _boundary_method(a, b, c) == "euler"
-        assert abs(s - round(s.real)) > 0.05
-        xs = np.array([0.985, 0.99, 0.999, 0.9999])
-        omx = 1.0 - xs
-        assert np.all(n * omx <= 4.0)
-        euler = _f_euler_vec(a, b, c, xs, omx)
-        conn, conn_err = _f_connection_vec(a, b, c, xs, omx)
-        assert np.all(np.abs(euler - conn)
-                      <= _BRANCH_REL["euler"] * np.abs(euler) + conn_err)
 
 
 def _series_per_term(a, b, c, xs, tol=1e-15):
@@ -383,8 +453,8 @@ class TestSeriesKernel:
             n = int(rng.integers(-300, 301))
             m = int(rng.integers(-8, 9))
             a, b, c, _ = _principal_params(*r.circle, n, m)
-            # the series runs on x <= X_CUT, and on 1-x < 1-X_CUT for the
-            # connection branch
+            # the series runs on x <= X_CUT, and on 1-x < 1-X_CUT in the
+            # connection reference route
             hi = X_CUT if case % 4 else 1.0 - X_CUT
             xs = rng.uniform(0.0, hi, size)
             alone = _one_point_each(
@@ -495,14 +565,16 @@ class TestSlope:
     @pytest.mark.parametrize("r,n,m,x,method,tol", [
         (Principal(0.0, -0.5 + 1.0j), 32, 0, 0.5, "series", 1e-13),
         (Principal(0.0, -0.5 + 1.0j), 32, 0, 0.97, "series", 1e-13),
-        (Principal(0.0, -0.5 + 1.0j), 128, 0, 0.99, "euler", 1e-13),
-        (Complementary(-0.25), 512, 0, 0.999, "euler", 1e-13),
-        (Principal(0.0, -0.5 + 1.0j), 7, -20, 0.995, "euler", 1e-13),
-        (Principal(0.5, -0.5 + 0.7j), 64, 0, 0.99, "connection", 1e-13),
-        (Principal(0.5, -0.5 + 0.7j), 64, 0, 0.9995, "connection", 1e-13),
-        (Principal(0.5, -0.5 + 0.7j), 128, 0, 0.9986, "connection", 1e-13),
-        (Principal(0.5, -0.5), 6, 2, 0.99, "scalar", 1e-13),
-        (Principal(0.0, -0.5), 5, 2, 0.99, "scalar", 1e-12),
+        (Principal(0.0, -0.5 + 1.0j), 128, 0, 0.99, "ode", 1e-13),
+        (Complementary(-0.25), 512, 0, 0.999, "ode", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 7, -20, 0.995, "ode", 1e-13),
+        (Principal(0.5, -0.5 + 0.7j), 64, 0, 0.99, "ode", 1e-13),
+        (Principal(0.5, -0.5 + 0.7j), 64, 0, 0.9995, "ode", 1e-13),
+        (Principal(0.5, -0.5 + 0.7j), 128, 0, 0.9986, "ode", 1e-13),
+        (Principal(0.5, -0.5), 6, 2, 0.99, "ode", 1e-13),
+        (Principal(0.0, -0.5), 5, 2, 0.99, "ode", 1e-12),
+        (Principal(0.5, -0.5 + 0.7j), 2048, 0, 0.9993, "ode", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 4, 0, 1.0 - 1e-12, "ode", 1e-13),
         (Principal(0.5, -0.5), 6, 0, 0.99, "closed", 1e-13),
         (Discrete(2), 8.0, 1.0, 0.7, "closed", 1e-13),
         (Discrete(2), 8.0, 1.0, 0.3, "closed", 1e-13),
@@ -514,9 +586,6 @@ class TestSlope:
         values, slopes, errs = coef_vec(r, n, m, xs, slope=True)
         assert coef(r, n, m, x).method == method
         want, scale = _reference_slope(r, n, m, x)
-        # F' is cut at F's stop: on the non-terminating scalar fallback
-        # (c - a - b = 0) its tail is 1/(1-x) times F's, 2.9e-13 of the
-        # scale at x = 0.99; every other case is within 2e-15 of it
         assert abs(slopes[0] - want) <= tol * scale
         # the same value bits as without the slope, and coef's budget
         assert _same_bits(values, coef_vec(r, n, m, xs))
@@ -541,14 +610,13 @@ class TestSlope:
                                      (Discrete(2), 40.0)],
                              ids=lambda v: repr(v).replace(" ", ""))
     def test_batch_has_the_bits_of_one_point_calls(self, r, n):
-        # points on both sides of X_CUT, as the scan's root steps give them
+        # points on both sides of X_CUT, as the scan's root steps give them;
+        # values, slopes and errs alike
         xs = np.concatenate([np.linspace(0.3, 0.98, 7),
                              1.0 - np.geomspace(1e-2, 1e-4, 6)])
-        # (err, a bound, sums its series' rounding over whole term blocks,
-        # which the batch sizes)
-        batch = coef_vec(r, n, r.m_ref, xs, slope=True)[:2]
+        batch = coef_vec(r, n, r.m_ref, xs, slope=True)
         for i in range(xs.size):
-            alone = coef_vec(r, n, r.m_ref, xs[i:i + 1], slope=True)[:2]
+            alone = coef_vec(r, n, r.m_ref, xs[i:i + 1], slope=True)
             for got, want in zip(batch, alone):
                 assert _same_bits(got[i:i + 1], want), (i, xs[i])
 
@@ -559,14 +627,31 @@ class TestSlope:
         import mpmath
 
         xs = np.array([0.0, 0.1, 0.5, 0.9, 0.98])
-        value, err, slope = hyp2f1(a, b, c, xs, deriv=True)
+        value, err, slope, slope_err = hyp2f1(a, b, c, xs, deriv=True)
         assert _same_bits(value, hyp2f1(a, b, c, xs)[0])
         assert _same_bits(err, hyp2f1(a, b, c, xs)[1])
         with mpmath.workdps(40):
-            for x, got in zip(xs.tolist(), slope.tolist()):
+            for x, got, bound in zip(xs.tolist(), slope.tolist(),
+                                     slope_err.tolist()):
                 want = complex(a * b / c * mpmath.hyp2f1(
                     a + 1, b + 1, c + 1, x))
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+                # the derived bound covers the slope, and is not vacuous
+                assert abs(got - want) <= bound <= 1e-11 * max(1.0, abs(want))
+
+    def test_series_errs_do_not_depend_on_the_batch(self):
+        # each point's rounding bound stops with it: err and F'_err have
+        # the bits of the one-point call (4.03e-81 in this 13-point batch
+        # against 3.85e-81 alone when the bound summed whole term blocks)
+        r = Complementary(-0.25)
+        a, b, c, _ = _principal_params(*r.circle, 256, 0)
+        xs = np.concatenate([np.linspace(0.3, 0.98, 7),
+                             np.linspace(0.05, 0.2, 6)])
+        batch = hyp2f1(a, b, c, xs, deriv=True)
+        for i in range(xs.size):
+            alone = hyp2f1(a, b, c, xs[i:i + 1], deriv=True)
+            for got, want in zip(batch, alone):
+                assert _same_bits(got[i:i + 1], want), (i, xs[i])
 
 
 class TestStructuralIdentities:
@@ -960,14 +1045,29 @@ class TestCoefValueContract:
             assert abs(cv.value - column[n]) <= 50.0 * (
                 cv.err_est + oracle_err) + 1e-13 * abs(column[n])
 
-    def test_non_finite_value_raises(self):
-        # the Euler integrand's (1-x)^-a overflows at Re a = 128.5 before
-        # the Gamma prefactor can cancel it; coef_vec returns nan there
+    def test_non_finite_value_raises(self, monkeypatch):
+        def nan_column(sigma, lam, n, m, xs):
+            return np.full(1, complex(math.nan)), np.zeros(1), "ode"
+
+        monkeypatch.setattr(reps, "principal_coef_vec", nan_column)
+        with pytest.raises(ConvergenceError):
+            coef(Principal(0.0, -0.5 + 1.0j), 3, 0, cartan_from_x(0.99))
+
+    def test_both_indices_large_at_the_boundary(self):
+        # Re a = Re b = 128.5: the Euler integrand overflowed here and coef
+        # raised on a nan; the ODE branch steps through it
+        import mpmath
+
         r = Principal(0.0, -0.5 + 1.0j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(coef_vec(r, 128, -128, np.array([0.9999]))[0])
-            with pytest.raises(ConvergenceError):
-                coef(r, 128, -128, cartan_from_x(0.9999))
+        cv = coef(r, 128, -128, cartan_from_x(0.9999))
+        assert cv.method == "ode" and cmath.isfinite(cv.value)
+        with mpmath.workdps(40):
+            lam, x = mpmath.mpc(-0.5, 1.0), mpmath.mpf(0.9999)
+            a = b = -lam + 128
+            want = complex(mpmath.gammaprod([lam + 129], [257, lam - 127])
+                           * x ** 128 * (1 - x) ** (-lam)
+                           * mpmath.hyp2f1(a, b, 257, x))
+        assert abs(cv.value - want) <= cv.err_est <= 1e-9 * abs(want)
 
 
 if __name__ == "__main__":
