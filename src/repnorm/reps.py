@@ -17,10 +17,11 @@ Three families are implemented against one pair of conventions:
 Both give "apply the group to f_m, project on f_n", so a column at fixed m
 is directly comparable with the oracle output.
 
-Each family has one closed-form evaluator, coef_vec: a Gamma prefactor (log
-space, signed) times a Gauss hypergeometric factor on the circle, a finite
-sum on the disc; coef is its one-point call.  Each family also has a
-first-principles oracle that
+Each family class has one closed-form evaluator, closed_form: a Gamma
+prefactor (log space, signed) times a Gauss hypergeometric factor on the
+circle, a finite sum on the disc, with its normalizer and every rounding
+term of its err applied; coef_vec is its batched call and coef its
+one-point call.  Each family also has a first-principles oracle that
 never touches the closed forms: Fourier analysis of the transformed circle
 function, and Taylor extraction of the transformed disc function.
 """
@@ -47,10 +48,10 @@ ORACLE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # Representation descriptors: each class carries the facts of its family
 # (spectrum, basis index of a character, reference column m_ref, circle
-# parameters (sigma, lam) or None on the disc, normalizer, unitarity, and
-# two unitarity bounds of the reference column along the flow: the
-# Lipschitz bound L of its first derivative in t and the curvature bound K
-# of its second).
+# parameters (sigma, lam) or None on the disc, normalizer, unitarity, two
+# unitarity bounds of the reference column along the flow: the Lipschitz
+# bound L of its first derivative in t and the curvature bound K of its
+# second) and its closed-form evaluator.
 
 
 class _Circle:
@@ -115,6 +116,65 @@ class _Circle:
         if not self.unitary:
             return math.inf
         return math.hypot(self.lipschitz ** 2, 2.0 * self._leading(2.0))
+
+    def closed_form(self, n, m, xs, omx=None, slope=False):
+        """The closed-form evaluator: coef(n, m) over an array of Cartan x,
+        as (value, err, method, d log|value|/dx or None), err of the shape
+        of xs.
+
+        Closed form: normalizer * pref * x^(|n-m|/2) (1-x)^(-lam)
+        2F1(a, b; |n-m|+1; x), with the series at or below X_CUT and, above
+        it, the Taylor continuation of the hypergeometric ODE from X_CUT
+        (_f_ode_vec).  method names the branch: 'closed' for a factor
+        identically 1 or 0, else 'ode' if any point lies above X_CUT, else
+        'series'.  err is |normalizer pref shell| times the derived error of
+        the 2F1 factor, plus |value| times the rounding of the Gamma
+        prefactor, the shell and the normalizer.  Callers sitting extremely
+        close to the boundary pass omx = 1-x directly: the ODE branch reads
+        omx alone, so the boundary factor keeps its full precision at any
+        1-x.
+
+        With slope=True each branch also returns F' from the pass that
+        computes F: the series sums k t_k / x, the ODE branch differentiates
+        its Horner pass; F is 1 on a closed factor, so F' is 0.  The slope
+        is Re[|n-m|/(2x) + lam/(1-x) + F'/F].  Values and err keep their
+        bits either way.
+        """
+        sigma, lam = self.circle
+        xs = np.asarray(xs, dtype=float)
+        omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
+        log_omx = np.log(omx)
+        a, b, c, pref = _principal_params(sigma, lam, n, m)
+        shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * log_omx)
+        # d log|shell|/dx, to which the slope adds Re F'/F
+        dlog = abs(n - m) / (2.0 * xs) + lam.real / omx if slope else None
+        if pref == 0.0 or _unit_factor(a, b):
+            value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
+            err, method = _CLOSED_REL * np.abs(value), "closed"
+        else:
+            F, F_err = np.empty(xs.shape, dtype=complex), np.empty(xs.shape)
+            dF = np.empty(xs.shape, dtype=complex) if slope else None
+            low = xs <= X_CUT
+            method = "series" if np.all(low) else "ode"
+            for part, branch, arg in ((low, hyp2f1, xs),
+                                      (~low, _f_ode_vec, omx)):
+                if np.any(part):
+                    F[part], F_err[part], *df = branch(a, b, c, arg[part],
+                                                       deriv=slope)
+                    if slope:
+                        dF[part] = df[0]
+            if slope:
+                dlog = dlog + (dF / F).real
+            scaled = pref * shell
+            value = scaled * F
+            num, den = _principal_pref_args(sigma, lam, n, m)
+            rel = _gamma_ratio_rounding(num + den) + _EPS * (
+                6.0 + 2.0 * abs(lam) * np.abs(log_omx))
+            err = np.abs(scaled) * F_err + rel * np.abs(value)
+        scale = self.normalizer(n, m)
+        value = scale * value
+        return (value, scale * err + self.normalizer_rounding(n, m)
+                * np.abs(value), method, dlog)
 
 
 @dataclass(frozen=True)
@@ -228,6 +288,61 @@ class Discrete:
         f_m with -L^2."""
         return math.hypot(self.lipschitz ** 2,
                           2.0 * math.exp(_discrete_log_j(self.ell, 2, 0)))
+
+    def closed_form(self, n, m, xs, omx=None, slope=False):
+        """The closed-form evaluator: coef(n, m) over an array of Cartan x,
+        as (value, err, 'closed', d log|value|/dx or None), err of the
+        shape of xs.
+
+        With p = n - ell/2, q = m - ell/2 the value is the finite sum
+
+          (-1)^p |J| sum_k t_k,   t_k = g_k x^((p+q-2k)/2) (1-x)^(ell/2+k),
+
+        k <= K = min(p, q), g_0 = 1 and g_{k+1} = -g_k (p-k)(q-k) /
+        ((ell+k)(k+1)): the terminating Gauss polynomial in -(1-x)/x written
+        out so the x -> 0 and x -> 1 limits are manifest.  The alternating
+        sign is real: the column oscillates in n at fixed x, as the Fourier
+        oracle confirms.
+
+        err is |J| eps (4 + ell/2 + 2K) sum_k |t_k|, the rounding of the sum
+        at the size of its terms (k eps from g_k, eps from each power and
+        from the products, (ell/2 + k) eps/2 from the rounding of 1-x inside
+        its power, (K+1) eps/2 from the running sum), plus |value| times the
+        rounding of |J| and of the final product.  Where the terms cancel,
+        err is far above |value|; on the reference column q = 0 the sum is
+        one term.
+
+        The slope differentiates the sum term by term: t_k times
+        (p+q-2k)/(2x) - (ell/2+k)/(1-x), over the sum.
+        """
+        ell = self.ell
+        p = _discrete_index(ell, n)
+        q = _discrete_index(ell, m)
+        xs = np.asarray(xs, dtype=float)
+        one_minus = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
+        sign = -1.0 if p % 2 else 1.0
+        j_mag = math.exp(_discrete_log_j(ell, p, q))
+        total = np.zeros(xs.shape, dtype=float)
+        size = np.zeros(xs.shape)
+        dtotal = np.zeros(xs.shape) if slope else None
+        g = 1.0
+        for k in range(min(p, q) + 1):
+            term = (g * xs ** ((p + q - 2 * k) / 2.0)
+                    * one_minus ** (ell / 2.0 + k))
+            total += term
+            size += np.abs(term)
+            if slope:
+                dtotal += term * ((p + q - 2 * k) / (2.0 * xs)
+                                  - (ell / 2.0 + k) / one_minus)
+            g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
+        value = (sign * j_mag) * total.astype(complex)
+        # the log-Gamma sum of |J| rounds at the size of its terms, which the
+        # square root does not halve
+        j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
+            [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
+        err = (_EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * (j_mag * size)
+               + j_rel * np.abs(value))
+        return value, err, "closed", dtotal / total if slope else None
 
 
 def _finite_index(value):
@@ -528,7 +643,7 @@ def parseval_defect(r, m, coord):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluators (scan and quadrature fast paths)
+# The ODE branch of the circle closed form, and the calls of the evaluator
 
 # Relative error of a circle factor identically 1 or 0, beside its Gamma and
 # shell rounding: ten times the worst seen against 30-digit mpmath on six
@@ -731,177 +846,31 @@ def _unit_factor(a, b):
     return any(is_nonpositive_int(v) and round(v.real) == 0 for v in (a, b))
 
 
-def principal_coef_vec(sigma, lam, n, m, xs, omx=None, slope=False):
-    """Circle-model coefficients over an array of Cartan x; returns
-    (value, err, method), err of the shape of xs, and with slope=True
-    (value, err, method, d log|value|/dx).
-
-    Closed form: pref * x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x), with
-    the series at or below X_CUT and, above it, the Taylor continuation of
-    the hypergeometric ODE from X_CUT (_f_ode_vec).  method names the
-    branch: 'closed' for a factor identically 1 or 0, else 'ode' if any
-    point lies above X_CUT, else 'series'.  err is |pref shell| times the
-    derived error of the 2F1 factor, plus |value| times the rounding of the
-    Gamma prefactor and the shell.  Callers sitting extremely close to the
-    boundary pass omx = 1-x directly: the ODE branch reads omx alone, so
-    the boundary factor keeps its full precision at any 1-x.
-
-    The slope is Re[|n-m|/(2x) + lam/(1-x) + F'/F], F' coming from the
-    same pass of the branch that computes F (see _principal_coef).
-    """
-    value, err, method, dlog = _principal_coef(sigma, lam, n, m, xs, omx,
-                                               slope)
-    if method != "closed":
-        num, den = _principal_pref_args(sigma, lam, n, m)
-        omx = 1.0 - np.asarray(xs, dtype=float) if omx is None else omx
-        rel = _gamma_ratio_rounding(num + den) + _EPS * (
-            6.0 + 2.0 * abs(lam) * np.abs(np.log(omx)))
-        err = err + rel * np.abs(value)
-    return (value, err, method, dlog) if slope else (value, err, method)
-
-
-def _principal_coef(sigma, lam, n, m, xs, omx, slope=False):
-    """principal_coef_vec less its prefactor and shell rounding: (value,
-    err, method, d log|value|/dx or None).
-
-    With slope=True each branch also returns F' from the pass that computes
-    F: the series sums k t_k / x, the ODE branch differentiates its Horner
-    pass; F is 1 on a closed factor, so F' is 0.  F and err keep their
-    bits either way."""
-    lam = complex(lam)
-    xs = np.asarray(xs, dtype=float)
-    omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
-    a, b, c, pref = _principal_params(sigma, lam, n, m)
-    shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * np.log(omx))
-    # d log|shell|/dx, to which the slope adds Re F'/F
-    dlog = abs(n - m) / (2.0 * xs) + lam.real / omx if slope else None
-    if pref == 0.0 or _unit_factor(a, b):
-        value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
-        return value, _CLOSED_REL * np.abs(value), "closed", dlog
-    F, F_err = np.empty(xs.shape, dtype=complex), np.empty(xs.shape)
-    dF = np.empty(xs.shape, dtype=complex) if slope else None
-    low = xs <= X_CUT
-    method = "series" if np.all(low) else "ode"
-    for part, branch, arg in ((low, hyp2f1, xs), (~low, _f_ode_vec, omx)):
-        if np.any(part):
-            F[part], F_err[part], *df = branch(a, b, c, arg[part], deriv=slope)
-            if slope:
-                dF[part] = df[0]
-    scaled = pref * shell
-    if slope:
-        dlog = dlog + (dF / F).real
-    return scaled * F, np.abs(scaled) * F_err, method, dlog
-
-
-def discrete_coef_vec(ell, n, m, xs, omx=None, slope=False):
-    """Disc-model coefficients over an array of Cartan x; returns
-    (value, err), err of the shape of xs, and with slope=True
-    (value, err, d log|value|/dx).
-
-    With p = n - ell/2, q = m - ell/2 the value is the finite sum
-
-      (-1)^p |J| sum_k t_k,   t_k = g_k x^((p+q-2k)/2) (1-x)^(ell/2+k),
-
-    k <= K = min(p, q), g_0 = 1 and g_{k+1} = -g_k (p-k)(q-k) /
-    ((ell+k)(k+1)): the terminating Gauss polynomial in -(1-x)/x written
-    out so the x -> 0 and x -> 1 limits are manifest.  The alternating sign
-    is real: the column oscillates in n at fixed x, as the Fourier oracle
-    confirms.
-
-    err is |J| eps (4 + ell/2 + 2K) sum_k |t_k|, the rounding of the sum
-    at the size of its terms (k eps from g_k, eps from each power and from
-    the products, (ell/2 + k) eps/2 from the rounding of 1-x inside its
-    power, (K+1) eps/2 from the running sum), plus |value| times the
-    rounding of |J| and of the final product.  Where the terms cancel, err
-    is far above |value|; on the reference column q = 0 the sum is one
-    term.
-
-    The slope differentiates the sum term by term: t_k times
-    (p+q-2k)/(2x) - (ell/2+k)/(1-x), over the sum.
-    """
-    p = _discrete_index(ell, n)
-    q = _discrete_index(ell, m)
-    value, size, dlog = _discrete_coef(ell, n, m, xs, omx, slope)
-    # the log-Gamma sum of |J| rounds at the size of its terms, which the
-    # square root does not halve
-    j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
-        [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
-    err = (_EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * size
-           + j_rel * np.abs(value))
-    return (value, err, dlog) if slope else (value, err)
-
-
-def _discrete_coef(ell, n, m, xs, omx, slope=False):
-    """discrete_coef_vec less its error budget: (value, |J| sum_k |t_k|,
-    d log|value|/dx or None)."""
-    p = _discrete_index(ell, n)
-    q = _discrete_index(ell, m)
-    xs = np.asarray(xs, dtype=float)
-    one_minus = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
-    sign = -1.0 if p % 2 else 1.0
-    j_mag = math.exp(_discrete_log_j(ell, p, q))
-    total = np.zeros(xs.shape, dtype=float)
-    size = np.zeros(xs.shape)
-    dtotal = np.zeros(xs.shape) if slope else None
-    g = 1.0
-    for k in range(min(p, q) + 1):
-        term = g * xs ** ((p + q - 2 * k) / 2.0) * one_minus ** (ell / 2.0 + k)
-        total += term
-        size += np.abs(term)
-        if slope:
-            dtotal += term * ((p + q - 2 * k) / (2.0 * xs)
-                              - (ell / 2.0 + k) / one_minus)
-        g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
-    dlog = dtotal / total if slope else None
-    return (sign * j_mag) * total.astype(complex), j_mag * size, dlog
-
-
 def coef_vec(r, n, m, xs, omx=None, slope=False):
-    """Coefficients coef(n, m) of r over an array of Cartan x: the one
-    closed-form evaluator of each family, used by the scans, the integrals
-    and (one point at a time) by coef.
+    """Coefficients coef(n, m) of r over an array of Cartan x: the batched
+    call of r.closed_form, used by the scans and the integrals.
 
-    With slope=True returns (values, slopes, errs): slopes is
-    d log|coef|/dx, from the same pass as the values, and errs is the
+    Returns the values, or with slope=True (values, slopes, errs): slopes
+    is d log|coef|/dx, from the same pass as the values, and errs is the
     err_est that coef gives each point; the values keep their bits."""
-    if not slope:
-        if r.circle is None:
-            return _discrete_coef(r.ell, n, m, xs, omx)[0]
-        return r.normalizer(n, m) * _principal_coef(*r.circle, n, m, xs,
-                                                    omx)[0]
-    if r.circle is None:
-        values, errs, dlog = discrete_coef_vec(r.ell, n, m, xs, omx, True)
-        return values, dlog, errs
-    values, errs, _, dlog = principal_coef_vec(*r.circle, n, m, xs, omx, True)
-    scale = r.normalizer(n, m)
-    values = scale * values
-    return values, dlog, scale * errs + r.normalizer_rounding(n, m) * np.abs(
-        values)
+    values, errs, _, dlog = r.closed_form(n, m, xs, omx, slope)
+    return (values, dlog, errs) if slope else values
 
 
 def coef(r, n, m, coord):
-    """One coefficient <pi(a_x) f_m, f_n>: a one-point call of coef_vec.
+    """One coefficient <pi(a_x) f_m, f_n>: the one-point call of
+    r.closed_form, whose err is err_est.
 
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
     below X_CUT) or 'ode' (above it, the Taylor continuation of the
-    hypergeometric ODE).  On the disc err_est is discrete_coef_vec's err;
-    on the circle it is principal_coef_vec's err of the same call times the
-    normalizer, plus its rounding.  A value that is not finite raises
+    hypergeometric ODE).  A value that is not finite raises
     ConvergenceError.
     """
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
-    xs = np.array([coord.x])
-    if r.circle is None:
-        values, errs = discrete_coef_vec(r.ell, n, m, xs)
-        cv = CoefValue(complex(values[0]), "closed", float(errs[0]))
-    else:
-        values, errs, method = principal_coef_vec(*r.circle, n, m, xs)
-        scale = r.normalizer(n, m)
-        value = complex((scale * values)[0])
-        cv = CoefValue(value, method, scale * float(errs[0])
-                       + r.normalizer_rounding(n, m) * abs(value))
+    values, errs, method, _ = r.closed_form(n, m, np.array([coord.x]))
+    cv = CoefValue(complex(values[0]), method, float(errs[0]))
     if not cmath.isfinite(cv.value):
         raise ConvergenceError(
             f"coef({n}, {m}) of {r} at x={coord.x} is not finite: {cv.value}")

@@ -4,14 +4,14 @@ lie within the err that comes with it.
 
 Two sets.  Deep in the boundary layer, at 1-x = omx in {1e-16, 1e-25,
 1e-30, 1e-40, 1e-60}, which the Kronrod quadrature of the integrals
-reaches through principal_coef_vec's omx, the reference columns n = 4 and
-64 of the three circle families of the integral ladder, by mpmath at 120
-digits at x = 1 - omx exactly.  The Euler integral's window cut gave
-relative errors of 1.4e-8 at 1e-25, 8.5e-6 at 1e-30 and 0.47 at 1e-40
-against an err of 2e-10 there.  And the sigma = 1/2 reference column at
-n in {1024, 2048, 4096} and x in {0.981, 0.985, 0.99, 0.999, 0.9999},
-within 1e-11 of 40-digit mpmath, with the slope d log|coef|/dx within
-1e-13 of its scale.  Regenerate the frozen values with
+reaches through the omx of the circle closed_form, the reference columns
+n = 4 and 64 of the three circle families of the integral ladder, by
+mpmath at 120 digits at x = 1 - omx exactly.  The Euler integral's window
+cut gave relative errors of 1.4e-8 at 1e-25, 8.5e-6 at 1e-30 and 0.47 at
+1e-40 against an err of 2e-10 there.  And the sigma = 1/2 reference
+column at n in {1024, 2048, 4096} and x in {0.981, 0.985, 0.99, 0.999,
+0.9999}, within 1e-11 of 40-digit mpmath, with the slope d log|coef|/dx
+within 1e-13 of its scale.  Regenerate the frozen values with
 
     PYTHONPATH=src python tests/test_boundary_truth.py
 """
@@ -19,7 +19,7 @@ within 1e-11 of 40-digit mpmath, with the slope d log|coef|/dx within
 import numpy as np
 import pytest
 
-from repnorm.reps import Principal, coef, coef_vec, principal_coef_vec
+from repnorm.reps import Principal, coef, coef_vec
 
 FAMILIES = {"principal-even": (0.0, -0.5 + 1.0j),
             "principal-log": (0.0, -0.5),
@@ -96,8 +96,8 @@ def test_every_point_is_frozen():
 def test_deep_in_the_boundary_layer(fam, n, omx, re, im):
     ref = complex(float(re), float(im))
     om = np.array([float(omx)])
-    value, err, method = principal_coef_vec(*FAMILIES[fam], n, 0, 1.0 - om,
-                                            omx=om)
+    value, err, method, _ = Principal(*FAMILIES[fam]).closed_form(
+        n, 0, 1.0 - om, omx=om)
     assert method == "ode"
     # the values are within 5.3e-13; err is at most 1.6e-11 of |value|
     # but in troughs of the oscillation in log(1-x) of principal-even:

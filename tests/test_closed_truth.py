@@ -3,7 +3,7 @@
 factor COVER states.
 
 The disc budget is derived from the terms of the terminating sum (see
-discrete_coef_vec), so it covers a sum that cancels: on the diagonal
+Discrete.closed_form), so it covers a sum that cancels: on the diagonal
 p = q = 63 at x = 0.5 the sum gives -4.97 for a coefficient of 0.0497, and
 err_est says so.  The circle budget is still a constant: the 2e-14 |value|
 of a factor that is identically 1 (at the reducible point
