@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .reps import (coef_vec, _discrete_log_j, _discrete_index,
-                   _principal_params, _principal_pref_args)
-from .specfun import (_gamma_ratio_rounding, _log_gamma_shift,
-                      _terminating_order, gamma_ratio_signed, log_gamma)
+from .reps import coef_vec, _discrete_log_j, _discrete_index, _principal_params
+from .specfun import (_EPS, _log_gamma_shift, _terminating_order, digamma,
+                      gamma_ratio_signed, gamma_rounding, log_gammas)
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,8 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
         raise DomainError(f"moment series diverges (tau = {tau})")
     # (w, d, sign): the pair G(k+w+d)/G(k+w) enters u to the power sign
     pairs = ((1.0, a - 1.0, 1.0), (c, b - c, 1.0), (s0 + 1.0, lam_eps, -1.0))
-    base_args = (a, b, c, s0 + 1.0, s0 + 1.0 + lam_eps)
-    base = (log_gamma(a) + log_gamma(b) - log_gamma(c) + log_gamma(s0 + 1.0)
-            - log_gamma(s0 + 1.0 + lam_eps))
+    lg = log_gammas([a, b, c, s0 + 1.0, s0 + 1.0 + lam_eps])
+    base = lg[0] + lg[1] - lg[2] + lg[3] - lg[4]
 
     def u(k):
         return np.exp(sum(sign * _log_gamma_shift(k + w, d)
@@ -197,7 +194,7 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     k2 = lo * 1e6
     beta = sum(sign * d * (2.0 * w + d - 1.0) / 2.0 for w, d, sign in pairs)
     far = complex(u(k2)) * k2 / (-1.0 - tau) * (1.0 + beta / (tau * k2))
-    du = u_lo * complex(sum(sign * (psi(lo + w + d) - psi(lo + w))
+    du = u_lo * complex(sum(sign * (digamma(lo + w + d) - digamma(lo + w))
                             for w, d, sign in pairs))
     tail = body + far + du / 24.0
     # on the power law u''' = u' (tau-1)(tau-2)/k^2; the closure drops terms
@@ -205,7 +202,7 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     err = (q_err
            + 7.0 / 5760.0 * abs(du * (tau - 1.0) * (tau - 2.0)) / lo ** 2
            + abs(far) * ((abs(beta) + abs(tau) + 1.0) / k2) ** 2
-           + _gamma_ratio_rounding(base_args) * abs(tail))
+           + gamma_rounding(lg) * abs(tail))
     return tail, err
 
 
@@ -234,18 +231,20 @@ def j_series(a, b, c, s0, lam_eps):
     else:
         tail, tail_err = _beta_moment_tail(a, b, c, s0, lam_eps, k_cut)
     # everything above is relative to the k = 0 term B(s0+1, eps-lam)
-    num, den = [s0 + 1.0, lam_eps], [s0 + 1.0 + lam_eps]
-    beta0 = gamma_ratio_signed(num, den)
+    beta0, beta_rel = gamma_ratio_signed([s0 + 1.0, lam_eps],
+                                         [s0 + 1.0 + lam_eps])
     value = beta0 * (direct + tail)
     err = (abs(beta0) * (tail_err + 1e-15 * float(np.sum(np.abs(terms))))
-           + _gamma_ratio_rounding(num + den) * abs(value))
+           + beta_rel * abs(value))
     return value, err
 
 
 def integral_series(r, n, eps):
     """Integral of coef(n, m_ref; a_x) against the eps-measure through the
     termwise route: Gamma prefactor times Beta-moment series (circle
-    families, times their normalizer) or an exact Beta value (disc)."""
+    families, times their normalizer) or an exact Beta value (disc), whose
+    err is the rounding of the log-Gamma sums of |J| and of the Beta value
+    and eps for each of their exps and of the two products."""
     BetaMeasure(eps)
     if r.circle is None:
         # at the reference column the disc sum is its one k = 0 term:
@@ -253,23 +252,23 @@ def integral_series(r, n, eps):
         ell = r.ell
         p = _discrete_index(ell, n)
         sign = -1.0 if p % 2 else 1.0
-        beta = math.exp(log_gamma(p / 2.0 + 1.0).real
-                        + log_gamma(ell / 2.0 + eps).real
-                        - log_gamma(p / 2.0 + 1.0 + ell / 2.0 + eps).real)
-        val = eps * sign * math.exp(_discrete_log_j(ell, p, 0)) * beta
-        return IntegralValue(val, "exact-sum", 1e-14 * abs(val))
+        lg = log_gammas(
+            [p / 2.0 + 1.0, ell / 2.0 + eps, p / 2.0 + 1.0 + ell / 2.0 + eps])
+        beta = math.exp(lg[0].real + lg[1].real - lg[2].real)
+        log_j, j_rel = _discrete_log_j(ell, p, 0)
+        val = eps * sign * math.exp(log_j) * beta
+        rel = j_rel + gamma_rounding(lg) + 4.0 * _EPS
+        return IntegralValue(val, "exact-sum", rel * abs(val))
     sigma, lam = r.circle
     n = int(n)
     # coef(n, 0) = pref x^(|n|/2) (1-x)^(-lam) 2F1(a, b; c; x), and the
     # measure turns x^(|n|/2 + k) (1-x)^(-lam) into eps B(|n|/2 + k + 1,
     # eps - lam)
-    a, b, c, pref = _principal_params(sigma, lam, n, 0)
-    num, den = _principal_pref_args(sigma, lam, n, 0)
+    a, b, c, pref, pref_rel = _principal_params(sigma, lam, n, 0)
     jval, jerr = j_series(a, b, c, abs(n) / 2.0, eps - lam)
     val = eps * pref * jval
-    err = (eps * abs(pref) * jerr
-           + _gamma_ratio_rounding(num + den) * abs(val))
-    scale = r.normalizer(n, 0)
+    err = eps * abs(pref) * jerr + pref_rel * abs(val)
+    scale, _ = r.normalizer(n, 0)
     return IntegralValue(scale * val, "series", scale * err)
 
 
@@ -282,9 +281,9 @@ def reducible_point_integral(n, eps):
     BetaMeasure(eps)
     n = int(n)
     sign = -1.0 if n % 2 else 1.0
-    return sign * eps * math.exp(
-        log_gamma(n / 2.0 + 1.0).real + log_gamma(0.5 + eps).real
-        - log_gamma(n / 2.0 + 1.5 + eps).real)
+    g_n, g_eps, g_sum = log_gammas(
+        [n / 2.0 + 1.0, 0.5 + eps, n / 2.0 + 1.5 + eps]).real
+    return sign * eps * math.exp(g_n + g_eps - g_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +324,6 @@ def stirling_ratio_check(z, alpha):
     alpha = complex(alpha)
     if z.real <= 0.0:
         raise DomainError(f"need Re z > 0, got {z}")
-    ratio = cmath.exp(log_gamma(z + alpha) - log_gamma(z)
-                      - alpha * cmath.log(z))
+    g_shift, g_z = log_gammas([z + alpha, z])
+    ratio = cmath.exp(g_shift - g_z - alpha * cmath.log(z))
     return abs(ratio - 1.0) * abs(z)

@@ -273,7 +273,8 @@ def scan_character(r, kappa, config=None):
     a non-unitary member, whose bounds are infinite, evaluates the whole
     grid in one call.  A peak that lands
     on the far end of the window is not a peak, it is a truncation: that
-    raises ScanError rather than returning a lower bound quietly.
+    raises ScanError rather than returning a lower bound quietly.  A
+    character that is not integral raises PreconditionError.
 
     err_est bounds the distance of pmin from the peak of the true |coef|
     over the bracket: coef's err_est at x_argmax, plus K dt^2 / 2 for the
@@ -282,8 +283,8 @@ def scan_character(r, kappa, config=None):
     is infinite off the unitary line, where K is.
     """
     config = config or ScanConfig()
-    kappa = int(kappa)
     n_basis, m_ref = r.basis_index(kappa), r.m_ref
+    kappa = int(kappa)
 
     ts, dt, t_max = _scan_grid(kappa, config)
     top = _grid_top(r, n_basis, m_ref, ts, config.refine_top)

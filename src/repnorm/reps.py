@@ -34,12 +34,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
 from .group import cartan_from_x
-from .specfun import (_EPS, _gamma_ratio_rounding, gamma_ratio_signed, hyp2f1,
-                      is_nonpositive_int, log_gamma)
+from .specfun import (_EPS, gamma_ratio_signed, gamma_rounding, hyp2f1,
+                      is_nonpositive_int, log_gammas)
 
 X_CUT = 0.98
 ORACLE_TOL = 1e-9
@@ -48,10 +47,10 @@ ORACLE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # Representation descriptors: each class carries the facts of its family
 # (spectrum, basis index of a character, reference column m_ref, circle
-# parameters (sigma, lam) or None on the disc, normalizer, unitarity, two
-# unitarity bounds of the reference column along the flow: the Lipschitz
-# bound L of its first derivative in t and the curvature bound K of its
-# second) and its closed-form evaluator.
+# parameters (sigma, lam) or None on the disc, normalizer and its rounding,
+# unitarity, two unitarity bounds of the reference column along the flow:
+# the Lipschitz bound L of its first derivative in t and the curvature
+# bound K of its second) and its closed-form evaluator.
 
 
 class _Circle:
@@ -69,10 +68,11 @@ class _Circle:
     def basis_index(self, kappa):
         """Basis index whose compact character is kappa: the spectrum is
         the characters of the parity of 2 sigma."""
-        if (int(kappa) - int(2 * self.sigma)) % 2 != 0:
+        kappa = _integer(kappa, "character")
+        if (kappa - int(2 * self.sigma)) % 2 != 0:
             raise PreconditionError(
                 f"character {kappa} not in the spectrum of {self}")
-        return (int(kappa) - 2 * self.sigma) / 2.0
+        return (kappa - 2 * self.sigma) / 2.0
 
     def indices(self, limit):
         """Basis indices with |index| <= limit."""
@@ -80,10 +80,7 @@ class _Circle:
 
     def as_index(self, value):
         """A basis index given as a number; circle indices are integers."""
-        v = _finite_index(value)
-        if v != int(v):
-            raise PreconditionError(f"index {value} must be an integer")
-        return int(v)
+        return _integer(value, "index")
 
     def _leading(self, d):
         """Norm of the components on f_(m+-d), m = m_ref, of the order-t^d
@@ -92,7 +89,7 @@ class _Circle:
         x^(d/2) = tanh(t)^d ~ t^d."""
         m = self.m_ref
         return math.sqrt(sum(
-            abs(self.normalizer(k, m)
+            abs(self.normalizer(k, m)[0]
                 * _principal_params(*self.circle, k, m)[3]) ** 2
             for k in (m - d, m + d)))
 
@@ -144,7 +141,7 @@ class _Circle:
         xs = np.asarray(xs, dtype=float)
         omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
         log_omx = np.log(omx)
-        a, b, c, pref = _principal_params(sigma, lam, n, m)
+        a, b, c, pref, pref_rel = _principal_params(sigma, lam, n, m)
         shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * log_omx)
         # d log|shell|/dx, to which the slope adds Re F'/F
         dlog = abs(n - m) / (2.0 * xs) + lam.real / omx if slope else None
@@ -167,14 +164,11 @@ class _Circle:
                 dlog = dlog + (dF / F).real
             scaled = pref * shell
             value = scaled * F
-            num, den = _principal_pref_args(sigma, lam, n, m)
-            rel = _gamma_ratio_rounding(num + den) + _EPS * (
-                6.0 + 2.0 * abs(lam) * np.abs(log_omx))
+            rel = pref_rel + _EPS * (6.0 + 2.0 * abs(lam) * np.abs(log_omx))
             err = np.abs(scaled) * F_err + rel * np.abs(value)
-        scale = self.normalizer(n, m)
+        scale, scale_rel = self.normalizer(n, m)
         value = scale * value
-        return (value, scale * err + self.normalizer_rounding(n, m)
-                * np.abs(value), method, dlog)
+        return value, scale * err + scale_rel * np.abs(value), method, dlog
 
 
 @dataclass(frozen=True)
@@ -205,10 +199,8 @@ class Principal(_Circle):
         return abs(self.lam.real + 0.5) < 1e-12
 
     def normalizer(self, n, m):
-        return 1.0
-
-    def normalizer_rounding(self, n, m):
-        return 0.0
+        """The normalizer and its relative rounding: 1, exactly."""
+        return 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -231,13 +223,6 @@ class Complementary(_Circle):
 
     def normalizer(self, n, m):
         return complementary_normalizer(self.lam, n, m)
-
-    def normalizer_rounding(self, n, m):
-        """Relative rounding of normalizer(n, m), the root of a ratio: the
-        log-Gamma sum rounds at the size of its terms, which the square
-        root does not halve."""
-        return _EPS + _gamma_ratio_rounding(
-            [abs(k) + d for k in (n, m) for d in (1.0 + self.lam, -self.lam)])
 
 
 @dataclass(frozen=True)
@@ -262,7 +247,7 @@ class Discrete:
         return list(range(self.ell, int(limit) + 1, 2))
 
     def basis_index(self, kappa):
-        kappa = int(kappa)
+        kappa = _integer(kappa, "character")
         if kappa < self.ell or (kappa - self.ell) % 2 != 0:
             raise PreconditionError(
                 f"character {kappa} not in the spectrum of {self}")
@@ -279,7 +264,7 @@ class Discrete:
     def lipschitz(self):
         """L = ||dpi(H) f_m||, m = m_ref (see _Circle.lipschitz): on the
         disc only f_(m+1) is reached, with coefficient |J| at p = 1, q = 0."""
-        return math.exp(_discrete_log_j(self.ell, 1, 0))
+        return math.exp(_discrete_log_j(self.ell, 1, 0)[0])
 
     @property
     def curvature(self):
@@ -287,7 +272,7 @@ class Discrete:
         disc f_(m+2) is reached with coefficient 2 |J| at p = 2, q = 0, and
         f_m with -L^2."""
         return math.hypot(self.lipschitz ** 2,
-                          2.0 * math.exp(_discrete_log_j(self.ell, 2, 0)))
+                          2.0 * math.exp(_discrete_log_j(self.ell, 2, 0)[0]))
 
     def closed_form(self, n, m, xs, omx=None, slope=False):
         """The closed-form evaluator: coef(n, m) over an array of Cartan x,
@@ -321,7 +306,8 @@ class Discrete:
         xs = np.asarray(xs, dtype=float)
         one_minus = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
         sign = -1.0 if p % 2 else 1.0
-        j_mag = math.exp(_discrete_log_j(ell, p, q))
+        log_j, j_rel = _discrete_log_j(ell, p, q)
+        j_mag = math.exp(log_j)
         total = np.zeros(xs.shape, dtype=float)
         size = np.zeros(xs.shape)
         dtotal = np.zeros(xs.shape) if slope else None
@@ -336,21 +322,27 @@ class Discrete:
                                   - (ell / 2.0 + k) / one_minus)
             g *= -(p - k) * (q - k) / ((ell + k) * (k + 1.0))
         value = (sign * j_mag) * total.astype(complex)
-        # the log-Gamma sum of |J| rounds at the size of its terms, which the
-        # square root does not halve
-        j_rel = 2.0 * _EPS + _gamma_ratio_rounding(
-            [p + float(ell), q + float(ell), p + 1.0, q + 1.0, float(ell)])
+        # |J| adds the rounding of its exp and of one product
         err = (_EPS * (4.0 + ell / 2.0 + 2.0 * min(p, q)) * (j_mag * size)
-               + j_rel * np.abs(value))
+               + (2.0 * _EPS + j_rel) * np.abs(value))
         return value, err, "closed", dtotal / total if slope else None
 
 
-def _finite_index(value):
-    """A basis index given as a number, as a finite float."""
+def _finite_index(value, what="index"):
+    """A basis index (or what else is named) given as a number, as a finite
+    float."""
     v = float(value)
     if not math.isfinite(v):
-        raise PreconditionError(f"index {value} must be finite")
+        raise PreconditionError(f"{what} {value} must be finite")
     return v
+
+
+def _integer(value, what):
+    """A finite integral number as an int; any other is refused, not cut."""
+    v = _finite_index(value, what)
+    if v != int(v):
+        raise PreconditionError(f"{what} {value} must be an integer")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -374,36 +366,33 @@ def _discrete_index(ell, n):
 
 
 def _principal_params(sigma, lam, n, m):
-    """Series parameters and Gamma prefactor of coef(n, m); the two index
-    orders are mirror images of one another.  2F1 is symmetric in a and b
+    """Series parameters, Gamma prefactor and its relative rounding of
+    coef(n, m), (a, b, c, pref, rel); the two index orders are mirror
+    images of one another.  2F1 is symmetric in a and b
     (DLMF 15.2.1), so the pair is returned with Re a <= Re b: b is near c,
     and the ODE branch above X_CUT forms c-a-b as (c-b) - a."""
     lam = complex(lam)
     if n >= m:
         a = -lam - m - sigma
         b = -lam + n + sigma
+        num = [lam - m - sigma + 1.0]
+        den = [float(n - m + 1), lam - n - sigma + 1.0]
     else:
         a = -lam - n - sigma
         b = -lam + m + sigma
+        num = [lam + m + sigma + 1.0]
+        den = [float(m - n + 1), lam + n + sigma + 1.0]
     if a.real > b.real:
         a, b = b, a
-    pref = gamma_ratio_signed(*_principal_pref_args(sigma, lam, n, m))
-    return a, b, float(abs(n - m) + 1), pref
-
-
-def _principal_pref_args(sigma, lam, n, m):
-    """Gamma arguments (numerator, denominator) of the prefactor of
-    coef(n, m), for gamma_ratio_signed and its rounding budget."""
-    if n >= m:
-        return ([lam - m - sigma + 1.0],
-                [float(n - m + 1), lam - n - sigma + 1.0])
-    return ([lam + m + sigma + 1.0],
-            [float(m - n + 1), lam + n + sigma + 1.0])
+    pref, rel = gamma_ratio_signed(num, den)
+    return a, b, float(abs(n - m) + 1), pref, rel
 
 
 def complementary_normalizer(lam, n, m=0):
-    """Ratio of renormalizations C(n, m) = sqrt(H(n)/H(m)), for an index n
-    or an array of them (one loggamma call per Gamma argument).
+    """Ratio of renormalizations C(n, m) = sqrt(H(n)/H(m)) and its relative
+    rounding, eps for the exp plus gamma_rounding of the log-Gamma values
+    of n and m (the square root does not halve it), for an index n or an
+    array of them (then two arrays).
 
     The defining quadratic form has H(k) = G(lam-k+1)/G(-lam-k) on the k-th
     basis vector; reflection turns this into G(|k|+1+lam)/G(|k|-lam).  The
@@ -418,20 +407,24 @@ def complementary_normalizer(lam, n, m=0):
         raise NormalizationError(
             f"renormalizing form not positive on every index: need"
             f" -1 < lam < 0, got {lam}")
-    # exp per element: np.exp and math.exp differ in the last bit
-    ks = np.abs(np.append(n, m).astype(np.int64)).astype(complex)
-    log_h = (loggamma(ks + 1.0 + lam) - loggamma(ks - lam)).real
+    ks = np.abs(np.append(n, m).astype(np.int64))
+    up, down = log_gammas([ks + 1.0 + lam, ks - lam])
+    log_h = (up - down).real
     half = 0.5 * (log_h[:-1] - log_h[-1])
+    # the arguments are real, so numpy's complex abs is exact on them
+    rel = _EPS + gamma_rounding([up[:-1], down[:-1], up[-1], down[-1]])
+    # exp per element: np.exp and math.exp differ in the last bit
     if np.ndim(n) == 0:
-        return math.exp(half[0])
-    return np.array([math.exp(v) for v in half.tolist()])
+        return math.exp(half[0]), float(rel[0])
+    return np.array([math.exp(v) for v in half.tolist()]), rel
 
 
 def _discrete_log_j(ell, p, q):
-    """log of |J|, the symmetric Gamma prefactor of the disc closed form."""
-    return 0.5 * (log_gamma(p + float(ell)).real + log_gamma(q + float(ell)).real
-                  - log_gamma(p + 1.0).real - log_gamma(q + 1.0).real) \
-        - log_gamma(float(ell)).real
+    """log of |J|, the symmetric Gamma prefactor of the disc closed form, and
+    the rounding of the log-Gamma sum, which the square root does not halve."""
+    lg = log_gammas([p + ell, q + ell, p + 1.0, q + 1.0, ell])
+    log_j = 0.5 * (lg[0].real + lg[1].real - lg[2].real - lg[3].real)
+    return log_j - lg[4].real, gamma_rounding(lg)
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +559,14 @@ def coef_oracle_discrete(ell, m, coord, n_max):
     pole = 1.0 / math.sqrt(x)
     pole_order = ell + q
 
-    lg_ell = log_gamma(float(ell)).real
-    d_m = (-1.0) ** q * math.exp(
-        0.5 * (log_gamma(m + ell / 2.0).real - log_gamma(q + 1.0).real - lg_ell))
+    lg_ell, lg_m, lg_q = log_gammas([ell, m + ell / 2.0, q + 1.0]).real
+    d_m = (-1.0) ** q * math.exp(0.5 * (lg_m - lg_q - lg_ell))
 
     def window(js, radius):
         """(samples, column) of the orders js on the contour of this
         radius, for _settled_column."""
-        log_lead = 0.5 * (loggamma((ell + js).astype(complex)).real
-                          - loggamma((js + 1.0).astype(complex)).real - lg_ell)
+        up, down = log_gammas([ell + js, js + 1.0]).real
+        log_lead = 0.5 * (up - down - lg_ell)
         lead = np.array([(-1.0) ** j * math.exp(v)
                          for j, v in zip(js.tolist(), log_lead.tolist())])
 
@@ -615,7 +607,7 @@ def coef_oracle(r, m, coord, n_max):
         return coef_oracle_discrete(r.ell, m, coord, n_max)
     col, err = coef_oracle_principal(*r.circle, m, coord, n_max)
     ns = np.fromiter(col, dtype=np.int64, count=len(col))
-    scale = np.broadcast_to(r.normalizer(ns, m), ns.shape).tolist()
+    scale = np.broadcast_to(r.normalizer(ns, m)[0], ns.shape).tolist()
     return ({n: s * v for (n, v), s in zip(col.items(), scale)},
             err * max(scale))
 

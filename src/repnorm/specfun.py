@@ -9,13 +9,16 @@ the conventions are pinned here once:
 
 The series refuses |z| >= 1 unless it terminates; callers that need the
 wall use an integral representation or the circle oracle instead.
+
+Only this module evaluates log Gamma (log_gammas, each value once, and
+gamma_rounding from those values) and digamma.
 """
 
 import cmath
 import math
 
 import numpy as np
-from scipy.special import log1p, loggamma
+from scipy.special import log1p, loggamma, psi
 
 from .errors import ConvergenceError, DomainError, PoleError, PreconditionError
 
@@ -40,17 +43,28 @@ def is_nonpositive_int(z, tol=_POLE_TOL):
     return r <= 0 and abs(z.real - r) <= tol
 
 
-def log_gamma(z):
-    """log Gamma(z) for complex z; PoleError at z in -N0.
+def log_gammas(args):
+    """log Gamma(z) of each argument off the poles, a complex array from one
+    call of the backend.
 
     Backed by scipy's loggamma (principal branch of the analytic
     continuation).  Any branch is interchangeable for ratio work because the
     final exp removes multiples of 2*pi*i.
     """
-    z = complex(z)
-    if is_nonpositive_int(z):
-        raise PoleError(f"log_gamma at pole z={z}")
-    return complex(loggamma(z))
+    return loggamma(np.asarray(args, dtype=complex))
+
+
+def gamma_rounding(values):
+    """Relative rounding of exp of a signed sum of these log-Gamma values:
+    the final exp turns the absolute error of the sum into a relative one,
+    and each value adds eps (8 + |log G(z)|): against mpmath, scipy's
+    loggamma is off by about eps times its size for large |z|, but by up to
+    30 eps, whatever its size, below |z| ~ 12."""
+    return _EPS * sum(8.0 + abs(v) for v in values)
+
+
+# psi(z) = Gamma'(z)/Gamma(z), real or complex as z is
+digamma = psi
 
 
 def pochhammer(d, m):
@@ -64,12 +78,13 @@ def pochhammer(d, m):
 
 
 def gamma_ratio_signed(num, den):
-    """prod Gamma(num_i) / prod Gamma(den_j), computed in log space.
+    """prod Gamma(num_i) / prod Gamma(den_j), computed in log space, and
+    its relative rounding: gamma_rounding of the arguments off the poles.
 
     Poles are resolved when they cancel pairwise between numerator and
     denominator: Gamma(-a+delta)/Gamma(-b+delta) -> (-1)^(a-b) b!/a! as
     delta -> 0 (a, b in N0).  A surviving numerator pole raises PoleError;
-    surviving denominator poles give 0.
+    surviving denominator poles give (0, 0).
     """
     num = [complex(z) for z in num]
     den = [complex(z) for z in den]
@@ -78,7 +93,10 @@ def gamma_ratio_signed(num, den):
     if len(num_poles) > len(den_poles):
         raise PoleError(f"unresolved Gamma pole in numerator: {num}")
     if len(den_poles) > len(num_poles):
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0
+    num = [z for z in num if not is_nonpositive_int(z)]
+    den = [z for z in den if not is_nonpositive_int(z)]
+    values = log_gammas(num + den)
 
     sign = 1.0
     log_acc = 0.0 + 0.0j
@@ -86,26 +104,13 @@ def gamma_ratio_signed(num, den):
         if (a - b) % 2:
             sign = -sign
         log_acc += complex(loggamma(b + 1.0)) - complex(loggamma(a + 1.0))
-    for z in num:
-        if not is_nonpositive_int(z):
-            log_acc += complex(loggamma(z))
-    for z in den:
-        if not is_nonpositive_int(z):
-            log_acc -= complex(loggamma(z))
+    for v in values[:len(num)]:
+        log_acc += v
+    for v in values[len(num):]:
+        log_acc -= v
     if log_acc.real > 709.0:
         raise PoleError(f"gamma ratio overflows: log magnitude {log_acc.real:.1f}")
-    return sign * cmath.exp(log_acc)
-
-
-def _gamma_ratio_rounding(args):
-    """Relative rounding of gamma_ratio_signed over these arguments: it sums
-    their log-Gamma values, and the final exp turns the absolute error of
-    that sum into a relative one.  Each argument adds eps (8 + |log G(z)|):
-    against mpmath, scipy's loggamma is off by about eps times its size for
-    large |z|, but by up to 30 eps, whatever its size, below |z| ~ 12.
-    Pole arguments are skipped: gamma_ratio_signed resolves them exactly."""
-    return 2.2e-16 * sum(8.0 + abs(loggamma(complex(z))) for z in args
-                         if not is_nonpositive_int(z))
+    return sign * cmath.exp(log_acc), gamma_rounding(values)
 
 
 def _log_gamma_shift(w, d):
@@ -318,7 +323,7 @@ def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
     if z >= 1.0:
         raise DomainError(f"Euler integral needs z < 1, got {z}")
 
-    pref = gamma_ratio_signed([c], [b, c - b])
+    pref, _ = gamma_ratio_signed([c], [b, c - b])
 
     def integrand(s, pick_real):
         # t = sin^2(pi s / 2) doubles the algebraic order at both endpoints

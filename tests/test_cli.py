@@ -191,6 +191,21 @@ class TestNormScanCommand:
         assert sum(1 for l in lines if not l.startswith("#")) == 3
         assert lines[-1].startswith("# ERROR 0.25 ")
 
+    @pytest.mark.parametrize("rep,ladder,row", [
+        ("discrete:2", [16.5, 32], "32"),
+        ("principal:0:-0.5+1i", [16.7, 16.0], "16")])
+    def test_non_integral_character_writes_an_error_trailer(
+            self, rep, ladder, row, tmp_path, capsys):
+        # the character was cut to an integer and scanned under its label
+        out_csv = tmp_path / "scan.csv"
+        cfg = write_config(tmp_path, output_path=str(out_csv), rep=rep,
+                           n_values=ladder)
+        assert main(["norm-scan", str(cfg)]) == 0
+        lines = out_csv.read_text(encoding="utf-8").splitlines()
+        assert [l.split(",")[0] for l in lines[2:-1]] == [row]
+        assert lines[-1].startswith(
+            f"# ERROR {ladder[0]:.17g} PreconditionError: ")
+
     def test_negative_character_writes_a_row(self, tmp_path, capsys):
         # -16 is in the spectrum of every circle family; on sigma = 0 its
         # peak is that of 16 (the window was sized from log1p(-16), which

@@ -12,8 +12,7 @@ from repnorm.integrals import (BetaMeasure, IntegralValue, _beta_moment_tail,
                                faulhaber_sum, integral_quadrature,
                                integral_series, j_series, kronrod_quad_vec,
                                reducible_point_integral, stirling_ratio_check)
-from repnorm.reps import (Complementary, Discrete, Principal,
-                          _principal_params, _principal_pref_args)
+from repnorm.reps import Complementary, Discrete, Principal, _principal_params
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
 # normalized terms, 40 digits.
@@ -37,12 +36,15 @@ TAILS = [
 
 # [DERIVED] mpmath, 40 digits: eps * normalizer * pref * B(s0+1, eps-lam)
 # * 3F2(a, b, s0+1; c, s0+1+eps-lam; 1) with (a, b, c, pref) of
-# coef(n, 0), the termwise form of the weighted integral; (family, n, eps,
-# re, im), regenerated by the same script.
+# coef(n, 0), the termwise form of the weighted integral, and on the disc
+# eps (-1)^p |J| B(p/2 + 1, ell/2 + eps) at n = ell/2 + p, |J| of
+# coef(n, ell/2); (family, n, eps, re, im), regenerated by the same script.
 SERIES_REPS = {"principal-real": Principal(0.0, -0.5),
                "principal-complex": Principal(0.0, -0.5 + 1.0j),
                "complementary": Complementary(-0.25),
-               "principal-half-complex": Principal(0.5, -0.5 + 0.7j)}
+               "principal-half-complex": Principal(0.5, -0.5 + 0.7j),
+               "discrete-2": Discrete(2),
+               "discrete-3": Discrete(3)}
 SERIES_TRUTH = [
     ("principal-real", 0, 0.25, "0.4569465810444636253749666", "0.0"),
     ("principal-real", 0, 0.4, "0.5802406056937353173234022", "0.0"),
@@ -92,6 +94,26 @@ SERIES_TRUTH = [
     ("principal-half-complex", 256, 0.4, "-0.002368207724597980933866633", "0.003981663884032027525494683"),
     ("principal-half-complex", 4096, 0.25, "0.000749751094050373549228986", "0.0001270311568402690305815557"),
     ("principal-half-complex", 4096, 0.4, "0.0003796934845900427985794053", "0.00006433188690878438856326889"),
+    ("discrete-2", 1.0, 0.25, "0.2", "0.0"),
+    ("discrete-2", 1.0, 0.4, "0.2857142857142857256145207", "0.0"),
+    ("discrete-2", 16.0, 0.25, "-0.06134696868879192883489921", "0.0"),
+    ("discrete-2", 16.0, 0.4, "-0.06873326901421331118120678", "0.0"),
+    ("discrete-2", 256.0, 0.25, "-0.008369993281269700002346163", "0.0"),
+    ("discrete-2", 256.0, 0.4, "-0.006321559762770677969598065", "0.0"),
+    ("discrete-2", 1024.0, 0.25, "-0.002972770558868877276138231", "0.0"),
+    ("discrete-2", 1024.0, 0.4, "-0.001825804146982721634893763", "0.0"),
+    ("discrete-2", 4096.0, 0.25, "-0.001052235583097591440444277", "0.0"),
+    ("discrete-2", 4096.0, 0.4, "-0.000525077039709861460920693", "0.0"),
+    ("discrete-3", 1.5, 0.25, "0.1428571428571428571428571", "0.0"),
+    ("discrete-3", 1.5, 0.4, "0.2105263157894736934367564", "0.0"),
+    ("discrete-3", 16.5, 0.25, "-0.058828758503512032864405", "0.0"),
+    ("discrete-3", 16.5, 0.4, "-0.06991278940940092070005458", "0.0"),
+    ("discrete-3", 256.5, 0.25, "-0.008454060657153601442925101", "0.0"),
+    ("discrete-3", 256.5, 0.4, "-0.006821905833158798082344982", "0.0"),
+    ("discrete-3", 1024.5, 0.25, "-0.003011355660911943718808118", "0.0"),
+    ("discrete-3", 1024.5, 0.4, "-0.001976896919897911311729063", "0.0"),
+    ("discrete-3", 4096.5, 0.25, "-0.001066672209738090899496545", "0.0"),
+    ("discrete-3", 4096.5, 0.4, "-0.000569007158123767466935716", "0.0"),
 ]
 
 # [DERIVED] mpmath.beta: eps * (-1)^n * B(n/2 + 1, 1/2 + eps) at n=5,
@@ -214,7 +236,9 @@ class TestDualRoutes:
 
 class TestSeriesTruth:
     """The series route against 40-digit 3F2 values: its err_est covers
-    the error and stays below 1e-10 relative for |n| up to 4096."""
+    the error and stays below 1e-10 relative for |n| up to 4096; on the
+    disc, against 40-digit Beta values, for p = n - ell/2 up to 4095 (a
+    constant err of 1e-14 |value| was short from p = 255 on)."""
 
     @pytest.mark.parametrize("name,n,eps,re,im", SERIES_TRUTH,
                              ids=[f"{t[0]}-n{t[1]}-eps{t[2]}"
@@ -302,15 +326,29 @@ if __name__ == "__main__":
     print("]")
     print("SERIES_TRUTH = [")
     for name, r in SERIES_REPS.items():
+        if r.circle is None:
+            ell = mpmath.mpf(r.ell)
+            for p in (0, 15, 255, 1023, 4095):
+                for eps in (0.25, 0.4):
+                    em = mpmath.mpf(eps)
+                    j = mpmath.sqrt(mpmath.gamma(p + ell) / (
+                        mpmath.gamma(p + 1) * mpmath.gamma(ell)))
+                    v = (em * (-1) ** p * j
+                         * mpmath.beta(mpmath.mpf(p) / 2 + 1, ell / 2 + em))
+                    print(f'    ("{name}", {r.ell / 2.0 + p}, {eps},'
+                          f' "{mpmath.nstr(v, 25)}", "0.0"),')
+            continue
         sigma, lam = r.circle
         for n in (0, -1, 4, -12, 256, 4096):
             for eps in (0.25, 0.4):
-                a, b, c, _ = _principal_params(sigma, lam, n, 0)
-                num, den = _principal_pref_args(sigma, lam, n, 0)
+                a, b, c, *_ = _principal_params(sigma, lam, n, 0)
                 em, le = mpmath.mpf(eps), mpmath.mpf(eps) - mpmath.mpc(lam)
                 total, _ = hyp_total(a, b, c, abs(n) / 2.0, le)
-                pref = mpmath.gammaprod([mpmath.mpc(z) for z in num],
-                                        [mpmath.mpc(z) for z in den])
+                # the prefactor of coef(n, 0): G(lam - t + 1) / (G(|n| + 1)
+                # G(lam - |n| - t + 1)), t = sigma for n >= 0, else -sigma
+                t = mpmath.mpf(sigma) if n >= 0 else -mpmath.mpf(sigma)
+                lm, k = mpmath.mpc(lam), abs(n)
+                pref = mpmath.gammaprod([lm - t + 1], [k + 1, lm - k - t + 1])
                 v = (em * pref * mpmath.beta(mpmath.mpf(abs(n)) / 2 + 1, le)
                      * total)
                 if isinstance(r, Complementary):

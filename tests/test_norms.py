@@ -225,6 +225,21 @@ class TestScanCharacter:
         with pytest.raises(PreconditionError):
             scan_character(Discrete(4), 2, self.CFG)
 
+    def test_non_integral_character_is_refused(self):
+        # int(kappa) cut 16.5 to 16 and scanned that character under the
+        # label 16
+        for r, kappa in ((Discrete(2), 16.5), (Principal(0.0, -0.5 + 1.0j),
+                                               16.7)):
+            with pytest.raises(PreconditionError, match="must be an integer"):
+                scan_character(r, kappa, self.CFG)
+            with pytest.raises(PreconditionError, match="must be an integer"):
+                r.basis_index(kappa)
+
+    def test_integral_float_character_scans(self):
+        r = Discrete(2)
+        assert scan_character(r, 16.0, self.CFG) == \
+            scan_character(r, 16, self.CFG)
+
     def test_peak_is_a_true_local_max(self):
         from repnorm.group import cartan_from_x
         from repnorm.reps import coef

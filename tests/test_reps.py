@@ -19,8 +19,8 @@ from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
                           coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
-from repnorm.specfun import (_gamma_ratio_rounding, gamma_ratio_signed, hyp2f1,
-                             log_gamma)
+from repnorm.specfun import (gamma_ratio_signed, gamma_rounding, hyp2f1,
+                             log_gammas)
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -201,7 +201,7 @@ def _euler_route(a, b, c, omx):
         s = -math.expm1(-vk)
         t1 = cmath.exp((b - 1.0) * math.log(s) - cb * vk)
         acc += (dv * t1) * np.exp(-a * np.log(omx + xs * math.exp(-vk)))
-    return gamma_ratio_signed([c], [b, cb]) * acc
+    return gamma_ratio_signed([c], [b, cb])[0] * acc
 
 
 def _connection_route(a, b, c, omx):
@@ -218,15 +218,15 @@ def _connection_route(a, b, c, omx):
     for num, den, power, params in (
             ([s], [c - a, c - b], 0.0, (a, b, a + b - c + 1.0)),
             ([-s], [a, b], s, (c - a, c - b, s + 1.0))):
-        pref = gamma_ratio_signed([c] + num, den)
+        pref, _ = gamma_ratio_signed([c] + num, den)
         if pref == 0.0:
             continue
         pref = pref * np.exp(power * np.log(omx))
         f, f_err = hyp2f1(*params, omx)
         out += pref * f
-        err += np.abs(pref) * (f_err
-                               + _gamma_ratio_rounding(num + den) * np.abs(f))
-    return out, err + (2e-12 + _gamma_ratio_rounding([c])) * np.abs(out)
+        err += np.abs(pref) * (f_err + gamma_rounding(log_gammas(num + den))
+                               * np.abs(f))
+    return out, err + (2e-12 + gamma_rounding(log_gammas([c]))) * np.abs(out)
 
 
 REFERENCE_COLUMN_REPS = [Principal(0.0, -0.5 + 1.0j),
@@ -239,7 +239,7 @@ def _grid_params(r, kappa):
     scan grid of kappa above X_CUT."""
     if kappa not in r.spectrum(abs(kappa) + 1):
         kappa += 1
-    a, b, c, _ = _principal_params(*r.circle, r.basis_index(kappa), r.m_ref)
+    a, b, c, *_ = _principal_params(*r.circle, r.basis_index(kappa), r.m_ref)
     ts, _, _ = _scan_grid(abs(kappa), ScanConfig())
     omx = 1.0 / np.cosh(ts) ** 2
     return a, b, c, omx[omx < 1.0 - X_CUT]
@@ -285,7 +285,7 @@ class TestOdeAgainstReferences:
     def test_euler_against_connection(self, lam, n):
         # where both references apply, with n(1-x) up to about 4, they agree
         # with one another within their budgets
-        a, b, c, _ = _principal_params(0.0, lam, n, 0)
+        a, b, c, *_ = _principal_params(0.0, lam, n, 0)
         omx = 1.0 - np.array([0.985, 0.99, 0.999, 0.9999])
         assert np.all(n * omx <= 4.0)
         euler = _euler_route(a, b, c, omx)
@@ -313,7 +313,7 @@ class TestOdeTables:
                 assert _same_bits(got[i:i + 1], want), omx[i]
 
     def test_table_reaches_only_as_far_as_asked(self):
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 64, 0)
+        a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 64, 0)
         tables = _OdeCache(1 << 30)
         # a first chunk of 16 centres reaches 1-x = 2e-4, then 64 at a time
         centres = tables.rows(a, b, c, 1e-3)[0]
@@ -342,7 +342,7 @@ class TestOdeTables:
     def test_below_the_floor(self):
         # 1-x under the table's floor, 0 included: a finite value taken at
         # the end of the last step, with an infinite err
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
         value, err = _f_ode_vec(a, b, c, np.array([1e-300, 0.0, 1e-3]))
         assert np.isfinite(value).all()
         assert np.isinf(err[:2]).all() and np.isfinite(err[2])
@@ -451,7 +451,7 @@ class TestSeriesKernel:
             r = SERIES_REPS[case % len(SERIES_REPS)]
             n = int(rng.integers(-300, 301))
             m = int(rng.integers(-8, 9))
-            a, b, c, _ = _principal_params(*r.circle, n, m)
+            a, b, c, *_ = _principal_params(*r.circle, n, m)
             # the series runs on x <= X_CUT, and on 1-x < 1-X_CUT in the
             # connection reference route
             hi = X_CUT if case % 4 else 1.0 - X_CUT
@@ -466,7 +466,7 @@ class TestSeriesKernel:
     def test_terminating_series(self):
         # Principal(1/2, -1/2) at m = 5: a = -5, a polynomial of degree 5,
         # which the kernel sums to its order and no further
-        a, b, c, _ = _principal_params(0.5, -0.5, 40, 5)
+        a, b, c, *_ = _principal_params(0.5, -0.5, 40, 5)
         assert a == -5.0
         xs = np.linspace(0.0, X_CUT, 7)
         assert _same_bits(hyp2f1(a, b, c, xs)[0],
@@ -476,7 +476,7 @@ class TestSeriesKernel:
     @pytest.mark.parametrize("xs", [np.zeros(0), np.zeros(4)],
                              ids=["empty", "zero"])
     def test_trivial_batches(self, xs):
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
         value, err = hyp2f1(a, b, c, xs)
         assert _same_bits(value, _series_per_term(a, b, c, xs))
         # the rounding bound of one block of 16 zero terms: 2 eps for t_0
@@ -485,7 +485,7 @@ class TestSeriesKernel:
 
     def test_domain(self):
         # the reference loop refused x >= 0.995; the kernel runs up to 1
-        a, b, c, _ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
         for xs in ([0.5, 1.0], [-1.0]):
             with pytest.raises(DomainError, match="non-convergent"):
                 hyp2f1(a, b, c, np.array(xs))
@@ -546,7 +546,7 @@ def _reference_slope(r, n, m, x):
             slope = terms[0] - terms[1] + terms[2]
         else:
             sigma, lam = r.circle
-            a, b, c, _ = _principal_params(sigma, lam, n, m)
+            a, b, c, *_ = _principal_params(sigma, lam, n, m)
             a, b = mpmath.mpc(a.real, a.imag), mpmath.mpc(b.real, b.imag)
             lam = mpmath.mpc(lam.real, lam.imag)
             ratio = (a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, xm)
@@ -643,7 +643,7 @@ class TestSlope:
         # the bits of the one-point call (4.03e-81 in this 13-point batch
         # against 3.85e-81 alone when the bound summed whole term blocks)
         r = Complementary(-0.25)
-        a, b, c, _ = _principal_params(*r.circle, 256, 0)
+        a, b, c, *_ = _principal_params(*r.circle, 256, 0)
         xs = np.concatenate([np.linspace(0.3, 0.98, 7),
                              np.linspace(0.05, 0.2, 6)])
         batch = hyp2f1(a, b, c, xs, deriv=True)
@@ -850,16 +850,46 @@ class TestSpectrum:
         assert Discrete(3).spectrum(9) == [3, 5, 7, 9]
 
 
+class TestLogGammaPass:
+    @pytest.mark.parametrize("r,n,m,count", [
+        (Principal(0.0, -0.5 + 1.0j), 16, 0, 3),
+        (Principal(0.5, -0.5 + 0.7j), -3, 5, 3),
+        (Complementary(-0.25), 16, 0, 7),
+        (Complementary(-0.25), 3, -5, 7),
+        (Discrete(2), 9.0, 1.0, 5),
+        (Discrete(3), 4.5, 2.5, 5),
+    ])
+    @pytest.mark.parametrize("x", [0.5, 0.99])
+    def test_each_log_gamma_value_taken_once(self, r, n, m, count, x,
+                                             monkeypatch):
+        # the prefactor (3 arguments on the circle), the complementary
+        # normalizer (4) and the disc |J| (5) each take their log-Gamma
+        # values once, and their rounding from those values; the rounding
+        # took every one of them a second time
+        from repnorm import specfun
+
+        sizes = []
+        backend = specfun.loggamma
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return backend(z)
+
+        monkeypatch.setattr(specfun, "loggamma", counted)
+        r.closed_form(n, m, np.array([x]))
+        assert sum(sizes) == count
+
+
 class TestComplementaryNormalizer:
     def test_doubling_ratio_approaches_fourth_root_of_two(self):
         # H(k) ~ k^(2 lam + 1), so C(2n,0)/C(n,0) -> 2^((2 lam + 1)/2);
         # [DERIVED] mpmath at 30 digits for lam = -1/4, n = 4096.
-        ratio = (complementary_normalizer(-0.25, 8192)
-                 / complementary_normalizer(-0.25, 4096))
+        ratio = (complementary_normalizer(-0.25, 8192)[0]
+                 / complementary_normalizer(-0.25, 4096)[0])
         assert ratio == pytest.approx(1.1892071145873953, abs=5e-10)
         assert abs(ratio - 2.0 ** 0.25) < 1e-9
-        coarse = (complementary_normalizer(-0.25, 128)
-                  / complementary_normalizer(-0.25, 64))
+        coarse = (complementary_normalizer(-0.25, 128)[0]
+                  / complementary_normalizer(-0.25, 64)[0])
         assert abs(ratio - 2.0 ** 0.25) < abs(coarse - 2.0 ** 0.25)
 
     def test_positivity_guard(self):
@@ -884,19 +914,21 @@ class TestComplementaryNormalizer:
             for m in (0, 3):
                 for n in ns:
                     want = mpmath.sqrt(h(n) / h(m))
-                    got = r.normalizer(n, m)
-                    assert abs(got - want) <= \
-                        r.normalizer_rounding(n, m) * want, (n, m)
+                    got, rel = r.normalizer(n, m)
+                    assert abs(got - want) <= rel * want, (n, m)
 
     @pytest.mark.parametrize("lam", [-0.1, -0.25, -0.49])
     @pytest.mark.parametrize("m", [0, 3, -7])
     def test_array_equals_scalar_calls(self, lam, m):
         ns = np.arange(-8192, 8193)
-        column = complementary_normalizer(lam, ns, m)
-        scalar = [complementary_normalizer(lam, int(n), m) for n in ns]
-        assert all(type(v) is float for v in scalar[:3])
-        assert column.tolist() == scalar
-        assert scalar == [_normalizer_per_index(lam, int(n), m) for n in ns]
+        column, column_rel = complementary_normalizer(lam, ns, m)
+        scalar, scalar_rel = zip(*(complementary_normalizer(lam, int(n), m)
+                                   for n in ns))
+        assert all(type(v) is float for v in scalar[:3] + scalar_rel[:3])
+        assert column.tolist() == list(scalar)
+        assert column_rel.tolist() == list(scalar_rel)
+        assert list(scalar) == [_normalizer_per_index(lam, int(n), m)
+                                for n in ns]
 
     def test_domain_test_is_the_per_index_test(self):
         ks = np.arange(-64, 65)
@@ -916,16 +948,17 @@ class TestComplementaryNormalizer:
         # the per-index test took a Gamma argument within 1e-12 of a pole
         # for the pole and refused; the form is positive there
         assert not _positive_on(lam, [0])
-        values = complementary_normalizer(lam, np.arange(-64, 65))
+        values, _ = complementary_normalizer(lam, np.arange(-64, 65))
         assert np.all(np.isfinite(values)) and np.all(values > 0.0)
 
 
 def _normalizer_per_index(lam, n, m):
-    """complementary_normalizer as it was, one index at a time with
-    log_gamma, which the array form must reproduce to the bit."""
+    """complementary_normalizer as it was, one index at a time, which the
+    array form must reproduce to the bit."""
     def log_h(k):
         k = abs(int(k))
-        return (log_gamma(k + 1.0 + lam) - log_gamma(k - lam)).real
+        up, down = log_gammas([k + 1.0 + lam, k - lam])
+        return (up - down).real
 
     return math.exp(0.5 * (log_h(n) - log_h(m)))
 
@@ -935,7 +968,7 @@ def _positive_on(lam, ks):
     G(lam-k+1)/G(-lam-k) is positive and real on every index k."""
     for k in ks:
         try:
-            h = gamma_ratio_signed([lam - k + 1.0], [-lam - k])
+            h, _ = gamma_ratio_signed([lam - k + 1.0], [-lam - k])
         except PoleError:
             return False
         if h.real <= 0.0 or abs(h.imag) > 1e-9 * abs(h):
@@ -1012,7 +1045,7 @@ class TestOracleSamples:
         theta = 2.0 * np.pi * np.arange(big_n) / big_n
         spec = np.fft.fft(_circle_samples(*r.circle, m, x, theta)) / big_n
         ns = np.arange(-n_max, n_max + 1)
-        scale = [r.normalizer(int(n), m) for n in ns]
+        scale = [r.normalizer(int(n), m)[0] for n in ns]
         assert [column[int(n)] for n in ns] == [
             s * complex(v) for s, v in zip(scale, spec[(-ns) % big_n])]
 

@@ -1,7 +1,9 @@
 """Gauss-series, Gamma-ratio and oracle checks for the special-function layer."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from repnorm.errors import ConvergenceError, DomainError, PoleError
 from repnorm.specfun import (_log_gamma_shift, gamma_ratio_signed, hyp2f1,
                              hyp2f1_euler_oracle, is_nonpositive_int,
-                             log_gamma, pochhammer)
+                             log_gammas, pochhammer)
 
 # [DERIVED] mpmath.hyp2f1 at 30 digits, frozen.
 FROZEN_2F1 = [
@@ -32,6 +34,11 @@ class TestPochhammer:
 
     def test_zero_length(self):
         assert pochhammer(3.5, 0) == 1.0
+
+
+def log_gamma(z):
+    """log Gamma(z) alone, through the one log-Gamma pass."""
+    return complex(log_gammas([z])[0])
 
 
 class TestLogGamma:
@@ -80,23 +87,46 @@ class TestIsNonpositiveInt:
         assert is_nonpositive_int(z) is flag
 
 
+def test_only_specfun_imports_scipy_special():
+    # log Gamma, digamma and the rounding of Gamma ratios are decided in one
+    # module; reps and integrals took loggamma and psi from scipy themselves
+    import repnorm
+
+    importers = set()
+    for path in Path(repnorm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}"
+                                               for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[:2] == ["scipy", "special"] for n in names):
+                importers.add(path.name)
+    assert importers == {"specfun.py"}
+
+
 class TestGammaRatioSigned:
     def test_smooth_arguments(self):
         # no poles anywhere: plain value, checked against math.gamma
-        v = gamma_ratio_signed([2.5, 0.5], [1.5])
+        v, rel = gamma_ratio_signed([2.5, 0.5], [1.5])
         ref = math.gamma(2.5) * math.gamma(0.5) / math.gamma(1.5)
         assert v == pytest.approx(ref, rel=1e-13)
+        # the rounding comes from the same log-Gamma values
+        assert rel == 2.2e-16 * sum(8.0 + abs(log_gamma(z))
+                                    for z in (2.5, 0.5, 1.5))
 
     def test_negative_noninteger(self):
-        v = gamma_ratio_signed([-1.5], [-0.5])
+        v, _ = gamma_ratio_signed([-1.5], [-0.5])
         ref = math.gamma(-1.5) / math.gamma(-0.5)
         assert v == pytest.approx(ref, rel=1e-13)
 
     def test_cancelling_poles(self):
         # Gamma(-a+d)/Gamma(-b+d) -> (-1)^(a-b) b!/a!
-        v = gamma_ratio_signed([-3.0], [-1.0])
+        v, _ = gamma_ratio_signed([-3.0], [-1.0])
         assert v == pytest.approx((-1.0) ** 2 * 1.0 / 6.0, rel=1e-13)
-        v = gamma_ratio_signed([-2.0], [-1.0])
+        v, _ = gamma_ratio_signed([-2.0], [-1.0])
         assert v == pytest.approx(-1.0 / 2.0, rel=1e-13)
 
     def test_surviving_numerator_pole_raises(self):
@@ -104,7 +134,7 @@ class TestGammaRatioSigned:
             gamma_ratio_signed([-2.0], [1.5])
 
     def test_surviving_denominator_pole_is_zero(self):
-        assert gamma_ratio_signed([1.5], [-2.0]) == 0.0
+        assert gamma_ratio_signed([1.5], [-2.0]) == (0.0, 0.0)
 
 
 class TestGaussSeries:
