@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .reps import coef_vec, _discrete_log_j, _discrete_index, _principal_params
 from .specfun import (_EPS, _log_gamma_shift, _terminating_order, digamma,
-                      gamma_ratio_signed, gamma_rounding, log_gammas)
+                      gamma_ratio_signed, gamma_rounding, log_gamma_difference,
+                      log_gammas)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     base = lg[0] + lg[1] - lg[2] + lg[3] - lg[4]
 
     def u(k):
-        return np.exp(sum(sign * _log_gamma_shift(k + w, d)
+        return np.exp(sum(sign * _log_gamma_shift(k + w, d)[0]
                           for w, d, sign in pairs) - base)
 
     lo = k_cut + 0.5
@@ -252,12 +253,14 @@ def integral_series(r, n, eps):
         ell = r.ell
         p = _discrete_index(ell, n)
         sign = -1.0 if p % 2 else 1.0
-        lg = log_gammas(
-            [p / 2.0 + 1.0, ell / 2.0 + eps, p / 2.0 + 1.0 + ell / 2.0 + eps])
-        beta = math.exp(lg[0].real + lg[1].real - lg[2].real)
+        # B = G(p/2 + 1) G(ell/2 + eps) / G(p/2 + 1 + ell/2 + eps), whose
+        # first and last log-Gamma values are one shift pair
+        diff, diff_rel = log_gamma_difference(p / 2.0 + 1.0, ell / 2.0 + eps)
+        lg_eps = float(log_gammas([ell / 2.0 + eps])[0].real)
+        beta = math.exp(lg_eps - diff)
         log_j, j_rel = _discrete_log_j(ell, p, 0)
         val = eps * sign * math.exp(log_j) * beta
-        rel = j_rel + gamma_rounding(lg) + 4.0 * _EPS
+        rel = j_rel + diff_rel + gamma_rounding([lg_eps]) + 4.0 * _EPS
         return IntegralValue(val, "exact-sum", rel * abs(val))
     sigma, lam = r.circle
     n = int(n)

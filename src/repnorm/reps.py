@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConvergenceError, NormalizationError, PreconditionError
 from .group import cartan_from_x
 from .specfun import (_EPS, gamma_ratio_signed, gamma_rounding, hyp2f1,
-                      is_nonpositive_int, log_gammas)
+                      is_nonpositive_int, log_gamma_difference, log_gammas)
 
 X_CUT = 0.98
 ORACLE_TOL = 1e-9
@@ -390,9 +390,10 @@ def _principal_params(sigma, lam, n, m):
 
 def complementary_normalizer(lam, n, m=0):
     """Ratio of renormalizations C(n, m) = sqrt(H(n)/H(m)) and its relative
-    rounding, eps for the exp plus gamma_rounding of the log-Gamma values
-    of n and m (the square root does not halve it), for an index n or an
-    array of them (then two arrays).
+    rounding, eps for the exp plus the rounding of log H at n and m (the
+    square root does not halve it), for an index n or an array of them
+    (then two arrays).  log H(k) is log_gamma_difference(|k| - lam,
+    1 + 2 lam), a shift pair from |k| = 12 up.
 
     The defining quadratic form has H(k) = G(lam-k+1)/G(-lam-k) on the k-th
     basis vector; reflection turns this into G(|k|+1+lam)/G(|k|-lam).  The
@@ -408,11 +409,9 @@ def complementary_normalizer(lam, n, m=0):
             f"renormalizing form not positive on every index: need"
             f" -1 < lam < 0, got {lam}")
     ks = np.abs(np.append(n, m).astype(np.int64))
-    up, down = log_gammas([ks + 1.0 + lam, ks - lam])
-    log_h = (up - down).real
+    log_h, rounding = log_gamma_difference(ks - lam, 1.0 + 2.0 * lam)
     half = 0.5 * (log_h[:-1] - log_h[-1])
-    # the arguments are real, so numpy's complex abs is exact on them
-    rel = _EPS + gamma_rounding([up[:-1], down[:-1], up[-1], down[-1]])
+    rel = _EPS + (rounding[:-1] + rounding[-1])
     # exp per element: np.exp and math.exp differ in the last bit
     if np.ndim(n) == 0:
         return math.exp(half[0]), float(rel[0])
@@ -421,10 +420,14 @@ def complementary_normalizer(lam, n, m=0):
 
 def _discrete_log_j(ell, p, q):
     """log of |J|, the symmetric Gamma prefactor of the disc closed form, and
-    the rounding of the log-Gamma sum, which the square root does not halve."""
-    lg = log_gammas([p + ell, q + ell, p + 1.0, q + 1.0, ell])
-    log_j = 0.5 * (lg[0].real + lg[1].real - lg[2].real - lg[3].real)
-    return log_j - lg[4].real, gamma_rounding(lg)
+    the rounding of the log-Gamma sum, which the square root does not halve.
+    log G(p + ell) - log G(p + 1) is log_gamma_difference, one shift pair
+    from p = 11 up, and so is that of q, so no two log-Gamma values of size
+    p log p are subtracted."""
+    diff, rounding = log_gamma_difference([p + 1.0, q + 1.0], ell - 1.0)
+    lg_ell = float(log_gammas([ell])[0].real)
+    return 0.5 * (diff[0] + diff[1]) - lg_ell, \
+        rounding[0] + rounding[1] + gamma_rounding([lg_ell])
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +562,17 @@ def coef_oracle_discrete(ell, m, coord, n_max):
     pole = 1.0 / math.sqrt(x)
     pole_order = ell + q
 
-    lg_ell, lg_m, lg_q = log_gammas([ell, m + ell / 2.0, q + 1.0]).real
-    d_m = (-1.0) ** q * math.exp(0.5 * (lg_m - lg_q - lg_ell))
+    # log G(j + ell) - log G(j + 1) as log_gamma_difference, for j = q and
+    # the orders of a window
+    lg_ell = float(log_gammas([ell])[0].real)
+    d_m = (-1.0) ** q * math.exp(
+        0.5 * (log_gamma_difference(q + 1.0, ell - 1.0)[0] - lg_ell))
 
     def window(js, radius):
         """(samples, column) of the orders js on the contour of this
         radius, for _settled_column."""
-        up, down = log_gammas([ell + js, js + 1.0]).real
-        log_lead = 0.5 * (up - down - lg_ell)
+        log_lead = 0.5 * (log_gamma_difference(js + 1.0, ell - 1.0)[0]
+                          - lg_ell)
         lead = np.array([(-1.0) ** j * math.exp(v)
                          for j, v in zip(js.tolist(), log_lead.tolist())])
 

@@ -10,15 +10,20 @@ the conventions are pinned here once:
 The series refuses |z| >= 1 unless it terminates; callers that need the
 wall use an integral representation or the circle oracle instead.
 
-Only this module evaluates log Gamma (log_gammas, each value once, and
-gamma_rounding from those values) and digamma.
+Only this module evaluates log Gamma and digamma, in numpy alone (no
+scipy.special, which was half of every CLI call's import): log_gammas takes
+each value once, by reflection, the recurrence and Stirling's series;
+gamma_rounding gives the rounding of a sum of those values, bounded from
+the kernel; log_gamma_difference and gamma_ratio_signed take a difference
+of two large log-Gamma values as one shift pair (_log_gamma_shift), which
+comes with its own rounding.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
-from scipy.special import log1p, loggamma, psi
 
 from .errors import ConvergenceError, DomainError, PoleError, PreconditionError
 
@@ -30,8 +35,31 @@ _SERIES_ROWS = 256
 # the rounding unit of the series' running error bound
 _EPS = 2.2e-16
 _POLE_TOL = 1e-12
-# B_2j / (2j (2j - 1)), j = 1..3: the Stirling series coefficients (DLMF 5.11.1)
-_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0)
+# B_2j / (2j (2j - 1)), j = 1..8: the Stirling series coefficients
+# (DLMF 5.11.1); the first one left out, j = 9, is 43867/244188
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+# log Gamma and digamma shift every argument of modulus below this up by
+# the recurrence until its real part reaches it
+_SHIFT_TO = 12.0
+# (log 2 pi)/2 - 1/2, log 2 pi
+_STIRLING_CONST = 0.41893853320467267
+_LOG_2PI = 1.8378770664093453
+# log 2 = _LN2_HI + _LN2_LO, the first to 14 bits; 1/sqrt 2; Veltkamp's
+# splitting factor 2^27 + 1, which cuts a double into two halves of 26 bits
+_LN2_HI, _LN2_LO = 0.69317626953125, -2.908897130469058e-05
+_SQRT_HALF = 0.7071067811865476
+_SPLIT = 134217729.0
+# 0!, 1!, ..., 22!, all exact in double precision
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(23)])
+# the rounding of log Gamma: eps (A + B |log G(z)|) per value (see
+# gamma_rounding)
+_GAMMA_ROUND_A, _GAMMA_ROUND_B = 80.0, 2.0
+# argument lists up to these sizes are memoized by log_gammas and
+# log_gamma_difference
+_MEMO_ARGS, _MEMO_DIFFERENCES = 8, 64
+# the largest difference of arguments taken as one _log_gamma_shift pair
+_PAIR_GAP = 20.0
 
 
 def is_nonpositive_int(z, tol=_POLE_TOL):
@@ -44,27 +72,246 @@ def is_nonpositive_int(z, tol=_POLE_TOL):
 
 
 def log_gammas(args):
-    """log Gamma(z) of each argument off the poles, a complex array from one
-    call of the backend.
+    """log Gamma(z) of each argument off the poles, a complex array of the
+    shape of args: the principal branch, analytic off (-inf, 0], whose
+    imaginary part on a real argument is that of the limit from the side
+    of the sign of its zero imaginary part (so -0.0 and 0.0 differ there).
+    Any branch is interchangeable for ratio work because the final exp
+    removes multiples of 2*pi*i.
 
-    Backed by scipy's loggamma (principal branch of the analytic
-    continuation).  Any branch is interchangeable for ratio work because the
-    final exp removes multiples of 2*pi*i.
+    Each value has the bits of its one-element call in any batch.  Lists
+    of up to _MEMO_ARGS arguments are memoized on their bytes: a scan or an
+    integral asks for the same few arguments many times, and one pass of
+    the kernel over a short list costs about 100 us.  The arrays returned
+    are read-only.
     """
-    return loggamma(np.asarray(args, dtype=complex))
+    z = np.asarray(args, dtype=complex)
+    if z.size <= _MEMO_ARGS:
+        return _log_gammas_memo(z.tobytes(), z.shape)
+    return _log_gamma_kernel(z)
+
+
+@functools.lru_cache(maxsize=4096)
+def _log_gammas_memo(key, shape):
+    out = _log_gamma_kernel(np.frombuffer(key, dtype=complex).reshape(shape))
+    out.flags.writeable = False
+    return out
+
+
+def _split_log(x):
+    """log x for x > 0 as head + tail: x = m 2^k, m in [1/sqrt 2, sqrt 2),
+    head = k (log 2)_hi - 1 exact with at most 24 bits, tail =
+    k (log 2)_lo + log m, of size below 0.35 + 3e-5 |k|."""
+    m, k = np.frexp(x)
+    low = m < _SQRT_HALF
+    k = k - low
+    return k * _LN2_HI - 1.0, k * _LN2_LO + np.log(np.where(low, 2.0 * m, m))
+
+
+def _stirling(w):
+    """log Gamma(w) for Re w >= 12 (Im w >= 0 if complex) as big + rest,
+    and log w: Stirling's series with 8 terms (DLMF 5.11.1),
+
+        (w - 1/2)(log w - 1) + (log 2 pi)/2 - 1/2
+            + sum_j B_2j / (2j (2j - 1) w^(2j-1)),
+
+    the terms left out below sec^18(ph w / 2) 0.18 / |w|^17 <= 5e-17
+    (DLMF 5.11(ii)).  Its largest part, (x - 1/2)(log x - 1) for
+    x = Re w, is taken without a rounding at its size: big is the upper 26
+    bits of x - 1/2 times the exact head of _split_log(x), and rest,
+    real or complex as w is, holds the parts far below it."""
+    x = w.real
+    head, tail = _split_log(x)
+    half = x - 0.5
+    split = half * _SPLIT
+    half_hi = split - (split - half)
+    inv = 1.0 / w
+    inv2 = inv * inv
+    series = _STIRLING[-1]
+    for coeff in _STIRLING[-2::-1]:
+        series = series * inv2 + coeff
+    series = _STIRLING_CONST + series * inv
+    big = half_hi * head
+    if not np.iscomplexobj(w):
+        rest = (half - half_hi) * head + half * tail + series
+        return big, rest, (head + 1.0) + tail
+    y = w.imag
+    tail = tail + 0.5 * np.log1p((y / x) ** 2)
+    angle = np.arctan2(y, x)
+    rest = ((half - half_hi) * head + half * tail - y * angle + series.real) \
+        + 1j * ((y * (head + tail) + half * angle) + series.imag)
+    return big, rest, ((head + 1.0) + tail) + 1j * angle
+
+
+def _shifted(t):
+    """log Gamma(t) for Re t >= 1/2 (Im t >= 0 if complex): Stirling's
+    series at w = t + N, N = max(0, ceil(12 - Re t)), less the log of the
+    product t (t+1) ... (t+N-1), which is one log with its branch count
+    (each factor has its argument in [0, pi/2), so the sum of their
+    arguments, to within far less than pi, fixes the multiple of 2 pi to
+    add).  The two are of size up to 25 and the value can be near 0, so
+    both come as exact heads plus small rests, the heads subtracted with
+    their rounding kept (TwoSum), and the rounding e of Re t + N is put
+    back as e log w."""
+    shift = np.maximum(np.ceil(_SHIFT_TO - t.real), 0.0)
+    big, rest, log_w = _stirling(t + shift)
+    value = big + rest
+    small = np.flatnonzero(shift)
+    if small.size:
+        ts, shift = t[small], shift[small]
+        ks = np.arange(_SHIFT_TO)[:, None]
+        factors = ts + ks
+        factors[ks >= shift] = 1.0
+        prod = factors[0]
+        for row in factors[1:int(shift.max())]:
+            prod = prod * row
+        if np.iscomplexobj(prod):
+            head, tail = _split_log(np.abs(prod))
+            angle = np.angle(prod)
+            turns = np.arctan2(factors.imag, factors.real).sum(axis=0)
+            tail = tail + 1j * (angle + 2.0 * np.pi * np.round(
+                (turns - angle) / (2.0 * np.pi)))
+        else:
+            head, tail = _split_log(prod)
+        # TwoSum of the heads, and of Re t + N
+        a, b = big[small], -(head + 1.0)
+        s = a + b
+        bb = s - a
+        s_err = (a - (s - bb)) + (b - bb)
+        re = ts.real
+        w = re + shift
+        bb = w - re
+        e = (re - (w - bb)) + (shift - bb)
+        value[small] = s + ((s_err + rest[small] - tail) + e * log_w[small])
+    return value
+
+
+def _log_pi_over_sin(z):
+    """log(pi / sin(pi z)) for Im z >= 0, as (real part, small imaginary
+    part, n): the value on the continuous branch of the upper half plane
+    is their sum plus i pi n, and any branch is it plus i pi (n mod 2).
+    With x + iy = z, n = round(x), r = x - n and log sin(pi z) =
+
+        log(A + iB) + pi y - log 2 + i (pi/2 - pi r) - i pi n,
+        A = -expm1(-2 pi y) + 2 e^(-2 pi y) sin^2(pi r),
+        B = -e^(-2 pi y) sin(2 pi r),
+
+    A and B lose no digits near a pole and overflow at no y."""
+    x, y = z.real, z.imag
+    n = np.round(x)
+    r = x - n
+    decay = np.exp(-2.0 * np.pi * y)
+    s = np.sin(np.pi * r)
+    log_sin = np.log((-np.expm1(-2.0 * np.pi * y) + 2.0 * decay * s * s)
+                     - 1j * decay * np.sin(2.0 * np.pi * r))
+    # on the real axis the phase is 0 or pi exactly
+    phase = np.where(y == 0.0, -np.pi * (r < 0.0),
+                     np.pi * r - 0.5 * np.pi - log_sin.imag)
+    return _LOG_2PI - np.pi * y - log_sin.real, phase, n
+
+
+def _log_gamma_kernel(z):
+    """log Gamma over a complex array, elementwise: real arguments in
+    float64, the rest in complex arithmetic with Im z > 0 (a conjugate
+    argument gives the conjugate value).  Below Re z = 1/2 the reflection
+    formula log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z) is
+    taken with _log_pi_over_sin, on the real axis as log pi -
+    log|sin(pi r)| and a multiple of pi.  The integers 1..23, whose
+    log-Gamma values are logs of exact factorials, are _split_log of
+    them: log Gamma(1) = log Gamma(2) = 0 exactly."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    real = flat.imag == 0.0
+    lower = np.signbit(flat.imag)
+    at = np.flatnonzero(real)
+    if at.size:
+        x = flat.real[at]
+        refl = np.flatnonzero(x < 0.5)
+        t = x.copy()
+        t[refl] = 1.0 - x[refl]
+        value = _shifted(t)
+        whole = np.flatnonzero((t == np.floor(t)) & (t <= _FACTORIALS.size))
+        if whole.size:
+            head, tail = _split_log(_FACTORIALS[t[whole].astype(int) - 1])
+            value[whole] = (head + 1.0) + tail
+        imag = np.zeros(x.shape)
+        if refl.size:
+            n = np.round(x[refl])
+            r = x[refl] - n
+            value[refl] = (math.log(math.pi)
+                           - np.log(np.abs(np.sin(math.pi * r)))
+                           - value[refl])
+            imag[refl] = math.pi * (n - (r < 0.0))
+        imag[lower[at]] *= -1.0
+        out[at] = value + 1j * imag
+    at = np.flatnonzero(~real)
+    if at.size:
+        low = lower[at]
+        zc = flat[at]
+        zc[low] = np.conj(zc[low])
+        refl = np.flatnonzero(zc.real < 0.5)
+        t = zc.copy()
+        t[refl] = np.conj(1.0 - zc[refl])
+        value = _shifted(t)
+        if refl.size:
+            re, im, n = _log_pi_over_sin(zc[refl])
+            g = value[refl]
+            value[refl] = (re - g.real) + 1j * ((im + np.pi * n) + g.imag)
+        value[low] = np.conj(value[low])
+        out[at] = value
+    return out.reshape(z.shape)
 
 
 def gamma_rounding(values):
     """Relative rounding of exp of a signed sum of these log-Gamma values:
     the final exp turns the absolute error of the sum into a relative one,
-    and each value adds eps (8 + |log G(z)|): against mpmath, scipy's
-    loggamma is off by about eps times its size for large |z|, but by up to
-    30 eps, whatever its size, below |z| ~ 12."""
-    return _EPS * sum(8.0 + abs(v) for v in values)
+    and each value v adds eps (80 + 2 |v|), the bound of the kernel of
+    log_gammas, in which each elementary function and each real product
+    rounds by at most one ulp (a complex product by sqrt 5 / 2 of one):
+    - Stirling's series at Re w >= 12: (x - 1/2)(log x - 1) is exact but
+      for log m, within eps/4, times x - 1/2; the parts below it round at
+      their sizes (at most 0.35 x + 1), the value once at its size:
+      within eps (0.5 |v| + 0.83 x + 1.5), below eps (1.1 |v| + 2.3); the
+      imaginary part and log1p((y/x)^2) of a complex w add 0.5 eps |v|.
+    - A shift (Re t < 12): the rest of the value at t + N (below 5 in
+      size) within 10 eps, the product of at most 12 factors with 23
+      roundings (11.5 eps, or 18 for complex factors), its log's tail and
+      the sums of the rests 8 eps, with the exact heads subtracted and the
+      rounding of t + N put back: within eps (40 + 0.5 |v|).
+    - Reflection: log Gamma(1 - z) as above, at most |v| + |log sin| + 1.2
+      in size; log|sin| within eps (1.5 + |log sin|) and two more sums:
+      within eps (1.7 |v| + 77) for every argument farther than 1e-12
+      from a pole, where |log sin| < 27.
+    tests/test_log_gamma_truth.py holds 50-digit values to it."""
+    return _EPS * sum(_GAMMA_ROUND_A + _GAMMA_ROUND_B * abs(v)
+                      for v in values)
 
 
-# psi(z) = Gamma'(z)/Gamma(z), real or complex as z is
-digamma = psi
+def digamma(z):
+    """psi(z) = Gamma'(z)/Gamma(z), real or complex as z is (a scalar or an
+    array): the shift of log_gammas, psi(t) = psi(t + N) - sum_k 1/(t+k),
+    then DLMF 5.11.2, psi(w) ~ log w - 1/(2w) - sum_j B_2j/(2j w^(2j)),
+    and psi(z) = psi(1 - z) - pi cot(pi z) below Re z = 1/2."""
+    arr = np.asarray(z)
+    z = arr.astype(complex)
+    refl = z.real < 0.5
+    t = np.where(refl, 1.0 - z, z)
+    shift = np.maximum(np.ceil(_SHIFT_TO - t.real), 0.0)
+    recip = np.zeros(t.shape, dtype=complex)
+    for k in range(int(np.max(shift, initial=0.0))):
+        recip += np.where(k < shift, 1.0 / (t + k), 0.0)
+    w = t + shift
+    inv2 = 1.0 / (w * w)
+    series = 0.0
+    for j in range(len(_STIRLING), 0, -1):
+        series = series * inv2 + (2 * j - 1) * _STIRLING[j - 1]
+    out = np.log(w) - 0.5 / w - series * inv2 - recip
+    if refl.any():
+        out = np.where(refl, out - math.pi / np.tan(math.pi * z), out)
+    if not np.iscomplexobj(arr):
+        out = out.real
+    return out[()] if out.ndim == 0 else out
 
 
 def pochhammer(d, m):
@@ -79,12 +326,13 @@ def pochhammer(d, m):
 
 def gamma_ratio_signed(num, den):
     """prod Gamma(num_i) / prod Gamma(den_j), computed in log space, and
-    its relative rounding: gamma_rounding of the arguments off the poles.
+    its relative rounding: gamma_rounding of every value summed.
 
     Poles are resolved when they cancel pairwise between numerator and
     denominator: Gamma(-a+delta)/Gamma(-b+delta) -> (-1)^(a-b) b!/a! as
-    delta -> 0 (a, b in N0).  A surviving numerator pole raises PoleError;
-    surviving denominator poles give (0, 0).
+    delta -> 0 (a, b in N0), whose factorials join the other arguments.  A
+    surviving numerator pole raises PoleError; surviving denominator poles
+    give (0, 0).  The log of the ratio comes from _log_gamma_ratio.
     """
     num = [complex(z) for z in num]
     den = [complex(z) for z in den]
@@ -96,44 +344,169 @@ def gamma_ratio_signed(num, den):
         return 0.0 + 0.0j, 0.0
     num = [z for z in num if not is_nonpositive_int(z)]
     den = [z for z in den if not is_nonpositive_int(z)]
-    values = log_gammas(num + den)
-
+    # b! over a! for each pair: b + 1 joins the numerator, a + 1 the
+    # denominator
+    num += [b + 1.0 for b in den_poles]
+    den += [a + 1.0 for a in num_poles]
     sign = 1.0
-    log_acc = 0.0 + 0.0j
     for a, b in zip(num_poles, den_poles):
         if (a - b) % 2:
             sign = -sign
-        log_acc += complex(loggamma(b + 1.0)) - complex(loggamma(a + 1.0))
-    for v in values[:len(num)]:
-        log_acc += v
-    for v in values[len(num):]:
-        log_acc -= v
+    log_acc, rounding = _log_gamma_ratio(
+        np.array(num + den, dtype=complex).tobytes(), len(num))
     if log_acc.real > 709.0:
         raise PoleError(f"gamma ratio overflows: log magnitude {log_acc.real:.1f}")
-    return sign * cmath.exp(log_acc), gamma_rounding(values)
+    return sign * cmath.exp(log_acc), rounding
+
+
+@functools.lru_cache(maxsize=4096)
+def _log_gamma_ratio(key, n_num):
+    """(log of prod Gamma(num) / prod Gamma(den) up to a multiple of
+    2 pi i, its absolute rounding) for the arguments off the poles in key,
+    num first.  Each argument below Re z = 1/2 is reflected,
+    Gamma(z) = (pi / sin(pi z)) / Gamma(1 - z), which moves 1 - z to the
+    other side and adds _log_pi_over_sin(z) with its phase reduced mod
+    2 pi.  Then each numerator argument, largest first, is paired with the
+    nearest denominator argument when both have modulus >= 12 and differ
+    by at most 20: log Gamma(a) - log Gamma(b) is one _log_gamma_shift
+    pair, so two log-Gamma values of size |a| log|a| are not subtracted.
+    The rest are log_gammas values.  The rounding is that of each pair
+    and gamma_rounding of the other values, the reflection terms among
+    them (within eps (3 + |term|): log pi - log sin)."""
+    z = np.frombuffer(key, dtype=complex)
+    sides = [list(z[:n_num]), list(z[n_num:])]
+    flip, reflected = [], []
+    for side, other, sign in ((0, 1, 1.0), (1, 0, -1.0)):
+        for v in [v for v in sides[side] if v.real < 0.5]:
+            sides[side].remove(v)
+            sides[other].append(1.0 - v)
+            reflected.append(v)
+            flip.append(sign)
+    num, den = sides
+    pairs = []
+    for a in sorted(num, key=abs, reverse=True):
+        near = [b for b in den if abs(b) >= _SHIFT_TO
+                and abs(a - b) <= _PAIR_GAP]
+        if abs(a) >= _SHIFT_TO and near:
+            b = min(near, key=lambda b: abs(a - b))
+            num.remove(a)
+            den.remove(b)
+            pairs.append((b, a - b))
+    log_acc, values, rounding = 0.0 + 0.0j, [], 0.0
+    if reflected:
+        refl = np.array(reflected)
+        lower = np.signbit(refl.imag)
+        re, im, n = _log_pi_over_sin(np.where(lower, np.conj(refl), refl))
+        im = im + np.pi * np.mod(n, 2.0)
+        terms = re + 1j * np.where(lower, -im, im)
+        log_acc += complex(np.dot(flip, terms))
+        values += terms.tolist()
+    if pairs:
+        w, d = (np.array(v) for v in zip(*pairs))
+        terms, pair_rounding = _log_gamma_shift(w, d)
+        log_acc += complex(np.sum(terms))
+        rounding += float(np.sum(pair_rounding))
+    if num or den:
+        terms = log_gammas(num + den)
+        log_acc += complex(np.sum(terms[:len(num)]) - np.sum(terms[len(num):]))
+        values += terms.tolist()
+    return log_acc, rounding + gamma_rounding(values)
+
+
+def _log1p(zeta):
+    """log(1 + zeta) to full relative precision for small zeta, real or
+    complex: 0.5 log1p(x (2 + x) + y^2) + i atan2(y, 1 + x) for complex
+    zeta = x + iy, whose real part never forms |1 + zeta|."""
+    if not np.iscomplexobj(zeta):
+        return np.log1p(zeta)
+    x, y = zeta.real, zeta.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
 def _log_gamma_shift(w, d):
-    """log Gamma(w + d) - log Gamma(w) for real w >= 1000 (an array) and a
-    complex shift d of order one.
+    """log Gamma(w + d) - log Gamma(w) for w (an array, real or complex)
+    and a shift d with |w|, |w + d| >= 12 and Re w, Re(w + d) >= 1/2, and
+    the absolute rounding of each value.
 
-    The two log-Gamma values have size w log w and differ by about d log w,
-    so their difference in double precision keeps only the digits they
-    share.  Differencing the Stirling series (DLMF 5.11.1) term by term
-    never forms them:
+    The two log-Gamma values have size |w| log|w| and differ by about
+    d log w, so their difference in double precision keeps only the digits
+    they share.  Differencing the Stirling series (DLMF 5.11.1) term by
+    term never forms them:
 
         d log w + (w + d - 1/2) log1p(d/w) - d
             + sum_j B_2j / (2j (2j-1)) ((w + d)^(1-2j) - w^(1-2j)),
 
-    j = 1..3; the next term is below 1e-25 at w = 1000.  scipy's log1p keeps
-    full relative precision for complex arguments of size 1e-12; numpy's
-    does not, and the factor w + d - 1/2 would magnify its error w times.
+    j = 1..8, the sums by Horner's rule in 1/w^2; the terms left out are
+    below 1e-19 at |w| = 12.  log1p is _log1p: numpy's complex log1p is not
+    accurate for arguments of size 1e-12, and the factor w + d - 1/2 would
+    magnify its error |w| times.  The rounding: d log w within 2.1 eps of
+    its size (the log and the product), the second term within 6.2 eps
+    (d/w, log1p, w + d - 1/2 and the product) and the three sums
+    0.7 eps of the terms each: eps (4.3 |d log w| + 8.3 |(w + d - 1/2)
+    log1p(d/w)| + 2.1 |d| + 1), the 1 for the differenced series.
     """
+    w = np.asarray(w)
+    if not np.iscomplexobj(w):
+        w = w.astype(float)
+
+    def series(v):
+        inv = 1.0 / v
+        inv2 = inv * inv
+        out = _STIRLING[-1]
+        for coeff in _STIRLING[-2::-1]:
+            out = out * inv2 + coeff
+        return out * inv
+
+    head = d * np.log(w)
+    body = (w + d - 0.5) * _log1p(d / w)
+    value = head + body - d + (series(w + d) - series(w))
+    return value, _EPS * (4.3 * np.abs(head) + 8.3 * np.abs(body)
+                          + 2.1 * np.abs(d) + 1.0)
+
+
+def log_gamma_difference(w, d):
+    """log Gamma(w + d) - log Gamma(w) for real w (a number or an array)
+    and a real shift d with w, w + d >= 1/2, and its absolute rounding:
+    one _log_gamma_shift pair, with the rounding it derives, where
+    w and w + d are at least 12 and |d| <= 20, so that no two log-Gamma
+    values of size w log w are subtracted and w + d is never rounded into
+    an argument, else the two log-Gamma values and their gamma_rounding.
+    Arrays of up to
+    _MEMO_DIFFERENCES elements are memoized on their bytes, as in
+    log_gammas: the normalizers and oracle windows of a scan or a column
+    ask for the same few."""
     w = np.asarray(w, dtype=float)
-    out = d * np.log(w) + (w + d - 0.5) * log1p(d / w) - d
-    for j, coeff in enumerate(_STIRLING, start=1):
-        out = out + coeff * ((w + d) ** (1 - 2 * j) - w ** (1.0 - 2 * j))
+    if w.size <= _MEMO_DIFFERENCES:
+        diff, rounding = _log_gamma_difference_memo(w.tobytes(), w.shape,
+                                                    float(d))
+    else:
+        diff, rounding = _log_gamma_difference(w, float(d))
+    if w.ndim == 0:
+        return float(diff), float(rounding)
+    return diff, rounding
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_gamma_difference_memo(key, shape, d):
+    out = _log_gamma_difference(np.frombuffer(key).reshape(shape), d)
+    for v in out:
+        v.flags.writeable = False
     return out
+
+
+def _log_gamma_difference(w, d):
+    flat = w.reshape(-1)
+    diff, rounding = np.empty(flat.shape), np.empty(flat.shape)
+    pair = (np.minimum(flat, flat + d) >= _SHIFT_TO) & (abs(d) <= _PAIR_GAP)
+    at = np.flatnonzero(pair)
+    if at.size:
+        diff[at], rounding[at] = _log_gamma_shift(flat[at], d)
+    at = np.flatnonzero(~pair)
+    if at.size:
+        up, down = log_gammas([flat[at] + d, flat[at]]).real
+        diff[at] = up - down
+        rounding[at] = gamma_rounding([up, down])
+    return diff.reshape(w.shape), rounding.reshape(w.shape)
 
 
 def _terminating_order(a, b):

@@ -675,12 +675,13 @@ def test_norm_scan_csv_contract_on_any_ladder(ladder, seed):
 def test_import_leaves_out_the_libraries_of_single_criteria():
     # every CLI call pays the import of repnorm.cli; scipy.integrate serves
     # criterion 1's Euler oracle alone, mpmath criterion 10's zeta, and
-    # scipy.optimize nothing
+    # scipy.optimize nothing; log Gamma no longer comes from scipy.special,
+    # so no part of scipy is loaded
     src = str(Path(repnorm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, repnorm.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize', 'mpmath') "
-            "if m in sys.modules))")
+            "('scipy.integrate', 'scipy.optimize', 'mpmath', "
+            "'scipy.special', 'scipy') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": path})

@@ -20,7 +20,7 @@ from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
                           complementary_normalizer, parse_rep,
                           parseval_defect)
 from repnorm.specfun import (gamma_ratio_signed, gamma_rounding, hyp2f1,
-                             log_gammas)
+                             log_gamma_difference, log_gammas)
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -852,9 +852,9 @@ class TestSpectrum:
 
 class TestLogGammaPass:
     @pytest.mark.parametrize("r,n,m,count", [
-        (Principal(0.0, -0.5 + 1.0j), 16, 0, 3),
+        (Principal(0.0, -0.5 + 1.0j), 16, 0, 1),
         (Principal(0.5, -0.5 + 0.7j), -3, 5, 3),
-        (Complementary(-0.25), 16, 0, 7),
+        (Complementary(-0.25), 16, 0, 3),
         (Complementary(-0.25), 3, -5, 7),
         (Discrete(2), 9.0, 1.0, 5),
         (Discrete(3), 4.5, 2.5, 5),
@@ -862,20 +862,27 @@ class TestLogGammaPass:
     @pytest.mark.parametrize("x", [0.5, 0.99])
     def test_each_log_gamma_value_taken_once(self, r, n, m, count, x,
                                              monkeypatch):
-        # the prefactor (3 arguments on the circle), the complementary
-        # normalizer (4) and the disc |J| (5) each take their log-Gamma
-        # values once, and their rounding from those values; the rounding
-        # took every one of them a second time
+        # the prefactor (its 3 arguments, less the two of a shift pair:
+        # Gamma(n+1) against the reflected Gamma(lam-n-sigma+1) from
+        # n = 11 up), the complementary normalizer (two values per index
+        # below 12, a shift pair above) and the disc |J| (log Gamma(ell)
+        # and, below p = 11, two values per index) each take their
+        # log-Gamma values once, and their rounding from those values; the
+        # rounding took every one of them a second time.  The memos are
+        # emptied, so each value reaches the kernel
         from repnorm import specfun
 
         sizes = []
-        backend = specfun.loggamma
+        kernel = specfun._log_gamma_kernel
 
         def counted(z):
             sizes.append(np.size(z))
-            return backend(z)
+            return kernel(z)
 
-        monkeypatch.setattr(specfun, "loggamma", counted)
+        monkeypatch.setattr(specfun, "_log_gamma_kernel", counted)
+        for memo in (specfun._log_gammas_memo, specfun._log_gamma_ratio,
+                     specfun._log_gamma_difference_memo):
+            memo.cache_clear()
         r.closed_form(n, m, np.array([x]))
         assert sum(sizes) == count
 
@@ -956,9 +963,7 @@ def _normalizer_per_index(lam, n, m):
     """complementary_normalizer as it was, one index at a time, which the
     array form must reproduce to the bit."""
     def log_h(k):
-        k = abs(int(k))
-        up, down = log_gammas([k + 1.0 + lam, k - lam])
-        return (up - down).real
+        return log_gamma_difference(abs(int(k)) - lam, 1.0 + 2.0 * lam)[0]
 
     return math.exp(0.5 * (log_h(n) - log_h(m)))
 

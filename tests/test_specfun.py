@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repnorm.errors import ConvergenceError, DomainError, PoleError
-from repnorm.specfun import (_log_gamma_shift, gamma_ratio_signed, hyp2f1,
-                             hyp2f1_euler_oracle, is_nonpositive_int,
+from repnorm.specfun import (_log_gamma_shift, gamma_ratio_signed,
+                             gamma_rounding, hyp2f1, hyp2f1_euler_oracle,
+                             is_nonpositive_int, log_gamma_difference,
                              log_gammas, pochhammer)
 
 # [DERIVED] mpmath.hyp2f1 at 30 digits, frozen.
@@ -62,21 +63,42 @@ class TestLogGamma:
 
 
 class TestLogGammaShift:
-    """log Gamma(w + d) - log Gamma(w) at the sizes of the Beta-moment tail,
-    where a direct difference of log-Gamma values loses most digits; with
-    numpy's log1p in place of scipy's every complex d fails (numpy's real
-    log1p is accurate, so d = 0.3 passes either way)."""
+    """log Gamma(w + d) - log Gamma(w) at the sizes of the Beta-moment tail
+    and of the disc |J|, where a direct difference of log-Gamma values
+    loses most digits; with numpy's complex log1p in place of _log1p every
+    complex d at w >= 1e6 fails (numpy's real log1p is accurate, so
+    d = 0.3 passes either way)."""
 
-    @pytest.mark.parametrize("w", [1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("w", [12.0, 100.0, 1e3, 1e6, 1e9, 1e12])
     @pytest.mark.parametrize("d", [0.5 - 1.0j, -1.5 + 0.7j, 0.3])
     def test_against_mpmath(self, w, d):
         with mpmath.workdps(40):
             wm = mpmath.mpf(w)
             ref = complex(mpmath.loggamma(wm + mpmath.mpmathify(d))
                           - mpmath.loggamma(wm))
-        got = complex(_log_gamma_shift(np.array([w]), d)[0])
+        values, rounding = _log_gamma_shift(np.array([w]), d)
+        got = complex(values[0])
         assert abs(got - ref) <= 1e-15 * abs(ref)
+        assert abs(got - ref) <= rounding[0]
 
+    @pytest.mark.parametrize("ell", [1, 2, 3, 7])
+    def test_disc_differences_within_the_rounding(self, ell):
+        # log G(p + ell) - log G(p + 1) of the disc |J|, p + 1 from 1 (two
+        # log-Gamma values) to 4097 (one shift pair from 12 up)
+        ws = np.array([1.0, 2.0, 5.5, 11.0, 12.0, 13.0, 255.0, 1024.0,
+                       4097.0])
+        got, rounding = log_gamma_difference(ws, ell - 1.0)
+        for w, v, rel in zip(ws.tolist(), got.tolist(), rounding.tolist()):
+            with mpmath.workdps(50):
+                ref = float(mpmath.loggamma(mpmath.mpf(w) + ell - 1)
+                            - mpmath.loggamma(mpmath.mpf(w)))
+            assert abs(v - ref) <= rel, (w, ell)
+            # one shift pair, or two log-Gamma values
+            assert rel == (_log_gamma_shift(np.array([w]), ell - 1.0)[1][0]
+                           if w >= 12.0 else gamma_rounding(
+                               [log_gammas([w + ell - 1.0])[0],
+                                log_gammas([w])[0]]))
+            assert (v, rel) == log_gamma_difference(w, ell - 1.0)
 
 class TestIsNonpositiveInt:
     @pytest.mark.parametrize("z,flag", [
@@ -87,9 +109,9 @@ class TestIsNonpositiveInt:
         assert is_nonpositive_int(z) is flag
 
 
-def test_only_specfun_imports_scipy_special():
-    # log Gamma, digamma and the rounding of Gamma ratios are decided in one
-    # module; reps and integrals took loggamma and psi from scipy themselves
+def test_no_module_imports_scipy_special():
+    # log Gamma, digamma and log1p are evaluated in specfun itself;
+    # scipy.special was half of every CLI call's import
     import repnorm
 
     importers = set()
@@ -104,8 +126,26 @@ def test_only_specfun_imports_scipy_special():
                 continue
             if any(n.split(".")[:2] == ["scipy", "special"] for n in names):
                 importers.add(path.name)
-    assert importers == {"specfun.py"}
+    assert importers == set()
 
+
+def test_batch_independent_bits():
+    # each element of a long call has the bits of its one-element call:
+    # a column of 2,049 indices, real and complex, both signs of a zero
+    # imaginary part, reflected, shifted and direct arguments
+    rng = np.random.default_rng(19)
+    z = np.concatenate([
+        np.arange(2049) * 0.5 - 520.25,
+        rng.uniform(-520.0, 1030.0, 400) + 1j * rng.uniform(-1.0, 1.0, 400),
+        rng.uniform(-20.0, 20.0, 200) + 1j * rng.uniform(-20.0, 20.0, 200)])
+    z[1::3] = np.conj(z[1::3])
+    rng.shuffle(z)
+    z = z[:2049]
+    column = log_gammas(z)
+    single = np.array([log_gammas([v])[0] for v in z.tolist()])
+    assert column.view(np.uint64).tolist() == single.view(np.uint64).tolist()
+    memo = np.concatenate([log_gammas(z[i:i + 5]) for i in range(0, 2049, 5)])
+    assert column.view(np.uint64).tolist() == memo.view(np.uint64).tolist()
 
 class TestGammaRatioSigned:
     def test_smooth_arguments(self):
@@ -114,7 +154,7 @@ class TestGammaRatioSigned:
         ref = math.gamma(2.5) * math.gamma(0.5) / math.gamma(1.5)
         assert v == pytest.approx(ref, rel=1e-13)
         # the rounding comes from the same log-Gamma values
-        assert rel == 2.2e-16 * sum(8.0 + abs(log_gamma(z))
+        assert rel == 2.2e-16 * sum(80.0 + 2.0 * abs(log_gamma(z))
                                     for z in (2.5, 0.5, 1.5))
 
     def test_negative_noninteger(self):
@@ -128,6 +168,24 @@ class TestGammaRatioSigned:
         assert v == pytest.approx((-1.0) ** 2 * 1.0 / 6.0, rel=1e-13)
         v, _ = gamma_ratio_signed([-2.0], [-1.0])
         assert v == pytest.approx(-1.0 / 2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [100, 174, 255, 1000, 2047, 3000])
+    @pytest.mark.parametrize("b", [0, 3, 10, 57])
+    def test_pole_pair_factorials_within_the_rounding(self, a, b):
+        # poles at -a and -(a - b) cancel to (-1)^b (a-b)!/a!; the two
+        # factorials, of size a log a, were taken outside the rounding,
+        # which was 31 times short at [-174, 2.5] / [-10, 1.5]
+        v, rel = gamma_ratio_signed([-float(a), 2.5], [-float(a - b), 1.5])
+        with mpmath.workdps(60):
+            ref = (-1) ** b * mpmath.mpf(1.5) / mpmath.rf(a - b + 1, b)
+            assert abs(v - ref) <= rel * abs(ref)
+
+    def test_pole_pair_into_the_subnormals(self):
+        v, rel = gamma_ratio_signed([-174.0, 2.5], [-10.0, 1.5])
+        with mpmath.workdps(60):
+            ref = (mpmath.factorial(10) / mpmath.factorial(174)
+                   * mpmath.mpf(1.5))
+            assert abs(v - ref) <= rel * abs(ref)
 
     def test_surviving_numerator_pole_raises(self):
         with pytest.raises(PoleError):
