@@ -21,12 +21,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GenericityWarning, PreconditionError
-from .specfun import hyp2f1, hyp2f1_euler_oracle, pochhammer
+from .specfun import hyp2f1, pochhammer
 from .reps import (Complementary, Discrete, Principal, coef_oracle, coef_vec,
                    parseval_defect)
 from .norms import (ScanConfig, default_ladder, distance_estimate,
                     fit_exponent, pmin_scan, sobolev_gap_estimate)
-from .integrals import (faulhaber_sum, integral_quadrature, integral_series,
+from .integrals import (faulhaber_sum, hyp2f1_euler_oracle,
+                        integral_quadrature, integral_series,
                         reducible_point_integral, stirling_ratio_check)
 from . import structure
 
@@ -225,15 +226,12 @@ def _integral_ladder_fit(r, eps, ns):
     # nearest in-spectrum index at or below n
     kappas = [math.floor(n - r.m_ref) + r.m_ref for n in ns]
     values = np.array([abs(integral_series(r, k, eps).value) for k in kappas])
-    if np.any(values < 1e-250) or not np.all(np.isfinite(values)):
+    degenerate = np.any(values < 1e-250) or not np.all(np.isfinite(values))
+    fit = None if degenerate else fit_exponent(kappas, values)
+    if degenerate or math.exp(fit.log_amp) < 1e-10:
+        what = "degenerate integral" if degenerate else "near-zero fitted"
         warnings.warn(GenericityWarning(
-            f"degenerate integral amplitude for {r!r} at eps={eps};"
-            f" rerunning at eps={eps + 0.05}"))
-        return _integral_ladder_fit(r, eps + 0.05, ns)
-    fit = fit_exponent(kappas, values)
-    if math.exp(fit.log_amp) < 1e-10:
-        warnings.warn(GenericityWarning(
-            f"near-zero fitted amplitude for {r!r} at eps={eps};"
+            f"{what} amplitude for {r!r} at eps={eps};"
             f" rerunning at eps={eps + 0.05}"))
         return _integral_ladder_fit(r, eps + 0.05, ns)
     return fit, eps
@@ -331,23 +329,18 @@ def criterion_9():
     t0 = time.perf_counter()
     bad = []
     for n in range(2, 11):
+        so, su, sp, sl = (structure.LieType(k, n)
+                          for k in ("so1n", "su1n", "sp1n", "slnR"))
         checks = [
-            (structure.structural_constant(structure.LieType("so1n", n)),
-             Fraction(n - 1, 2)),
-            (structure.structural_constant(structure.LieType("su1n", n)),
-             Fraction(n)),
-            (structure.structural_constant(structure.LieType("sp1n", n)),
-             Fraction(2 * n + 1)),
-            (structure.structural_constant(structure.LieType("slnR", n)),
-             Fraction(n * (n * n - 1), 12)),
-            (structure.domination_threshold(
-                structure.LieType("su1n", n), structure.PRINCIPAL_MPS),
+            (structure.structural_constant(so), Fraction(n - 1, 2)),
+            (structure.structural_constant(su), Fraction(n)),
+            (structure.structural_constant(sp), Fraction(2 * n + 1)),
+            (structure.structural_constant(sl), Fraction(n * (n * n - 1), 12)),
+            (structure.domination_threshold(su, structure.PRINCIPAL_MPS),
              Fraction(2 * n - 1, 2)),
-            (structure.domination_threshold(
-                structure.LieType("su1n", n), structure.GENERALIZED_VERMA),
+            (structure.domination_threshold(su, structure.GENERALIZED_VERMA),
              Fraction(n, 2)),
-            (structure.domination_threshold(
-                structure.LieType("su1n", n), structure.OTHER_DISCRETE),
+            (structure.domination_threshold(su, structure.OTHER_DISCRETE),
              Fraction(n - 1)),
         ]
         for got, want in checks:

@@ -287,16 +287,14 @@ def cmd_constants(args):
         row = {"type": t.label(), "c_g": str(structure.structural_constant(t)),
                "rank_k": t.rank_k}
         if t.family in ("so1n", "su1n"):
-            row["threshold_principal"] = str(structure.domination_threshold(
-                t, structure.PRINCIPAL_MPS))
-            row["threshold_verma"] = str(structure.domination_threshold(
-                t, structure.GENERALIZED_VERMA))
-            row["threshold_other"] = str(structure.domination_threshold(
-                t, structure.OTHER_DISCRETE))
+            for key, series in (("principal", structure.PRINCIPAL_MPS),
+                                ("verma", structure.GENERALIZED_VERMA),
+                                ("other", structure.OTHER_DISCRETE)):
+                row[f"threshold_{key}"] = str(
+                    structure.domination_threshold(t, series))
         if args.c is not None:
             from fractions import Fraction
-            c = Fraction(args.c)
-            R = Fraction(args.R)
+            c, R = Fraction(args.c), Fraction(args.R)
             row["mps_bound"] = str(structure.mps_gap_bound(t, c, R))
         rows.append(row)
     width = max(len(k) for row in rows for k in row)

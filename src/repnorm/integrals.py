@@ -73,9 +73,7 @@ _WG_CENTER = 0.417959183673469387755102040816327
 _XK = np.concatenate([-_XGK_HALF, [0.0], _XGK_HALF[::-1]])
 _WK = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
-_WG[[1, 3, 5]] = _WG_HALF
-_WG[7] = _WG_CENTER
-_WG[[13, 11, 9]] = _WG_HALF
+_WG[1::2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 _INIT_PANELS = 8
 _MAX_EVALS = 2_000_000
@@ -94,11 +92,8 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
     if span <= 0.0:
         raise PreconditionError("need lo < hi")
     edges = np.linspace(float(lo), float(hi), _INIT_PANELS + 1)
-    pend_a = edges[:-1].copy()
-    pend_b = edges[1:].copy()
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
+    pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
+    total, err, evals = 0.0 + 0.0j, 0.0, 0
     while pend_a.size:
         mid = 0.5 * (pend_a + pend_b)
         half = 0.5 * (pend_b - pend_a)
@@ -122,14 +117,68 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
         done = (panel_err <= budget) | (pend_b - pend_a <= 1e-14 * span)
         total += complex(np.sum(k15[done]))
         err += float(np.sum(panel_err[done]))
-        a_bad, b_bad, m_bad = pend_a[~done], pend_b[~done], mid[~done]
-        pend_a = np.concatenate([a_bad, m_bad])
-        pend_b = np.concatenate([m_bad, b_bad])
+        pend_a, pend_b = (np.concatenate([pend_a[~done], mid[~done]]),
+                          np.concatenate([mid[~done], pend_b[~done]]))
         if evals > _MAX_EVALS:
             raise ConvergenceError(
                 f"quadrature not settled after {evals} evaluations"
                 f" ({pend_a.size} panels open)")
     return total, err
+
+
+def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
+    """2F1(a,b;c;z) = G int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt, with
+    G = Gamma(c)/(Gamma(b) Gamma(c-b)), Re c > Re b > 0 and real z < 1, by
+    a route independent of the series.  Returns (value, err_est).
+
+    One Kronrod pass in u, t = 1/(1 + e^(-2v)), v = (pi/2) sinh u (Takahasi
+    & Mori, Publ. RIMS 9, 1974); log t and log(1-t) are -log1p(e^(-2|v|))
+    less 2|v| on the nearer end's side, so nothing overflows.  It aims at
+    tol (1 - z Re b/Re c)^(-Re a)/|G|, the integral at the Beta weight's
+    mean.  Past |v| = V lie at most 2 M e^(-2rV)/r, r = min(Re b, Re(c-b)),
+    M = max (1-zt)^(-Re a); V puts that at 1e-3 of the aim.  err_est adds
+    it, the Kronrod error, G's rounding and the integrand's, 8 eps (1 + sum
+    of |p| (1 + |l|) over each exponent p and the log l it multiplies, and
+    |a| |l| for the l that 1 - zt is made of) of its size, integrated by the
+    trapezoid rule on the pass's nodes."""
+    a, b, c, z = complex(a), complex(b), complex(c), float(z)
+    if not (c.real > b.real > 0.0):
+        raise PreconditionError(
+            f"Euler integral needs Re c > Re b > 0, got b={b}, c={c}")
+    if z >= 1.0:
+        raise DomainError(f"Euler integral needs z < 1, got {z}")
+    cb = c - b
+    pref, pref_rel = gamma_ratio_signed([c], [b, cb])
+    rate, log_m = min(b.real, cb.real), max(-a.real * math.log1p(-z), 0.0)
+    log_aim = (math.log(tol / abs(pref))
+               - a.real * math.log1p(-z * b.real / c.real))
+    big_v = (math.log(2e3 / rate) + log_m - log_aim) / (2.0 * rate)
+    seen = []
+
+    def integrand(u):
+        v = 0.5 * math.pi * np.sinh(u)
+        near = -np.log1p(np.exp(-2.0 * np.abs(v)))
+        log_t = near + np.minimum(2.0 * v, 0.0)
+        log_s = near - np.maximum(2.0 * v, 0.0)
+        # 1 - zt as two terms of one sign: 1 + |z| t, or 1 - z + z (1-t)
+        log_z = log_t if z < 0.0 else log_s
+        w = np.log(min(1.0, 1.0 - z) + abs(z) * np.exp(log_z))
+        y = math.pi * np.cosh(u) * np.exp(b * log_t + cb * log_s - a * w)
+        rho = (1.0 + abs(a) * (1.0 + np.abs(log_z) + np.abs(w)) + abs(b)
+               * (1.0 + np.abs(log_t)) + abs(cb) * (1.0 + np.abs(log_s)))
+        seen.append((u, np.abs(y) * rho))
+        return y
+
+    big_u = math.asinh(big_v / (0.5 * math.pi))
+    total, q_err = kronrod_quad_vec(integrand, -big_u, big_u,
+                                    tol_abs=math.exp(log_aim))
+    nodes = np.concatenate([np.stack(pair) for pair in seen], axis=1)
+    u, size = nodes[:, np.argsort(nodes[0])]
+    rounding = 4.0 * _EPS * float(np.sum((size[1:] + size[:-1]) * np.diff(u)))
+    mass = 2.0 * math.exp(log_m - 2.0 * rate * big_v) / rate
+    value = pref * total
+    return value, (abs(pref) * (q_err + mass + rounding)
+                   + (pref_rel + 2.0 * _EPS) * abs(value))
 
 
 # ---------------------------------------------------------------------------

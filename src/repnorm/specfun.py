@@ -7,16 +7,16 @@ the conventions are pinned here once:
     (d)_m = d (d+1) ... (d+m-1) = Gamma(d+m) / Gamma(d)
     2F1(a,b;c;z) = sum_k (a)_k (b)_k / ((c)_k k!) z^k
 
-The series refuses |z| >= 1 unless it terminates; callers that need the
-wall use an integral representation or the circle oracle instead.
+The series refuses |z| >= 1 unless it terminates; reps continues it to the
+wall by the hypergeometric ODE.  Its independent check, the Euler-integral
+oracle of criterion 1, is integrals.hyp2f1_euler_oracle.
 
-Only this module evaluates log Gamma and digamma, in numpy alone (no
-scipy.special, which was half of every CLI call's import): log_gammas takes
-each value once, by reflection, the recurrence and Stirling's series;
-gamma_rounding gives the rounding of a sum of those values, bounded from
-the kernel; log_gamma_difference and gamma_ratio_signed take a difference
-of two large log-Gamma values as one shift pair (_log_gamma_shift), which
-comes with its own rounding.
+Only this module evaluates log Gamma and digamma, in numpy alone:
+log_gammas takes each value once, by reflection, the recurrence and
+Stirling's series; gamma_rounding gives the rounding of a sum of those
+values, bounded from the kernel; log_gamma_difference and
+gamma_ratio_signed take a difference of two large log-Gamma values as one
+shift pair (_log_gamma_shift), which comes with its own rounding.
 """
 
 import cmath
@@ -676,44 +676,3 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         + np.divide(derr, np.abs(flat), out=np.zeros(n), where=flat != 0.0)
     return value.reshape(xs.shape), err.reshape(xs.shape), \
         slope.reshape(xs.shape), slope_err.reshape(xs.shape)
-
-
-def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
-    """2F1 via the Euler integral; independent of the series path.
-
-    2F1(a,b;c;z) = [G(c)/(G(b)G(c-b))] int_0^1 t^(b-1)(1-t)^(c-b-1)(1-zt)^(-a) dt
-    for Re(c) > Re(b) > 0 and real z < 1.  Returns (value, err_est).
-    """
-    # only this oracle needs scipy.integrate, ~0.2 s of every CLI call's
-    # import
-    from scipy.integrate import quad
-
-    a, b, c = complex(a), complex(b), complex(c)
-    z = float(z)
-    if not (c.real > b.real > 0.0):
-        raise PreconditionError(
-            f"Euler integral needs Re c > Re b > 0, got b={b}, c={c}")
-    if z >= 1.0:
-        raise DomainError(f"Euler integral needs z < 1, got {z}")
-
-    pref, _ = gamma_ratio_signed([c], [b, c - b])
-
-    def integrand(s, pick_real):
-        # t = sin^2(pi s / 2) doubles the algebraic order at both endpoints
-        # (the raw integrand is merely C^1-ish there, which quietly breaks
-        # the quadrature error estimate); exact endpoints carry no mass
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        t = math.sin(0.5 * math.pi * s) ** 2
-        jac = 0.5 * math.pi * math.sin(math.pi * s)
-        v = (t ** (b - 1.0)) * ((1.0 - t) ** (c - b - 1.0)) \
-            * (1.0 - z * t) ** (-a) * jac
-        return v.real if pick_real else v.imag
-
-    re, re_err = quad(integrand, 0.0, 1.0, args=(True,),
-                      epsabs=tol, epsrel=tol, limit=300)
-    im, im_err = quad(integrand, 0.0, 1.0, args=(False,),
-                      epsabs=tol, epsrel=tol, limit=300)
-    value = pref * complex(re, im)
-    err = abs(pref) * (re_err + im_err) + 1e-15 * abs(value)
-    return value, err

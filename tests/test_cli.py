@@ -673,10 +673,9 @@ def test_norm_scan_csv_contract_on_any_ladder(ladder, seed):
 
 
 def test_import_leaves_out_the_libraries_of_single_criteria():
-    # every CLI call pays the import of repnorm.cli; scipy.integrate serves
-    # criterion 1's Euler oracle alone, mpmath criterion 10's zeta, and
-    # scipy.optimize nothing; log Gamma no longer comes from scipy.special,
-    # so no part of scipy is loaded
+    # every CLI call pays the import of repnorm.cli; mpmath serves criterion
+    # 10's zeta alone and is imported where it is used, and no module
+    # imports any part of scipy (test_no_module_imports_scipy)
     src = str(Path(repnorm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, repnorm.cli; print(sorted(m for m in "
@@ -686,3 +685,23 @@ def test_import_leaves_out_the_libraries_of_single_criteria():
                           text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+def test_every_module_and_criterion_1_run_without_scipy():
+    # None in sys.modules makes every import of scipy raise ImportError, as
+    # on an installation without it; criterion 1 runs the Euler-integral
+    # oracle, whose quadrature is repnorm's own Kronrod driver
+    src = str(Path(repnorm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    names = sorted(p.stem for p in Path(repnorm.__file__).parent.glob("*.py")
+                   if p.stem != "__init__")
+    code = ("import importlib, sys; sys.modules['scipy'] = None\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('repnorm.' + name)\n"
+            "from repnorm.acceptance import criterion_1\n"
+            "print(criterion_1().passed)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"

@@ -9,10 +9,12 @@ import pytest
 
 from repnorm.errors import DomainError, PreconditionError
 from repnorm.integrals import (BetaMeasure, IntegralValue, _beta_moment_tail,
-                               faulhaber_sum, integral_quadrature,
-                               integral_series, j_series, kronrod_quad_vec,
-                               reducible_point_integral, stirling_ratio_check)
+                               faulhaber_sum, hyp2f1_euler_oracle,
+                               integral_quadrature, integral_series, j_series,
+                               kronrod_quad_vec, reducible_point_integral,
+                               stirling_ratio_check)
 from repnorm.reps import Complementary, Discrete, Principal, _principal_params
+from repnorm.specfun import hyp2f1
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
 # normalized terms, 40 digits.
@@ -156,6 +158,47 @@ class TestKronrodQuadVec:
         assert abs(val - 2.0 / 3.0) <= 10.0 * err
 
 
+class TestEulerOracle:
+    """The integral route must agree with the series route wherever both
+    converge; it is the jury for every closed form downstream.  Its
+    40-digit truth is tests/test_oracle_truth.py."""
+
+    @pytest.mark.parametrize("a,b,c,z", [
+        (0.7, 1.6, 3.1, 0.5),
+        (-0.4 + 0.8j, 1.9, 3.4 + 0.2j, -0.35),
+        (1.2, 2.5 - 0.6j, 4.4, 0.82),
+    ])
+    def test_against_series(self, a, b, c, z):
+        ref, ref_err = hyp2f1(a, b, c, z)
+        val, err = hyp2f1_euler_oracle(a, b, c, z)
+        assert abs(val - ref) <= 1e-10 * abs(ref) + err + ref_err
+
+    def test_error_estimate_honest(self):
+        a, b, c, z = 0.9, 1.4, 3.0, 0.6
+        ref, _ = hyp2f1(a, b, c, z)
+        val, err = hyp2f1_euler_oracle(a, b, c, z)
+        assert abs(val - ref) <= err + 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("b,c", [(0.0, 1.0), (1.5, 1.5), (-0.5, 2.0),
+                                     (1.0 + 2.0j, 0.5)])
+    def test_outside_the_euler_strip_refused(self, b, c):
+        with pytest.raises(PreconditionError):
+            hyp2f1_euler_oracle(0.5, b, c, 0.3)
+
+    @pytest.mark.parametrize("z", [1.0, 1.5])
+    def test_at_or_past_the_branch_point_refused(self, z):
+        with pytest.raises(DomainError):
+            hyp2f1_euler_oracle(0.5, 1.0, 2.0, z)
+
+    def test_large_prefactor_window(self):
+        # Re b = 5, Re(c-b) = 55: the integral is 1e-8 in size, so the
+        # window past which the mass is bounded has to reach further out
+        # than it does at Re b of order 1
+        val, err = hyp2f1_euler_oracle(2.0, 5.0, 60.0, 0.9)
+        ref, ref_err = hyp2f1(2.0, 5.0, 60.0, 0.9)
+        assert abs(val - ref) <= err + ref_err <= 1e-12 * abs(ref)
+
+
 class TestBetaMomentTail:
     def test_frozen_reference(self):
         tail, err = _beta_moment_tail(*TAIL_ARGS)
@@ -238,7 +281,13 @@ class TestSeriesTruth:
     """The series route against 40-digit 3F2 values: its err_est covers
     the error and stays below 1e-10 relative for |n| up to 4096; on the
     disc, against 40-digit Beta values, for p = n - ell/2 up to 4095 (a
-    constant err of 1e-14 |value| was short from p = 255 on)."""
+    constant err of 1e-14 |value| was short from p = 255 on).
+
+    The quadrature route's err_est covers the same values: its Kronrod
+    error plus 1e-9 |value|, of which the error uses at most 3.2e-5 (at
+    complementary, n = 4096, eps = 0.25).  The Kronrod error alone would
+    be up to 3.6e4 times short (complementary, n = 0, eps = 0.25): it does
+    not count the rounding of the integrand, which the constant covers."""
 
     @pytest.mark.parametrize("name,n,eps,re,im", SERIES_TRUTH,
                              ids=[f"{t[0]}-n{t[1]}-eps{t[2]}"
@@ -247,6 +296,14 @@ class TestSeriesTruth:
         ref = complex(float(re), float(im))
         s = integral_series(SERIES_REPS[name], n, eps)
         assert abs(s.value - ref) <= s.err_est <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("name,n,eps,re,im", SERIES_TRUTH,
+                             ids=[f"{t[0]}-n{t[1]}-eps{t[2]}"
+                                  for t in SERIES_TRUTH])
+    def test_quadrature_err_est_covers_truth(self, name, n, eps, re, im):
+        ref = complex(float(re), float(im))
+        q = integral_quadrature(SERIES_REPS[name], n, eps)
+        assert abs(q.value - ref) <= q.err_est
 
 
 class TestJSeries:
