@@ -41,6 +41,12 @@ COEF_ARGS = {"principal": ["--rep", "principal:0:-0.5+1i", "--m", "0",
              "complementary": ["--rep", "complementary:-0.25", "--m", "0",
                                "--n", "-5"],
              "discrete": ["--rep", "discrete:2", "--m", "1", "--n", "6"]}
+# oracle columns off the cases above: the circle's Moebius factor (m != 0)
+# and a disc column off its reference column (q = m - ell/2 = 2)
+ORACLE_ARGS = {"principal-m2": ["--rep", "principal:0.5:-0.5+0.7i", "--m",
+                                "2", "--n", "5", "--x", "0.5"],
+               "discrete-q2": ["--rep", "discrete:2", "--m", "3", "--n", "6",
+                               "--x", "0.9"]}
 
 
 def _cases():
@@ -65,6 +71,9 @@ def _cases():
         for x in ("0.5", "0.9", "0.99"):
             out.append((f"coef-{fam}-x{x}", ["coef", *args, "--x", x], None,
                         True))
+    for name, args in ORACLE_ARGS.items():
+        out.append((f"coef-oracle-{name}", ["coef", *args, "--oracle"], None,
+                    False))
     return out
 
 

@@ -981,9 +981,84 @@ def _positive_on(lam, ks):
     return True
 
 
+def _circle_samples_reference(sigma, lam, m, x, theta):
+    """_circle_samples as first written, with np.exp(1j theta) and a complex
+    log for each of the two bases; frozen here for the bit guard."""
+    lam = complex(lam)
+    A = 1.0 / math.sqrt(1.0 - x)
+    B = math.sqrt(x) / math.sqrt(1.0 - x)
+    e_pos = np.exp(1j * theta)
+    base_pos = B * e_pos + A
+    base_neg = B * np.conj(e_pos) + A
+    log_pos = np.log(base_pos)
+    log_neg = np.log(base_neg)
+    vals = np.exp((lam + sigma) * log_pos + (lam - sigma) * log_neg)
+    if m != 0:
+        moebius = base_pos / (A * e_pos + B)
+        power = moebius ** int(m)
+        vals = vals * power
+    return vals
+
+
+def _disc_samples_reference(ell, q, d_m, x, radius, theta):
+    """_disc_samples as first written, with np.exp(1j theta) and w^q formed
+    for every q; frozen here for the bit guard."""
+    A = 1.0 / math.sqrt(1.0 - x)
+    B = math.sqrt(x) / math.sqrt(1.0 - x)
+    e_pos = np.exp(1j * theta)
+    z = radius * e_pos
+    den = A - B * z
+    w = (A * z - B) / den
+    inverse = den ** (-ell)
+    power = w ** q
+    fvals = d_m * inverse
+    return fvals * power
+
+
+def _same_bits(a, b):
+    """Equal to the bit, signed zeros and NaN payloads included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
 class TestOracleSamples:
     """Each oracle sample depends on its angle alone, so a doubling can
     keep the samples it has and evaluate only the new odd angles."""
+
+    # two full grids, and the 16384 odd angles of N = 32768, at numpy's
+    # 256 KiB threshold of temporary reuse
+    _BIT_GRIDS = [2.0 * np.pi * np.arange(n) / n for n in (64, 1024)] \
+        + [2.0 * np.pi * np.arange(1, 32768, 2) / 32768]
+
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Principal(0.5, -0.5 + 0.7j),
+                                   Principal(0.0, -0.3 + 0.5j),
+                                   Principal(0.5, -0.5),
+                                   Principal(0.0, -0.5 + 3.0j),
+                                   Complementary(-0.25)], ids=str)
+    def test_circle_samples_keep_the_reference_bits(self, r):
+        # cos and sin must be the components of exp(1j theta), and the log
+        # of the conjugate base the conjugate of the log, on this platform
+        for m in (0, 1, 2, -3, 7):
+            for x in (0.0, 1e-6, 0.5, 0.99, 0.9999):
+                for theta in self._BIT_GRIDS:
+                    assert _same_bits(
+                        _circle_samples(*r.circle, m, x, theta),
+                        _circle_samples_reference(*r.circle, m, x, theta)), \
+                        (m, x, theta.size)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 7])
+    def test_disc_samples_keep_the_reference_bits(self, ell):
+        for q in (0, 1, 2, 5):
+            for x in (1e-6, 0.9, 0.9999):
+                pole = 1.0 / math.sqrt(x)
+                for radius in (0.5, 0.999 * pole):
+                    args = (ell, q, (-1.0) ** q * 0.7, x, radius)
+                    for theta in self._BIT_GRIDS:
+                        assert _same_bits(
+                            _disc_samples(*args, theta),
+                            _disc_samples_reference(*args, theta)), \
+                            (q, x, radius, theta.size)
 
     @staticmethod
     def _grids(big_n):
@@ -992,21 +1067,22 @@ class TestOracleSamples:
                 2.0 * np.pi * np.arange(big_n // 2) / (big_n // 2))
 
     @pytest.mark.parametrize("big_n", [8192, 16384, 32768])
-    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("x", [0.99, 0.9999])
+    @pytest.mark.parametrize("m", [0, 2, -3])
     @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
                                    Principal(0.5, -0.5 + 0.7j),
                                    Principal(0.0, -0.3 + 0.5j)],
                              ids=str)
-    def test_circle_full_grid_equals_its_halves(self, r, m, big_n):
+    def test_circle_full_grid_equals_its_halves(self, r, m, x, big_n):
         full, odd, coarse = self._grids(big_n)
-        vals = _circle_samples(*r.circle, m, 0.99, full)
+        vals = _circle_samples(*r.circle, m, x, full)
         assert np.array_equal(vals[1::2],
-                              _circle_samples(*r.circle, m, 0.99, odd))
+                              _circle_samples(*r.circle, m, x, odd))
         assert np.array_equal(vals[0::2],
-                              _circle_samples(*r.circle, m, 0.99, coarse))
+                              _circle_samples(*r.circle, m, x, coarse))
 
     @pytest.mark.parametrize("big_n", [8192, 16384, 32768])
-    @pytest.mark.parametrize("ell, q", [(2, 1), (3, 2), (4, 5)])
+    @pytest.mark.parametrize("ell, q", [(2, 0), (2, 1), (3, 2), (4, 5)])
     def test_disc_full_grid_equals_its_halves(self, ell, q, big_n):
         full, odd, coarse = self._grids(big_n)
         args = (ell, q, -0.7, 0.99, 1.002)
