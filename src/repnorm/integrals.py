@@ -77,36 +77,174 @@ _WG[1::2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 _INIT_PANELS = 8
 _MAX_EVALS = 2_000_000
+# levels of an end chain: how deep below a fresh end panel its descendants
+# toward that end are evaluated ahead (the sweep is in
+# BENCH_kronrod_chains.json)
+_CHAIN_LEVELS = 4
 
 
-def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
+def _panel_nodes(a, b):
+    """The 15 Kronrod abscissae of each panel [a, b], panel by panel."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
+
+
+def _end_chain(a, b, at_lo, floor, first):
+    """The chain below the end panel [a, b]: both of its children, then
+    both children of the child at the end (the left one if at_lo), and so
+    on, _CHAIN_LEVELS levels deep or until a panel is at the width floor.
+    Returns the chain's panels as (a, b) pairs, the rows of the children of
+    [a, b] and the rows of the children of each chain panel, rows counted
+    from first (-1: none)."""
+    panels, kids = [], []
+    head = parent = [-1, -1]
+    for _ in range(_CHAIN_LEVELS):
+        if b - a <= floor:
+            break
+        m = 0.5 * (a + b)
+        parent[:] = first + len(panels), first + len(panels) + 1
+        panels += [(a, m), (m, b)]
+        kids += [[-1, -1], [-1, -1]]
+        parent = kids[-2] if at_lo else kids[-1]
+        a, b = (a, m) if at_lo else (m, b)
+    return panels, head, kids
+
+
+def _evaluate(f, x, need):
+    """f on the abscissae x in one call, or, if x holds more than the first
+    need of them and that call raises or meets a floating-point error that
+    numpy would report, f on those need alone."""
+    if x.size > need:
+        # numpy's error state is per thread, so no other caller sees this
+        strict = {k: "ignore" if v == "ignore" else "raise"
+                  for k, v in np.geterr().items()}
+        try:
+            with np.errstate(**strict):
+                return np.asarray(f(x), dtype=complex)
+        except Exception:
+            # any failure may come from past need alone: the call on the
+            # first need raises or reports whatever it would on its own
+            pass
+    return np.asarray(f(x[:need]), dtype=complex)
+
+
+def _stored_children(parents, keep):
+    """Where the stored children of this round's panels go.  parents holds
+    (position, rows of the two children) of each panel with a child in the
+    store (row -1: that child is not); keep marks the open panels.  Returns
+    {position among the next round's pending panels: store row}, in
+    position order; the next round has the open panels' left children,
+    then their right children, each in the open panels' order."""
+    if not parents:
+        return {}
+    n_open = int(np.count_nonzero(keep))
+    moved = []
+    for p, (left, right) in parents:
+        if keep[p]:
+            rank = int(np.count_nonzero(keep[:p]))
+            moved += [(rank, left), (n_open + rank, right)]
+    return dict(sorted(m for m in moved if m[1] >= 0))
+
+
+def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
     """Adaptive 15-point Kronrod rule driven by batch evaluations.
 
-    f maps a flat numpy array of abscissae to values (complex ok); every
-    refinement round evaluates all pending panels in a single call, so an
-    expensive vectorized integrand costs what one big batch costs.  Starts
-    from _INIT_PANELS equal panels.  Returns (value, err_est); raises
-    ConvergenceError past _MAX_EVALS evaluations.
+    f maps a flat numpy array of abscissae to values (complex ok).  Starts
+    from _INIT_PANELS equal panels; each round settles the panels whose
+    error is within their share of tol_abs (or whose width is at the floor
+    1e-14 (hi - lo)) and bisects the rest.  Returns (value, err_est), and
+    with nodes=True also the abscissae of every round as one flat array;
+    raises ConvergenceError past _MAX_EVALS evaluations.
+
+    A round evaluates all its pending panels in one call of f.  At a cusp
+    at lo or hi the pass bisects one end panel per round, so from the
+    second round on, in a round where f has to evaluate no more than the
+    end panels and their siblings, each end panel brings along its end
+    chain (_end_chain) in the same call.  Later rounds read those panels
+    from a store that lives for this call, and f is called only for the
+    panels not in it; a round whose panels are all in it calls f not at
+    all.  (While more panels need f each round, a chain would save no
+    call.)  This changes when f runs, not what the rounds compute: as long
+    as f gives each abscissa the same bits alone or in any batch, value,
+    err_est and every ConvergenceError are those of the pass without
+    chains.  A call with a chain runs with numpy's floating-point warnings
+    raised; if it raises, it is rerun without the chain and no chain is
+    taken after that, so f raises and numpy warns only where that pass
+    would.  The count against _MAX_EVALS is the rounds' abscissae; chain
+    abscissae that no round reaches are not in it.
     """
-    span = float(hi) - float(lo)
+    lo, hi = float(lo), float(hi)
+    span = hi - lo
     if span <= 0.0:
         raise PreconditionError("need lo < hi")
-    edges = np.linspace(float(lo), float(hi), _INIT_PANELS + 1)
+    floor = 1e-14 * span
+    edges = np.linspace(lo, hi, _INIT_PANELS + 1)
     pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
+    # the store: integrand rows of chain panels and the store rows of the
+    # two children of each (-1: none); held maps the position of each
+    # pending panel that is in it to its row
+    store_y, store_kids, held = np.empty((0, _XK.size), dtype=complex), [], {}
+    # chains start in the second round and stop after a call that failed
+    chains, visited = True, []
     total, err, evals = 0.0 + 0.0j, 0.0, 0
     while pend_a.size:
+        n = pend_a.size
         mid = 0.5 * (pend_a + pend_b)
         half = 0.5 * (pend_b - pend_a)
-        nodes = mid[:, None] + half[:, None] * _XK[None, :]
-        y = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-        evals += nodes.size
-        k15 = (y @ _WK) * half
+        # the panel at lo, if open, is the first pending one and the panel
+        # at hi the last, as each round puts left children before right
+        ends = [i for i, at_end in ((0, pend_a[0] == lo),
+                                    (n - 1, pend_b[-1] == hi))
+                if at_end and i not in held] if chains and evals else []
+        heads, ahead = [], []
+        if ends and n - len(held) <= 2 * len(ends):
+            for i in ends:
+                panels, kids, more = _end_chain(
+                    pend_a[i], pend_b[i], i == 0, floor,
+                    len(store_kids) + len(ahead))
+                heads.append((i, kids, more))
+                ahead += panels
+        if held:
+            open_ = np.ones(n, dtype=bool)
+            open_[list(held)] = False
+            call_a, call_b = pend_a[open_], pend_b[open_]
+        else:
+            call_a, call_b = pend_a, pend_b
+        need = call_a.size * _XK.size
+        if ahead:
+            ahead_a, ahead_b = np.array(ahead).T
+            call_a = np.concatenate([call_a, ahead_a])
+            call_b = np.concatenate([call_b, ahead_b])
+        y_call = (_evaluate(f, _panel_nodes(call_a, call_b), need) if need
+                  else None)
+        if not held:
+            y = y_call[:need].reshape(-1, _XK.size)
+        elif not need:
+            y = store_y[list(held.values())]
+        else:
+            y = np.empty((n, _XK.size), dtype=complex)
+            y[list(held)] = store_y[list(held.values())]
+            y[open_] = y_call[:need].reshape(-1, _XK.size)
+        parents = [(p, store_kids[r]) for p, r in held.items()]
+        if ahead and y_call.size > need:
+            store_y = np.concatenate(
+                [store_y, y_call[need:].reshape(-1, _XK.size)])
+            for i, kids, more in heads:
+                parents.append((i, kids))
+                store_kids += more
+        elif ahead:
+            chains = False
+        evals += n * _XK.size
+        if nodes:
+            visited.append((pend_a, pend_b))
+        y_wk = y @ _WK
+        k15 = y_wk * half
         g7 = (y @ _WG) * half
         diff = np.abs(k15 - g7)
         # rescaled error estimate: |K-G| alone badly underestimates the
         # truncation error on panels with an algebraic cusp, so inflate it
         # against the total-variation proxy resasc as QUADPACK does
-        reskh = (y @ _WK)[:, None] * 0.5
+        reskh = y_wk[:, None] * 0.5
         resasc = (np.abs(y - reskh) @ _WK) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(
@@ -114,15 +252,20 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
                 ** 1.5)
         panel_err = np.where(resasc > 0.0, scaled, diff)
         budget = tol_abs * (pend_b - pend_a) / span
-        done = (panel_err <= budget) | (pend_b - pend_a <= 1e-14 * span)
+        done = (panel_err <= budget) | (pend_b - pend_a <= floor)
         total += complex(np.sum(k15[done]))
         err += float(np.sum(panel_err[done]))
-        pend_a, pend_b = (np.concatenate([pend_a[~done], mid[~done]]),
-                          np.concatenate([mid[~done], pend_b[~done]]))
+        keep = ~done
+        pend_a, pend_b = (np.concatenate([pend_a[keep], mid[keep]]),
+                          np.concatenate([mid[keep], pend_b[keep]]))
+        held = _stored_children(parents, keep)
         if evals > _MAX_EVALS:
             raise ConvergenceError(
                 f"quadrature not settled after {evals} evaluations"
                 f" ({pend_a.size} panels open)")
+    if nodes:
+        return total, err, _panel_nodes(
+            *(np.concatenate(ends) for ends in zip(*visited)))
     return total, err
 
 
@@ -140,7 +283,7 @@ def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
     it, the Kronrod error, G's rounding and the integrand's, 8 eps (1 + sum
     of |p| (1 + |l|) over each exponent p and the log l it multiplies, and
     |a| |l| for the l that 1 - zt is made of) of its size, integrated by the
-    trapezoid rule on the pass's nodes."""
+    trapezoid rule on the abscissae of the pass's rounds."""
     a, b, c, z = complex(a), complex(b), complex(c), float(z)
     if not (c.real > b.real > 0.0):
         raise PreconditionError(
@@ -170,10 +313,13 @@ def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
         return y
 
     big_u = math.asinh(big_v / (0.5 * math.pi))
-    total, q_err = kronrod_quad_vec(integrand, -big_u, big_u,
-                                    tol_abs=math.exp(log_aim))
-    nodes = np.concatenate([np.stack(pair) for pair in seen], axis=1)
-    u, size = nodes[:, np.argsort(nodes[0])]
+    total, q_err, u = kronrod_quad_vec(integrand, -big_u, big_u,
+                                       tol_abs=math.exp(log_aim), nodes=True)
+    # the sizes at the abscissae of the rounds, not at the chains' extras
+    known = np.concatenate([np.stack(pair) for pair in seen], axis=1)
+    known = known[:, np.argsort(known[0])]
+    u = np.sort(u)
+    size = known[1, np.searchsorted(known[0], u)]
     rounding = 4.0 * _EPS * float(np.sum((size[1:] + size[:-1]) * np.diff(u)))
     mass = 2.0 * math.exp(log_m - 2.0 * rate * big_v) / rate
     value = pref * total

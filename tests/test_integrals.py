@@ -3,17 +3,20 @@ closure, and the asymptotic utility lemmas."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repnorm.errors import DomainError, PreconditionError
-from repnorm.integrals import (BetaMeasure, IntegralValue, _beta_moment_tail,
+from repnorm import integrals
+from repnorm.errors import ConvergenceError, DomainError, PreconditionError
+from repnorm.integrals import (_MAX_EVALS, _WG, _WK, _XK, BetaMeasure, IntegralValue, _beta_moment_tail,
                                faulhaber_sum, hyp2f1_euler_oracle,
                                integral_quadrature, integral_series, j_series,
                                kronrod_quad_vec, reducible_point_integral,
                                stirling_ratio_check)
-from repnorm.reps import Complementary, Discrete, Principal, _principal_params
+from repnorm.reps import (Complementary, Discrete, Principal, _principal_params,
+                          coef_vec)
 from repnorm.specfun import hyp2f1
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
@@ -158,6 +161,203 @@ class TestKronrodQuadVec:
         assert abs(val - 2.0 / 3.0) <= 10.0 * err
 
 
+def _kronrod_reference(f, lo, hi, tol_abs=1e-12):
+    """kronrod_quad_vec as it was before its end chains, one call of f per
+    round and nothing evaluated ahead; frozen here for the bit guard.
+    Returns (value, err_est, evaluations)."""
+    span = float(hi) - float(lo)
+    edges = np.linspace(float(lo), float(hi), 9)
+    pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
+    total, err, evals = 0.0 + 0.0j, 0.0, 0
+    while pend_a.size:
+        mid = 0.5 * (pend_a + pend_b)
+        half = 0.5 * (pend_b - pend_a)
+        nodes = mid[:, None] + half[:, None] * _XK[None, :]
+        y = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+        evals += nodes.size
+        k15 = (y @ _WK) * half
+        g7 = (y @ _WG) * half
+        diff = np.abs(k15 - g7)
+        reskh = (y @ _WK)[:, None] * 0.5
+        resasc = (np.abs(y - reskh) @ _WK) * half
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = resasc * np.minimum(
+                1.0, (200.0 * diff / np.where(resasc > 0.0, resasc, 1.0))
+                ** 1.5)
+        panel_err = np.where(resasc > 0.0, scaled, diff)
+        budget = tol_abs * (pend_b - pend_a) / span
+        done = (panel_err <= budget) | (pend_b - pend_a <= 1e-14 * span)
+        total += complex(np.sum(k15[done]))
+        err += float(np.sum(panel_err[done]))
+        pend_a, pend_b = (np.concatenate([pend_a[~done], mid[~done]]),
+                          np.concatenate([mid[~done], pend_b[~done]]))
+        if evals > _MAX_EVALS:
+            raise ConvergenceError(
+                f"quadrature not settled after {evals} evaluations"
+                f" ({pend_a.size} panels open)")
+    return total, err, evals
+
+
+def _bits(value, err, evals):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex(), float(err).hex(), evals
+
+
+def _kronrod_bits(f, lo, hi, tol_abs=1e-12):
+    value, err, nodes = kronrod_quad_vec(f, lo, hi, tol_abs, nodes=True)
+    return _bits(value, err, nodes.size)
+
+
+def _reference_bits(f, lo, hi, tol_abs=1e-12):
+    return _bits(*_kronrod_reference(f, lo, hi, tol_abs))
+
+
+class TestKronrodChains:
+    """The end chains change when the integrand runs, not what the rounds
+    compute: value, err and the count of the rounds' abscissae keep the
+    bits of the round-by-round pass."""
+
+    # (integrand, lo, hi, tol_abs): cusps at lo on [0, 1] and at hi on
+    # [-1, 0], where -u is exact
+    CASES = {
+        "polynomial": (lambda u: u ** 7, 0.0, 1.0, 1e-12),
+        "cos40": (lambda u: np.cos(40.0 * u), 0.0, 1.0, 1e-12),
+        "sqrt-lo": (np.sqrt, 0.0, 1.0, 1e-10),
+        "sqrt-hi": (lambda u: np.sqrt(-u), -1.0, 0.0, 1e-10),
+        "power-lo": (lambda u: u ** (-0.3 + 2j), 0.0, 1.0, 1e-9),
+        "power-hi": (lambda u: (-u) ** (-0.3 + 2j), -1.0, 0.0, 1e-9),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_probe_integrands(self, name):
+        case = self.CASES[name]
+        assert _kronrod_bits(*case) == _reference_bits(*case)
+
+    @staticmethod
+    def _against_reference(monkeypatch):
+        """Route every kronrod_quad_vec call of the integrals module through
+        both drivers; returns the list of (chained, reference) bits."""
+        chained = integrals.kronrod_quad_vec
+        pairs = []
+
+        def both(f, lo, hi, tol_abs=1e-12, nodes=False):
+            want = _kronrod_reference(f, lo, hi, tol_abs)
+            value, err, seen = chained(f, lo, hi, tol_abs, nodes=True)
+            pairs.append((_bits(value, err, seen.size), _bits(*want)))
+            return (value, err, seen) if nodes else (value, err)
+
+        monkeypatch.setattr(integrals, "kronrod_quad_vec", both)
+        return pairs
+
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Principal(0.0, -0.5), Complementary(-0.25),
+                                   Discrete(2), Principal(0.5, -0.5)],
+                             ids=["principal-complex", "principal-real",
+                                  "complementary", "discrete-2", "reducible"])
+    def test_quadrature_integrands(self, monkeypatch, r):
+        pairs = self._against_reference(monkeypatch)
+        for eps in (0.05, 0.25, 0.4, 0.95):
+            for n in (0, 4, 256):
+                integral_quadrature(r, n + r.m_ref, eps)
+        assert len(pairs) == 12
+        for got, want in pairs:
+            assert got == want
+
+    def test_beta_moment_tail_integrand(self, monkeypatch):
+        pairs = self._against_reference(monkeypatch)
+        for n, eps in ((64, 0.25), (4096, 0.4)):
+            _beta_moment_tail(*_tail_args(n, eps))
+        assert len(pairs) == 2
+        for got, want in pairs:
+            assert got == want
+
+    def test_oracle_integrand(self, monkeypatch):
+        pairs = self._against_reference(monkeypatch)
+        hyp2f1_euler_oracle(0.3, 0.05, 0.2, 0.7)
+        hyp2f1_euler_oracle(-1.5 + 0.3j, 0.1 + 0.2j, 0.3, -0.9)
+        for got, want in pairs:
+            assert got == want
+
+    def test_convergence_error_as_reference(self):
+        # below u = 1e-6 no panel settles: the chains that ran while the
+        # pass bisected its way down must not move the evaluation count
+        def f(u):
+            calls.append(u.size)
+            return u * np.sqrt(u) + np.where(u < 1e-6, np.sin(1e15 * u), 0.0)
+
+        messages = []
+        for driver in (kronrod_quad_vec, _kronrod_reference):
+            calls = []
+            with pytest.raises(ConvergenceError) as info:
+                driver(f, 0.0, 1.0)
+            messages.append((str(info.value), len(calls)))
+        (got, chained_calls), (want, reference_calls) = messages
+        assert got == want
+        assert chained_calls < reference_calls
+
+    def test_oracle_rounding_term_over_the_rounds_only(self, monkeypatch):
+        # a driver that also hands the integrand abscissae that no round
+        # evaluates, as an end chain does, must leave the err bits alone
+        want = hyp2f1_euler_oracle(0.3, 0.05, 0.2, 0.7)
+        driver = integrals.kronrod_quad_vec
+
+        def ahead(f, lo, hi, tol_abs=1e-12, nodes=False):
+            f(np.linspace(lo, hi, 97)[1:-1])
+            return driver(f, lo, hi, tol_abs, nodes)
+
+        monkeypatch.setattr(integrals, "kronrod_quad_vec", ahead)
+        got = hyp2f1_euler_oracle(0.3, 0.05, 0.2, 0.7)
+        assert _bits(*got, 0) == _bits(*want, 0)
+
+    @staticmethod
+    def _cusp(u):
+        # u^1.5: the round-by-round pass stops bisecting at lo well above
+        # the width floor, so the chains reach abscissae it never does
+        return u * np.sqrt(u)
+
+    def _sequential_floor(self):
+        """The smallest abscissa the round-by-round pass hands to the cusp
+        on [0, 1]."""
+        reached = []
+
+        def f(u):
+            reached.append(u.min())
+            return self._cusp(u)
+
+        _kronrod_reference(f, 0.0, 1.0)
+        return min(reached)
+
+    def test_integrand_raising_only_ahead(self):
+        floor = self._sequential_floor()
+        raised = []
+
+        def f(u):
+            if u.min() < floor:
+                raised.append(u.min())
+                raise ValueError("below the floor")
+            return self._cusp(u)
+
+        assert (_kronrod_bits(f, 0.0, 1.0)
+                == _reference_bits(self._cusp, 0.0, 1.0))
+        assert raised     # a chain did reach past the round-by-round pass
+
+    def test_integrand_warning_only_ahead(self):
+        floor = self._sequential_floor()
+        reached = []
+
+        def f(u):
+            reached.append(u.min())
+            # log of a negative number: nan, with numpy's RuntimeWarning
+            return self._cusp(u) + 0.0 * np.log(u - 0.75 * floor)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _kronrod_bits(f, 0.0, 1.0)
+        assert not caught
+        assert got == _reference_bits(self._cusp, 0.0, 1.0)
+        assert min(reached) < 0.75 * floor
+
+
 class TestEulerOracle:
     """The integral route must agree with the series route wherever both
     converge; it is the jury for every closed form downstream.  Its
@@ -189,6 +389,16 @@ class TestEulerOracle:
     def test_at_or_past_the_branch_point_refused(self, z):
         with pytest.raises(DomainError):
             hyp2f1_euler_oracle(0.5, 1.0, 2.0, z)
+
+    def test_cancelling_point_still_refused(self):
+        # the integral cancels below the integrand's rounding, which the
+        # driver has no floor for yet (ROADMAP item 2): the pass runs to
+        # _MAX_EVALS, with the count and panels of the round-by-round pass
+        with pytest.raises(ConvergenceError) as info:
+            hyp2f1_euler_oracle(4.98 - 0.81j, 0.0122 - 2.73j,
+                                0.322 - 0.481j, 0.767)
+        assert str(info.value) == ("quadrature not settled after 3003120"
+                                   " evaluations (166108 panels open)")
 
     def test_large_prefactor_window(self):
         # Re b = 5, Re(c-b) = 55: the integral is 1e-8 in size, so the

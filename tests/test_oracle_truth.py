@@ -1,6 +1,7 @@
 """The Euler-integral oracle of criterion 1 against 40-digit mpmath: every
 frozen point's value must lie within its err_est, and err_est within
-1e-12 of |value|.
+1e-12 of |value|.  Value and err_est also keep the bits that they had
+before the Kronrod driver evaluated its end chains ahead.
 
 The set holds the four TestEulerOracle tuples, draw 259 (counted from 0)
 of criterion 1's Euler loop at DEFAULT_SEED, where the err of the former
@@ -39,6 +40,20 @@ FROZEN = [
     ("1.815016509735417219621096318770192312408", "0.9048990197254404503082767894994836747485"),
 ]
 
+# value and err_est of each point as float.hex, (re, im, err), from the
+# Kronrod driver that evaluated one round per call: the end chains change
+# when the integrand runs and the rounding term sums over the rounds'
+# abscissae only, so no bit of either moves
+FROZEN_BITS = [
+    ("0x1.40e4dc255c669p+0", "0x0.0p+0", "0x1.4500d6d0221f6p-43"),
+    ("0x1.0d5319e872711p+0", "-0x1.3ca7e5bb28bbap-3", "0x1.2577c1fcba392p-42"),
+    ("0x1.2c9f816edfc18p+1", "-0x1.62bb9c672b387p-1", "0x1.ed778331502b8p-42"),
+    ("0x1.664a0ca7a598fp+0", "0x0.0p+0", "0x1.15bc75e9fa9eap-43"),
+    ("0x1.17ca10a935d47p+0", "0x1.3d53f0e532ee0p-7", "0x1.7ccea1d4986e8p-42"),
+    ("0x1.192d37071b31fp+0", "0x0.0p+0", "0x1.3e52ba09513d2p-42"),
+    ("0x1.d0a4ec0703800p+0", "0x1.cf4eec9fce736p-1", "0x1.a814d92904b9dp-42"),
+]
+
 
 @pytest.mark.parametrize("point,ref", list(zip(POINTS, FROZEN)),
                          ids=[f"point{k}" for k in range(len(FROZEN))])
@@ -48,8 +63,15 @@ def test_err_covers_mpmath(point, ref):
     assert abs(value - ref) <= err <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("point,bits", list(zip(POINTS, FROZEN_BITS)),
+                         ids=[f"point{k}" for k in range(len(FROZEN_BITS))])
+def test_value_and_err_keep_their_bits(point, bits):
+    value, err = hyp2f1_euler_oracle(*point)
+    assert (value.real.hex(), value.imag.hex(), err.hex()) == bits
+
+
 def test_every_point_is_frozen():
-    assert len(FROZEN) == len(POINTS)
+    assert len(FROZEN) == len(FROZEN_BITS) == len(POINTS)
 
 
 def _reference(a, b, c, z):
