@@ -265,7 +265,7 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
                 f" ({pend_a.size} panels open)")
     if nodes:
         return total, err, _panel_nodes(
-            *(np.concatenate(ends) for ends in zip(*visited)))
+            *(np.concatenate(edge) for edge in zip(*visited)))
     return total, err
 
 

@@ -10,13 +10,13 @@ import pytest
 
 from repnorm import integrals
 from repnorm.errors import ConvergenceError, DomainError, PreconditionError
-from repnorm.integrals import (_MAX_EVALS, _WG, _WK, _XK, BetaMeasure, IntegralValue, _beta_moment_tail,
+from repnorm.integrals import (_MAX_EVALS, _WG, _WK, _XK, BetaMeasure,
+                               IntegralValue, _beta_moment_tail,
                                faulhaber_sum, hyp2f1_euler_oracle,
                                integral_quadrature, integral_series, j_series,
                                kronrod_quad_vec, reducible_point_integral,
                                stirling_ratio_check)
-from repnorm.reps import (Complementary, Discrete, Principal, _principal_params,
-                          coef_vec)
+from repnorm.reps import Complementary, Discrete, Principal, _principal_params
 from repnorm.specfun import hyp2f1
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
