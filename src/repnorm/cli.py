@@ -225,6 +225,10 @@ def _read_csv_column(path, column):
     ns, vals = [], []
     for row in rows[1:]:
         parts = row.split(",")
+        if len(parts) != len(header):
+            raise PreconditionError(
+                f"{path}: row {row!r} does not have the header's"
+                f" {len(header)} fields")
         ns.append(float(parts[i_n]))
         vals.append(float(parts[i_v]))
     return ns, vals
@@ -276,6 +280,9 @@ def _parse_lie_type(text):
         family, n = text.split(":")
         if family == "f4m20":
             return structure.LieType("f4m20")
+        # the text is lowercased, and a family name need not be (slnR)
+        family = {name.lower(): name
+                  for name in structure.FAMILIES}.get(family, family)
         return structure.LieType(family, int(n))
     raise PreconditionError(f"cannot parse Lie type {text!r}")
 

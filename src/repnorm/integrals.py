@@ -89,25 +89,20 @@ def _panel_nodes(a, b):
     return (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
 
 
-def _end_chain(a, b, at_lo, floor, first):
+def _end_chain(a, b, at_lo, floor):
     """The chain below the end panel [a, b]: both of its children, then
     both children of the child at the end (the left one if at_lo), and so
-    on, _CHAIN_LEVELS levels deep or until a panel is at the width floor.
-    Returns the chain's panels as (a, b) pairs, the rows of the children of
-    [a, b] and the rows of the children of each chain panel, rows counted
-    from first (-1: none)."""
-    panels, kids = [], []
-    head = parent = [-1, -1]
+    on, _CHAIN_LEVELS levels deep or until a panel is at the width floor,
+    as (a, b) pairs.  Each midpoint is 0.5 * (a + b), as in the rounds, so
+    a pair is the key under which a round finds that panel."""
+    panels = []
     for _ in range(_CHAIN_LEVELS):
         if b - a <= floor:
             break
         m = 0.5 * (a + b)
-        parent[:] = first + len(panels), first + len(panels) + 1
         panels += [(a, m), (m, b)]
-        kids += [[-1, -1], [-1, -1]]
-        parent = kids[-2] if at_lo else kids[-1]
         a, b = (a, m) if at_lo else (m, b)
-    return panels, head, kids
+    return panels
 
 
 def _evaluate(f, x, need):
@@ -128,24 +123,6 @@ def _evaluate(f, x, need):
     return np.asarray(f(x[:need]), dtype=complex)
 
 
-def _stored_children(parents, keep):
-    """Where the stored children of this round's panels go.  parents holds
-    (position, rows of the two children) of each panel with a child in the
-    store (row -1: that child is not); keep marks the open panels.  Returns
-    {position among the next round's pending panels: store row}, in
-    position order; the next round has the open panels' left children,
-    then their right children, each in the open panels' order."""
-    if not parents:
-        return {}
-    n_open = int(np.count_nonzero(keep))
-    moved = []
-    for p, (left, right) in parents:
-        if keep[p]:
-            rank = int(np.count_nonzero(keep[:p]))
-            moved += [(rank, left), (n_open + rank, right)]
-    return dict(sorted(m for m in moved if m[1] >= 0))
-
-
 def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
     """Adaptive 15-point Kronrod rule driven by batch evaluations.
 
@@ -160,18 +137,22 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
     at lo or hi the pass bisects one end panel per round, so from the
     second round on, in a round where f has to evaluate no more than the
     end panels and their siblings, each end panel brings along its end
-    chain (_end_chain) in the same call.  Later rounds read those panels
-    from a store that lives for this call, and f is called only for the
-    panels not in it; a round whose panels are all in it calls f not at
-    all.  (While more panels need f each round, a chain would save no
-    call.)  This changes when f runs, not what the rounds compute: as long
-    as f gives each abscissa the same bits alone or in any batch, value,
-    err_est and every ConvergenceError are those of the pass without
-    chains.  A call with a chain runs with numpy's floating-point warnings
-    raised; if it raises, it is rerun without the chain and no chain is
-    taken after that, so f raises and numpy warns only where that pass
-    would.  The count against _MAX_EVALS is the rounds' abscissae; chain
-    abscissae that no round reaches are not in it.
+    chain (_end_chain) in the same call.  The store, which lives for this
+    call, holds each chain panel's row of values under its (a, b) and no
+    positions: a bisection tree holds a panel once, and the rounds and the
+    chains take a midpoint by the same operation, so a pending panel finds
+    its row under its own ends.  f is called only for the panels not in
+    it; a round whose panels are all in it calls f not at all.  (While
+    more panels need f each round, a chain would save no call.)  The rows
+    of the children of a panel that settles stay unread in the store, at
+    most 2 _CHAIN_LEVELS a chain.  This changes when f runs, not what the
+    rounds compute: as long as f gives each abscissa the same bits alone or
+    in any batch, value, err_est and every ConvergenceError are those of
+    the pass without chains.  A call with a chain runs with numpy's
+    floating-point warnings raised; if it raises, it is rerun without the
+    chain and no chain is taken after that, so f raises and numpy warns
+    only where that pass would.  The count against _MAX_EVALS is the
+    rounds' abscissae; chain abscissae that no round reaches are not in it.
     """
     lo, hi = float(lo), float(hi)
     span = hi - lo
@@ -180,60 +161,48 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
     floor = 1e-14 * span
     edges = np.linspace(lo, hi, _INIT_PANELS + 1)
     pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
-    # the store: integrand rows of chain panels and the store rows of the
-    # two children of each (-1: none); held maps the position of each
-    # pending panel that is in it to its row
-    store_y, store_kids, held = np.empty((0, _XK.size), dtype=complex), [], {}
-    # chains start in the second round and stop after a call that failed
-    chains, visited = True, []
+    # the store: the integrand rows of the chain panels, each under its
+    # (a, b); chains start in the second round and stop after a failed call
+    store, chains, visited = {}, True, []
     total, err, evals = 0.0 + 0.0j, 0.0, 0
     while pend_a.size:
         n = pend_a.size
         mid = 0.5 * (pend_a + pend_b)
         half = 0.5 * (pend_b - pend_a)
+        # the rows of the pending panels in the store, by position
+        stored = {}
+        if store:
+            for i, key in enumerate(zip(pend_a.tolist(), pend_b.tolist())):
+                row = store.pop(key, None)
+                if row is not None:
+                    stored[i] = row
+        fresh = np.ones(n, dtype=bool)
+        fresh[list(stored)] = False
         # the panel at lo, if open, is the first pending one and the panel
         # at hi the last, as each round puts left children before right
         ends = [i for i, at_end in ((0, pend_a[0] == lo),
                                     (n - 1, pend_b[-1] == hi))
-                if at_end and i not in held] if chains and evals else []
-        heads, ahead = [], []
-        if ends and n - len(held) <= 2 * len(ends):
+                if at_end and fresh[i]] if chains and evals else []
+        ahead = []
+        if ends and n - len(stored) <= 2 * len(ends):
             for i in ends:
-                panels, kids, more = _end_chain(
-                    pend_a[i], pend_b[i], i == 0, floor,
-                    len(store_kids) + len(ahead))
-                heads.append((i, kids, more))
-                ahead += panels
-        if held:
-            open_ = np.ones(n, dtype=bool)
-            open_[list(held)] = False
-            call_a, call_b = pend_a[open_], pend_b[open_]
-        else:
-            call_a, call_b = pend_a, pend_b
+                ahead += _end_chain(pend_a[i], pend_b[i], i == 0, floor)
+        call_a, call_b = pend_a[fresh], pend_b[fresh]
         need = call_a.size * _XK.size
         if ahead:
             ahead_a, ahead_b = np.array(ahead).T
             call_a = np.concatenate([call_a, ahead_a])
             call_b = np.concatenate([call_b, ahead_b])
-        y_call = (_evaluate(f, _panel_nodes(call_a, call_b), need) if need
-                  else None)
-        if not held:
-            y = y_call[:need].reshape(-1, _XK.size)
-        elif not need:
-            y = store_y[list(held.values())]
-        else:
-            y = np.empty((n, _XK.size), dtype=complex)
-            y[list(held)] = store_y[list(held.values())]
-            y[open_] = y_call[:need].reshape(-1, _XK.size)
-        parents = [(p, store_kids[r]) for p, r in held.items()]
-        if ahead and y_call.size > need:
-            store_y = np.concatenate(
-                [store_y, y_call[need:].reshape(-1, _XK.size)])
-            for i, kids, more in heads:
-                parents.append((i, kids))
-                store_kids += more
-        elif ahead:
-            chains = False
+        y = np.empty((n, _XK.size), dtype=complex)
+        if stored:
+            y[list(stored)] = list(stored.values())
+        if need:
+            y_call = _evaluate(f, _panel_nodes(call_a, call_b), need)
+            y[fresh] = y_call[:need].reshape(-1, _XK.size)
+            if y_call.size > need:
+                store.update(zip(ahead, y_call[need:].reshape(-1, _XK.size)))
+            elif ahead:
+                chains = False
         evals += n * _XK.size
         if nodes:
             visited.append((pend_a, pend_b))
@@ -258,7 +227,6 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
         keep = ~done
         pend_a, pend_b = (np.concatenate([pend_a[keep], mid[keep]]),
                           np.concatenate([mid[keep], pend_b[keep]]))
-        held = _stored_children(parents, keep)
         if evals > _MAX_EVALS:
             raise ConvergenceError(
                 f"quadrature not settled after {evals} evaluations"

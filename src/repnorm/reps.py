@@ -503,18 +503,10 @@ def _circle_samples(sigma, lam, m, x, theta):
     return vals
 
 
-def coef_oracle_principal(sigma, lam, m, coord, n_max):
-    """Column of circle-model coefficients at fixed m by Fourier analysis.
-
-    Returns ({n: value for |n| <= n_max}, err_est) under the doubling
-    certificate of _settled_column, from 8(n_max+|m|)+64 samples up.
-    """
-    ns, cur, err = _circle_column(sigma, lam, m, coord, n_max)
-    return dict(zip(ns.tolist(), cur.tolist())), err
-
-
 def _circle_column(sigma, lam, m, coord, n_max):
-    """coef_oracle_principal's column as the arrays (ns, values, err)."""
+    """Column of circle-model coefficients at fixed m by Fourier analysis:
+    the arrays (ns, values, err) for n = -n_max..n_max, under the doubling
+    certificate of _settled_column, from 8(n_max+|m|)+64 samples up."""
     if isinstance(coord, (int, float)):
         coord = cartan_from_x(float(coord))
     x = coord.x

@@ -108,6 +108,17 @@ def _split_log(x):
     return k * _LN2_HI - 1.0, k * _LN2_LO + np.log(np.where(low, 2.0 * m, m))
 
 
+def _stirling_sum(w):
+    """The sum over j = 1..8 of B_2j / (2j (2j - 1) w^(2j-1)), by Horner's
+    rule in 1/w^2."""
+    inv = 1.0 / w
+    inv2 = inv * inv
+    out = _STIRLING[-1]
+    for coeff in _STIRLING[-2::-1]:
+        out = out * inv2 + coeff
+    return out * inv
+
+
 def _stirling(w):
     """log Gamma(w) for Re w >= 12 (Im w >= 0 if complex) as big + rest,
     and log w: Stirling's series with 8 terms (DLMF 5.11.1),
@@ -125,12 +136,7 @@ def _stirling(w):
     half = x - 0.5
     split = half * _SPLIT
     half_hi = split - (split - half)
-    inv = 1.0 / w
-    inv2 = inv * inv
-    series = _STIRLING[-1]
-    for coeff in _STIRLING[-2::-1]:
-        series = series * inv2 + coeff
-    series = _STIRLING_CONST + series * inv
+    series = _STIRLING_CONST + _stirling_sum(w)
     big = half_hi * head
     if not np.iscomplexobj(w):
         rest = (half - half_hi) * head + half * tail + series
@@ -448,18 +454,9 @@ def _log_gamma_shift(w, d):
     w = np.asarray(w)
     if not np.iscomplexobj(w):
         w = w.astype(float)
-
-    def series(v):
-        inv = 1.0 / v
-        inv2 = inv * inv
-        out = _STIRLING[-1]
-        for coeff in _STIRLING[-2::-1]:
-            out = out * inv2 + coeff
-        return out * inv
-
     head = d * np.log(w)
     body = (w + d - 0.5) * _log1p(d / w)
-    value = head + body - d + (series(w + d) - series(w))
+    value = head + body - d + (_stirling_sum(w + d) - _stirling_sum(w))
     return value, _EPS * (4.3 * np.abs(head) + 8.3 * np.abs(body)
                           + 2.1 * np.abs(d) + 1.0)
 

@@ -353,6 +353,18 @@ class TestFitCommand:
                         encoding="utf-8")
         assert main(["fit", str(path), "--column", "pmin"]) == 4
 
+    @pytest.mark.parametrize("row", ["32", "32,0.07,9"],
+                             ids=["short", "long"])
+    def test_ragged_row_exits_2(self, row, tmp_path, capsys):
+        # a row with fewer fields than the header used to end in an
+        # IndexError, and one with more was read as if it fit
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"n,pmin\n16,0.1\n{row}\n64,0.05\n128,0.03\n",
+                        encoding="utf-8")
+        assert main(["fit", str(path), "--column", "pmin"]) == 2
+        err = capsys.readouterr().err
+        assert repr(row) in err and "2 fields" in err
+
 
 class TestIntegralCommand:
     def test_dual_route_rows(self, capsys):
@@ -390,7 +402,7 @@ class TestIntegralCommand:
 
 class TestConstantsCommand:
     def test_table_contents(self, capsys):
-        rc = main(["constants", "so(1,3)", "su(1,2)", "f4m20",
+        rc = main(["constants", "so(1,3)", "su(1,2)", "f4m20", "slnR:4",
                    "--c", "1/2", "--R", "3"])
         out = capsys.readouterr().out
         assert rc == 0

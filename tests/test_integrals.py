@@ -218,7 +218,8 @@ class TestKronrodChains:
     bits of the round-by-round pass."""
 
     # (integrand, lo, hi, tol_abs): cusps at lo on [0, 1] and at hi on
-    # [-1, 0], where -u is exact
+    # [-1, 0], where -u is exact, and at both ends of [0, 1], where the
+    # chains at lo and at hi go into one call
     CASES = {
         "polynomial": (lambda u: u ** 7, 0.0, 1.0, 1e-12),
         "cos40": (lambda u: np.cos(40.0 * u), 0.0, 1.0, 1e-12),
@@ -226,6 +227,7 @@ class TestKronrodChains:
         "sqrt-hi": (lambda u: np.sqrt(-u), -1.0, 0.0, 1e-10),
         "power-lo": (lambda u: u ** (-0.3 + 2j), 0.0, 1.0, 1e-9),
         "power-hi": (lambda u: (-u) ** (-0.3 + 2j), -1.0, 0.0, 1e-9),
+        "sqrt-both": (lambda u: np.sqrt(u * (1.0 - u)), 0.0, 1.0, 1e-10),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
