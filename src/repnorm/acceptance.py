@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GenericityWarning, PreconditionError
 from .specfun import hyp2f1, pochhammer
-from .reps import (Complementary, Discrete, Principal, coef_oracle, coef_vec,
+from .reps import (Complementary, Discrete, Principal, coef_oracle,
                    parseval_defect)
 from .norms import (ScanConfig, default_ladder, distance_estimate,
                     fit_exponent, pmin_scan, sobolev_gap_estimate)
@@ -124,9 +124,9 @@ def criterion_1(seed=DEFAULT_SEED, tol=1e-8):
 def criterion_2(tol=1e-8):
     """Closed-form coefficients against the quadrature oracle across the
     family grid, full columns up to index 128, seven Cartan points: one
-    oracle column per point, and one batched coef_vec call per (family, n)
-    over all seven.  The two above X_CUT check the ODE branch there; a nan
-    fails the comparison."""
+    oracle column per point, and one batched closed_form call per
+    (family, n) over all seven, without the slope.  The two above X_CUT
+    check the ODE branch there; a nan fails the comparison."""
     t0 = time.perf_counter()
     xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.995])
     worst = 0.0
@@ -139,7 +139,7 @@ def criterion_2(tol=1e-8):
             peak = max(abs(v) for v in column.values())
             columns.append((column, oerr, peak))
         for n in r.indices(128):
-            values, _, errs = coef_vec(r, n, m, xs, slope=True)
+            values, errs, _, _ = r.closed_form(n, m, xs)
             for (column, oerr, peak), cv, err in zip(
                     columns, values.tolist(), errs.tolist()):
                 ov = column[n]

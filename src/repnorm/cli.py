@@ -23,7 +23,6 @@ from .errors import (ConvergenceError, DomainError, FitError,
                      NormalizationError, PoleError, PreconditionError,
                      ScanError)
 from .reps import coef, coef_oracle, parse_rep
-from .group import cartan_from_t, cartan_from_x
 from .norms import ScanConfig, default_ladder, fit_exponent, pmin_scan
 from .integrals import integral_quadrature, integral_series
 from . import acceptance, structure
@@ -168,14 +167,15 @@ def cmd_coef(args):
     r = parse_rep(args.rep)
     if (args.x is None) == (args.t is None):
         raise PreconditionError("give exactly one of --x or --t")
-    coord = (cartan_from_x(args.x) if args.x is not None
-             else cartan_from_t(args.t))
+    if args.t is not None and not args.t >= 0.0:
+        raise PreconditionError(f"need t >= 0, got {args.t}")
+    x = args.x if args.t is None else math.tanh(args.t) ** 2
     n, m = r.as_index(args.n), r.as_index(args.m)
     if args.oracle:
-        column, err = coef_oracle(r, m, coord, n_max=abs(n))
+        column, err = coef_oracle(r, m, x, n_max=abs(n))
         value, method = column[n], "oracle"
     else:
-        cv = coef(r, n, m, coord)
+        cv = coef(r, n, m, x)
         value, method, err = cv.value, cv.method, cv.err_est
     print(f"re     {_g17(value.real)}")
     print(f"im     {_g17(value.imag)}")

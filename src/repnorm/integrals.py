@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .reps import coef_vec, _discrete_log_j, _discrete_index, _principal_params
+from .reps import (coef_vec, _discrete_log_j, _discrete_index, _integer,
+                   _principal_params)
 from .specfun import (_EPS, _log_gamma_shift, _terminating_order, digamma,
                       gamma_ratio_signed, gamma_rounding, log_gamma_difference,
-                      log_gammas)
+                      log_gammas, zeta)
 
 
 @dataclass(frozen=True)
@@ -303,6 +304,7 @@ def integral_quadrature(r, n, eps):
     """Integral of coef(n, m_ref; a_x) against the eps-measure, by adaptive
     quadrature in u = (1-x)^eps (the measure becomes du exactly)."""
     BetaMeasure(eps)
+    n = r.as_index(n)
 
     def integrand(us):
         omx = us ** (1.0 / eps)      # exact 1-x, safe arbitrarily close to 1
@@ -410,6 +412,7 @@ def integral_series(r, n, eps):
     err is the rounding of the log-Gamma sums of |J| and of the Beta value
     and eps for each of their exps and of the two products."""
     BetaMeasure(eps)
+    n = r.as_index(n)
     if r.circle is None:
         # at the reference column the disc sum is its one k = 0 term:
         # eps (-1)^p |J| B(p/2 + 1, ell/2 + eps)
@@ -426,7 +429,6 @@ def integral_series(r, n, eps):
         rel = j_rel + diff_rel + gamma_rounding([lg_eps]) + 4.0 * _EPS
         return IntegralValue(val, "exact-sum", rel * abs(val))
     sigma, lam = r.circle
-    n = int(n)
     # coef(n, 0) = pref x^(|n|/2) (1-x)^(-lam) 2F1(a, b; c; x), and the
     # measure turns x^(|n|/2 + k) (1-x)^(-lam) into eps B(|n|/2 + k + 1,
     # eps - lam)
@@ -445,7 +447,7 @@ def reducible_point_integral(n, eps):
         eps * (-1)^n * B(n/2 + 1, 1/2 + eps).
     """
     BetaMeasure(eps)
-    n = int(n)
+    n = _integer(n, "index")
     sign = -1.0 if n % 2 else 1.0
     g_n, g_eps, g_sum = log_gammas(
         [n / 2.0 + 1.0, 0.5 + eps, n / 2.0 + 1.5 + eps]).real
@@ -461,19 +463,17 @@ def faulhaber_sum(n, c):
 
         n^(1-c)/(1-c) + zeta(c) + n^(-c)/2.
 
-    Valid for c != 1 (simple pole of both the leading term and zeta);
-    complex c is fine.  The error is O(n^(-1-Re c)).
+    Valid for c != 1 (simple pole of both the leading term and zeta) in
+    the domain of specfun.zeta, complex c included.  The error is
+    O(n^(-1-Re c)), far above zeta's own.
     """
-    import mpmath      # for zeta alone, kept out of every CLI call's import
-
     c = complex(c)
     if abs(c - 1.0) < 1e-12:
         raise DomainError("c = 1 is the harmonic pole; no closed form here")
     n = float(n)
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
-    zeta_c = complex(mpmath.zeta(mpmath.mpc(c.real, c.imag)))
-    val = n ** (1.0 - c) / (1.0 - c) + zeta_c + 0.5 * n ** (-c)
+    val = n ** (1.0 - c) / (1.0 - c) + zeta(c) + 0.5 * n ** (-c)
     if abs(val.imag) < 1e-300 and c.imag == 0.0:
         return val.real
     return val

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
-from .group import cartan_from_x
 from .specfun import (_EPS, gamma_ratio_signed, gamma_rounding, hyp2f1,
                       is_nonpositive_int, log_gamma_difference, log_gammas)
 
@@ -345,6 +344,16 @@ def _integer(value, what):
     return int(v)
 
 
+def _cartan_x(x):
+    """A point of the diagonal flow a_t = (cosh t, sinh t; sinh t, cosh t)
+    given by its Cartan coordinate x = tanh(t)^2, as a float in [0, 1);
+    a_x has alpha = 1/sqrt(1-x) and beta = sqrt(x)/sqrt(1-x)."""
+    v = float(x)
+    if not 0.0 <= v < 1.0:
+        raise PreconditionError(f"need 0 <= x < 1, got {x}")
+    return v
+
+
 @dataclass(frozen=True)
 class CoefValue:
     value: complex
@@ -503,13 +512,10 @@ def _circle_samples(sigma, lam, m, x, theta):
     return vals
 
 
-def _circle_column(sigma, lam, m, coord, n_max):
+def _circle_column(sigma, lam, m, x, n_max):
     """Column of circle-model coefficients at fixed m by Fourier analysis:
     the arrays (ns, values, err) for n = -n_max..n_max, under the doubling
     certificate of _settled_column, from 8(n_max+|m|)+64 samples up."""
-    if isinstance(coord, (int, float)):
-        coord = cartan_from_x(float(coord))
-    x = coord.x
     n_max = int(n_max)
     ns = np.arange(-n_max, n_max + 1)
 
@@ -547,7 +553,7 @@ def _disc_samples(ell, q, d_m, x, radius, theta):
     return fvals * power
 
 
-def coef_oracle_discrete(ell, m, coord, n_max):
+def coef_oracle_discrete(ell, m, x, n_max):
     """Column of disc-model coefficients at fixed m by Taylor extraction.
 
     The transformed function F = pi(a_x) f_m is holomorphic across the
@@ -566,9 +572,6 @@ def coef_oracle_discrete(ell, m, coord, n_max):
     r_spec = Discrete(ell)
     ell = r_spec.ell
     q = _discrete_index(ell, m)
-    if isinstance(coord, (int, float)):
-        coord = cartan_from_x(float(coord))
-    x = coord.x
     j_max = max(0, int(math.floor(n_max - ell / 2.0 + 1e-9)))
 
     indices = [ell / 2.0 + j for j in range(j_max + 1)]
@@ -624,31 +627,30 @@ def coef_oracle_discrete(ell, m, coord, n_max):
     return {idx: complex(v) for idx, v in zip(indices, out)}, err
 
 
-def coef_oracle(r, m, coord, n_max):
+def coef_oracle(r, m, x, n_max):
     """Oracle column dispatcher; circle columns are rescaled by the
     family's normalizer."""
+    m, x = r.as_index(m), _cartan_x(x)
     if r.circle is None:
-        return coef_oracle_discrete(r.ell, m, coord, n_max)
-    ns, cur, err = _circle_column(*r.circle, m, coord, n_max)
+        return coef_oracle_discrete(r.ell, m, x, n_max)
+    ns, cur, err = _circle_column(*r.circle, m, x, n_max)
     # one numpy product; each entry has the bits of Python's s * v
     scale = r.normalizer(ns, m)[0]
     return (dict(zip(ns.tolist(), (scale * cur).tolist())),
             err * float(np.max(scale)))
 
 
-def parseval_defect(r, m, coord):
+def parseval_defect(r, m, x):
     """|sum_n |coef(n, m)|^2 - 1| over the full column, oracle-evaluated.
 
     For a unitary member the column is a unit vector; the defect combines
     the oracle error with the (geometrically estimated) truncation tail.
     """
-    if isinstance(coord, (int, float)):
-        coord = cartan_from_x(float(coord))
-    x = coord.x
+    x = _cartan_x(x)
     # column magnitudes decay like x^(n/2); pick the cut from that envelope
     n_span = max(64, int(2.0 * math.log(1e-14) / math.log(max(x, 1e-6))) + 64)
     n_span = min(n_span, 8192)
-    col, err = coef_oracle(r, m, coord, n_max=r.m_ref + n_span)
+    col, err = coef_oracle(r, m, x, n_max=r.m_ref + n_span)
     total = sum(abs(v) ** 2 for v in col.values())
     ordered = [abs(col[k]) for k in sorted(col)]
     edge = max(ordered[-5:])
@@ -873,7 +875,7 @@ def coef_vec(r, n, m, xs, omx=None, slope=False):
     return (values, dlog, errs) if slope else values
 
 
-def coef(r, n, m, coord):
+def coef(r, n, m, x):
     """One coefficient <pi(a_x) f_m, f_n>: the one-point call of
     r.closed_form, whose err is err_est.
 
@@ -883,13 +885,12 @@ def coef(r, n, m, coord):
     hypergeometric ODE).  A value that is not finite raises
     ConvergenceError.
     """
-    if isinstance(coord, (int, float)):
-        coord = cartan_from_x(float(coord))
-    values, errs, method, _ = r.closed_form(n, m, np.array([coord.x]))
+    n, m, x = r.as_index(n), r.as_index(m), _cartan_x(x)
+    values, errs, method, _ = r.closed_form(n, m, np.array([x]))
     cv = CoefValue(complex(values[0]), method, float(errs[0]))
     if not cmath.isfinite(cv.value):
         raise ConvergenceError(
-            f"coef({n}, {m}) of {r} at x={coord.x} is not finite: {cv.value}")
+            f"coef({n}, {m}) of {r} at x={x} is not finite: {cv.value}")
     return cv
 
 

@@ -11,12 +11,13 @@ The series refuses |z| >= 1 unless it terminates; reps continues it to the
 wall by the hypergeometric ODE.  Its independent check, the Euler-integral
 oracle of criterion 1, is integrals.hyp2f1_euler_oracle.
 
-Only this module evaluates log Gamma and digamma, in numpy alone:
+Only this module evaluates log Gamma, digamma and zeta, in numpy alone:
 log_gammas takes each value once, by reflection, the recurrence and
-Stirling's series; gamma_rounding gives the rounding of a sum of those
-values, bounded from the kernel; log_gamma_difference and
-gamma_ratio_signed take a difference of two large log-Gamma values as one
-shift pair (_log_gamma_shift), which comes with its own rounding.
+Stirling's series (whose coefficients zeta reuses); gamma_rounding gives
+the rounding of a sum of those values, bounded from the kernel;
+log_gamma_difference and gamma_ratio_signed take a difference of two
+large log-Gamma values as one shift pair (_log_gamma_shift), which comes
+with its own rounding.
 """
 
 import cmath
@@ -318,6 +319,45 @@ def digamma(z):
     if not np.iscomplexobj(arr):
         out = out.real
     return out[()] if out.ndim == 0 else out
+
+
+def zeta(s):
+    """Riemann zeta(s), s != 1, Re s >= 0, |s| <= 1e4, by Euler-Maclaurin
+    summation (DLMF 25.2.9) to N = 16 + ceil|s| with eight corrections,
+    B_2j/(2j)! = _STIRLING[j-1]/(2j-2)!:
+
+        sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
+            + sum_{j=1..8} B_2j/(2j)! (s)_(2j-1) N^(1-s-2j).
+
+    The remainder is at most |s+17|/(Re s+17) times the first term left
+    out, B_18/18! |(s)_17| N^(-Re s-17) (Edwards, Riemann's Zeta Function,
+    sec. 6.4): below 4e-16 for Re s <= 3, |Im s| <= 50.  The phase of k^-s
+    is the exact product of the upper halves of Im s and of _split_log's
+    head plus a small rest, so its rounding does not grow with Im s log k;
+    the result is within 1e-13 max(1, |zeta|) of 30-digit values there.
+    Re s < 0, where the direct sum cancels by N^(-Re s), is refused."""
+    s = complex(s)
+    if s == 1.0:
+        raise PoleError("zeta has its pole at s = 1")
+    if not (s.real >= 0.0 and abs(s) <= 1e4):
+        raise DomainError(f"zeta needs Re s >= 0 and |s| <= 1e4, got {s}")
+    big_n = 16 + math.ceil(abs(s))
+    head, tail = _split_log(np.arange(1.0, big_n + 1.0))
+    log_hi = head + 1.0
+    t = s.imag
+    split = t * _SPLIT
+    t_hi = split - (split - t)
+    powers = (np.exp(-s.real * (log_hi + tail))
+              * np.exp(-1j * (t_hi * log_hi))
+              * np.exp(-1j * ((t - t_hi) * log_hi + t * tail)))
+    n_pow = complex(powers[-1])
+    total = complex(np.sum(powers[:-1])) \
+        + big_n * n_pow / (s - 1.0) + 0.5 * n_pow
+    rising = s * n_pow / big_n      # (s)_(2j-1) N^(1-s-2j), from j = 1
+    for j, coeff in enumerate(_STIRLING):
+        total += coeff / math.factorial(2 * j) * rising
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2) / big_n ** 2
+    return total
 
 
 def pochhammer(d, m):

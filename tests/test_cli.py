@@ -91,6 +91,23 @@ class TestCoefCommand:
         assert main(["coef", "--rep", "discrete:2", "--m", "1", "--n", "2",
                      "--x", "0.5", "--t", "1.0"]) == 2
 
+    @pytest.mark.parametrize("coordinate", [
+        ["--x", "nan"], ["--x", "1.0"], ["--t", "-0.1"], ["--t", "nan"],
+        ["--t", "inf"], ["--t", "40"],
+    ])
+    def test_coordinate_off_the_flow_exits_2(self, coordinate, capsys):
+        # x in [0, 1), t >= 0; tanh(40)^2 rounds to 1
+        assert main(["coef", "--rep", "principal:0:-0.5+1i", "--m", "0",
+                     "--n", "4", *coordinate]) == 2
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 2.7])
+    def test_t_gives_the_coordinate_tanh_t_squared(self, t, capsys):
+        args = ["coef", "--rep", "principal:0:-0.5+1i", "--m", "0", "--n", "4"]
+        assert main(args + ["--t", repr(t)]) == 0
+        by_t = capsys.readouterr().out
+        assert main(args + ["--x", repr(math.tanh(t) ** 2)]) == 0
+        assert capsys.readouterr().out == by_t
+
     def test_integer_index_enforced_off_discrete(self, capsys):
         assert main(["coef", "--rep", "principal:0:-0.5+1i",
                      "--m", "0", "--n", "2.5", "--x", "0.5"]) == 2
@@ -685,9 +702,8 @@ def test_norm_scan_csv_contract_on_any_ladder(ladder, seed):
 
 
 def test_import_leaves_out_the_libraries_of_single_criteria():
-    # every CLI call pays the import of repnorm.cli; mpmath serves criterion
-    # 10's zeta alone and is imported where it is used, and no module
-    # imports any part of scipy (test_no_module_imports_scipy)
+    # every CLI call pays the import of repnorm.cli; no module imports any
+    # part of scipy or mpmath (test_no_module_imports_scipy)
     src = str(Path(repnorm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, repnorm.cli; print(sorted(m for m in "
@@ -700,20 +716,48 @@ def test_import_leaves_out_the_libraries_of_single_criteria():
 
 
 def test_every_module_and_criterion_1_run_without_scipy():
-    # None in sys.modules makes every import of scipy raise ImportError, as
-    # on an installation without it; criterion 1 runs the Euler-integral
-    # oracle, whose quadrature is repnorm's own Kronrod driver
+    # None in sys.modules makes every import of scipy or mpmath raise
+    # ImportError, as on an installation of numpy alone; criterion 1 runs
+    # the Euler-integral oracle, whose quadrature is repnorm's own Kronrod
+    # driver, criterion 10 the zeta of specfun, and the four commands must
+    # print what they print here
     src = str(Path(repnorm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     names = sorted(p.stem for p in Path(repnorm.__file__).parent.glob("*.py")
                    if p.stem != "__init__")
-    code = ("import importlib, sys; sys.modules['scipy'] = None\n"
+    commands = [
+        ["constants", "so(1,3)", "su(1,2)", "sl(4)", "f4m20", "--c", "1/2",
+         "--R", "3"],
+        ["coef", "--rep", "principal:0:-0.5+1i", "--m", "0", "--n", "16",
+         "--x", "0.5"],
+        ["integral", "--rep", "principal:0:-0.5+1i", "--eps", "0.25", "--n",
+         "0", "4", "16"],
+        ["fit", str(Path(__file__).parent / "golden" / "fit_input.csv"),
+         "--column", "pmin"],
+    ]
+
+    def stdout(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        return out.getvalue()
+
+    code = ("import contextlib, importlib, io, json, sys\n"
+            "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
             f"for name in {names!r}:\n"
             "    importlib.import_module('repnorm.' + name)\n"
-            "from repnorm.acceptance import criterion_1\n"
-            "print(criterion_1().passed)")
+            "from repnorm.acceptance import criterion_1, criterion_10\n"
+            "from repnorm.cli import main\n"
+            "outs = []\n"
+            f"for argv in {commands!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        outs.append([main(argv), out.getvalue()])\n"
+            "print(json.dumps([criterion_1().passed, criterion_10().passed,"
+            " outs]))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "True"
+    assert json.loads(done.stdout) == [
+        True, True, [[0, stdout(argv)] for argv in commands]]

@@ -16,7 +16,8 @@ from repnorm.integrals import (_MAX_EVALS, _WG, _WK, _XK, BetaMeasure,
                                integral_quadrature, integral_series, j_series,
                                kronrod_quad_vec, reducible_point_integral,
                                stirling_ratio_check)
-from repnorm.reps import Complementary, Discrete, Principal, _principal_params
+from repnorm.reps import (Complementary, Discrete, Principal, _principal_params,
+                          coef, coef_oracle)
 from repnorm.specfun import hyp2f1
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
@@ -487,6 +488,37 @@ class TestDualRoutes:
         val = integral_series(Principal(0.5, -0.5), 3, 0.5)
         assert abs(val.value.imag) < 1e-14
         assert val.err_est < 1e-10
+
+
+class TestIndexRefusal:
+    """A circle index that is not an integer is refused by every library
+    route, as the CLI refuses it, not cut to the integer below: the series
+    route returned the n = 2 value at 2.5 while the quadrature integrated
+    the non-index 2.5, coef evaluated it and the oracle cut its m."""
+
+    R = Principal(0.0, -0.5 + 1.0j)
+
+    @pytest.mark.parametrize("call", [
+        lambda r: integral_series(r, 2.5, 0.25),
+        lambda r: integral_quadrature(r, 2.5, 0.25),
+        lambda r: integral_series(Complementary(-0.25), -2.5, 0.25),
+        lambda r: coef(r, 2.5, 0, 0.25),
+        lambda r: coef(r, 2, 0.5, 0.25),
+        lambda r: coef(Complementary(-0.25), 2.5, 0, 0.25),
+        lambda r: coef_oracle(r, 0.5, 0.25, 8),
+        lambda r: reducible_point_integral(2.5, 0.25),
+    ], ids=["series", "quadrature", "series-complementary", "coef-n",
+            "coef-m", "coef-complementary", "oracle-m", "reducible-point"])
+    def test_non_integral_index_refused(self, call):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            call(self.R)
+
+    def test_integral_float_index_keeps_its_bits(self):
+        for route in (integral_series, integral_quadrature):
+            assert route(self.R, 2.0, 0.25) == route(self.R, 2, 0.25)
+        assert coef(self.R, 2.0, 0.0, 0.25) == coef(self.R, 2, 0, 0.25)
+        assert reducible_point_integral(2.0, 0.25) == \
+            reducible_point_integral(2, 0.25)
 
 
 class TestSeriesTruth:

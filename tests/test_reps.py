@@ -11,10 +11,10 @@ import pytest
 
 from repnorm.errors import (ConvergenceError, DomainError,
                             NormalizationError, PoleError, PreconditionError)
-from repnorm.group import cartan_from_x
 from repnorm.norms import ScanConfig, _scan_grid
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
-                          _OdeCache, _circle_samples, _disc_samples,
+                          _OdeCache, _cartan_x, _circle_samples,
+                          _disc_samples,
                           _f_ode_vec, _principal_params, _settled_column,
                           coef, coef_oracle, coef_vec,
                           complementary_normalizer, parse_rep,
@@ -99,21 +99,19 @@ class TestClosedFormAgainstOracle:
     @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
     def test_columns_agree(self, r, x):
         m = r.m_ref + 2
-        coord = cartan_from_x(x)
-        column, oracle_err = coef_oracle(r, m, coord, n_max=r.m_ref + 24)
+        column, oracle_err = coef_oracle(r, m, x, n_max=r.m_ref + 24)
         peak = max(abs(v) for v in column.values())
         for n, ref in column.items():
-            cv = coef(r, n, m, coord)
+            cv = coef(r, n, m, x)
             assert abs(cv.value - ref) <= (
                 1e-8 * max(abs(ref), 1e-6 * peak) + oracle_err + cv.err_est)
 
     def test_nonunitary_principal_agrees_too(self):
         # the closed form does not care about unitarity; neither may the test
         r = Principal(0.0, -0.3 + 0.4j)
-        coord = cartan_from_x(0.5)
-        column, oracle_err = coef_oracle(r, 0, coord, n_max=16)
+        column, oracle_err = coef_oracle(r, 0, 0.5, n_max=16)
         for n in (-5, -1, 0, 2, 7):
-            cv = coef(r, n, 0, coord)
+            cv = coef(r, n, 0, 0.5)
             assert abs(cv.value - column[n]) <= 1e-8 * abs(
                 column[n]) + oracle_err + cv.err_est
 
@@ -122,7 +120,7 @@ class TestFrozenValues:
     @pytest.mark.parametrize("r,n,m,x,ref", FROZEN_COEFS,
                              ids=["principal-even", "principal-odd"])
     def test_frozen(self, r, n, m, x, ref):
-        cv = coef(r, n, m, cartan_from_x(x))
+        cv = coef(r, n, m, x)
         assert cv.value == pytest.approx(ref, rel=1e-12)
 
 
@@ -136,7 +134,7 @@ class TestBoundaryBranches:
     def test_against_mpmath(self, sigma, n, m, x, re, im):
         r = Principal(sigma, BOUNDARY_LAMS[sigma])
         ref = complex(float(re), float(im))
-        cv = coef(r, n, m, cartan_from_x(x))
+        cv = coef(r, n, m, x)
         assert abs(cv.value - ref) <= cv.err_est <= 1e-9 * abs(ref)
         vec = coef_vec(r, n, m, np.array([0.5, x]))
         assert abs(vec[1] - ref) <= cv.err_est
@@ -655,26 +653,23 @@ class TestSlope:
 
 class TestStructuralIdentities:
     def test_identity_at_origin(self):
-        coord = cartan_from_x(0.0)
         r = Principal(0.0, -0.5 + 1.0j)
-        assert coef(r, 2, 2, coord).value == pytest.approx(1.0)
-        assert abs(coef(r, 3, 2, coord).value) < 1e-14
+        assert coef(r, 2, 2, 0.0).value == pytest.approx(1.0)
+        assert abs(coef(r, 3, 2, 0.0).value) < 1e-14
 
     def test_even_parity_symmetry(self):
         # sigma = 0 is inversion-symmetric: C(n, 0) = C(-n, 0)
         r = Principal(0.0, -0.5 + 0.3j)
-        coord = cartan_from_x(0.6)
         for n in (1, 4, 9):
-            a = coef(r, n, 0, coord).value
-            b = coef(r, -n, 0, coord).value
+            a = coef(r, n, 0, 0.6).value
+            b = coef(r, -n, 0, 0.6).value
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_discrete_lowest_diagonal(self):
         # the lowest vector pairs with itself as (1-x)^(ell/2)
         for ell in (2, 3, 4):
             for x in (0.2, 0.7):
-                cv = coef(Discrete(ell), ell / 2.0, ell / 2.0,
-                          cartan_from_x(x))
+                cv = coef(Discrete(ell), ell / 2.0, ell / 2.0, x)
                 assert cv.value == pytest.approx(
                     (1.0 - x) ** (ell / 2.0), rel=1e-13)
 
@@ -684,7 +679,7 @@ class TestStructuralIdentities:
         r = Principal(0.5, -0.5)
         for n in range(5):
             for x in (0.3, 0.8):
-                cv = coef(r, n, 0, cartan_from_x(x))
+                cv = coef(r, n, 0, x)
                 ref = (-1.0) ** n * x ** (n / 2.0) * math.sqrt(1.0 - x)
                 assert cv.value == pytest.approx(ref, rel=1e-12)
 
@@ -699,12 +694,11 @@ class TestUnitarity:
     @pytest.mark.parametrize("r", UNITARY_GRID,
                              ids=lambda r: repr(r).replace(" ", ""))
     def test_parseval(self, r):
-        assert parseval_defect(r, r.m_ref, cartan_from_x(0.5)) < 1e-6
+        assert parseval_defect(r, r.m_ref, 0.5) < 1e-6
 
     def test_parseval_fails_off_the_unitary_axis(self):
         # Re lam != -1/2 is not unitary; the column must not be normalized
-        assert parseval_defect(Principal(0.0, -0.3), 0,
-                               cartan_from_x(0.5)) > 1e-2
+        assert parseval_defect(Principal(0.0, -0.3), 0, 0.5) > 1e-2
 
 
 # (family, L) of the scan-grid tests: both parities, the real point
@@ -1146,14 +1140,25 @@ class TestParseRep:
             parse_rep(bad)
 
 
+class TestCartanX:
+    def test_coordinate_kept(self):
+        for x in (0.0, 0.25, 0.97, np.float64(0.5)):
+            assert _cartan_x(x) == x
+
+    @pytest.mark.parametrize("x", [1.0, -0.1, math.nan, math.inf,
+                                   math.tanh(40.0) ** 2])
+    def test_off_the_flow_refused(self, x):
+        with pytest.raises(PreconditionError):
+            _cartan_x(x)
+
+
 class TestCoefValueContract:
     def test_error_estimates_are_honest(self):
         # closed form vs oracle, the reported budgets must cover the gap
         r = Principal(0.0, -0.5 + 1.0j)
-        coord = cartan_from_x(0.9)
-        column, oracle_err = coef_oracle(r, 0, coord, n_max=32)
+        column, oracle_err = coef_oracle(r, 0, 0.9, n_max=32)
         for n in (0, 8, 31):
-            cv = coef(r, n, 0, coord)
+            cv = coef(r, n, 0, 0.9)
             assert isinstance(cv, CoefValue)
             assert abs(cv.value - column[n]) <= 50.0 * (
                 cv.err_est + oracle_err) + 1e-13 * abs(column[n])
@@ -1167,7 +1172,7 @@ class TestCoefValueContract:
 
         monkeypatch.setattr(type(r), "closed_form", nan_form)
         with pytest.raises(ConvergenceError):
-            coef(r, n, r.m_ref, cartan_from_x(0.99))
+            coef(r, n, r.m_ref, 0.99)
 
     def test_both_indices_large_at_the_boundary(self):
         # Re a = Re b = 128.5: the Euler integrand overflowed here and coef
@@ -1175,7 +1180,7 @@ class TestCoefValueContract:
         import mpmath
 
         r = Principal(0.0, -0.5 + 1.0j)
-        cv = coef(r, 128, -128, cartan_from_x(0.9999))
+        cv = coef(r, 128, -128, 0.9999)
         assert cv.method == "ode" and cmath.isfinite(cv.value)
         with mpmath.workdps(40):
             lam, x = mpmath.mpc(-0.5, 1.0), mpmath.mpf(0.9999)

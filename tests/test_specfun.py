@@ -12,7 +12,8 @@ import pytest
 from repnorm.errors import ConvergenceError, DomainError, PoleError
 from repnorm.specfun import (_log_gamma_shift, gamma_ratio_signed,
                              gamma_rounding, hyp2f1, is_nonpositive_int,
-                             log_gamma_difference, log_gammas, pochhammer)
+                             log_gamma_difference, log_gammas, pochhammer,
+                             zeta)
 
 # [DERIVED] mpmath.hyp2f1 at 30 digits, frozen.
 FROZEN_2F1 = [
@@ -108,10 +109,23 @@ class TestIsNonpositiveInt:
         assert is_nonpositive_int(z) is flag
 
 
+class TestZeta:
+    def test_pole_refused(self):
+        with pytest.raises(PoleError):
+            zeta(1.0)
+
+    @pytest.mark.parametrize("s", [-0.5, -1e-300 + 2j, 1e4 + 1j, 2e4j,
+                                   complex(math.nan, 0.0), math.inf])
+    def test_outside_the_summed_domain_refused(self, s):
+        with pytest.raises(DomainError):
+            zeta(s)
+
+
 def test_no_module_imports_scipy():
-    # log Gamma, digamma and log1p are evaluated in specfun itself and the
-    # Euler-integral oracle runs on integrals.kronrod_quad_vec, so no module
-    # imports any part of scipy: ast.walk visits the imports inside
+    # log Gamma, digamma, log1p and zeta are evaluated in specfun itself and
+    # the Euler-integral oracle runs on integrals.kronrod_quad_vec, so no
+    # module imports any part of scipy or mpmath, which serves the tests and
+    # the truth regeneration alone: ast.walk visits the imports inside
     # functions too, and a call of __import__ or importlib.import_module on
     # a literal name counts as an import
     import repnorm
@@ -131,7 +145,8 @@ def test_no_module_imports_scipy():
     importers = {path.name
                  for path in Path(repnorm.__file__).parent.glob("*.py")
                  for node in ast.walk(ast.parse(path.read_text("utf-8")))
-                 if any(n.split(".")[0] == "scipy" for n in imported(node))}
+                 if any(n.split(".")[0] in ("scipy", "mpmath")
+                        for n in imported(node))}
     assert importers == set()
 
 
