@@ -553,7 +553,7 @@ def _disc_samples(ell, q, d_m, x, radius, theta):
     return fvals * power
 
 
-def coef_oracle_discrete(ell, m, x, n_max):
+def _disc_column(ell, m, x, n_max):
     """Column of disc-model coefficients at fixed m by Taylor extraction.
 
     The transformed function F = pi(a_x) f_m is holomorphic across the
@@ -632,7 +632,7 @@ def coef_oracle(r, m, x, n_max):
     family's normalizer."""
     m, x = r.as_index(m), _cartan_x(x)
     if r.circle is None:
-        return coef_oracle_discrete(r.ell, m, x, n_max)
+        return _disc_column(r.ell, m, x, n_max)
     ns, cur, err = _circle_column(*r.circle, m, x, n_max)
     # one numpy product; each entry has the bits of Python's s * v
     scale = r.normalizer(ns, m)[0]
