@@ -257,7 +257,7 @@ def criterion_6(tol=0.05):
         f"{tol:g}", passed, t0)
 
 
-def criterion_7(tol=0.07, tol_beta=0.2):
+def criterion_7(tol=0.07):
     """Minimal-norm decay: fitted exponent -1/2 on three families, with the
     log-correction coefficient pinned near zero for the discrete member.
     Returns (record, scans) so criterion 8 can reuse the scans."""
@@ -277,7 +277,7 @@ def criterion_7(tol=0.07, tol_beta=0.2):
         fit = fit_exponent(ns, [s.pmin for s in samples])
         ok = abs(fit.alpha + 0.5) <= tol
         if r.circle is None:
-            ok = ok and abs(fit.beta) <= tol_beta
+            ok = ok and abs(fit.beta) <= 0.2
             reports.append(f"{fit.alpha:+.3f} (beta {fit.beta:+.3f})")
         else:
             reports.append(f"{fit.alpha:+.3f}")
@@ -286,7 +286,7 @@ def criterion_7(tol=0.07, tol_beta=0.2):
         "7-minimal-norm-decay",
         "fitted alpha = -1/2; discrete log coefficient |beta| <= 0.2",
         "; ".join(reports),
-        f"{tol:g} / {tol_beta:g}", passed, t0)
+        f"{tol:g} / 0.2", passed, t0)
     return record, scans
 
 
@@ -403,8 +403,8 @@ def run_all(seed=DEFAULT_SEED, tolerances=None):
         raise PreconditionError(
             f"no tolerance knob for criteria {sorted(unknown)}")
 
-    def tol_kw(key, name="tol"):
-        return {name: float(tolerances[key])} if key in tolerances else {}
+    def tol_kw(key):
+        return {"tol": float(tolerances[key])} if key in tolerances else {}
 
     records = [
         criterion_1(seed=seed, **tol_kw("1")),

@@ -266,39 +266,18 @@ def cmd_integral(args):
     return 0
 
 
-def _parse_lie_type(text):
-    text = text.strip().lower().replace(" ", "")
-    if text in ("f4m20", "f4(-20)"):
-        return structure.LieType("f4m20")
-    for family, prefix in (("so1n", "so(1,"), ("su1n", "su(1,"),
-                           ("sp1n", "sp(1,"), ("slnR", "sl(")):
-        if text.startswith(prefix) and text.endswith(")"):
-            body = text[len(prefix):-1]
-            body = body.split(",")[0]
-            return structure.LieType(family, int(body))
-    if ":" in text:
-        family, n = text.split(":")
-        if family == "f4m20":
-            return structure.LieType("f4m20")
-        # the text is lowercased, and a family name need not be (slnR)
-        family = {name.lower(): name
-                  for name in structure.FAMILIES}.get(family, family)
-        return structure.LieType(family, int(n))
-    raise PreconditionError(f"cannot parse Lie type {text!r}")
-
-
 def cmd_constants(args):
     rows = []
     for label in args.families:
-        t = _parse_lie_type(label)
+        t = structure.parse_lie_type(label)
         row = {"type": t.label(), "c_g": str(structure.structural_constant(t)),
                "rank_k": t.rank_k}
-        if t.family in ("so1n", "su1n"):
+        thresholds = t.thresholds()
+        if thresholds:
             for key, series in (("principal", structure.PRINCIPAL_MPS),
                                 ("verma", structure.GENERALIZED_VERMA),
                                 ("other", structure.OTHER_DISCRETE)):
-                row[f"threshold_{key}"] = str(
-                    structure.domination_threshold(t, series))
+                row[f"threshold_{key}"] = str(thresholds[series])
         if args.c is not None:
             from fractions import Fraction
             c, R = Fraction(args.c), Fraction(args.R)

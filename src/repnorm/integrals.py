@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .reps import (coef_vec, _discrete_log_j, _discrete_index, _integer,
-                   _principal_params)
+from .reps import coef_vec, _discrete_log_j, _integer, _principal_params
 from .specfun import (_EPS, _log_gamma_shift, _terminating_order, digamma,
                       gamma_ratio_signed, gamma_rounding, log_gamma_difference,
                       log_gammas, zeta)
@@ -238,7 +237,7 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
     return total, err
 
 
-def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
+def hyp2f1_euler_oracle(a, b, c, z):
     """2F1(a,b;c;z) = G int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt, with
     G = Gamma(c)/(Gamma(b) Gamma(c-b)), Re c > Re b > 0 and real z < 1, by
     a route independent of the series.  Returns (value, err_est).
@@ -246,7 +245,7 @@ def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
     One Kronrod pass in u, t = 1/(1 + e^(-2v)), v = (pi/2) sinh u (Takahasi
     & Mori, Publ. RIMS 9, 1974); log t and log(1-t) are -log1p(e^(-2|v|))
     less 2|v| on the nearer end's side, so nothing overflows.  It aims at
-    tol (1 - z Re b/Re c)^(-Re a)/|G|, the integral at the Beta weight's
+    1e-12 (1 - z Re b/Re c)^(-Re a)/|G|, the integral at the Beta weight's
     mean.  Past |v| = V lie at most 2 M e^(-2rV)/r, r = min(Re b, Re(c-b)),
     M = max (1-zt)^(-Re a); V puts that at 1e-3 of the aim.  err_est adds
     it, the Kronrod error, G's rounding and the integrand's, 8 eps (1 + sum
@@ -262,7 +261,7 @@ def hyp2f1_euler_oracle(a, b, c, z, tol=1e-12):
     cb = c - b
     pref, pref_rel = gamma_ratio_signed([c], [b, cb])
     rate, log_m = min(b.real, cb.real), max(-a.real * math.log1p(-z), 0.0)
-    log_aim = (math.log(tol / abs(pref))
+    log_aim = (math.log(1e-12 / abs(pref))
                - a.real * math.log1p(-z * b.real / c.real))
     big_v = (math.log(2e3 / rate) + log_m - log_aim) / (2.0 * rate)
     seen = []
@@ -417,7 +416,7 @@ def integral_series(r, n, eps):
         # at the reference column the disc sum is its one k = 0 term:
         # eps (-1)^p |J| B(p/2 + 1, ell/2 + eps)
         ell = r.ell
-        p = _discrete_index(ell, n)
+        p = int(n - ell / 2.0)
         sign = -1.0 if p % 2 else 1.0
         # B = G(p/2 + 1) G(ell/2 + eps) / G(p/2 + 1 + ell/2 + eps), whose
         # first and last log-Gamma values are one shift pair
@@ -427,7 +426,8 @@ def integral_series(r, n, eps):
         log_j, j_rel = _discrete_log_j(ell, p, 0)
         val = eps * sign * math.exp(log_j) * beta
         rel = j_rel + diff_rel + gamma_rounding([lg_eps]) + 4.0 * _EPS
-        return IntegralValue(val, "exact-sum", rel * abs(val))
+        return IntegralValue(complex(val), "exact-sum",
+                             float(rel * abs(val)))
     sigma, lam = r.circle
     # coef(n, 0) = pref x^(|n|/2) (1-x)^(-lam) 2F1(a, b; c; x), and the
     # measure turns x^(|n|/2 + k) (1-x)^(-lam) into eps B(|n|/2 + k + 1,
@@ -436,8 +436,11 @@ def integral_series(r, n, eps):
     jval, jerr = j_series(a, b, c, abs(n) / 2.0, eps - lam)
     val = eps * pref * jval
     err = eps * abs(pref) * jerr + pref_rel * abs(val)
-    scale, _ = r.normalizer(n, 0)
-    return IntegralValue(scale * val, "series", scale * err)
+    # the normalizer as closed_form applies it, with its rounding
+    scale, scale_rel = r.normalizer(n, 0)
+    value = scale * val
+    return IntegralValue(complex(value), "series",
+                         float(scale * err + scale_rel * abs(value)))
 
 
 def reducible_point_integral(n, eps):
@@ -447,7 +450,7 @@ def reducible_point_integral(n, eps):
         eps * (-1)^n * B(n/2 + 1, 1/2 + eps).
     """
     BetaMeasure(eps)
-    n = _integer(n, "index")
+    n = _integer(n, "index", "Principal(0.5, -0.5)")
     sign = -1.0 if n % 2 else 1.0
     g_n, g_eps, g_sum = log_gammas(
         [n / 2.0 + 1.0, 0.5 + eps, n / 2.0 + 1.5 + eps]).real

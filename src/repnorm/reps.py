@@ -45,52 +45,18 @@ ORACLE_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Representation descriptors: each class carries the facts of its family
-# (spectrum, basis index of a character, reference column m_ref, circle
-# parameters (sigma, lam) or None on the disc, normalizer and its rounding,
-# unitarity, two unitarity bounds of the reference column along the flow:
-# the Lipschitz bound L of its first derivative in t and the curvature
-# bound K of its second) and its closed-form evaluator.
+# (spectrum, basis index of a character, the one index rule as_index,
+# reference column m_ref, circle parameters (sigma, lam) or None on the
+# disc, normalizer and its rounding, unitarity, and the leading terms from
+# which _Rep derives two unitarity bounds of the reference column along the
+# flow: the Lipschitz bound L of its first derivative in t and the
+# curvature bound K of its second) and its closed-form evaluator.
 
 
-class _Circle:
-    """Facts shared by the circle-model families: basis index n in Z,
-    compact character 2n + 2 sigma, reference column m = 0."""
-
-    m_ref = 0.0
-
-    def spectrum(self, limit):
-        """Compact characters with absolute value <= limit, ascending."""
-        parity = int(2 * self.sigma)
-        return [k for k in range(-int(limit), int(limit) + 1)
-                if (k - parity) % 2 == 0]
-
-    def basis_index(self, kappa):
-        """Basis index whose compact character is kappa: the spectrum is
-        the characters of the parity of 2 sigma."""
-        kappa = _integer(kappa, "character")
-        if (kappa - int(2 * self.sigma)) % 2 != 0:
-            raise PreconditionError(
-                f"character {kappa} not in the spectrum of {self}")
-        return (kappa - 2 * self.sigma) / 2.0
-
-    def indices(self, limit):
-        """Basis indices with |index| <= limit."""
-        return list(range(-int(limit), int(limit) + 1))
-
-    def as_index(self, value):
-        """A basis index given as a number; circle indices are integers."""
-        return _integer(value, "index")
-
-    def _leading(self, d):
-        """Norm of the components on f_(m+-d), m = m_ref, of the order-t^d
-        terms of pi(a_t) f_m: each the limit of coef(m+-d, m; a_t)/t^d,
-        which is normalizer times pref of the closed form, since its
-        x^(d/2) = tanh(t)^d ~ t^d."""
-        m = self.m_ref
-        return math.sqrt(sum(
-            abs(self.normalizer(k, m)[0]
-                * _principal_params(*self.circle, k, m)[3]) ** 2
-            for k in (m - d, m + d)))
+class _Rep:
+    """The two unitarity bounds of every family, from its _leading(d): the
+    norm of the components on f_(m+-d), m = m_ref, of the order-t^d terms of
+    pi(a_t) f_m."""
 
     @property
     def lipschitz(self):
@@ -112,6 +78,47 @@ class _Circle:
         if not self.unitary:
             return math.inf
         return math.hypot(self.lipschitz ** 2, 2.0 * self._leading(2.0))
+
+
+class _Circle(_Rep):
+    """Facts shared by the circle-model families: basis index n in Z,
+    compact character 2n + 2 sigma, reference column m = 0."""
+
+    m_ref = 0.0
+
+    def spectrum(self, limit):
+        """Compact characters with absolute value <= limit, ascending."""
+        parity = int(2 * self.sigma)
+        return [k for k in range(-int(limit), int(limit) + 1)
+                if (k - parity) % 2 == 0]
+
+    def basis_index(self, kappa):
+        """Basis index whose compact character is kappa: the spectrum is
+        the characters of the parity of 2 sigma."""
+        kappa = _integer(kappa, "character", self)
+        if (kappa - int(2 * self.sigma)) % 2 != 0:
+            raise PreconditionError(
+                f"character {kappa} not in the spectrum of {self}")
+        return (kappa - 2 * self.sigma) / 2.0
+
+    def indices(self, limit):
+        """Basis indices with |index| <= limit."""
+        return list(range(-int(limit), int(limit) + 1))
+
+    def as_index(self, value):
+        """A basis index given as a number: an integer, returned as an int;
+        any other number is refused, not cut."""
+        return _integer(value, "index", self)
+
+    def _leading(self, d):
+        """Each component is the limit of coef(m+-d, m; a_t)/t^d, which is
+        normalizer times pref of the closed form, since its x^(d/2) =
+        tanh(t)^d ~ t^d."""
+        m = self.m_ref
+        return math.sqrt(sum(
+            abs(self.normalizer(k, m)[0]
+                * _principal_params(*self.circle, k, m)[3]) ** 2
+            for k in (m - d, m + d)))
 
     def closed_form(self, n, m, xs, omx=None, slope=False):
         """The closed-form evaluator: coef(n, m) over an array of Cartan x,
@@ -136,6 +143,7 @@ class _Circle:
         is Re[|n-m|/(2x) + lam/(1-x) + F'/F].  Values and err keep their
         bits either way.
         """
+        n, m = self.as_index(n), self.as_index(m)
         sigma, lam = self.circle
         xs = np.asarray(xs, dtype=float)
         omx = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
@@ -225,7 +233,7 @@ class Complementary(_Circle):
 
 
 @dataclass(frozen=True)
-class Discrete:
+class Discrete(_Rep):
     """Holomorphic disc-model representation with lowest weight ell >= 2:
     basis index n in ell/2 + N0, compact character 2n."""
     ell: int
@@ -246,32 +254,30 @@ class Discrete:
         return list(range(self.ell, int(limit) + 1, 2))
 
     def basis_index(self, kappa):
-        kappa = _integer(kappa, "character")
+        kappa = _integer(kappa, "character", self)
         if kappa < self.ell or (kappa - self.ell) % 2 != 0:
             raise PreconditionError(
                 f"character {kappa} not in the spectrum of {self}")
         return kappa / 2.0
 
     def indices(self, limit):
-        j_top = int(math.floor(limit - self.ell / 2.0 + 1e-9))
+        j_top = math.floor(limit - self.ell / 2.0)
         return [self.ell / 2.0 + j for j in range(j_top + 1)]
 
     def as_index(self, value):
-        return _finite_index(value)
+        """A basis index given as a number: exactly ell/2 + j for a j in N0,
+        returned as a float; any other number is refused."""
+        v = _finite_index(value, "index", self)
+        j = v - self.ell / 2.0
+        if j < 0.0 or j != int(j):
+            raise PreconditionError(
+                f"{self} index {value} is not in ell/2 + N0")
+        return v
 
-    @property
-    def lipschitz(self):
-        """L = ||dpi(H) f_m||, m = m_ref (see _Circle.lipschitz): on the
-        disc only f_(m+1) is reached, with coefficient |J| at p = 1, q = 0."""
-        return math.exp(_discrete_log_j(self.ell, 1, 0)[0])
-
-    @property
-    def curvature(self):
-        """K = ||dpi(H)^2 f_m||, m = m_ref (see _Circle.curvature): on the
-        disc f_(m+2) is reached with coefficient 2 |J| at p = 2, q = 0, and
-        f_m with -L^2."""
-        return math.hypot(self.lipschitz ** 2,
-                          2.0 * math.exp(_discrete_log_j(self.ell, 2, 0)[0]))
+    def _leading(self, d):
+        """On the disc only f_(m+d) is reached, with coefficient |J| at
+        p = d, q = 0."""
+        return math.exp(_discrete_log_j(self.ell, d, 0)[0])
 
     def closed_form(self, n, m, xs, omx=None, slope=False):
         """The closed-form evaluator: coef(n, m) over an array of Cartan x,
@@ -300,8 +306,8 @@ class Discrete:
         (p+q-2k)/(2x) - (ell/2+k)/(1-x), over the sum.
         """
         ell = self.ell
-        p = _discrete_index(ell, n)
-        q = _discrete_index(ell, m)
+        p = int(self.as_index(n) - ell / 2.0)
+        q = int(self.as_index(m) - ell / 2.0)
         xs = np.asarray(xs, dtype=float)
         one_minus = 1.0 - xs if omx is None else np.asarray(omx, dtype=float)
         sign = -1.0 if p % 2 else 1.0
@@ -327,20 +333,20 @@ class Discrete:
         return value, err, "closed", dtotal / total if slope else None
 
 
-def _finite_index(value, what="index"):
-    """A basis index (or what else is named) given as a number, as a finite
-    float."""
+def _finite_index(value, what, owner):
+    """A basis index (or what else is named) of owner given as a number, as
+    a finite float; owner is formatted only into an error."""
     v = float(value)
     if not math.isfinite(v):
-        raise PreconditionError(f"{what} {value} must be finite")
+        raise PreconditionError(f"{owner} {what} {value} must be finite")
     return v
 
 
-def _integer(value, what):
+def _integer(value, what, owner):
     """A finite integral number as an int; any other is refused, not cut."""
-    v = _finite_index(value, what)
+    v = _finite_index(value, what, owner)
     if v != int(v):
-        raise PreconditionError(f"{what} {value} must be an integer")
+        raise PreconditionError(f"{owner} {what} {value} must be an integer")
     return int(v)
 
 
@@ -359,15 +365,6 @@ class CoefValue:
     value: complex
     method: str
     err_est: float
-
-
-def _discrete_index(ell, n):
-    """Validate n in ell/2 + N0 and return the offset j = n - ell/2."""
-    j2 = 2.0 * n - ell
-    j = int(round(j2 / 2.0))
-    if abs(j2 - 2 * j) > 1e-9 or j < 0:
-        raise PreconditionError(f"index {n} not in ell/2 + N0 for ell={ell}")
-    return j
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +408,20 @@ def complementary_normalizer(lam, n, m=0):
     has the sign (-1)^k, and for k < 0 both exceed 0.  Outside it,
     H(0) = lam/(-lam-1) H(1) by G(z+1) = z G(z), and that factor is
     negative, so H(0) or H(1) is; an integer lam puts a pole into H(0).
+    An index that is not an integer is refused, not cut.
     """
     lam = float(lam)
     if not -1.0 < lam < 0.0:
         raise NormalizationError(
             f"renormalizing form not positive on every index: need"
             f" -1 < lam < 0, got {lam}")
-    ks = np.abs(np.append(n, m).astype(np.int64))
+    ks = np.append(n, m)
+    if ks.dtype.kind != "i":        # an array of ints needs no test
+        off = ks[~np.isfinite(ks) | (ks != np.round(ks))]
+        if off.size:
+            raise PreconditionError(
+                f"Complementary(lam={lam}) index {off[0]} must be an integer")
+    ks = np.abs(ks.astype(np.int64))
     log_h, rounding = log_gamma_difference(ks - lam, 1.0 + 2.0 * lam)
     half = 0.5 * (log_h[:-1] - log_h[-1])
     rel = _EPS + (rounding[:-1] + rounding[-1])
@@ -553,8 +557,9 @@ def _disc_samples(ell, q, d_m, x, radius, theta):
     return fvals * power
 
 
-def _disc_column(ell, m, x, n_max):
-    """Column of disc-model coefficients at fixed m by Taylor extraction.
+def _disc_column(ell, q, x, n_max):
+    """Column of disc-model coefficients at fixed m = ell/2 + q by Taylor
+    extraction.
 
     The transformed function F = pi(a_x) f_m is holomorphic across the
     closed unit disc with one pole of order ell + q at z = 1/sqrt(x); its
@@ -569,10 +574,7 @@ def _disc_column(ell, m, x, n_max):
     balanced contour with the same doubling certificate as the circle
     oracle.
     """
-    r_spec = Discrete(ell)
-    ell = r_spec.ell
-    q = _discrete_index(ell, m)
-    j_max = max(0, int(math.floor(n_max - ell / 2.0 + 1e-9)))
+    j_max = max(0, math.floor(n_max - ell / 2.0))
 
     indices = [ell / 2.0 + j for j in range(j_max + 1)]
     if x == 0.0:
@@ -632,7 +634,7 @@ def coef_oracle(r, m, x, n_max):
     family's normalizer."""
     m, x = r.as_index(m), _cartan_x(x)
     if r.circle is None:
-        return _disc_column(r.ell, m, x, n_max)
+        return _disc_column(r.ell, int(m - r.ell / 2.0), x, n_max)
     ns, cur, err = _circle_column(*r.circle, m, x, n_max)
     # one numpy product; each entry has the bits of Python's s * v
     scale = r.normalizer(ns, m)[0]
@@ -885,7 +887,7 @@ def coef(r, n, m, x):
     hypergeometric ODE).  A value that is not finite raises
     ConvergenceError.
     """
-    n, m, x = r.as_index(n), r.as_index(m), _cartan_x(x)
+    x = _cartan_x(x)
     values, errs, method, _ = r.closed_form(n, m, np.array([x]))
     cv = CoefValue(complex(values[0]), method, float(errs[0]))
     if not cmath.isfinite(cv.value):

@@ -63,13 +63,13 @@ _MEMO_ARGS, _MEMO_DIFFERENCES = 8, 64
 _PAIR_GAP = 20.0
 
 
-def is_nonpositive_int(z, tol=_POLE_TOL):
+def is_nonpositive_int(z):
     """True when z sits (numerically) on a pole of Gamma, i.e. z in -N0."""
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > _POLE_TOL:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= _POLE_TOL
 
 
 def log_gammas(args):

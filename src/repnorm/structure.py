@@ -7,18 +7,42 @@ All arithmetic is done in fractions.Fraction; no value here is ever a
 float unless the caller feeds one in.
 """
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-
-FAMILIES = ("so1n", "su1n", "sp1n", "f4m20", "slnR")
 
 # threshold selectors for domination_threshold
 PRINCIPAL_MPS = "principal-mps"
 GENERALIZED_VERMA = "generalized-verma"
 OTHER_DISCRETE = "other-discrete"
 SERIES_KINDS = (PRINCIPAL_MPS, GENERALIZED_VERMA, OTHER_DISCRETE)
+
+# The facts of each family as functions of its defining integer n: its
+# labels (the first is the printed one; {n} stands for n), the rank of the
+# maximal compact subalgebra, the growth constant c_g of the minimal
+# principal series (the half-sum of positive roots on the chamber element
+# with all simple roots equal to one) and, where the closed form is known,
+# the Sobolev exponents above which the unitary norm dominates each series.
+_Family = namedtuple("_Family", "labels rank_k c_g thresholds")
+_TABLE = {
+    "so1n": _Family(("so(1,{n})",), lambda n: n // 2,
+                    lambda n: Fraction(n - 1, 2),
+                    lambda n: dict.fromkeys(SERIES_KINDS, Fraction(n - 1, 2))),
+    "su1n": _Family(("su(1,{n})",), lambda n: n, lambda n: Fraction(n),
+                    lambda n: {PRINCIPAL_MPS: Fraction(2 * n - 1, 2),
+                               GENERALIZED_VERMA: Fraction(n, 2),
+                               OTHER_DISCRETE: Fraction(n - 1)}),
+    "sp1n": _Family(("sp(1,{n})",), lambda n: n + 1,
+                    lambda n: Fraction(2 * n + 1), None),
+    "f4m20": _Family(("f4(-20)", "f4m20"), lambda n: 4,
+                     lambda n: Fraction(11), None),
+    "slnR": _Family(("sl({n},R)", "sl({n})"), lambda n: n - 1,
+                    lambda n: Fraction(n * (n * n - 1), 12), None),
+}
+FAMILIES = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -34,7 +58,7 @@ class LieType:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r};"
                               f" expected one of {FAMILIES}")
-        if self.family != "f4m20":
+        if "{n}" in _TABLE[self.family].labels[0]:
             if not isinstance(self.n, int) or self.n < 2:
                 raise PreconditionError(
                     f"{self.family} needs an integer n >= 2, got {self.n!r}")
@@ -42,43 +66,37 @@ class LieType:
     @property
     def rank_k(self):
         """Rank of the maximal compact subalgebra."""
-        if self.family == "so1n":
-            return self.n // 2
-        if self.family == "su1n":
-            return self.n
-        if self.family == "sp1n":
-            return self.n + 1
-        if self.family == "f4m20":
-            return 4
-        return self.n - 1
+        return _TABLE[self.family].rank_k(self.n)
 
     def label(self):
-        if self.family == "so1n":
-            return f"so(1,{self.n})"
-        if self.family == "su1n":
-            return f"su(1,{self.n})"
-        if self.family == "sp1n":
-            return f"sp(1,{self.n})"
-        if self.family == "f4m20":
-            return "f4(-20)"
-        return f"sl({self.n},R)"
+        return _TABLE[self.family].labels[0].format(n=self.n)
+
+    def thresholds(self):
+        """The domination thresholds by series kind, in SERIES_KINDS order;
+        empty where the closed form is not known."""
+        known = _TABLE[self.family].thresholds
+        return known(self.n) if known else {}
+
+
+def parse_lie_type(text):
+    """The LieType named by one of its labels (so sl(4,R), sl(4), f4(-20)
+    and f4m20) or by family:n, in any case and with spaces ignored; any
+    other text is refused."""
+    key = str(text).strip().lower().replace(" ", "")
+    for family, entry in _TABLE.items():
+        for form in entry.labels + (family + ":{n}",):
+            pattern = re.escape(form.lower()).replace(
+                re.escape("{n}"), "([0-9]+)")
+            match = re.fullmatch(pattern, key)
+            if match:
+                return LieType(family, *map(int, match.groups()))
+    raise PreconditionError(f"cannot parse Lie type {text!r}")
 
 
 def structural_constant(t):
     """Growth constant of the minimal principal series, as an exact
-    fraction: the half-sum of positive roots evaluated on the chamber
-    element with all simple roots equal to one."""
-    if t.family == "so1n":
-        return Fraction(t.n - 1, 2)
-    if t.family == "su1n":
-        return Fraction(t.n)
-    if t.family == "sp1n":
-        return Fraction(2 * t.n + 1)
-    if t.family == "f4m20":
-        return Fraction(11)
-    if t.family == "slnR":
-        return Fraction(t.n * (t.n * t.n - 1), 12)
-    raise DomainError(f"unknown family {t.family!r}")
+    fraction."""
+    return _TABLE[t.family].c_g(t.n)
 
 
 def mps_gap_bound(t, c, R=0):
@@ -97,20 +115,15 @@ def mps_gap_bound(t, c, R=0):
 
 def domination_threshold(t, series):
     """Sobolev exponent above which the unitary norm dominates the given
-    series, for the two families where the closed form is known."""
+    series, for the families where the closed form is known."""
     if series not in SERIES_KINDS:
         raise DomainError(f"unknown series kind {series!r};"
                           f" expected one of {SERIES_KINDS}")
-    if t.family == "so1n":
-        return Fraction(t.n - 1, 2)
-    if t.family == "su1n":
-        if series == PRINCIPAL_MPS:
-            return Fraction(2 * t.n - 1, 2)
-        if series == GENERALIZED_VERMA:
-            return Fraction(t.n, 2)
-        return Fraction(t.n - 1)
-    raise DomainError(
-        f"no domination threshold tabulated for {t.label()}")
+    thresholds = t.thresholds()
+    if not thresholds:
+        raise DomainError(
+            f"no domination threshold tabulated for {t.label()}")
+    return thresholds[series]
 
 
 def lorentz_sobolev_bound(n):

@@ -112,6 +112,22 @@ class TestCoefCommand:
         assert main(["coef", "--rep", "principal:0:-0.5+1i",
                      "--m", "0", "--n", "2.5", "--x", "0.5"]) == 2
 
+    # the disc took an index within 1e-9 of ell/2 + N0 as that point and
+    # printed its value, while --oracle failed on a bare KeyError
+    @pytest.mark.parametrize("rep, n, family", [
+        ("discrete:2", "1.0000000001", "Discrete(ell=2)"),
+        ("complementary:-0.25", "2.5", "Complementary(lam=-0.25)")])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                             ids=["closed", "oracle"])
+    def test_off_spectrum_index_exits_2_by_name(self, rep, n, family, oracle,
+                                                capsys):
+        m = "1" if rep.startswith("discrete") else "0"
+        assert main(["coef", "--rep", rep, "--n", n, "--m", m, "--x", "0.5",
+                     *oracle]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert n in captured.err and family in captured.err
+
     def test_discrete_lowest_vector_closed_form(self, capsys):
         assert main(["coef", "--rep", "discrete:2", "--m", "1", "--n", "1",
                      "--x", "0.3"]) == 0
@@ -436,6 +452,26 @@ class TestConstantsCommand:
 
     def test_unparseable_family(self, capsys):
         assert main(["constants", "g2"]) == 2
+
+    @pytest.mark.parametrize("text, label", [
+        ("so(1,3)", "so(1,3)"), ("su(1,2)", "su(1,2)"), ("sl(4)", "sl(4,R)"),
+        ("f4m20", "f4(-20)"), ("f4(-20)", "f4(-20)"), ("slnR:4", "sl(4,R)"),
+        ("slnr:4", "sl(4,R)"), ("SO (1, 3)", "so(1,3)"),
+        ("Sp(1,2)", "sp(1,2)"), ("SL(4,r)", "sl(4,R)"), ("su1n:2", "su(1,2)"),
+        ("F4M20", "f4(-20)")])
+    def test_every_label_form_parses(self, text, label, capsys):
+        assert main(["constants", text]) == 0
+        assert capsys.readouterr().out.split("\n")[0].split() == [
+            "type", label]
+
+    # each of the first three printed so(1,3), sl(4,R) and so(1,10)
+    @pytest.mark.parametrize("text", [
+        "so(1,3,5)", "sl(4,x)", "so(1,1_0)", "so(1,3)x", "su(1,)", "so1n:",
+        "sl(4,R", "f4m20:x", "so(1,-3)"])
+    def test_other_text_exits_2(self, text, capsys):
+        assert main(["constants", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot parse Lie type" in captured.err
 
 
 class TestAcceptanceCommand:

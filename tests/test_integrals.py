@@ -17,7 +17,8 @@ from repnorm.integrals import (_MAX_EVALS, _WG, _WK, _XK, BetaMeasure,
                                kronrod_quad_vec, reducible_point_integral,
                                stirling_ratio_check)
 from repnorm.reps import (Complementary, Discrete, Principal, _principal_params,
-                          coef, coef_oracle)
+                          coef, coef_oracle, coef_vec,
+                          complementary_normalizer)
 from repnorm.specfun import hyp2f1
 
 # [DERIVED] mpmath: 3F2(a, b, s0+1; c, s0+1+le; 1) minus the first 1025
@@ -482,6 +483,24 @@ class TestDualRoutes:
             assert s.method == "exact-sum"
             assert abs(q.value - s.value) <= 1e-10 * abs(s.value) + q.err_est
 
+    @pytest.mark.parametrize("n", [0, 5, 64, -64])
+    def test_series_applies_the_normalizer_as_closed_form_does(self, n):
+        # the complementary value is its normalizer times the principal
+        # value of the same lam, and its err adds the normalizer's rounding
+        base = integral_series(Principal(0.0, -0.25), n, 0.25)
+        got = integral_series(Complementary(-0.25), n, 0.25)
+        scale, rel = complementary_normalizer(-0.25, n)
+        assert got.value == scale * base.value
+        assert got.err_est >= scale * base.err_est + rel * abs(got.value)
+
+    @pytest.mark.parametrize("r, n", [(Principal(0.0, -0.5), 4),
+                                      (Complementary(-0.25), 4),
+                                      (Discrete(2), 3.0)])
+    def test_value_is_complex_and_err_est_a_float(self, r, n):
+        for route in (integral_series, integral_quadrature):
+            v = route(r, n, 0.25)
+            assert type(v.value) is complex and type(v.err_est) is float
+
     def test_terminating_series_needs_no_tail(self):
         # a = 0 terminates the moment series; this must not touch the
         # Gamma-pole machinery
@@ -491,7 +510,7 @@ class TestDualRoutes:
 
 
 class TestIndexRefusal:
-    """A circle index that is not an integer is refused by every library
+    """An index off the family's spectrum is refused by every library
     route, as the CLI refuses it, not cut to the integer below: the series
     route returned the n = 2 value at 2.5 while the quadrature integrated
     the non-index 2.5, coef evaluated it and the oracle cut its m."""
@@ -512,6 +531,27 @@ class TestIndexRefusal:
     def test_non_integral_index_refused(self, call):
         with pytest.raises(PreconditionError, match="must be an integer"):
             call(self.R)
+
+    # one rule for every route, from the family's as_index: the disc took
+    # an index within 1e-9 of ell/2 + N0 as that point, and
+    # complementary_normalizer cut 2.5 to 2 under a 2F1 at 2.5
+    @pytest.mark.parametrize("r, n", [(Discrete(2), 1.0000000001),
+                                      (Complementary(-0.25), 2.5)],
+                             ids=["discrete", "complementary"])
+    @pytest.mark.parametrize("call", [
+        lambda r, n: coef(r, n, r.m_ref, 0.5),
+        lambda r, n: coef_vec(r, n, r.m_ref, [0.5]),
+        lambda r, n: r.closed_form(r.m_ref, n, np.array([0.5])),
+        lambda r, n: coef_oracle(r, n, 0.5, 8),
+        lambda r, n: integral_series(r, n, 0.25),
+        lambda r, n: integral_quadrature(r, n, 0.25),
+    ], ids=["coef", "coef_vec", "closed_form", "coef_oracle", "series",
+            "quadrature"])
+    def test_off_spectrum_index_refused_by_name(self, call, r, n):
+        with pytest.raises(PreconditionError) as refused:
+            call(r, n)
+        assert repr(n) in str(refused.value)
+        assert repr(r) in str(refused.value)
 
     def test_integral_float_index_keeps_its_bits(self):
         for route in (integral_series, integral_quadrature):

@@ -897,6 +897,18 @@ class TestComplementaryNormalizer:
         with pytest.raises(NormalizationError):
             complementary_normalizer(-1.4, 2)
 
+    @pytest.mark.parametrize("n, m", [(2.5, 0), (2, -0.5),
+                                      (np.array([1.0, 2.5]), 0),
+                                      (math.inf, 0), (0, math.nan)])
+    def test_non_integral_index_refused_not_cut(self, n, m):
+        # astype(np.int64) cut 2.5 to 2
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            complementary_normalizer(-0.25, n, m)
+
+    def test_integral_float_index_keeps_its_bits(self):
+        assert complementary_normalizer(-0.25, 7.0, -3.0) == \
+            complementary_normalizer(-0.25, 7, -3)
+
     @pytest.mark.parametrize("lam", [-0.1, -0.25, -0.4, -0.45])
     def test_rounding_covers_mpmath(self, lam):
         # the log-Gamma sum rounds at the size of its terms: half of that

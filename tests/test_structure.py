@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from repnorm.errors import DomainError, PreconditionError
-from repnorm.structure import (GENERALIZED_VERMA, OTHER_DISCRETE,
+from repnorm.structure import (FAMILIES, GENERALIZED_VERMA, OTHER_DISCRETE,
                                PRINCIPAL_MPS, LieType, domination_threshold,
                                lorentz_sobolev_bound, mps_gap_bound,
-                               structural_constant)
+                               parse_lie_type, structural_constant)
 
 
 class TestLieType:
@@ -25,6 +25,13 @@ class TestLieType:
         assert LieType("sp1n", 2).rank_k == 3
         assert LieType("f4m20").rank_k == 4
         assert LieType("slnR", 6).rank_k == 5
+
+    def test_every_label_parses_back(self):
+        for family in FAMILIES:
+            for n in range(2, 11) if family != "f4m20" else (0,):
+                t = LieType(family, n)
+                assert parse_lie_type(t.label()) == t
+                assert parse_lie_type(f" {t.label().upper()} ") == t
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
