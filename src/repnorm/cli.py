@@ -359,7 +359,8 @@ def build_parser():
 
     p = sub.add_parser("constants", help="exact rational structure table")
     p.add_argument("families", nargs="+",
-                   help="e.g. 'so(1,3)' 'su(1,2)' 'sl(4)' f4m20")
+                   help="Lie types, each a label of its family (any case,"
+                        " spaces ignored) or family:n")
     p.add_argument("--c", default=None,
                    help="scale of the R term in the gap bound (no default)")
     p.add_argument("--R", default="0")
