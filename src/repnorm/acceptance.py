@@ -42,6 +42,14 @@ GRID_REPS = (
     Discrete(3),
 )
 
+# criteria 7 and 8: each family, its bound on the fitted log coefficient
+# |beta| (or None) and its gap window; the separation is on the first
+SCAN_FAMILIES = (
+    (Principal(0.0, complex(-0.5, 1.0)), None, (0.9, 1.1)),
+    (Complementary(-0.25), None, (0.85, 1.15)),
+    (Discrete(2), 0.2, (0.9, 1.1)),
+)
+
 
 @dataclass(frozen=True)
 class ReportRecord:
@@ -224,7 +232,7 @@ def _integral_ladder_fit(r, eps, ns):
     """Fitted decay exponent of the weighted integrals along a geometric
     ladder, with the near-zero-amplitude rerun at a shifted measure."""
     # nearest in-spectrum index at or below n
-    kappas = [math.floor(n - r.m_ref) + r.m_ref for n in ns]
+    kappas = [r.indices(n)[-1] for n in ns]
     values = np.array([abs(integral_series(r, k, eps).value) for k in kappas])
     degenerate = np.any(values < 1e-250) or not np.all(np.isfinite(values))
     fit = None if degenerate else fit_exponent(kappas, values)
@@ -263,21 +271,20 @@ def criterion_7(tol=0.07):
     Returns (record, scans) so criterion 8 can reuse the scans."""
     t0 = time.perf_counter()
     config = ScanConfig()
-    scan_reps = (Principal(0.0, complex(-0.5, 1.0)), Complementary(-0.25),
-                 Discrete(2))
-    scans = {r: pmin_scan(r, default_ladder(r), config) for r in scan_reps}
+    scans = {r: pmin_scan(r, default_ladder(r), config)
+             for r, _, _ in SCAN_FAMILIES}
     for samples in scans.values():
         for outcome in samples:
             if isinstance(outcome, Exception):
                 raise outcome
     reports = []
     passed = True
-    for r, samples in scans.items():
-        ns = [s.n for s in samples]
-        fit = fit_exponent(ns, [s.pmin for s in samples])
+    for r, beta_bound, _ in SCAN_FAMILIES:
+        samples = scans[r]
+        fit = fit_exponent([s.n for s in samples], [s.pmin for s in samples])
         ok = abs(fit.alpha + 0.5) <= tol
-        if r.circle is None:
-            ok = ok and abs(fit.beta) <= 0.2
+        if beta_bound is not None:
+            ok = ok and abs(fit.beta) <= beta_bound
             reports.append(f"{fit.alpha:+.3f} (beta {fit.beta:+.3f})")
         else:
             reports.append(f"{fit.alpha:+.3f}")
@@ -303,17 +310,14 @@ def criterion_8(scans):
     t0 = time.perf_counter()
     reports = []
     passed = True
-    dist = None
-    for r, samples in scans.items():
-        gap = sobolev_gap_estimate(samples)
-        lo, hi = (0.85, 1.15) if isinstance(r, Complementary) else (0.9, 1.1)
+    for r, _, (lo, hi) in SCAN_FAMILIES:
+        gap = sobolev_gap_estimate(scans[r])
         passed = passed and lo <= gap <= hi
         reports.append(f"gap {gap:.3f} in [{lo}, {hi}]")
-        if isinstance(r, Principal):
-            ns = [s.n for s in samples]
-            ones = [1.0] * len(samples)
-            dist = distance_estimate([s.pmax_proxy for s in samples], ones, ns)
-            passed = passed and 0.43 <= dist <= 0.57
+    samples = scans[SCAN_FAMILIES[0][0]]
+    dist = distance_estimate([s.pmax_proxy for s in samples],
+                             [1.0] * len(samples), [s.n for s in samples])
+    passed = passed and 0.43 <= dist <= 0.57
     reports.append(f"unitary-proxy separation {dist:.3f}")
     return _finish(
         "8-sobolev-gap",

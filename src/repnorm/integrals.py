@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .reps import coef_vec, _discrete_log_j, _integer, _principal_params
+from .reps import coef_vec, _integer
 from .specfun import (_EPS, _log_gamma_shift, _terminating_order, digamma,
                       gamma_ratio_signed, gamma_rounding, log_gamma_difference,
                       log_gammas, zeta)
@@ -406,40 +406,30 @@ def j_series(a, b, c, s0, lam_eps):
 
 def integral_series(r, n, eps):
     """Integral of coef(n, m_ref; a_x) against the eps-measure through the
-    termwise route: Gamma prefactor times Beta-moment series (circle
-    families, times their normalizer) or an exact Beta value (disc), whose
-    err is the rounding of the log-Gamma sums of |J| and of the Beta value
-    and eps for each of their exps and of the two products."""
+    termwise route.  With coef(n, m_ref) = scale pref x^s0 (1-x)^(-lam) F
+    (r.reference_factor), the measure turns x^(s0 + k) (1-x)^(-lam) into
+    eps B(s0 + k + 1, eps - lam): a Gauss F gives the Beta-moment series,
+    F = 1 one Beta value, whose err is the rounding of its log-Gamma sums
+    and eps for its exp and its product.  err adds the roundings of pref
+    and of scale, which is applied as closed_form applies it."""
     BetaMeasure(eps)
-    n = r.as_index(n)
-    if r.circle is None:
-        # at the reference column the disc sum is its one k = 0 term:
-        # eps (-1)^p |J| B(p/2 + 1, ell/2 + eps)
-        ell = r.ell
-        p = int(n - ell / 2.0)
-        sign = -1.0 if p % 2 else 1.0
-        # B = G(p/2 + 1) G(ell/2 + eps) / G(p/2 + 1 + ell/2 + eps), whose
-        # first and last log-Gamma values are one shift pair
-        diff, diff_rel = log_gamma_difference(p / 2.0 + 1.0, ell / 2.0 + eps)
-        lg_eps = float(log_gammas([ell / 2.0 + eps])[0].real)
-        beta = math.exp(lg_eps - diff)
-        log_j, j_rel = _discrete_log_j(ell, p, 0)
-        val = eps * sign * math.exp(log_j) * beta
-        rel = j_rel + diff_rel + gamma_rounding([lg_eps]) + 4.0 * _EPS
-        return IntegralValue(complex(val), "exact-sum",
-                             float(rel * abs(val)))
-    sigma, lam = r.circle
-    # coef(n, 0) = pref x^(|n|/2) (1-x)^(-lam) 2F1(a, b; c; x), and the
-    # measure turns x^(|n|/2 + k) (1-x)^(-lam) into eps B(|n|/2 + k + 1,
-    # eps - lam)
-    a, b, c, pref, pref_rel = _principal_params(sigma, lam, n, 0)
-    jval, jerr = j_series(a, b, c, abs(n) / 2.0, eps - lam)
+    scale, scale_rel, pref, pref_rel, s0, lam, gauss = r.reference_factor(
+        r.as_index(n))
+    if gauss is None:
+        # B = G(s0 + 1) G(eps - lam) / G(s0 + 1 + eps - lam), whose first
+        # and last log-Gamma values are one shift pair
+        diff, diff_rel = log_gamma_difference(s0 + 1.0, eps - lam)
+        lg = float(log_gammas([eps - lam])[0].real)
+        jval = math.exp(lg - diff)
+        jerr = (diff_rel + gamma_rounding([lg]) + 2.0 * _EPS) * jval
+        method = "exact-sum"
+    else:
+        jval, jerr = j_series(*gauss, s0, eps - lam)
+        method = "series"
     val = eps * pref * jval
     err = eps * abs(pref) * jerr + pref_rel * abs(val)
-    # the normalizer as closed_form applies it, with its rounding
-    scale, scale_rel = r.normalizer(n, 0)
     value = scale * val
-    return IntegralValue(complex(value), "series",
+    return IntegralValue(complex(value), method,
                          float(scale * err + scale_rel * abs(value)))
 
 

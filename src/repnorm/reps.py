@@ -46,17 +46,26 @@ ORACLE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # Representation descriptors: each class carries the facts of its family
 # (spectrum, basis index of a character, the one index rule as_index,
-# reference column m_ref, circle parameters (sigma, lam) or None on the
-# disc, normalizer and its rounding, unitarity, and the leading terms from
+# reference column m_ref, normalizer and its rounding, unitarity) and its
+# model's closed-form evaluator, oracle column and reference factor, from
 # which _Rep derives two unitarity bounds of the reference column along the
 # flow: the Lipschitz bound L of its first derivative in t and the
-# curvature bound K of its second) and its closed-form evaluator.
+# curvature bound K of its second.
 
 
 class _Rep:
-    """The two unitarity bounds of every family, from its _leading(d): the
-    norm of the components on f_(m+-d), m = m_ref, of the order-t^d terms of
+    """The two unitarity bounds of every family, from _leading(d): the norm
+    of the components on f_(m+-d), m = m_ref, of the order-t^d terms of
     pi(a_t) f_m."""
+
+    def _leading(self, d):
+        """Each component is the limit of coef(k, m; a_t)/t^d, which is
+        scale times pref of the reference factor, since its x^s0 =
+        tanh(t)^d ~ t^d."""
+        m = self.m_ref
+        factors = [self.reference_factor(k) for k in self.indices(m + d)
+                   if abs(k - m) == d]
+        return math.sqrt(sum(abs(f[0] * f[2]) ** 2 for f in factors))
 
     @property
     def lipschitz(self):
@@ -110,15 +119,35 @@ class _Circle(_Rep):
         any other number is refused, not cut."""
         return _integer(value, "index", self)
 
-    def _leading(self, d):
-        """Each component is the limit of coef(m+-d, m; a_t)/t^d, which is
-        normalizer times pref of the closed form, since its x^(d/2) =
-        tanh(t)^d ~ t^d."""
+    def reference_factor(self, n):
+        """coef(n, m_ref) as scale pref x^s0 (1-x)^(-lam) F with F =
+        2F1(a, b; c; x): (scale, scale_rel, pref, pref_rel, s0, lam,
+        (a, b, c)), the rels being the roundings of scale and pref."""
         m = self.m_ref
-        return math.sqrt(sum(
-            abs(self.normalizer(k, m)[0]
-                * _principal_params(*self.circle, k, m)[3]) ** 2
-            for k in (m - d, m + d)))
+        sigma, lam = self.circle
+        a, b, c, pref, pref_rel = _principal_params(sigma, lam, n, m)
+        return (*self.normalizer(n, m), pref, pref_rel, abs(n - m) / 2.0,
+                lam, (a, b, c))
+
+    def oracle_column(self, m, x, n_max):
+        """The column at fixed m by Fourier analysis, ({n: value}, err) for
+        n = -n_max..n_max, under the doubling certificate of _settled_column
+        from 8(n_max+|m|)+64 samples up, rescaled by the normalizer in one
+        numpy product (each entry has the bits of Python's s * v)."""
+        ns = np.array(self.indices(n_max))
+
+        def column(vals):
+            big_n = vals.size
+            spec = np.fft.fft(vals) / big_n
+            return spec[(-ns) % big_n], \
+                2e-16 * float(np.max(np.abs(vals))) * math.sqrt(big_n)
+
+        cur, err = _settled_column(
+            functools.partial(_circle_samples, *self.circle, m, x), column,
+            8 * (ns[-1] + abs(m)) + 64, "circle", f"x={x}, n_max={ns[-1]}")
+        scale = self.normalizer(ns, m)[0]
+        return (dict(zip(ns.tolist(), (scale * cur).tolist())),
+                err * float(np.max(scale)))
 
     def closed_form(self, n, m, xs, omx=None, slope=False):
         """The closed-form evaluator: coef(n, m) over an array of Cartan x,
@@ -238,7 +267,6 @@ class Discrete(_Rep):
     basis index n in ell/2 + N0, compact character 2n."""
     ell: int
 
-    circle = None
     unitary = True
 
     def __post_init__(self):
@@ -274,10 +302,82 @@ class Discrete(_Rep):
                 f"{self} index {value} is not in ell/2 + N0")
         return v
 
-    def _leading(self, d):
-        """On the disc only f_(m+d) is reached, with coefficient |J| at
-        p = d, q = 0."""
-        return math.exp(_discrete_log_j(self.ell, d, 0)[0])
+    def reference_factor(self, n):
+        """coef(n, m_ref) as (1, 0, pref, pref_rel, s0, lam, None): the
+        reference column q = 0 of the closed form is its one term
+        (-1)^p |J| x^(p/2) (1-x)^(ell/2), p = n - ell/2, so F = 1 and
+        pref_rel adds eps for the exp of |J| and one product."""
+        p = int(n - self.ell / 2.0)
+        log_j, j_rel = _discrete_log_j(self.ell, p, 0)
+        pref = (-1.0 if p % 2 else 1.0) * math.exp(log_j)
+        return (1.0, 0.0, pref, j_rel + 2.0 * _EPS, p / 2.0, -self.ell / 2.0,
+                None)
+
+    def oracle_column(self, m, x, n_max):
+        """The column at fixed m = ell/2 + q by Taylor extraction,
+        ({n: value}, err) for the indices up to n_max.
+
+        The transformed function F = pi(a_x) f_m is holomorphic across the
+        closed unit disc with one pole of order ell + q at z = 1/sqrt(x); its
+        Taylor coefficient of order j, divided by the leading coefficient of
+        f_(ell/2+j), is the coefficient on the basis vector ell/2 + j.
+
+        Extracting order j on a contour of radius r costs a factor r^-j
+        against the fixed absolute noise of the samples, which grows near the
+        pole like (1 - r/pole)^-(ell+q); the balance point is r/pole =
+        j/(j + ell + q).  No single radius serves both ends of a long column
+        in double precision, so the orders are split into dyadic windows,
+        each extracted on its own balanced contour with the same doubling
+        certificate as the circle oracle.
+        """
+        ell, q = self.ell, int(m - self.ell / 2.0)
+        indices = self.indices(n_max)
+        if x == 0.0:
+            return {idx: (1.0 + 0.0j if idx == m else 0.0j)
+                    for idx in indices}, 0.0
+        j_max = len(indices) - 1
+        pole = 1.0 / math.sqrt(x)
+
+        # log G(j + ell) - log G(j + 1) as log_gamma_difference, for j = q
+        # and the orders of a window
+        lg_ell = float(log_gammas([ell])[0].real)
+        d_m = (-1.0) ** q * math.exp(
+            0.5 * (log_gamma_difference(q + 1.0, ell - 1.0)[0] - lg_ell))
+
+        def window(js, radius):
+            """(samples, column) of the orders js on the contour of this
+            radius, for _settled_column."""
+            log_lead = 0.5 * (log_gamma_difference(js + 1.0, ell - 1.0)[0]
+                              - lg_ell)
+            lead = np.array([(-1.0) ** j * math.exp(v)
+                             for j, v in zip(js.tolist(), log_lead.tolist())])
+
+            def column(fvals):
+                spec = np.fft.fft(fvals) / fvals.size
+                taylor = spec[js] * radius ** (-js.astype(float))
+                # sample noise is absolute; the worst relative hit in the
+                # window is at its lowest order (smallest r^j and |lead|)
+                floor = 2e-16 * float(np.max(np.abs(fvals))) \
+                    * radius ** (-float(js[0])) / abs(lead[0])
+                return taylor / lead, floor
+
+            return (functools.partial(_disc_samples, ell, q, d_m, x, radius),
+                    column)
+
+        out = np.empty(j_max + 1, dtype=complex)
+        err, j_lo, hi = 0.0, 0, 8
+        while j_lo <= j_max:
+            j_hi = min(hi - 1, j_max)
+            js = np.arange(j_lo, j_hi + 1)
+            top = j_hi + 1.0
+            radius = min(pole * top / (top + ell + q), math.exp(500.0 / top))
+            out[js], w_err = _settled_column(
+                *window(js, radius), 8 * (j_hi + q + ell) + 64, "disc",
+                f"x={x}, orders {j_lo}..{j_hi}")
+            err = max(err, w_err)
+            j_lo = j_hi + 1
+            hi *= 4
+        return {idx: complex(v) for idx, v in zip(indices, out)}, err
 
     def closed_form(self, n, m, xs, omx=None, slope=False):
         """The closed-form evaluator: coef(n, m) over an array of Cartan x,
@@ -516,25 +616,6 @@ def _circle_samples(sigma, lam, m, x, theta):
     return vals
 
 
-def _circle_column(sigma, lam, m, x, n_max):
-    """Column of circle-model coefficients at fixed m by Fourier analysis:
-    the arrays (ns, values, err) for n = -n_max..n_max, under the doubling
-    certificate of _settled_column, from 8(n_max+|m|)+64 samples up."""
-    n_max = int(n_max)
-    ns = np.arange(-n_max, n_max + 1)
-
-    def column(vals):
-        big_n = vals.size
-        spec = np.fft.fft(vals) / big_n
-        return spec[(-ns) % big_n], \
-            2e-16 * float(np.max(np.abs(vals))) * math.sqrt(big_n)
-
-    cur, err = _settled_column(
-        functools.partial(_circle_samples, sigma, lam, m, x), column,
-        8 * (n_max + abs(int(m))) + 64, "circle", f"x={x}, n_max={n_max}")
-    return ns, cur, err
-
-
 def _disc_samples(ell, q, d_m, x, radius, theta):
     """The transformed disc function d_m (A - B z)^-ell w^q, w = (A z - B) /
     (A - B z), at z = radius e^{i theta}; as in _circle_samples, no
@@ -557,89 +638,15 @@ def _disc_samples(ell, q, d_m, x, radius, theta):
     return fvals * power
 
 
-def _disc_column(ell, q, x, n_max):
-    """Column of disc-model coefficients at fixed m = ell/2 + q by Taylor
-    extraction.
-
-    The transformed function F = pi(a_x) f_m is holomorphic across the
-    closed unit disc with one pole of order ell + q at z = 1/sqrt(x); its
-    Taylor coefficient of order j, divided by the leading coefficient of
-    f_(ell/2+j), is the coefficient on the basis vector ell/2 + j.
-
-    Extracting order j on a contour of radius r costs a factor r^-j against
-    the fixed absolute noise of the samples, which grows near the pole like
-    (1 - r/pole)^-(ell+q); the balance point is r/pole = j/(j + ell + q).
-    No single radius serves both ends of a long column in double precision,
-    so the orders are split into dyadic windows, each extracted on its own
-    balanced contour with the same doubling certificate as the circle
-    oracle.
-    """
-    j_max = max(0, math.floor(n_max - ell / 2.0))
-
-    indices = [ell / 2.0 + j for j in range(j_max + 1)]
-    if x == 0.0:
-        vals = {idx: (1.0 + 0.0j if idx == ell / 2.0 + q else 0.0j)
-                for idx in indices}
-        return vals, 0.0
-
-    pole = 1.0 / math.sqrt(x)
-    pole_order = ell + q
-
-    # log G(j + ell) - log G(j + 1) as log_gamma_difference, for j = q and
-    # the orders of a window
-    lg_ell = float(log_gammas([ell])[0].real)
-    d_m = (-1.0) ** q * math.exp(
-        0.5 * (log_gamma_difference(q + 1.0, ell - 1.0)[0] - lg_ell))
-
-    def window(js, radius):
-        """(samples, column) of the orders js on the contour of this
-        radius, for _settled_column."""
-        log_lead = 0.5 * (log_gamma_difference(js + 1.0, ell - 1.0)[0]
-                          - lg_ell)
-        lead = np.array([(-1.0) ** j * math.exp(v)
-                         for j, v in zip(js.tolist(), log_lead.tolist())])
-
-        def column(fvals):
-            spec = np.fft.fft(fvals) / fvals.size
-            taylor = spec[js] * radius ** (-js.astype(float))
-            # sample noise is absolute; the worst relative hit in the window
-            # is at its lowest order (smallest r^j and smallest |lead|)
-            floor = 2e-16 * float(np.max(np.abs(fvals))) \
-                * radius ** (-float(js[0])) / abs(lead[0])
-            return taylor / lead, floor
-
-        return functools.partial(_disc_samples, ell, q, d_m, x, radius), column
-
-    out = np.empty(j_max + 1, dtype=complex)
-    err = 0.0
-    j_lo = 0
-    hi = 8
-    while j_lo <= j_max:
-        j_hi = min(hi - 1, j_max)
-        js = np.arange(j_lo, j_hi + 1)
-        top = j_hi + 1.0
-        radius = pole * top / (top + pole_order)
-        radius = min(radius, math.exp(500.0 / top))
-        out[js], w_err = _settled_column(
-            *window(js, radius), 8 * (j_hi + q + ell) + 64, "disc",
-            f"x={x}, orders {j_lo}..{j_hi}")
-        err = max(err, w_err)
-        j_lo = j_hi + 1
-        hi *= 4
-    return {idx: complex(v) for idx, v in zip(indices, out)}, err
-
-
 def coef_oracle(r, m, x, n_max):
-    """Oracle column dispatcher; circle columns are rescaled by the
-    family's normalizer."""
+    """The oracle column of r at fixed m, ({n: value}, err) for the indices
+    up to n_max: r.oracle_column, once m, x and n_max pass their rules (an
+    n_max that is not finite or lies below m_ref is refused)."""
     m, x = r.as_index(m), _cartan_x(x)
-    if r.circle is None:
-        return _disc_column(r.ell, int(m - r.ell / 2.0), x, n_max)
-    ns, cur, err = _circle_column(*r.circle, m, x, n_max)
-    # one numpy product; each entry has the bits of Python's s * v
-    scale = r.normalizer(ns, m)[0]
-    return (dict(zip(ns.tolist(), (scale * cur).tolist())),
-            err * float(np.max(scale)))
+    if not r.m_ref <= n_max < math.inf:
+        raise PreconditionError(
+            f"{r} n_max {n_max} must be finite and at least {r.m_ref}")
+    return r.oracle_column(m, x, n_max)
 
 
 def parseval_defect(r, m, x):
@@ -656,7 +663,7 @@ def parseval_defect(r, m, x):
     total = sum(abs(v) ** 2 for v in col.values())
     ordered = [abs(col[k]) for k in sorted(col)]
     edge = max(ordered[-5:])
-    if r.circle is not None:     # two-sided column: low end tails too
+    if min(col) < r.m_ref:      # two-sided column: low end tails too
         edge = max(edge, max(ordered[:5]))
     tail = edge ** 2 * 16.0 / max(1.0 - x, 1e-12)
     return abs(total - 1.0) + tail + 2.0 * err * len(col) * max(ordered)

@@ -127,8 +127,6 @@ def domination_threshold(t, series):
 
 
 def lorentz_sobolev_bound(n):
-    """For the Lorentz family so(1,n): the K-type growth exponent and the
-    Sobolev domination threshold, as the exact pair ((n-1)/2, n/2)."""
-    if not isinstance(n, int) or n < 2:
-        raise PreconditionError(f"need an integer n >= 2, got {n!r}")
-    return Fraction(n - 1, 2), Fraction(n, 2)
+    """For the Lorentz family so(1,n): the K-type growth exponent, the
+    table's c_g = (n-1)/2, and the Sobolev domination threshold n/2."""
+    return structural_constant(LieType("so1n", n)), Fraction(n, 2)

@@ -667,7 +667,7 @@ if __name__ == "__main__":
     print("]")
     print("SERIES_TRUTH = [")
     for name, r in SERIES_REPS.items():
-        if r.circle is None:
+        if isinstance(r, Discrete):
             ell = mpmath.mpf(r.ell)
             for p in (0, 15, 255, 1023, 4095):
                 for eps in (0.25, 0.4):

@@ -1,14 +1,18 @@
 """Closed-form matrix coefficients against the quadrature oracle, plus the
 structural identities (unitarity, spectrum, symmetry, normalization)."""
 
+import ast
 import cmath
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repnorm
+from repnorm.acceptance import GRID_REPS
 from repnorm.errors import (ConvergenceError, DomainError,
                             NormalizationError, PoleError, PreconditionError)
 from repnorm.norms import ScanConfig, _scan_grid
@@ -114,6 +118,33 @@ class TestClosedFormAgainstOracle:
             cv = coef(r, n, 0, 0.5)
             assert abs(cv.value - column[n]) <= 1e-8 * abs(
                 column[n]) + oracle_err + cv.err_est
+
+
+# n_max values outside an oracle column, as functions of the family
+OFF_COLUMN_TOPS = {"-3": lambda r: -3, "nan": lambda r: math.nan,
+                   "inf": lambda r: math.inf, "m_ref-1": lambda r: r.m_ref - 1}
+
+
+class TestOracleColumnTop:
+    """coef_oracle refuses an n_max that is not finite or lies below m_ref,
+    naming it: numpy's bare ValueError on an empty circle column, int()'s
+    ValueError or OverflowError, and a one-entry disc column are gone."""
+
+    @pytest.mark.parametrize("r", GRID_REPS,
+                             ids=lambda r: repr(r).replace(" ", ""))
+    @pytest.mark.parametrize("top", OFF_COLUMN_TOPS.values(),
+                             ids=OFF_COLUMN_TOPS)
+    def test_refused_by_name(self, r, top):
+        n_max = top(r)
+        with pytest.raises(PreconditionError,
+                           match=f"n_max {n_max} must be finite"):
+            coef_oracle(r, r.m_ref, 0.5, n_max)
+
+    @pytest.mark.parametrize("r", GRID_REPS,
+                             ids=lambda r: repr(r).replace(" ", ""))
+    def test_reference_index_is_the_shortest_column(self, r):
+        column, _ = coef_oracle(r, r.m_ref, 0.5, r.m_ref)
+        assert max(column) == r.m_ref
 
 
 class TestFrozenValues:
@@ -533,7 +564,7 @@ def _reference_slope(r, n, m, x):
 
     with mpmath.workdps(40):
         xm = mpmath.mpf(float(x))
-        if r.circle is None:
+        if isinstance(r, Discrete):
             ell = r.ell
             p, q = int(n - ell / 2), int(m - ell / 2)
             f = mpmath.hyp2f1(-q, ell + p, ell, 1 - xm)
@@ -727,7 +758,7 @@ class TestLipschitz:
         # the components of dpi(H) f_m: coef(m +- 1, m; a_t)/t as t -> 0
         t = 1e-7
         m = r.m_ref
-        ks = [m + 1.0] if r.circle is None else [m - 1.0, m + 1.0]
+        ks = [m + 1.0] if isinstance(r, Discrete) else [m - 1.0, m + 1.0]
         lim = math.sqrt(sum(abs(coef(r, k, m, math.tanh(t) ** 2).value
                                 / t) ** 2 for k in ks))
         assert lim == pytest.approx(want, rel=1e-9)
@@ -756,7 +787,7 @@ def _curvature_closed_form(r):
     (lam -+ sigma)(lam -+ sigma - 1) on f_(m+-2), times their normalizers
     N_2 = sqrt((2 + lam)(1 + lam) / ((1 - lam)(-lam))) on the complementary
     series, and -L^2 on f_m; on the disc 3 ell^2 + 2 ell under the root."""
-    if r.circle is None:
+    if isinstance(r, Discrete):
         return math.sqrt(3.0 * r.ell ** 2 + 2.0 * r.ell)
     sigma, lam = r.circle
     n1, n2 = 1.0, 1.0
@@ -784,7 +815,7 @@ class TestCurvature:
         # on n = m and 0 elsewhere
         t = 1e-4
         m = r.m_ref
-        ks = [m, m + 2.0] if r.circle is None else [m - 2.0, m, m + 2.0]
+        ks = [m, m + 2.0] if isinstance(r, Discrete) else [m - 2.0, m, m + 2.0]
 
         def col(k, s):
             return coef(r, k, m, math.tanh(s) ** 2).value
@@ -812,6 +843,31 @@ class TestCurvature:
         col = coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2)
         bend = float(np.max(np.abs(np.diff(col, 2)))) / (ts[1] - ts[0]) ** 2
         assert 0.0 < bend <= r.curvature
+
+
+# [FROZEN] float.hex of L and K, from the per-family _leading they had
+# before one _leading served every family; a sum in another order or a
+# component on the wrong index moves them
+FROZEN_BOUNDS = [
+    (Principal(0.0, -0.5 + 1.0j), "0x1.94c583ada5b53p+0",
+     "0x1.e54dd4ce75f1cp+1"),
+    (Principal(0.5, -0.5 + 0.7j), "0x1.6839537fece64p+0",
+     "0x1.af0ce2af95114p+1"),
+    (Principal(0.5, -0.5), "0x1.0000000000000p+0", "0x1.1e3779b97f4a8p+1"),
+    (Complementary(-0.25), "0x1.3988e1409212fp-1", "0x1.f5e67fdcbdf46p-1"),
+    (Complementary(-0.4), "0x1.62b9586ad0a20p-1", "0x1.24834df792124p+0"),
+    (Discrete(2), "0x1.6a09e667f3bccp+0", "0x1.fffffffffffffp+1"),
+    (Discrete(3), "0x1.bb67ae8584cabp+0", "0x1.6fa6ea162d0f1p+2"),
+    (Discrete(7), "0x1.52a7fa9d2f8eap+1", "0x1.9608d3c41fb51p+3"),
+    (Principal(0.0, -0.3 + 1.0j), "inf", "inf"),
+]
+
+
+@pytest.mark.parametrize("r, lip, curv", FROZEN_BOUNDS,
+                         ids=[repr(r).replace(" ", "") for r, *_ in
+                              FROZEN_BOUNDS])
+def test_bounds_keep_their_bits(r, lip, curv):
+    assert (r.lipschitz.hex(), r.curvature.hex()) == (lip, curv)
 
 
 class TestSpectrum:
@@ -1225,3 +1281,32 @@ if __name__ == "__main__":
                      * mpmath.hyp2f1(a, b, d + 1, xm))
                 print(f'    ({sigma}, {n}, {m}, {x}, '
                       f'"{mpmath.nstr(v.real, 30)}", "{mpmath.nstr(v.imag, 30)}"),')
+
+
+def test_model_is_decided_on_the_family_classes():
+    # outside the circle classes no module reads .circle or calls isinstance
+    # with a family class: each family's model, oracle column and reference
+    # factor are methods, so no caller tests which family it holds
+    families = {"Principal", "Complementary", "Discrete"}
+    circle_classes = {"_Circle", "Principal", "Complementary"}
+
+    def found(node):
+        if isinstance(node, ast.ClassDef) and node.name in circle_classes:
+            return []
+        here = []
+        if isinstance(node, ast.Attribute) and node.attr == "circle":
+            here.append(".circle")
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2
+                and families & {getattr(n, "id", getattr(n, "attr", None))
+                                for n in ast.walk(node.args[1])}):
+            here.append("isinstance")
+        return here + [w for child in ast.iter_child_nodes(node)
+                       for w in found(child)]
+
+    seen = {(path.name, what)
+            for path in Path(repnorm.__file__).parent.glob("*.py")
+            for what in found(ast.parse(path.read_text("utf-8")))}
+    assert seen == set()
+    assert not hasattr(Discrete(2), "circle")
