@@ -126,9 +126,9 @@ OFF_COLUMN_TOPS = {"-3": lambda r: -3, "nan": lambda r: math.nan,
 
 
 class TestOracleColumnTop:
-    """coef_oracle refuses an n_max that is not finite or lies below m_ref,
-    naming it: numpy's bare ValueError on an empty circle column, int()'s
-    ValueError or OverflowError, and a one-entry disc column are gone."""
+    """coef_oracle refuses an n_max that is not finite or lies below m_ref
+    with a PreconditionError that names it, on either model, instead of
+    an empty circle column or a disc column cut to its first index."""
 
     @pytest.mark.parametrize("r", GRID_REPS,
                              ids=lambda r: repr(r).replace(" ", ""))
@@ -845,9 +845,9 @@ class TestCurvature:
         assert 0.0 < bend <= r.curvature
 
 
-# [FROZEN] float.hex of L and K, from the per-family _leading they had
-# before one _leading served every family; a sum in another order or a
-# component on the wrong index moves them
+# [FROZEN] float.hex of L and K, each from the leading terms of its
+# family's reference factor; a sum in another order or a component on the
+# wrong index moves them
 FROZEN_BOUNDS = [
     (Principal(0.0, -0.5 + 1.0j), "0x1.94c583ada5b53p+0",
      "0x1.e54dd4ce75f1cp+1"),
