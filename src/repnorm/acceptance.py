@@ -133,8 +133,9 @@ def criterion_2(tol=1e-8):
     """Closed-form coefficients against the quadrature oracle across the
     family grid, full columns up to index 128, seven Cartan points: one
     oracle column per point, and one batched closed_form call per
-    (family, n) over all seven, without the slope.  The two above X_CUT
-    check the ODE branch there; a nan fails the comparison."""
+    (family, n) over all seven, without the slope.  x = 0.9 is the
+    series' last point, X_CUT itself, and the two above it check the ODE
+    branch there; a nan fails the comparison."""
     t0 = time.perf_counter()
     xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.995])
     worst = 0.0

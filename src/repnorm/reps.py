@@ -39,7 +39,9 @@ from .errors import ConvergenceError, NormalizationError, PreconditionError
 from .specfun import (_EPS, gamma_ratio_signed, gamma_rounding, hyp2f1,
                       is_nonpositive_int, log_gamma_difference, log_gammas)
 
-X_CUT = 0.98
+# The one cut of the circle closed form: the Gauss series at or below it,
+# where it needs hundreds of terms, the ODE tables (started at it) above it
+X_CUT = 0.9
 ORACLE_TOL = 1e-9
 
 
@@ -678,7 +680,8 @@ def parseval_defect(r, m, x):
 _CLOSED_REL = 2e-14
 
 # The ODE branch (see _OdeTable): Taylor terms, step over 1-z, cap on step
-# times rate, centres per chunk (a quarter in the first: 1-x to 2e-4 in 8 KB),
+# times rate, centres per chunk (a quarter in the first: 1-x from 1 - X_CUT
+# to about 1e-3 in 8 KB),
 # largest condition number of an error window, bytes of rows kept, 1-x floor.
 _ODE_ORDER, _ODE_RHO, _ODE_RATE, _ODE_CHUNK = 32, 0.25, 2.0, 64
 _ODE_WINDOW, _ODE_CACHE_BYTES, _ODE_FLOOR = 64.0, 4 << 20, 1e-290
@@ -698,17 +701,18 @@ class _OdeTable:
     A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1)
     built for a chunk of centres at once; their sums at t = 1, last term
     first, carry (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT
-    (F' to a tolerance 1/(1-X_CUT) tighter: its tail falls that much
-    slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), capped where
-    the solutions' rates would make rows rise like (|b| h)^k/k!, is a
-    difference of centres, so exact.  A centre's bound adds the tail past
+    (F' to a tolerance 1/(1-X_CUT) = 10 times tighter: its tail falls that
+    much slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), capped
+    where the solutions' rates would make rows rise like (|b| h)^k/k!, is
+    a difference of centres, so exact.  A centre's bound adds the tail past
     N (Johansson, ACM TOMS 45, 2019): for k >= N, |u_{k+2}| <= A |u_k| +
     B |u_{k+1}| with A = (1 + |a-1|/(N+1))(1 + |b-2|/(N+2)) h^2/p0 and
     B = (|p1| + |q0-2 p1|/(N+2)) h/p0, so |u_k| <= M r^(k-N), r^2 = B r + A,
-    M = max(|u_N|, |u_{N+1}|/r); the rows' rounding, 16 eps of each
-    coefficient's two terms carried by the recurrence; and the errors of
-    (u_0, u_1), from hyp2f1's bounds plus, per step, its tail, rounding and
-    eps sum (k+7) |u_k| of its sums, 2 x 2 product and scaling by h.  In a
+    M = max(|u_N|, |u_{N+1}|/r); the rows' rounding, a running bound from
+    the two products that form each coefficient, carried by the
+    recurrence; and the errors of (u_0, u_1), from hyp2f1's bounds plus,
+    per step, its tail, rounding and eps sum (k+7) |u_k| of its sums,
+    2 x 2 product and scaling by h.  In a
     window of steps whose product Phi has a condition number below
     _ODE_WINDOW an error added at step i reaches step j as
     |Phi_j| |Phi_i^-1| of it, linear in the steps where the solutions
@@ -755,12 +759,17 @@ class _OdeTable:
         basis[0, 0] = basis[1, 1] = 1.0
         for k in range(n):
             basis[:, k + 2] = ca[k] * basis[:, k] - cb[k] * basis[:, k + 1]
-        # the rows' rounding: each drift holds 16 eps of its coefficient, and
-        # the recurrence carries it into 16 eps of the terms of the next two
-        mags, ma = np.abs(basis), np.abs(ca)
-        drift = 16.0 * _EPS * mags
+        # the rows' rounding, a running bound from the products each term
+        # forms: ca is rounded to 6 eps of |ca|, cb to 4 eps of mb, and the
+        # products and their difference add 2 eps of them; the recurrence
+        # carries the drift of earlier terms by |ca| and |cb| (to first
+        # order in eps)
+        mags, ma, mc = np.abs(basis), np.abs(ca), np.abs(cb)
+        drift = np.zeros(mags.shape)
         for k in range(n):
-            drift[:, k + 2] += ma[k] * drift[:, k] + mb[k] * drift[:, k + 1]
+            drift[:, k + 2] = (ma[k] * (drift[:, k] + 8.0 * _EPS * mags[:, k])
+                               + mc[k] * drift[:, k + 1]
+                               + 6.0 * _EPS * mb[k] * mags[:, k + 1])
         big_a = ((1.0 + abs(a - 1.0) / (n + 1.0))
                  * (1.0 + abs(b - 2.0) / (n + 2.0))) * hp * h
         big_b = (np.abs(p1) + np.abs(q0 - 2.0 * p1) / (n + 2.0)) * hp
@@ -890,7 +899,7 @@ def coef(r, n, m, x):
 
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
-    below X_CUT) or 'ode' (above it, the Taylor continuation of the
+    below X_CUT = 0.9) or 'ode' (above it, the Taylor continuation of the
     hypergeometric ODE).  A value that is not finite raises
     ConvergenceError.
     """

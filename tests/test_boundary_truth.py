@@ -11,7 +11,12 @@ cut gave relative errors of 1.4e-8 at 1e-25, 8.5e-6 at 1e-30 and 0.47 at
 1e-40 against an err of 2e-10 there.  And the sigma = 1/2 reference
 column at n in {1024, 2048, 4096} and x in {0.981, 0.985, 0.99, 0.999,
 0.9999}, within 1e-11 of 40-digit mpmath, with the slope d log|coef|/dx
-within 1e-13 of its scale.  Regenerate the frozen values with
+within 1e-13 of its scale.  And the band from X_CUT to 0.98, which the
+scans' root steps near the kappa <= 64 peaks and the first Kronrod round
+of the integrals reach: the reference columns n = 4, 64 and 256 of the
+four families at x in {0.91, 0.95, 0.97}, and ten rows off them with
+|n - m| up to 128, by mpmath at 40 digits.  Regenerate the frozen values
+with
 
     PYTHONPATH=src python tests/test_boundary_truth.py
 """
@@ -31,6 +36,13 @@ DEEP_POINTS = [(fam, n, omx)
                for omx in ("1e-16", "1e-25", "1e-30", "1e-40", "1e-60")]
 COLUMN_POINTS = [("principal-odd", n, x) for n in (1024, 2048, 4096)
                  for x in ("0.981", "0.985", "0.99", "0.999", "0.9999")]
+BAND_POINTS = [(fam, n, 0, x) for fam in FAMILIES for n in (4, 64, 256)
+               for x in ("0.91", "0.95", "0.97")] + [
+    ("principal-even", 0, -128, "0.91"), ("principal-even", 0, -128, "0.97"),
+    ("principal-odd", 0, -128, "0.95"), ("principal-even", -3, -40, "0.95"),
+    ("principal-odd", 2, 7, "0.97"), ("principal-even", 16, 2, "0.95"),
+    ("principal-odd", 16, 2, "0.91"), ("complementary", 64, 3, "0.97"),
+    ("principal-log", 40, 30, "0.95"), ("principal-even", 130, 2, "0.91")]
 # [DERIVED] (family, n, omx, re, im) by mpmath at 120 digits, at
 # x = 1 - float(omx) exactly; see _reference_deep
 DEEP = [
@@ -84,11 +96,62 @@ COLUMN = [
     ("principal-odd", 4096, "0.999", "0.005127824749158824058411542653912648512205", "0.0008688130169184422469544260828156447298813", "1449.40216053556722765968345402077648503"),
     ("principal-odd", 4096, "0.9999", "0.005034307043759306608440105878750800639551", "0.0008529682086931273854023253148880918666461", "-10126.4206733357522733414139151507614033"),
 ]
+# [DERIVED] (family, n, m, x, re, im) by mpmath at 40 digits (80 working
+# digits) at the double nearest to x; see _reference_band
+BAND = [
+    ("principal-even", 4, 0, "0.91", "-0.1090915958618959719414278786612012221695", "-0.1095807958433394516362324879825519002959"),
+    ("principal-even", 4, 0, "0.95", "-0.04211171827179852685805552997694882242721", "-0.04230056005777071756145488212931182163092"),
+    ("principal-even", 4, 0, "0.97", "0.002503075501039331233309497810878108297425", "0.002514300054855651104310885693438099814453"),
+    ("principal-even", 64, 0, "0.91", "0.003825819284563085606989230685782265022607", "0.009009884936897553288143519531186953126828"),
+    ("principal-even", 64, 0, "0.95", "0.01334455110709928107329431919046301919701", "0.03142669871905467116668807714921403925515"),
+    ("principal-even", 64, 0, "0.97", "0.02201151487177763504037710343160563233296", "0.05183758079785370160044670639263238504411"),
+    ("principal-even", 256, 0, "0.91", "0.0000006378551357657554737184552248379760425837", "-0.0000001406309166854745991924987918569941010615"),
+    ("principal-even", 256, 0, "0.95", "0.0001510191563925001533118097446154410675703", "-0.00003329590248583297555172312166996342831218"),
+    ("principal-even", 256, 0, "0.97", "0.002056856603446733417288860246928122022415", "-0.0004534848328626018516138472396806772061235"),
+    ("principal-log", 4, 0, "0.91", "0.1765716299349002945174155438268578760152", "0.0"),
+    ("principal-log", 4, 0, "0.95", "0.1729731975670479483941365884033529174068", "0.0"),
+    ("principal-log", 4, 0, "0.97", "0.1619501286803313120456004906070817966886", "0.0"),
+    ("principal-log", 64, 0, "0.91", "0.003326099230891311835457022943984368154318", "0.0"),
+    ("principal-log", 64, 0, "0.95", "0.01285205183734913898838963942862634511183", "0.0"),
+    ("principal-log", 64, 0, "0.97", "0.02425362075269741063211963362672480636876", "0.0"),
+    ("principal-log", 256, 0, "0.91", "0.0000001996525195521573074524211577464233161403", "0.0"),
+    ("principal-log", 256, 0, "0.95", "0.00004877578218040419911642706225648543355628", "0.0"),
+    ("principal-log", 256, 0, "0.97", "0.0006943821839943031547428960746006688964782", "0.0"),
+    ("complementary", 4, 0, "0.91", "0.06552818440374001035858589002936457420711", "0.0"),
+    ("complementary", 4, 0, "0.95", "0.06604299981990388339386903875914640452312", "0.0"),
+    ("complementary", 4, 0, "0.97", "0.06367760771518954005531712084750718819306", "0.0"),
+    ("complementary", 64, 0, "0.91", "0.0005801202576612370220988446121092418921076", "0.0"),
+    ("complementary", 64, 0, "0.95", "0.002255616147745683784725007787013696336734", "0.0"),
+    ("complementary", 64, 0, "0.97", "0.004290752380664820147645623479916215539346", "0.0"),
+    ("complementary", 256, 0, "0.91", "0.00000002446193652331981154922980237552448361339", "0.0"),
+    ("complementary", 256, 0, "0.95", "0.000005987825667359292430626203692729629121315", "0.0"),
+    ("complementary", 256, 0, "0.97", "0.00008547841850344835915474385044283903241035", "0.0"),
+    ("principal-odd", 4, 0, "0.91", "0.03506867096055985305650015866221417169776", "-0.1561498345897623694651780582737288766592"),
+    ("principal-odd", 4, 0, "0.95", "0.01566813121152253616020943584486547520445", "-0.06976529278116899542386811832716863814432"),
+    ("principal-odd", 4, 0, "0.97", "0.003165560635989002340474232297712730249077", "-0.01409525243341740865620311627191982809816"),
+    ("principal-odd", 64, 0, "0.91", "-0.01931724395102671586979264424739497898517", "0.001314050484860786959507160673555888798078"),
+    ("principal-odd", 64, 0, "0.95", "-0.05386414242430405505396413922813624606848", "0.003664094249092156056596401505292303984289"),
+    ("principal-odd", 64, 0, "0.97", "-0.07506786148088584128581502947181150644802", "0.005106471711311464655730983091891838857357"),
+    ("principal-odd", 256, 0, "0.91", "-0.00000122342126477109878979000323219575442642", "0.00000205693622831282518329483520859762837403"),
+    ("principal-odd", 256, 0, "0.95", "-0.0002209362818754804901690382448091411810227", "0.0003714598196259386093528737450270177641671"),
+    ("principal-odd", 256, 0, "0.97", "-0.002406303212439182629820409575524961387722", "0.004045713767201648255603807978688044825273"),
+    ("principal-even", 0, -128, "0.91", "0.0003276970634818363980721496556568564028317", "-0.0001689958760463243151559611886841171009208"),
+    ("principal-even", 0, -128, "0.97", "0.01645061496826990161986655237803044502257", "-0.008483707661352425850516460527703905565062"),
+    ("principal-odd", 0, -128, "0.95", "0.000561587242380182197619555207182486375481", "-0.000926500746803100441384982275962342333022"),
+    ("principal-even", -3, -40, "0.95", "0.03420072497823897147776557137274049499095", "-0.02207791181527609853338171091422793790904"),
+    ("principal-odd", 2, 7, "0.97", "0.07082324943096061940257833509579314815235", "0.06696226860399202444885928052814465763545"),
+    ("principal-even", 16, 2, "0.95", "0.03921417329351561513871139586215675974308", "0.07866154068587861282427809471771709753595"),
+    ("principal-odd", 16, 2, "0.91", "-0.03051915466949738039714888524356549626287", "0.1134892999617780274753041458674338917114"),
+    ("complementary", 64, 3, "0.97", "0.02175887902544429654863412636045480557357", "0.0"),
+    ("principal-log", 40, 30, "0.95", "-0.03537460978966011163866205662215960289655", "0.0"),
+    ("principal-even", 130, 2, "0.91", "-0.01129930170097025893383107610693842206055", "0.01706024176456740559198363248807443236301"),
+]
 
 
 def test_every_point_is_frozen():
     assert [p[:3] for p in DEEP] == DEEP_POINTS
     assert [p[:3] for p in COLUMN] == COLUMN_POINTS
+    assert [p[:4] for p in BAND] == BAND_POINTS
 
 
 @pytest.mark.parametrize("fam,n,omx,re,im", DEEP,
@@ -119,14 +182,34 @@ def test_odd_reference_column(fam, n, x, re, im, slope):
     assert abs(slopes[0] - float(slope)) <= 1e-13 * scale
 
 
-def _coefficient(mpmath, sigma, lam, n, x, omx):
-    """pref x^(n/2) (1-x)^(-lam) 2F1(a, b; n+1; x) on the column m = 0,
-    n >= 0, with (1-x) given as omx."""
+@pytest.mark.parametrize("fam,n,m,x,re,im", BAND,
+                         ids=[f"{p[0]}-{p[1]}-{p[2]}-x{p[3]}" for p in BAND])
+def test_band_above_the_cut(fam, n, m, x, re, im):
+    ref = complex(float(re), float(im))
+    cv = coef(Principal(*FAMILIES[fam]), n, m, float(x))
+    assert cv.method == "ode"
+    assert abs(cv.value - ref) <= cv.err_est
+    # err is at most 4e-11 of |ref| but at (40, 30), whose 2F1 cancels to
+    # 2e-8 of its terms and is off by 2e7 relative inside an err of 1e11
+    if (n, m) != (40, 30):
+        assert cv.err_est <= 1e-10 * abs(ref)
+
+
+def _coefficient(mpmath, sigma, lam, n, x, omx, m=0):
+    """pref x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x) of the circle
+    closed form, with (1-x) given as omx."""
     lam, s = mpmath.mpmathify(lam), mpmath.mpf(sigma)
-    a, b = -lam - s, -lam + n + s
-    pref = mpmath.gammaprod([lam - s + 1], [n + 1, lam - n - s + 1])
-    return (pref * x ** (mpmath.mpf(n) / 2) * omx ** (-lam)
-            * mpmath.hyp2f1(a, b, n + 1, x))
+    if n >= m:
+        a, b = -lam - m - s, -lam + n + s
+        pref = mpmath.gammaprod([lam - m - s + 1],
+                                [n - m + 1, lam - n - s + 1])
+    else:
+        a, b = -lam - n - s, -lam + m + s
+        pref = mpmath.gammaprod([lam + m + s + 1],
+                                [m - n + 1, lam + n + s + 1])
+    d = abs(n - m)
+    return (pref * x ** (mpmath.mpf(d) / 2) * omx ** (-lam)
+            * mpmath.hyp2f1(a, b, d + 1, x))
 
 
 def _reference_deep(fam, n, omx):
@@ -151,6 +234,15 @@ def _reference_column(fam, n, x):
                 mpmath.nstr(slope, 40))
 
 
+def _reference_band(fam, n, m, x):
+    import mpmath
+
+    with mpmath.workdps(80):
+        xm = mpmath.mpf(float(x))
+        v = _coefficient(mpmath, *FAMILIES[fam], n, xm, 1 - xm, m)
+        return mpmath.nstr(v.real, 40), mpmath.nstr(v.imag, 40)
+
+
 if __name__ == "__main__":
     print("DEEP = [")
     for fam, n, omx in DEEP_POINTS:
@@ -161,4 +253,9 @@ if __name__ == "__main__":
     for fam, n, x in COLUMN_POINTS:
         re, im, slope = _reference_column(fam, n, x)
         print(f'    ("{fam}", {n}, "{x}", "{re}", "{im}", "{slope}"),')
+    print("]")
+    print("BAND = [")
+    for fam, n, m, x in BAND_POINTS:
+        re, im = _reference_band(fam, n, m, x)
+        print(f'    ("{fam}", {n}, {m}, "{x}", "{re}", "{im}"),')
     print("]")

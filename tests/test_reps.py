@@ -344,9 +344,13 @@ class TestOdeTables:
     def test_table_reaches_only_as_far_as_asked(self):
         a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 64, 0)
         tables = _OdeCache(1 << 30)
-        # a first chunk of 16 centres reaches 1-x = 2e-4, then 64 at a time
+        # a first chunk of 16 centres from 1-x = 1 - X_CUT reaches 1.4e-3,
+        # then 64 at a time
+        centres = tables.rows(a, b, c, 2e-3)[0]
+        assert centres[0] == 1.0 - X_CUT
+        assert centres[-1] < 2e-3 and centres.size == 16
         centres = tables.rows(a, b, c, 1e-3)[0]
-        assert centres[-1] < 1e-3 and centres.size == 16
+        assert centres[-1] < 1e-3 and centres.size == 16 + 64
         centres = tables.rows(a, b, c, 1e-56)[0]
         assert centres[-1] < 1e-56 and centres.size <= 512
         # the step is a quarter of 1-x away from the cap, and exact
@@ -532,10 +536,11 @@ class TestSeriesKernel:
             pytest.approx(2.4921875, rel=1e-15)
 
     def test_batch_independence_on_the_boundary_column(self):
-        # a stop on the batch-wide largest term gives 137 of the 138 points
-        # at or below X_CUT of this column other last bits than alone
+        # the 138 points at or below X_CUT of a column that straddles it
+        # each stop on their own terms, not on the batch-wide largest one,
+        # so they have the bits of their one-point calls
         r = Principal(0.0, -0.5 + 1.0j)
-        xs = np.linspace(0.97, 0.999, 400)
+        xs = np.linspace(X_CUT - 0.01, X_CUT + 0.019, 400)
         whole = coef_vec(r, 512, 0, xs)
         alone = np.array([coef_vec(r, 512, 0, xs[i:i + 1])[0]
                           for i in range(xs.size)])
@@ -592,7 +597,8 @@ class TestSlope:
 
     @pytest.mark.parametrize("r,n,m,x,method,tol", [
         (Principal(0.0, -0.5 + 1.0j), 32, 0, 0.5, "series", 1e-13),
-        (Principal(0.0, -0.5 + 1.0j), 32, 0, 0.97, "series", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 32, 0, X_CUT - 0.01, "series", 1e-13),
+        (Principal(0.0, -0.5 + 1.0j), 32, 0, X_CUT + 0.01, "ode", 1e-13),
         (Principal(0.0, -0.5 + 1.0j), 128, 0, 0.99, "ode", 1e-13),
         (Complementary(-0.25), 512, 0, 0.999, "ode", 1e-13),
         (Principal(0.0, -0.5 + 1.0j), 7, -20, 0.995, "ode", 1e-13),

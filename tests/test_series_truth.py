@@ -2,7 +2,8 @@
 40-digit mpmath: every frozen point's value must lie within its err_est.
 
 The set covers the series below X_CUT on and off the reference column,
-the cancelling sum of (16, 2) at x = 0.98, the terminating sum of the
+the cancelling sum of (16, 2) at x = 0.98 (on the ODE branch, started
+from that sum at X_CUT), the terminating sum of the
 reducible point Principal(1/2, -1/2) at (60, 60), the scalar branch (the
 series itself above X_CUT) of Principal(1/2, -1/2 + 0.02i), the 1-x
 connection at the kappa = 4097 peak, and the complementary normalizer at
