@@ -189,8 +189,8 @@ def test_band_above_the_cut(fam, n, m, x, re, im):
     cv = coef(Principal(*FAMILIES[fam]), n, m, float(x))
     assert cv.method == "ode"
     assert abs(cv.value - ref) <= cv.err_est
-    # err is at most 4e-11 of |ref| but at (40, 30), whose 2F1 cancels to
-    # 2e-8 of its terms and is off by 2e7 relative inside an err of 1e11
+    # err is at most 4e-11 of |ref| but at (40, 30), where the 2F1 that
+    # starts the table cancels: 2e7 relative off, inside an err of 1.2e11
     if (n, m) != (40, 30):
         assert cv.err_est <= 1e-10 * abs(ref)
 

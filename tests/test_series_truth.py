@@ -1,13 +1,12 @@
 """The error bound of the Gauss series kernel, as coef reports it, against
 40-digit mpmath: every frozen point's value must lie within its err_est.
 
-The set covers the series below X_CUT on and off the reference column,
-the cancelling sum of (16, 2) at x = 0.98 (on the ODE branch, started
-from that sum at X_CUT), the terminating sum of the
-reducible point Principal(1/2, -1/2) at (60, 60), the scalar branch (the
-series itself above X_CUT) of Principal(1/2, -1/2 + 0.02i), the 1-x
-connection at the kappa = 4097 peak, and the complementary normalizer at
-large n.  Regenerate the frozen values with
+The set covers the series at or below X_CUT on and off the reference
+column, the cancelling sum of (16, 2) at X_CUT, where the ODE tables
+start, and its continuation to x = 0.98, the terminating sum of the
+reducible point Principal(1/2, -1/2) at (60, 60), the near-reducible
+Principal(1/2, -1/2 + 0.02i) above X_CUT, the kappa = 4097 peak, and the
+complementary normalizer at large n.  Regenerate the frozen values with
 
     PYTHONPATH=src python tests/test_series_truth.py
 """
@@ -39,6 +38,9 @@ POINTS = (
     ("off-unitary", 7, -2, "0.8"),
     ("complementary", -5, 0, "0.9"), ("complementary", 1000, 0, "0.95"),
     ("complementary", 64, 3, "0.98"),
+    ("principal-even", 16, 2, "0.9"), ("principal-odd", 16, 2, "0.9"),
+    ("reducible", 60, 60, "0.9"), ("complementary", 64, 3, "0.9"),
+    ("principal-even", 512, 0, "0.9"), ("complementary", 1000, 0, "0.9"),
 )
 # [DERIVED] mpmath at 40 digits (80 working digits), from the closed form
 # pref x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x), times the
@@ -64,6 +66,12 @@ FROZEN = [
     ("complementary", -5, 0, "0.9", "-0.1373500661560218295164703024238632571591", "0.0"),
     ("complementary", 1000, 0, "0.95", "1.087456988321703136105047897413374964273e-13", "0.0"),
     ("complementary", 64, 3, "0.98", "-0.00306767451560366283321597355761321093491", "0.0"),
+    ("principal-even", 16, 2, "0.9", "0.04423172927948866745887509380078644060928", "0.08872649045238454197840770461021001173482"),
+    ("principal-odd", 16, 2, "0.9", "-0.03317790241999953240274676402072947592752", "0.1233761865497940853640206234195500211094"),
+    ("reducible", 60, 60, "0.9", "0.03780585645987418967598279940369946681678", "0.0"),
+    ("complementary", 64, 3, "0.9", "-0.0900345020219775547803549973766105162288", "0.0"),
+    ("principal-even", 512, 0, "0.9", "9.839261180824081360700060676570840063122e-14", "-1.266078665662825684564075780038888055754e-13"),
+    ("complementary", 1000, 0, "0.9", "1.979957583757756904900425843961008112633e-25", "0.0"),
 ]
 
 
