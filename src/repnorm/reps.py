@@ -58,7 +58,9 @@ ORACLE_TOL = 1e-9
 class _Rep:
     """The two unitarity bounds of every family, from _leading(d): the norm
     of the components on f_(m+-d), m = m_ref, of the order-t^d terms of
-    pi(a_t) f_m."""
+    pi(a_t) f_m.  Each is computed once per instance and kept in its
+    __dict__, which a frozen dataclass has; == and hash read the fields
+    alone."""
 
     def _leading(self, d):
         """Each component is the limit of coef(k, m; a_t)/t^d, which is
@@ -69,7 +71,7 @@ class _Rep:
                    if abs(k - m) == d]
         return math.sqrt(sum(abs(f[0] * f[2]) ** 2 for f in factors))
 
-    @property
+    @functools.cached_property
     def lipschitz(self):
         """L = ||dpi(H) f_m||, m = m_ref: |d/dt coef(n, m; a_t)| <= L for
         every n and t, since the derivative is <pi(a_t) dpi(H) f_m, f_n>
@@ -78,7 +80,7 @@ class _Rep:
         unitary line."""
         return self._leading(1.0) if self.unitary else math.inf
 
-    @property
+    @functools.cached_property
     def curvature(self):
         """K = ||dpi(H)^2 f_m||, m = m_ref: |d^2/dt^2 coef(n, m; a_t)| <= K
         for every n and t, since the second derivative is
@@ -134,8 +136,10 @@ class _Circle(_Rep):
     def oracle_column(self, m, x, n_max):
         """The column at fixed m by Fourier analysis, ({n: value}, err) for
         n = -n_max..n_max, under the doubling certificate of _settled_column
-        from 8(n_max+|m|)+64 samples up, rescaled by the normalizer in one
-        numpy product (each entry has the bits of Python's s * v)."""
+        from 8(n_max+|m|)+64 samples up, each angle in [0, pi] giving the
+        samples at +-theta from one real half-angle kernel
+        (_circle_samples), rescaled by the normalizer in one numpy product
+        (each entry has the bits of Python's s * v)."""
         ns = np.array(self.indices(n_max))
 
         def column(vals):
@@ -330,7 +334,26 @@ class Discrete(_Rep):
         j/(j + ell + q).  No single radius serves both ends of a long column
         in double precision, so the orders are split into dyadic windows,
         each extracted on its own balanced contour with the same doubling
-        certificate as the circle oracle.
+        certificate as the circle oracle: F is sampled on the upper half of
+        the contour, and takes the conjugate values on the lower half.
+
+        The floor of a window is the largest over its orders j of the
+        spectrum's absolute noise times r^-j/|lead_j|, plus the entry's
+        relative rounding times its size.  The noise is that of the samples,
+        at most the mean of their roundings eps s |F| (the FFT divided by N
+        sums N of them), and the FFT's own, at most 4 eps log2(N) rms|F| in
+        any coefficient (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, ch. 24).  A sample is d_m den^-ell w^q, w =
+        num/den, den = A - Bz, num = Az - B, each rounded by at most 3 eps
+        times the size of its terms, A + Br or Ar + B, which is kappa =
+        max(A + Br, Ar + B)/(A - Br) times |den| at most; to first order each
+        of the ell + 2q factors of den and num in a sample adds 3 eps kappa
+        and a complex product or quotient of the squarings 2 eps, so s =
+        (3 kappa + 2)(ell + 2q) + 4 (where num nears its zero the sample
+        does too, and its rounding with it).  The relative rounding of an
+        entry is that of d_m and of lead_j, half their log-Gamma sums'
+        rounding and 2 eps each for the difference and the exp, and 3 eps
+        for r^-j and the two products.
         """
         ell, q = self.ell, int(m - self.ell / 2.0)
         indices = self.indices(n_max)
@@ -339,29 +362,40 @@ class Discrete(_Rep):
                     for idx in indices}, 0.0
         j_max = len(indices) - 1
         pole = 1.0 / math.sqrt(x)
+        A = 1.0 / math.sqrt(1.0 - x)
+        B = math.sqrt(x) / math.sqrt(1.0 - x)
 
         # log G(j + ell) - log G(j + 1) as log_gamma_difference, for j = q
-        # and the orders of a window
+        # and the orders of a window, and the relative rounding of the exp
+        # of half of it less log G(ell)
         lg_ell = float(log_gammas([ell])[0].real)
-        d_m = (-1.0) ** q * math.exp(
-            0.5 * (log_gamma_difference(q + 1.0, ell - 1.0)[0] - lg_ell))
+        lg_rel = gamma_rounding([lg_ell])
+        log_d, d_round = log_gamma_difference(q + 1.0, ell - 1.0)
+        d_m = (-1.0) ** q * math.exp(0.5 * (log_d - lg_ell))
+        d_rel = 0.5 * (d_round + lg_rel) + 2.0 * _EPS
 
         def window(js, radius):
             """(samples, column) of the orders js on the contour of this
             radius, for _settled_column."""
-            log_lead = 0.5 * (log_gamma_difference(js + 1.0, ell - 1.0)[0]
-                              - lg_ell)
+            log_diff, lead_round = log_gamma_difference(js + 1.0, ell - 1.0)
+            log_lead = 0.5 * (log_diff - lg_ell)
             lead = np.array([(-1.0) ** j * math.exp(v)
                              for j, v in zip(js.tolist(), log_lead.tolist())])
+            rel = d_rel + 0.5 * (lead_round + lg_rel) + 5.0 * _EPS
+            scale = radius ** (-js.astype(float))
+            gain = scale / np.abs(lead)
+            kappa = max(A + B * radius, A * radius + B) / (A - B * radius)
+            s = (3.0 * kappa + 2.0) * (ell + 2 * q) + 4.0
 
             def column(fvals):
-                spec = np.fft.fft(fvals) / fvals.size
-                taylor = spec[js] * radius ** (-js.astype(float))
-                # sample noise is absolute; the worst relative hit in the
-                # window is at its lowest order (smallest r^j and |lead|)
-                floor = 2e-16 * float(np.max(np.abs(fvals))) \
-                    * radius ** (-float(js[0])) / abs(lead[0])
-                return taylor / lead, floor
+                big_n = fvals.size
+                spec = np.fft.fft(fvals) / big_n
+                values = spec[js] * scale / lead
+                size = np.abs(fvals)
+                noise = _EPS * (s * float(np.mean(size)) + 4.0 * math.log2(
+                    big_n) * math.sqrt(float(np.mean(size * size))))
+                floor = float(np.max(noise * gain + rel * np.abs(values)))
+                return values, floor
 
             return (functools.partial(_disc_samples, ell, q, d_m, x, radius),
                     column)
@@ -552,24 +586,33 @@ def _discrete_log_j(ell, p, q):
 def _settled_column(samples, column, size, oracle, request):
     """The doubling certificate of the FFT oracles.
 
-    samples(theta) evaluates the transformed function at the angles theta,
-    and column(vals) turns its values on the N-point grid 2 pi k / N into
-    (values, floor), floor being the roundoff floor of those values.  N
-    starts at the power of two at or above size and doubles (three times at
-    most) until the values move by at most ORACLE_TOL; returns (values,
-    err), err being that last move plus the floor.  A doubling keeps the
-    samples it has, which are the even points of the finer grid to the bit,
-    and evaluates only the new odd angles; each sample depends on its angle
+    samples(theta, pos, neg) writes the transformed function at the angles
+    theta in [0, pi] into pos and at -theta into neg, and column(vals) turns
+    its values on the N-point grid 2 pi k / N into (values, floor), floor
+    being the roundoff floor of those values.  N starts at the power of two
+    at or above size and doubles (three times at most) until the values
+    move by at most ORACLE_TOL; returns (values, err), err being that last
+    move plus the floor.  Only the angles k <= N/2 are evaluated: the grid
+    point N - k is the angle -theta_k, which samples writes with theta_k.
+    A doubling keeps the grid it has, which is the even points of the finer
+    grid, and evaluates only the new odd angles below pi, whose negatives
+    are the new odd points above it; each sample depends on its angle
     alone.  oracle and request name the failure in ConvergenceError.
     """
     big_n = 1 << (int(size) - 1).bit_length()
-    vals = samples(2.0 * np.pi * np.arange(big_n) / big_n)
+    half = big_n // 2
+    vals = np.empty(big_n, dtype=complex)
+    neg = np.empty(half + 1, dtype=complex)
+    samples(2.0 * np.pi * np.arange(half + 1) / big_n, vals[:half + 1], neg)
+    vals[half + 1:] = neg[half - 1:0:-1]
     prev, _ = column(vals)
     for _ in range(3):
         finer = np.empty(2 * big_n, dtype=complex)
         finer[0::2] = vals
         big_n *= 2
-        finer[1::2] = samples(2.0 * np.pi * np.arange(1, big_n, 2) / big_n)
+        half = big_n // 2
+        samples(2.0 * np.pi * np.arange(1, half, 2) / big_n,
+                finer[1:half:2], finer[:half:-2])
         vals = finer
         cur, floor = column(vals)
         delta = float(np.max(np.abs(cur - prev)))
@@ -584,48 +627,96 @@ def _unit_circle(theta):
     """e^{i theta} with the bits of np.exp(1j * theta) at about half its
     cost: the complex exp of 0 + i theta is (cos theta, sin theta) times
     exp(0) = 1, and numpy's cos and sin take the same libm values (the
-    tests compare the samples built on it with the exp form bit for
+    tests compare the disc samples built on it with the exp form bit for
     bit)."""
     e_pos = np.empty(theta.shape, dtype=complex)
     e_pos.real, e_pos.imag = np.cos(theta), np.sin(theta)
     return e_pos
 
 
-def _circle_samples(sigma, lam, m, x, theta):
-    """The transformed circle function at the angles theta.
+def _circle_samples(sigma, lam, m, x, theta, pos, neg):
+    """The transformed circle function s = base^(lam+sigma)
+    conj(base)^(lam-sigma) moebius^m, base = A + B e^{i theta}, written at
+    the angles theta into pos and at -theta into neg, with A = 1/sqrt(1-x)
+    and B = sqrt(x)/sqrt(1-x).
 
-    Above 256 KiB numpy reuses the buffer of a temporary operand and, for
-    a commutative operation, swaps the operands, and complex multiply is
-    not bitwise commutative.  So no product here has a temporary array
-    operand, and a sample does not depend on the array size.
+    One real half-angle kernel: base = (A-B) + 2B c e^{i theta/2} with
+    c = cos(theta/2), so log base = l + i phi with
 
-    One complex log serves both powers: the conjugate base B e^{-i theta}
-    + A is the conjugate of base_pos to the bit, and the principal log is
-    conjugate-symmetric (log |z| does not see the sign of Im z, and atan2
-    is odd), so its log is np.conj(log_pos)."""
+        l = 1/2 log((A-B)^2 + 4AB c^2),
+        phi = atan2(2B sin(theta/2) c, (A-B) + 2B c^2),
+
+    sums of terms of one sign for theta in [0, pi], and A - B is formed as
+    sqrt(1-x)/(1+sqrt(x)), so nothing cancels near theta = pi as x -> 1.
+    The Moebius factor base/(A e^{i theta} + B) is e^{i(2 phi - theta)}, and
+    log base(-theta) is the conjugate of log base(theta), so
+
+        s(+-theta) = e^{2 Re lam l}
+                     e^{i(2 Im lam l +- ((2 sigma + 2m) phi - m theta))},
+
+    and with sigma = m = 0 the two are one number.  Each transcendental
+    function reads and writes contiguous arrays of its own, and only exact
+    products and copies write pos and neg, which may be strided views of
+    the grid: so a sample depends on its angle alone, whatever the size,
+    layout or order of the arrays."""
     lam = complex(lam)
-    A = 1.0 / math.sqrt(1.0 - x)
-    B = math.sqrt(x) / math.sqrt(1.0 - x)
-    e_pos = _unit_circle(theta)
-    base_pos = B * e_pos + A            # Re > 0: principal powers are safe
-    log_pos = np.log(base_pos)
-    log_neg = np.conj(log_pos)
-    vals = np.exp((lam + sigma) * log_pos + (lam - sigma) * log_neg)
-    if m != 0:
-        moebius = base_pos / (A * e_pos + B)   # unit modulus on the circle
-        power = moebius ** int(m)
-        vals = vals * power
-    return vals
+    root, omx = math.sqrt(x), 1.0 - x
+    a_minus_b = math.sqrt(omx) / (1.0 + root)
+    two_b = 2.0 * root / math.sqrt(omx)
+    # five arrays of the size of theta, each reused in place: phi and the
+    # phase in half's, |base|^2, its log and the modulus in cos_half's,
+    # (A-B) + 2B c^2, m theta and the argument in work
+    half = np.multiply(theta, 0.5)
+    cos_half = np.cos(half)
+    phase = None
+    if sigma != 0.0 or m != 0:
+        phase = np.sin(half, out=half)
+        phase *= cos_half
+        phase *= two_b
+        cos_half *= cos_half
+        work = np.multiply(cos_half, two_b)
+        work += a_minus_b
+        np.arctan2(phase, work, out=phase)
+        phase *= 2.0 * sigma + 2.0 * m
+        if m != 0:
+            phase -= np.multiply(theta, float(m), out=work)
+    else:
+        cos_half *= cos_half
+        work = half
+    log_mod = cos_half
+    log_mod *= 4.0 * root / omx
+    log_mod += a_minus_b * a_minus_b
+    np.log(log_mod, out=log_mod)        # 2 l
+    arg = np.multiply(log_mod, lam.imag, out=work)
+    log_mod *= lam.real
+    mag = np.exp(log_mod, out=log_mod)
+    trig = np.empty(theta.shape)
+
+    def write(out, total):
+        np.cos(total, out=trig)
+        np.multiply(mag, trig, out=out.real)
+        np.sin(total, out=total)
+        np.multiply(mag, total, out=out.imag)
+
+    if phase is None:
+        write(pos, arg)
+        neg[...] = pos
+    else:
+        write(pos, np.add(arg, phase))
+        write(neg, np.subtract(arg, phase, out=phase))
 
 
-def _disc_samples(ell, q, d_m, x, radius, theta):
+def _disc_samples(ell, q, d_m, x, radius, theta, pos, neg):
     """The transformed disc function d_m (A - B z)^-ell w^q, w = (A z - B) /
-    (A - B z), at z = radius e^{i theta}; as in _circle_samples, no
-    product has a temporary array operand, so a sample does not depend on
-    the array size.  On a reference column (q = 0) w^q is an array of
-    ones, 1 + 0i, and a product with it returns (a 1 - b 0, a 0 + b 1),
-    the same bits but for the sign of a zero part, which these samples do
-    not have; so it is not formed."""
+    (A - B z), written at z = radius e^{i theta} into pos and at its
+    conjugate into neg: A, B, the radius and d_m are real, so the function
+    takes conjugate values there.  No product has a temporary array
+    operand, so a sample does not depend on the array size, and the samples
+    reach pos and neg, which may be strided views of the grid, by exact
+    copies.  On a reference column (q = 0) w^q is an array of ones, 1 + 0i,
+    and a product with it returns (a 1 - b 0, a 0 + b 1), the same bits but
+    for the sign of a zero part, which these samples do not have; so it is
+    not formed."""
     A = 1.0 / math.sqrt(1.0 - x)
     B = math.sqrt(x) / math.sqrt(1.0 - x)
     e_pos = _unit_circle(theta)
@@ -633,11 +724,12 @@ def _disc_samples(ell, q, d_m, x, radius, theta):
     den = A - B * z
     inverse = den ** (-ell)
     fvals = d_m * inverse
-    if q == 0:
-        return fvals
-    w = (A * z - B) / den
-    power = w ** q
-    return fvals * power
+    if q != 0:
+        w = (A * z - B) / den
+        power = w ** q
+        fvals = fvals * power
+    pos[...] = fvals
+    np.conjugate(fvals, out=neg)
 
 
 def coef_oracle(r, m, x, n_max):

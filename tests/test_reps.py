@@ -3,6 +3,7 @@ structural identities (unitarity, spectrum, symmetry, normalization)."""
 
 import ast
 import cmath
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from repnorm.errors import (ConvergenceError, DomainError,
                             NormalizationError, PoleError, PreconditionError)
 from repnorm.norms import ScanConfig, _scan_grid
 from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
-                          _OdeCache, _cartan_x, _circle_samples,
+                          _OdeCache, _Rep, _cartan_x, _circle_samples,
                           _disc_samples,
                           _f_ode_vec, _principal_params, _settled_column,
                           coef, coef_oracle, coef_vec,
@@ -876,6 +877,25 @@ def test_bounds_keep_their_bits(r, lip, curv):
     assert (r.lipschitz.hex(), r.curvature.hex()) == (lip, curv)
 
 
+def test_bounds_are_computed_once_per_instance(monkeypatch):
+    calls = []
+    leading = _Rep._leading
+
+    def spy(self, d):
+        calls.append(d)
+        return leading(self, d)
+
+    monkeypatch.setattr(_Rep, "_leading", spy)
+    r, twin = Principal(0.0, -0.5 + 1.0j), Principal(0.0, -0.5 + 1.0j)
+    before = hash(r)
+    for _ in range(3):
+        assert (r.lipschitz.hex(), r.curvature.hex()) == FROZEN_BOUNDS[0][1:]
+    assert calls == [1.0, 2.0]
+    # the kept values are not fields: equality, hash and repr see none
+    assert r == twin and hash(r) == hash(twin) == before
+    assert repr(r) == repr(twin)
+
+
 class TestSpectrum:
     def test_principal_parity(self):
         assert Principal(0.0, -0.5 + 1.0j).spectrum(6) == [
@@ -1049,25 +1069,6 @@ def _positive_on(lam, ks):
     return True
 
 
-def _circle_samples_reference(sigma, lam, m, x, theta):
-    """_circle_samples as first written, with np.exp(1j theta) and a complex
-    log for each of the two bases; frozen here for the bit guard."""
-    lam = complex(lam)
-    A = 1.0 / math.sqrt(1.0 - x)
-    B = math.sqrt(x) / math.sqrt(1.0 - x)
-    e_pos = np.exp(1j * theta)
-    base_pos = B * e_pos + A
-    base_neg = B * np.conj(e_pos) + A
-    log_pos = np.log(base_pos)
-    log_neg = np.log(base_neg)
-    vals = np.exp((lam + sigma) * log_pos + (lam - sigma) * log_neg)
-    if m != 0:
-        moebius = base_pos / (A * e_pos + B)
-        power = moebius ** int(m)
-        vals = vals * power
-    return vals
-
-
 def _disc_samples_reference(ell, q, d_m, x, radius, theta):
     """_disc_samples as first written, with np.exp(1j theta) and w^q formed
     for every q; frozen here for the bit guard."""
@@ -1085,35 +1086,50 @@ def _disc_samples_reference(ell, q, d_m, x, radius, theta):
 
 def _same_bits(a, b):
     """Equal to the bit, signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
 
 
+def _half_grid(samples, theta):
+    """(values at theta, values at -theta) on fresh contiguous arrays."""
+    pos = np.empty(theta.size, dtype=complex)
+    neg = np.empty(theta.size, dtype=complex)
+    samples(theta, pos, neg)
+    return pos, neg
+
+
+def _fresh_grid(samples, big_n):
+    """The N-point grid from one fresh evaluation at the angles k <= N/2,
+    the point N - k taking the value at -theta_k."""
+    pos, neg = _half_grid(
+        samples, 2.0 * np.pi * np.arange(big_n // 2 + 1) / big_n)
+    return np.concatenate([pos, neg[big_n // 2 - 1:0:-1]])
+
+
+def _grids_of(monkeypatch):
+    """Spy on np.fft.fft: the list of every grid it transforms."""
+    grids = []
+    original = np.fft.fft
+
+    def spy(vals):
+        grids.append(vals.copy())
+        return original(vals)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    return grids
+
+
 class TestOracleSamples:
     """Each oracle sample depends on its angle alone, so a doubling can
-    keep the samples it has and evaluate only the new odd angles."""
+    keep the grid it has and evaluate only the new odd angles below pi; the
+    points above pi come with them, by conjugate symmetry."""
 
-    # two full grids, and the 16384 odd angles of N = 32768, at numpy's
-    # 256 KiB threshold of temporary reuse
-    _BIT_GRIDS = [2.0 * np.pi * np.arange(n) / n for n in (64, 1024)] \
-        + [2.0 * np.pi * np.arange(1, 32768, 2) / 32768]
-
-    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
-                                   Principal(0.5, -0.5 + 0.7j),
-                                   Principal(0.0, -0.3 + 0.5j),
-                                   Principal(0.5, -0.5),
-                                   Principal(0.0, -0.5 + 3.0j),
-                                   Complementary(-0.25)], ids=str)
-    def test_circle_samples_keep_the_reference_bits(self, r):
-        # cos and sin must be the components of exp(1j theta), and the log
-        # of the conjugate base the conjugate of the log, on this platform
-        for m in (0, 1, 2, -3, 7):
-            for x in (0.0, 1e-6, 0.5, 0.99, 0.9999):
-                for theta in self._BIT_GRIDS:
-                    assert _same_bits(
-                        _circle_samples(*r.circle, m, x, theta),
-                        _circle_samples_reference(*r.circle, m, x, theta)), \
-                        (m, x, theta.size)
+    # two half grids, and the 16384 odd angles below pi of N = 65536, at
+    # numpy's 256 KiB threshold of temporary reuse
+    _BIT_GRIDS = [2.0 * np.pi * np.arange(n // 2 + 1) / n
+                  for n in (64, 1024)] \
+        + [2.0 * np.pi * np.arange(1, 32768, 2) / 65536]
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 7])
     def test_disc_samples_keep_the_reference_bits(self, ell):
@@ -1123,16 +1139,23 @@ class TestOracleSamples:
                 for radius in (0.5, 0.999 * pole):
                     args = (ell, q, (-1.0) ** q * 0.7, x, radius)
                     for theta in self._BIT_GRIDS:
-                        assert _same_bits(
-                            _disc_samples(*args, theta),
-                            _disc_samples_reference(*args, theta)), \
-                            (q, x, radius, theta.size)
+                        pos, neg = _half_grid(
+                            functools.partial(_disc_samples, *args), theta)
+                        ref = _disc_samples_reference(*args, theta)
+                        assert _same_bits(pos, ref), (q, x, radius)
+                        assert _same_bits(neg, np.conj(ref)), (q, x, radius)
 
     @staticmethod
-    def _grids(big_n):
-        return (2.0 * np.pi * np.arange(big_n) / big_n,
-                2.0 * np.pi * np.arange(1, big_n, 2) / big_n,
-                2.0 * np.pi * np.arange(big_n // 2) / (big_n // 2))
+    def _check_halves(samples, big_n):
+        """The grid of a fresh half-circle evaluation at N equals its
+        halves: the kept even points (a fresh grid at N/2) and the new odd
+        points below pi and, from the same call, above it."""
+        full = _fresh_grid(samples, big_n)
+        pos, neg = _half_grid(
+            samples, 2.0 * np.pi * np.arange(1, big_n // 2, 2) / big_n)
+        assert _same_bits(full[0::2], _fresh_grid(samples, big_n // 2))
+        assert _same_bits(full[1:big_n // 2:2], pos)
+        assert _same_bits(full[:big_n // 2:-2], neg)
 
     @pytest.mark.parametrize("big_n", [8192, 16384, 32768])
     @pytest.mark.parametrize("x", [0.99, 0.9999])
@@ -1142,29 +1165,23 @@ class TestOracleSamples:
                                    Principal(0.0, -0.3 + 0.5j)],
                              ids=str)
     def test_circle_full_grid_equals_its_halves(self, r, m, x, big_n):
-        full, odd, coarse = self._grids(big_n)
-        vals = _circle_samples(*r.circle, m, x, full)
-        assert np.array_equal(vals[1::2],
-                              _circle_samples(*r.circle, m, x, odd))
-        assert np.array_equal(vals[0::2],
-                              _circle_samples(*r.circle, m, x, coarse))
+        self._check_halves(
+            functools.partial(_circle_samples, *r.circle, m, x), big_n)
 
     @pytest.mark.parametrize("big_n", [8192, 16384, 32768])
     @pytest.mark.parametrize("ell, q", [(2, 0), (2, 1), (3, 2), (4, 5)])
     def test_disc_full_grid_equals_its_halves(self, ell, q, big_n):
-        full, odd, coarse = self._grids(big_n)
-        args = (ell, q, -0.7, 0.99, 1.002)
-        vals = _disc_samples(*args, full)
-        assert np.array_equal(vals[1::2], _disc_samples(*args, odd))
-        assert np.array_equal(vals[0::2], _disc_samples(*args, coarse))
+        self._check_halves(
+            functools.partial(_disc_samples, ell, q, -0.7, 0.99, 1.002),
+            big_n)
 
     def test_each_angle_is_sampled_once(self):
         r = Principal(0.5, -0.5 + 0.7j)
         sizes = []
 
-        def samples(theta):
+        def samples(theta, pos, neg):
             sizes.append(theta.size)
-            return _circle_samples(*r.circle, 0, 0.99, theta)
+            _circle_samples(*r.circle, 0, 0.99, theta, pos, neg)
 
         def column(vals):
             return np.fft.fft(vals)[:8] / vals.size, 0.0
@@ -1172,7 +1189,28 @@ class TestOracleSamples:
         with pytest.raises(ConvergenceError):
             # the tolerance is never met at this size: all three doublings
             _settled_column(samples, column, 16, "circle", "test")
-        assert sizes == [16, 16, 32, 64]
+        # N/2 + 1 angles on the first grid of N = 16, then the N/4 new odd
+        # angles below pi of each finer grid
+        assert sizes == [9, 8, 16, 32]
+
+    @pytest.mark.parametrize("r, m, x, n_max", [
+        (Discrete(2), 1.0, 0.9, 40.0),
+        (Discrete(3), 3.5, 0.5, 20.5),
+        (Principal(0.0, -0.5 + 1.0j), 0, 0.99, 128),
+        (Complementary(-0.25), 0, 0.9, 64),
+    ], ids=str)
+    def test_assembled_grid_is_symmetric(self, r, m, x, n_max,
+                                         monkeypatch):
+        # the disc function takes conjugate values at conjugate points; a
+        # circle function with sigma = m = 0 takes one value at +-theta
+        grids = _grids_of(monkeypatch)
+        coef_oracle(r, m, x, n_max)
+        assert grids
+        for vals in grids:
+            big_n = vals.size
+            low, high = vals[1:big_n // 2], vals[:big_n // 2:-1]
+            want = np.conj(low) if isinstance(r, Discrete) else low
+            assert _same_bits(high, want)
 
     @pytest.mark.parametrize("r, m, x, n_max", [
         (Principal(0.5, -0.5 + 0.7j), 0, 0.99, 1024),
@@ -1181,18 +1219,13 @@ class TestOracleSamples:
     ], ids=str)
     def test_column_is_the_fft_of_a_fresh_grid(self, r, m, x, n_max,
                                                monkeypatch):
-        sizes = []
-        original = np.fft.fft
-
-        def spy(vals):
-            sizes.append(vals.size)
-            return original(vals)
-
-        monkeypatch.setattr(np.fft, "fft", spy)
+        grids = _grids_of(monkeypatch)
         column, _ = coef_oracle(r, m, x, n_max)
-        big_n = sizes[-1]
-        theta = 2.0 * np.pi * np.arange(big_n) / big_n
-        spec = np.fft.fft(_circle_samples(*r.circle, m, x, theta)) / big_n
+        big_n = grids[-1].size
+        fresh = _fresh_grid(
+            functools.partial(_circle_samples, *r.circle, m, x), big_n)
+        assert _same_bits(grids[-1], fresh)
+        spec = np.fft.fft(fresh) / big_n
         ns = np.arange(-n_max, n_max + 1)
         scale = [r.normalizer(int(n), m)[0] for n in ns]
         assert [column[int(n)] for n in ns] == [
