@@ -106,53 +106,48 @@ def _end_chain(a, b, at_lo, floor):
 
 
 def _evaluate(f, x, need):
-    """f on the abscissae x in one call, or, if x holds more than the first
-    need of them and that call raises or meets a floating-point error that
-    numpy would report, f on those need alone."""
+    """f's (values, errs) on the abscissae x in one call, as rows of
+    panels, or, if x holds more than the first need of them and that call
+    raises or meets a floating-point error that numpy would report, on
+    those need alone."""
+    out = None
     if x.size > need:
         # numpy's error state is per thread, so no other caller sees this
         strict = {k: "ignore" if v == "ignore" else "raise"
                   for k, v in np.geterr().items()}
         try:
             with np.errstate(**strict):
-                return np.asarray(f(x), dtype=complex)
+                out = f(x)
         except Exception:
             # any failure may come from past need alone: the call on the
             # first need raises or reports whatever it would on its own
             pass
-    return np.asarray(f(x[:need]), dtype=complex)
+    values, errs = f(x[:need]) if out is None else out
+    return (np.asarray(values, dtype=complex).reshape(-1, _XK.size),
+            np.asarray(errs, dtype=float).reshape(-1, _XK.size))
 
 
-def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
+def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
     """Adaptive 15-point Kronrod rule driven by batch evaluations.
 
-    f maps a flat numpy array of abscissae to values (complex ok).  Starts
-    from _INIT_PANELS equal panels; each round settles the panels whose
-    error is within their share of tol_abs (or whose width is at the floor
-    1e-14 (hi - lo)) and bisects the rest.  Returns (value, err_est), and
-    with nodes=True also the abscissae of every round as one flat array;
-    raises ConvergenceError past _MAX_EVALS evaluations.
+    f maps a flat array of abscissae to (values, errs), errs the absolute
+    rounding of each value (complex ok).  Starts from _INIT_PANELS equal
+    panels; each round settles the panels whose error is within the larger
+    of their share of tol_abs and their rounding, half (errs @ _WK), or
+    whose width is at the floor 1e-14 (hi - lo), and bisects the rest.
+    Returns (value, err_est), err_est the settled panels' errors and
+    roundings; raises ConvergenceError past _MAX_EVALS evaluations.
 
-    A round evaluates all its pending panels in one call of f.  At a cusp
-    at lo or hi the pass bisects one end panel per round, so from the
-    second round on, in a round where f has to evaluate no more than the
-    end panels and their siblings, each end panel brings along its end
-    chain (_end_chain) in the same call.  The store, which lives for this
-    call, holds each chain panel's row of values under its (a, b) and no
-    positions: a bisection tree holds a panel once, and the rounds and the
-    chains take a midpoint by the same operation, so a pending panel finds
-    its row under its own ends.  f is called only for the panels not in
-    it; a round whose panels are all in it calls f not at all.  (While
-    more panels need f each round, a chain would save no call.)  The rows
-    of the children of a panel that settles stay unread in the store, at
-    most 2 _CHAIN_LEVELS a chain.  This changes when f runs, not what the
-    rounds compute: as long as f gives each abscissa the same bits alone or
-    in any batch, value, err_est and every ConvergenceError are those of
-    the pass without chains.  A call with a chain runs with numpy's
-    floating-point warnings raised; if it raises, it is rerun without the
-    chain and no chain is taken after that, so f raises and numpy warns
-    only where that pass would.  The count against _MAX_EVALS is the
-    rounds' abscissae; chain abscissae that no round reaches are not in it.
+    A round evaluates its pending panels in one call of f.  At a cusp at
+    lo or hi, in a round where f has to evaluate no more than the end
+    panels and their siblings, each end panel brings its end chain
+    (_end_chain) into the same call.  As long as f gives each abscissa the
+    same bits alone or in any batch, value, err_est and every
+    ConvergenceError are those of the pass without chains, whose rounds'
+    abscissae alone count against _MAX_EVALS.  A call with a chain runs
+    with numpy's floating-point warnings raised; if it raises, it is rerun
+    without the chain and no chain is taken after that, so f raises and
+    numpy warns only where that pass would.
     """
     lo, hi = float(lo), float(hi)
     span = hi - lo
@@ -161,9 +156,10 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
     floor = 1e-14 * span
     edges = np.linspace(lo, hi, _INIT_PANELS + 1)
     pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
-    # the store: the integrand rows of the chain panels, each under its
-    # (a, b); chains start in the second round and stop after a failed call
-    store, chains, visited = {}, True, []
+    # the store: the value and err rows of the chain panels, each under its
+    # (a, b), where a round finds them, as it takes each midpoint as a chain
+    # does; chains start in the second round and stop after a failed call
+    store, chains = {}, True
     total, err, evals = 0.0 + 0.0j, 0.0, 0
     while pend_a.size:
         n = pend_a.size
@@ -173,9 +169,9 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
         stored = {}
         if store:
             for i, key in enumerate(zip(pend_a.tolist(), pend_b.tolist())):
-                row = store.pop(key, None)
-                if row is not None:
-                    stored[i] = row
+                rows = store.pop(key, None)
+                if rows is not None:
+                    stored[i] = rows
         fresh = np.ones(n, dtype=bool)
         fresh[list(stored)] = False
         # the panel at lo, if open, is the first pending one and the panel
@@ -188,24 +184,24 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
             for i in ends:
                 ahead += _end_chain(pend_a[i], pend_b[i], i == 0, floor)
         call_a, call_b = pend_a[fresh], pend_b[fresh]
-        need = call_a.size * _XK.size
+        need = call_a.size
         if ahead:
             ahead_a, ahead_b = np.array(ahead).T
             call_a = np.concatenate([call_a, ahead_a])
             call_b = np.concatenate([call_b, ahead_b])
         y = np.empty((n, _XK.size), dtype=complex)
+        e = np.empty((n, _XK.size))
         if stored:
-            y[list(stored)] = list(stored.values())
+            y[list(stored)], e[list(stored)] = map(list, zip(*stored.values()))
         if need:
-            y_call = _evaluate(f, _panel_nodes(call_a, call_b), need)
-            y[fresh] = y_call[:need].reshape(-1, _XK.size)
-            if y_call.size > need:
-                store.update(zip(ahead, y_call[need:].reshape(-1, _XK.size)))
+            y_call, e_call = _evaluate(f, _panel_nodes(call_a, call_b),
+                                       need * _XK.size)
+            y[fresh], e[fresh] = y_call[:need], e_call[:need]
+            if len(y_call) > need:
+                store.update(zip(ahead, zip(y_call[need:], e_call[need:])))
             elif ahead:
                 chains = False
         evals += n * _XK.size
-        if nodes:
-            visited.append((pend_a, pend_b))
         y_wk = y @ _WK
         k15 = y_wk * half
         g7 = (y @ _WG) * half
@@ -220,10 +216,14 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
                 1.0, (200.0 * diff / np.where(resasc > 0.0, resasc, 1.0))
                 ** 1.5)
         panel_err = np.where(resasc > 0.0, scaled, diff)
-        budget = tol_abs * (pend_b - pend_a) / span
+        # the rounding of f integrated over the panel: a panel whose error
+        # is below it is as close as f lets it get
+        rounding = (e @ _WK) * half
+        budget = np.maximum(tol_abs * (pend_b - pend_a) / span, rounding)
         done = (panel_err <= budget) | (pend_b - pend_a <= floor)
-        total += complex(np.sum(k15[done]))
-        err += float(np.sum(panel_err[done]))
+        # the methods skip np.sum's dispatch, with the same pairwise sums
+        total += complex(k15[done].sum())
+        err += float(panel_err[done].sum()) + float(rounding[done].sum())
         keep = ~done
         pend_a, pend_b = (np.concatenate([pend_a[keep], mid[keep]]),
                           np.concatenate([mid[keep], pend_b[keep]]))
@@ -231,9 +231,6 @@ def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12, nodes=False):
             raise ConvergenceError(
                 f"quadrature not settled after {evals} evaluations"
                 f" ({pend_a.size} panels open)")
-    if nodes:
-        return total, err, _panel_nodes(
-            *(np.concatenate(edge) for edge in zip(*visited)))
     return total, err
 
 
@@ -250,8 +247,8 @@ def hyp2f1_euler_oracle(a, b, c, z):
     M = max (1-zt)^(-Re a); V puts that at 1e-3 of the aim.  err_est adds
     it, the Kronrod error, G's rounding and the integrand's, 8 eps (1 + sum
     of |p| (1 + |l|) over each exponent p and the log l it multiplies, and
-    |a| |l| for the l that 1 - zt is made of) of its size, integrated by the
-    trapezoid rule on the abscissae of the pass's rounds."""
+    |a| |l| for the l that 1 - zt is made of) of its size, which the
+    driver integrates."""
     a, b, c, z = complex(a), complex(b), complex(c), float(z)
     if not (c.real > b.real > 0.0):
         raise PreconditionError(
@@ -264,7 +261,6 @@ def hyp2f1_euler_oracle(a, b, c, z):
     log_aim = (math.log(1e-12 / abs(pref))
                - a.real * math.log1p(-z * b.real / c.real))
     big_v = (math.log(2e3 / rate) + log_m - log_aim) / (2.0 * rate)
-    seen = []
 
     def integrand(u):
         v = 0.5 * math.pi * np.sinh(u)
@@ -277,21 +273,14 @@ def hyp2f1_euler_oracle(a, b, c, z):
         y = math.pi * np.cosh(u) * np.exp(b * log_t + cb * log_s - a * w)
         rho = (1.0 + abs(a) * (1.0 + np.abs(log_z) + np.abs(w)) + abs(b)
                * (1.0 + np.abs(log_t)) + abs(cb) * (1.0 + np.abs(log_s)))
-        seen.append((u, np.abs(y) * rho))
-        return y
+        return y, 8.0 * _EPS * np.abs(y) * rho
 
     big_u = math.asinh(big_v / (0.5 * math.pi))
-    total, q_err, u = kronrod_quad_vec(integrand, -big_u, big_u,
-                                       tol_abs=math.exp(log_aim), nodes=True)
-    # the sizes at the abscissae of the rounds, not at the chains' extras
-    known = np.concatenate([np.stack(pair) for pair in seen], axis=1)
-    known = known[:, np.argsort(known[0])]
-    u = np.sort(u)
-    size = known[1, np.searchsorted(known[0], u)]
-    rounding = 4.0 * _EPS * float(np.sum((size[1:] + size[:-1]) * np.diff(u)))
+    total, q_err = kronrod_quad_vec(integrand, -big_u, big_u,
+                                    tol_abs=math.exp(log_aim))
     mass = 2.0 * math.exp(log_m - 2.0 * rate * big_v) / rate
     value = pref * total
-    return value, (abs(pref) * (q_err + mass + rounding)
+    return value, (abs(pref) * (q_err + mass)
                    + (pref_rel + 2.0 * _EPS) * abs(value))
 
 
@@ -301,7 +290,8 @@ def hyp2f1_euler_oracle(a, b, c, z):
 
 def integral_quadrature(r, n, eps):
     """Integral of coef(n, m_ref; a_x) against the eps-measure, by adaptive
-    quadrature in u = (1-x)^eps (the measure becomes du exactly)."""
+    quadrature in u = (1-x)^eps (the measure becomes du exactly); err_est
+    is the driver's, the coefficients' err integrated in it."""
     BetaMeasure(eps)
     n = r.as_index(n)
 
@@ -310,7 +300,7 @@ def integral_quadrature(r, n, eps):
         return coef_vec(r, n, r.m_ref, 1.0 - omx, omx=omx)
 
     value, err = kronrod_quad_vec(integrand, 0.0, 1.0)
-    return IntegralValue(value, "quadrature", err + 1e-9 * abs(value))
+    return IntegralValue(value, "quadrature", err)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +324,9 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     closes in closed form from u(k) = C k^tau (1 + beta/k + ...), with
     tau = a + b - c - 1 - lam_eps and beta the sum of d (2w + d - 1)/2 over
     the pairs G(k+w+d)/G(k+w) (DLMF 5.11.13).  The error estimate adds the
-    Kronrod error, the next Euler-Maclaurin term 7 u'''(lo)/5760, the
-    closure remainder and the rounding of the log-Gamma values at k = 0.
+    Kronrod error with u's rounding, the next Euler-Maclaurin term
+    7 u'''(lo)/5760, the closure remainder and the rounding of the
+    log-Gamma values at k = 0.
     """
     tau = complex(a) + complex(b) - complex(c) - 1.0 - complex(lam_eps)
     if tau.real >= -1.0:
@@ -346,19 +337,25 @@ def _beta_moment_tail(a, b, c, s0, lam_eps, k_cut):
     base = lg[0] + lg[1] - lg[2] + lg[3] - lg[4]
 
     def u(k):
-        return np.exp(sum(sign * _log_gamma_shift(k + w, d)[0]
-                          for w, d, sign in pairs) - base)
+        """u(k) and its rounding, |u| times the pairs' roundings."""
+        logs, roundings = zip(*(_log_gamma_shift(k + w, d)
+                                for w, d, _ in pairs))
+        value = np.exp(sum(pair[2] * v for v, pair in zip(logs, pairs)) - base)
+        return value, np.abs(value) * sum(roundings)
+
+    def integrand(s):
+        k = lo * np.exp(s)     # turns the algebraic decay exponential
+        value, rounding = u(k)
+        return value * k, rounding * k
 
     lo = k_cut + 0.5
-    u_lo = complex(u(lo))
+    u_lo = complex(u(lo)[0])
     scale = abs(u_lo) * lo / abs(1.0 + tau)       # the size of the tail
-    # k = lo e^s turns the algebraic decay into an exponential one
-    body, q_err = kronrod_quad_vec(
-        lambda s: u(lo * np.exp(s)) * (lo * np.exp(s)), 0.0, math.log(1e6),
-        tol_abs=1e-13 * scale)
+    body, q_err = kronrod_quad_vec(integrand, 0.0, math.log(1e6),
+                                   tol_abs=1e-13 * scale)
     k2 = lo * 1e6
     beta = sum(sign * d * (2.0 * w + d - 1.0) / 2.0 for w, d, sign in pairs)
-    far = complex(u(k2)) * k2 / (-1.0 - tau) * (1.0 + beta / (tau * k2))
+    far = complex(u(k2)[0]) * k2 / (-1.0 - tau) * (1.0 + beta / (tau * k2))
     du = u_lo * complex(sum(sign * (digamma(lo + w + d) - digamma(lo + w))
                             for w, d, sign in pairs))
     tail = body + far + du / 24.0
@@ -437,14 +434,16 @@ def reducible_point_integral(n, eps):
     """Exact value at the parity-1/2 boundary point lam = -1/2, where the
     coefficient degenerates to (-1)^n x^(n/2) (1-x)^(1/2):
 
-        eps * (-1)^n * B(n/2 + 1, 1/2 + eps).
+        eps * (-1)^n * B(n/2 + 1, 1/2 + eps),
+
+    whose first and last log-Gamma values are one shift pair.
     """
     BetaMeasure(eps)
     n = _integer(n, "index", "Principal(0.5, -0.5)")
     sign = -1.0 if n % 2 else 1.0
-    g_n, g_eps, g_sum = log_gammas(
-        [n / 2.0 + 1.0, 0.5 + eps, n / 2.0 + 1.5 + eps]).real
-    return sign * eps * math.exp(g_n + g_eps - g_sum)
+    diff, _ = log_gamma_difference(n / 2.0 + 1.0, 0.5 + eps)
+    g_eps = float(log_gammas([0.5 + eps])[0].real)
+    return sign * eps * math.exp(g_eps - diff)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def _grid_top(r, n, m, ts, k):
     lo, hi = new[:-1], new[1:]
     done = grid[:0]
     while new.size:
-        mags[new] = np.abs(coef_vec(r, n, m, xs[new]))
+        mags[new] = np.abs(coef_vec(r, n, m, xs[new])[0])
         done = np.concatenate([done, new])
         j = max(done.size - k, 0)
         tau = np.partition(mags[done], j)[j]     # the k-th largest so far

@@ -978,11 +978,11 @@ def coef_vec(r, n, m, xs, omx=None, slope=False):
     """Coefficients coef(n, m) of r over an array of Cartan x: the batched
     call of r.closed_form, used by the scans and the integrals.
 
-    Returns the values, or with slope=True (values, slopes, errs): slopes
-    is d log|coef|/dx, from the same pass as the values, and errs is the
-    err_est that coef gives each point; the values keep their bits."""
+    Returns (values, errs), errs the err_est that coef gives each point,
+    or with slope=True (values, slopes, errs): slopes is d log|coef|/dx,
+    from the same pass as the values, which keep their bits."""
     values, errs, _, dlog = r.closed_form(n, m, xs, omx, slope)
-    return (values, dlog, errs) if slope else values
+    return (values, dlog, errs) if slope else (values, errs)
 
 
 def coef(r, n, m, x):

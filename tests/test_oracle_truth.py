@@ -1,13 +1,16 @@
 """The Euler-integral oracle of criterion 1 against 40-digit mpmath: every
 frozen point's value must lie within its err_est, and err_est within
-1e-12 of |value|.  Value and err_est also keep the bits that they had
-before the Kronrod driver evaluated its end chains ahead.
+1e-12 of |value|.  Value and err_est also keep their bits: the values
+those of the Kronrod driver before it evaluated its end chains ahead.
 
 The set holds the four TestEulerOracle tuples, draw 259 (counted from 0)
 of criterion 1's Euler loop at DEFAULT_SEED, where the err of the former
 scipy.integrate route was 45 times short, and two points with Re b of 0.05
-and 0.1, where that route was 3.5e-7 and 4.8e-4 relative off.  Regenerate the frozen
-values with
+and 0.1, where that route was 3.5e-7 and 4.8e-4 relative off.  A point
+whose integral cancels far below its integrand's size ran the driver to
+its evaluation cap before the driver took the integrand's rounding; it
+must return, within its err_est and that within 1e-10 of |value|.
+Regenerate the frozen values and bits with
 
     PYTHONPATH=src python tests/test_oracle_truth.py
 """
@@ -40,19 +43,25 @@ FROZEN = [
     ("1.815016509735417219621096318770192312408", "0.9048990197254404503082767894994836747485"),
 ]
 
-# value and err_est of each point as float.hex, (re, im, err), from the
-# Kronrod driver that evaluated one round per call: the end chains change
-# when the integrand runs and the rounding term sums over the rounds'
-# abscissae only, so no bit of either moves
+# value and err_est of each point as float.hex, (re, im, err): the end
+# chains change when the integrand runs, not what the rounds compute, and
+# the integrand's rounding is integrated over the settled panels only, so
+# no bit of either moves
 FROZEN_BITS = [
-    ("0x1.40e4dc255c669p+0", "0x0.0p+0", "0x1.4500d6d0221f6p-43"),
-    ("0x1.0d5319e872711p+0", "-0x1.3ca7e5bb28bbap-3", "0x1.2577c1fcba392p-42"),
-    ("0x1.2c9f816edfc18p+1", "-0x1.62bb9c672b387p-1", "0x1.ed778331502b8p-42"),
-    ("0x1.664a0ca7a598fp+0", "0x0.0p+0", "0x1.15bc75e9fa9eap-43"),
-    ("0x1.17ca10a935d47p+0", "0x1.3d53f0e532ee0p-7", "0x1.7ccea1d4986e8p-42"),
-    ("0x1.192d37071b31fp+0", "0x0.0p+0", "0x1.3e52ba09513d2p-42"),
-    ("0x1.d0a4ec0703800p+0", "0x1.cf4eec9fce736p-1", "0x1.a814d92904b9dp-42"),
+    ("0x1.40e4dc255c669p+0", "0x0.0p+0", "0x1.44fedc89cebe4p-43"),
+    ("0x1.0d5319e872711p+0", "-0x1.3ca7e5bb28bbap-3", "0x1.25759acdd376bp-42"),
+    ("0x1.2c9f816edfc18p+1", "-0x1.62bb9c672b387p-1", "0x1.ed778e35e5518p-42"),
+    ("0x1.664a0ca7a598fp+0", "0x0.0p+0", "0x1.15ba77aa2b58ap-43"),
+    ("0x1.17ca10a935d47p+0", "0x1.3d53f0e532ee0p-7", "0x1.7ccc3641fc386p-42"),
+    ("0x1.192d37071b31fp+0", "0x0.0p+0", "0x1.3e52eb8604fa4p-42"),
+    ("0x1.d0a4ec0703800p+0", "0x1.cf4eec9fce736p-1", "0x1.a814985eae75cp-42"),
 ]
+
+# (a, b, c, z) whose integral cancels: |value| is 1e4, the integrand's
+# peak far larger; [DERIVED] mpmath as FROZEN
+CANCELLING = ((4.98-0.81j), (0.0122-2.73j), (0.322-0.481j), 0.767)
+CANCELLING_FROZEN = ("7169.884581171130337462296097802343983266",
+                     "-7987.974144646187566604056797542721988936")
 
 
 @pytest.mark.parametrize("point,ref", list(zip(POINTS, FROZEN)),
@@ -74,6 +83,12 @@ def test_every_point_is_frozen():
     assert len(FROZEN) == len(FROZEN_BITS) == len(POINTS)
 
 
+def test_cancelling_point_within_its_err():
+    ref = complex(*map(float, CANCELLING_FROZEN))
+    value, err = hyp2f1_euler_oracle(*CANCELLING)
+    assert abs(value - ref) <= err <= 1e-10 * abs(value)
+
+
 def _reference(a, b, c, z):
     import mpmath
 
@@ -84,6 +99,16 @@ def _reference(a, b, c, z):
 
 
 if __name__ == "__main__":
+    print("FROZEN = [")
     for point in POINTS:
         re, im = _reference(*point)
         print(f'    ("{re}", "{im}"),')
+    print("]")
+    print("FROZEN_BITS = [")
+    for point in POINTS:
+        value, err = hyp2f1_euler_oracle(*point)
+        print(f'    ("{value.real.hex()}", "{value.imag.hex()}",'
+              f' "{err.hex()}"),')
+    print("]")
+    re, im = _reference(*CANCELLING)
+    print(f'CANCELLING_FROZEN = ("{re}",\n{" " * 21}"{im}")')

@@ -168,7 +168,7 @@ class TestBoundaryBranches:
         ref = complex(float(re), float(im))
         cv = coef(r, n, m, x)
         assert abs(cv.value - ref) <= cv.err_est <= 1e-9 * abs(ref)
-        vec = coef_vec(r, n, m, np.array([0.5, x]))
+        vec, _ = coef_vec(r, n, m, np.array([0.5, x]))
         assert abs(vec[1] - ref) <= cv.err_est
 
 
@@ -542,8 +542,8 @@ class TestSeriesKernel:
         # so they have the bits of their one-point calls
         r = Principal(0.0, -0.5 + 1.0j)
         xs = np.linspace(X_CUT - 0.01, X_CUT + 0.019, 400)
-        whole = coef_vec(r, 512, 0, xs)
-        alone = np.array([coef_vec(r, 512, 0, xs[i:i + 1])[0]
+        whole = coef_vec(r, 512, 0, xs)[0]
+        alone = np.array([coef_vec(r, 512, 0, xs[i:i + 1])[0][0]
                           for i in range(xs.size)])
         assert np.count_nonzero(xs <= X_CUT) == 138
         assert _same_bits(whole, alone)
@@ -554,8 +554,8 @@ class TestSeriesKernel:
         # changed 1 value in 3 of this column
         r = Principal(0.0, -0.5 + 1.0j)
         xs = np.linspace(0.01, X_CUT, 8000)
-        part = coef_vec(r, 64, 0, xs)
-        whole = coef_vec(r, 64, 0, np.concatenate([xs, xs, xs]))
+        part = coef_vec(r, 64, 0, xs)[0]
+        whole = coef_vec(r, 64, 0, np.concatenate([xs, xs, xs]))[0]
         for i in range(3):
             assert _same_bits(whole[8000 * i:8000 * (i + 1)], part)
 
@@ -622,8 +622,9 @@ class TestSlope:
         assert coef(r, n, m, x).method == method
         want, scale = _reference_slope(r, n, m, x)
         assert abs(slopes[0] - want) <= tol * scale
-        # the same value bits as without the slope, and coef's budget
-        assert _same_bits(values, coef_vec(r, n, m, xs))
+        # the same value and err bits as without the slope, and coef's budget
+        plain, plain_errs = coef_vec(r, n, m, xs)
+        assert _same_bits(values, plain) and _same_bits(errs, plain_errs)
         cv = coef(r, n, m, x)
         assert values[0] == cv.value
         assert errs[0] == cv.err_est
@@ -784,7 +785,7 @@ class TestLipschitz:
         kappa = kappa if kappa in r.spectrum(kappa) else kappa + 1
         n = r.basis_index(kappa)
         ts = np.linspace(0.0, 6.0 + math.log1p(kappa), 8193)
-        mags = np.abs(coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2))
+        mags = np.abs(coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2)[0])
         slope = float(np.max(np.abs(np.diff(mags)) / np.diff(ts)))
         assert 0.0 < slope <= r.lipschitz
 
@@ -847,7 +848,7 @@ class TestCurvature:
         kappa = kappa if kappa in r.spectrum(kappa) else kappa + 1
         n = r.basis_index(kappa)
         ts = np.linspace(0.0, 6.0 + math.log1p(kappa), 8193)
-        col = coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2)
+        col = coef_vec(r, n, r.m_ref, np.tanh(ts) ** 2)[0]
         bend = float(np.max(np.abs(np.diff(col, 2)))) / (ts[1] - ts[0]) ** 2
         assert 0.0 < bend <= r.curvature
 
