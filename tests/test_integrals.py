@@ -133,6 +133,11 @@ def _tail_args(n, eps):
     return a, a + n, n + 1.0, n / 2.0, eps - TAIL_LAM, max(1024, 2 * n)
 
 
+def _probe(f):
+    """A probe integrand: f's values, with no rounding."""
+    return lambda u: (f(u), np.zeros(u.shape))
+
+
 class TestBetaMeasure:
     def test_eps_range(self):
         with pytest.raises(PreconditionError):
@@ -160,11 +165,6 @@ class TestKronrodQuadVec:
     def test_error_estimate_honest_on_algebraic_endpoint(self):
         val, err = kronrod_quad_vec(_probe(np.sqrt), 0.0, 1.0, tol_abs=1e-10)
         assert abs(val - 2.0 / 3.0) <= 10.0 * err
-
-
-def _probe(f):
-    """A probe integrand: f's values, with no rounding."""
-    return lambda u: (f(u), np.zeros(u.shape))
 
 
 def _kronrod_reference(f, lo, hi, tol_abs=1e-12):
