@@ -127,110 +127,106 @@ def _evaluate(f, x, need):
             np.asarray(errs, dtype=float).reshape(-1, _XK.size))
 
 
+def _panel_sums(y, e, half):
+    """Each panel's Kronrod value k15, error estimate and rounding
+    integrated over it, from its row of values y and of roundings e, as
+    (k15, err, rounding) triples.  Each row is summed alone,
+    (y * _WK).sum(axis=1) and not y @ _WK, whose rows can change bits with
+    the batch around them, so a panel's triple has the same bits in
+    whatever call and position evaluated it."""
+    y_wk = (y * _WK).sum(axis=1)
+    k15 = y_wk * half
+    diff = np.abs(k15 - (y * _WG).sum(axis=1) * half)
+    # rescaled error estimate: |K-G| alone badly underestimates the
+    # truncation error on panels with an algebraic cusp, so inflate it
+    # against the total-variation proxy resasc as QUADPACK does
+    resasc = (np.abs(y - y_wk[:, None] * 0.5) * _WK).sum(axis=1) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(
+            1.0, (200.0 * diff / np.where(resasc > 0.0, resasc, 1.0))
+            ** 1.5)
+    panel_err = np.where(resasc > 0.0, scaled, diff)
+    # the rounding of f integrated over the panel: a panel whose error is
+    # below it is as close as f lets it get
+    rounding = (e * _WK).sum(axis=1) * half
+    return zip(k15.tolist(), panel_err.tolist(), rounding.tolist())
+
+
 def kronrod_quad_vec(f, lo, hi, tol_abs=1e-12):
     """Adaptive 15-point Kronrod rule driven by batch evaluations.
 
     f maps a flat array of abscissae to (values, errs), errs the absolute
     rounding of each value (complex ok).  Starts from _INIT_PANELS equal
     panels; each round settles the panels whose error is within the larger
-    of their share of tol_abs and their rounding, half (errs @ _WK), or
-    whose width is at the floor 1e-14 (hi - lo), and bisects the rest.
-    Returns (value, err_est), err_est the settled panels' errors and
-    roundings; raises ConvergenceError past _MAX_EVALS evaluations.
+    of their share of tol_abs and their rounding, half (errs . _WK), or
+    whose width is at the floor 1e-14 (hi - lo), sums them in order and
+    bisects the rest.  Returns (value, err_est), err_est the settled
+    panels' errors and roundings; raises ConvergenceError past _MAX_EVALS
+    evaluations.
 
-    A round evaluates its pending panels in one call of f.  At a cusp at
-    lo or hi, in a round where f has to evaluate no more than the end
-    panels and their siblings, each end panel brings its end chain
-    (_end_chain) into the same call.  As long as f gives each abscissa the
-    same bits alone or in any batch, value, err_est and every
-    ConvergenceError are those of the pass without chains, whose rounds'
-    abscissae alone count against _MAX_EVALS.  A call with a chain runs
-    with numpy's floating-point warnings raised; if it raises, it is rerun
-    without the chain and no chain is taken after that, so f raises and
-    numpy warns only where that pass would.
+    A round evaluates the pending panels that it does not yet know in one
+    call of f, and _panel_sums turns each row of the call into its panel's
+    three numbers, which the store keeps under the panel's ends; the
+    round's own work is Python on those numbers.  At a cusp at lo or hi,
+    in a round where f has to evaluate no more than the end panels and
+    their siblings, each end panel brings its end chain (_end_chain) into
+    the same call.  As long as f gives each abscissa the same bits alone
+    or in any batch, value, err_est and every ConvergenceError are those
+    of the pass without chains, whose rounds' abscissae alone count
+    against _MAX_EVALS.  A call with a chain runs with numpy's
+    floating-point warnings raised; if it raises, it is rerun without the
+    chain and no chain is taken after that, so f raises and numpy warns
+    only where that pass would.
     """
     lo, hi = float(lo), float(hi)
     span = hi - lo
     if span <= 0.0:
         raise PreconditionError("need lo < hi")
     floor = 1e-14 * span
-    edges = np.linspace(lo, hi, _INIT_PANELS + 1)
-    pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
-    # the store: the value and err rows of the chain panels, each under its
-    # (a, b), where a round finds them, as it takes each midpoint as a chain
-    # does; chains start in the second round and stop after a failed call
+    edges = np.linspace(lo, hi, _INIT_PANELS + 1).tolist()
+    pending = list(zip(edges[:-1], edges[1:]))
+    # the store: each evaluated panel's triple under its (a, b), where a
+    # round finds it, as it takes each midpoint as a chain does; chains
+    # start in the second round and stop after a failed call
     store, chains = {}, True
     total, err, evals = 0.0 + 0.0j, 0.0, 0
-    while pend_a.size:
-        n = pend_a.size
-        mid = 0.5 * (pend_a + pend_b)
-        half = 0.5 * (pend_b - pend_a)
-        # the rows of the pending panels in the store, by position
-        stored = {}
-        if store:
-            for i, key in enumerate(zip(pend_a.tolist(), pend_b.tolist())):
-                rows = store.pop(key, None)
-                if rows is not None:
-                    stored[i] = rows
-        fresh = np.ones(n, dtype=bool)
-        fresh[list(stored)] = False
+    while pending:
+        n = len(pending)
+        call = [p for p in pending if p not in store]
+        need = len(call)
         # the panel at lo, if open, is the first pending one and the panel
         # at hi the last, as each round puts left children before right
-        ends = [i for i, at_end in ((0, pend_a[0] == lo),
-                                    (n - 1, pend_b[-1] == hi))
-                if at_end and fresh[i]] if chains and evals else []
-        ahead = []
-        if ends and n - len(stored) <= 2 * len(ends):
+        ends = [i for i, at_end in ((0, pending[0][0] == lo),
+                                    (n - 1, pending[-1][1] == hi))
+                if at_end and pending[i] not in store and chains and evals]
+        if ends and need <= 2 * len(ends):
             for i in ends:
-                ahead += _end_chain(pend_a[i], pend_b[i], i == 0, floor)
-        call_a, call_b = pend_a[fresh], pend_b[fresh]
-        need = call_a.size
-        if ahead:
-            ahead_a, ahead_b = np.array(ahead).T
-            call_a = np.concatenate([call_a, ahead_a])
-            call_b = np.concatenate([call_b, ahead_b])
-        y = np.empty((n, _XK.size), dtype=complex)
-        e = np.empty((n, _XK.size))
-        if stored:
-            y[list(stored)], e[list(stored)] = map(list, zip(*stored.values()))
-        if need:
-            y_call, e_call = _evaluate(f, _panel_nodes(call_a, call_b),
-                                       need * _XK.size)
-            y[fresh], e[fresh] = y_call[:need], e_call[:need]
-            if len(y_call) > need:
-                store.update(zip(ahead, zip(y_call[need:], e_call[need:])))
-            elif ahead:
-                chains = False
+                call += _end_chain(*pending[i], i == 0, floor)
+        if call:
+            call_a, call_b = np.array(call).T
+            y, e = _evaluate(f, _panel_nodes(call_a, call_b),
+                             need * _XK.size)
+            chains = chains and len(y) == len(call)
+            half = 0.5 * (call_b - call_a)[:len(y)]
+            store.update(zip(call, _panel_sums(y, e, half)))
         evals += n * _XK.size
-        y_wk = y @ _WK
-        k15 = y_wk * half
-        g7 = (y @ _WG) * half
-        diff = np.abs(k15 - g7)
-        # rescaled error estimate: |K-G| alone badly underestimates the
-        # truncation error on panels with an algebraic cusp, so inflate it
-        # against the total-variation proxy resasc as QUADPACK does
-        reskh = y_wk[:, None] * 0.5
-        resasc = (np.abs(y - reskh) @ _WK) * half
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = resasc * np.minimum(
-                1.0, (200.0 * diff / np.where(resasc > 0.0, resasc, 1.0))
-                ** 1.5)
-        panel_err = np.where(resasc > 0.0, scaled, diff)
-        # the rounding of f integrated over the panel: a panel whose error
-        # is below it is as close as f lets it get
-        rounding = (e @ _WK) * half
-        budget = np.maximum(tol_abs * (pend_b - pend_a) / span, rounding)
-        done = (panel_err <= budget) | (pend_b - pend_a <= floor)
-        # the methods skip np.sum's dispatch, with the same pairwise sums
-        total += complex(k15[done].sum())
-        err += float(panel_err[done].sum()) + float(rounding[done].sum())
-        keep = ~done
-        pend_a, pend_b = (np.concatenate([pend_a[keep], mid[keep]]),
-                          np.concatenate([mid[keep], pend_b[keep]]))
+        left, right = [], []
+        for a, b in pending:
+            k15, panel_err, rounding = store.pop((a, b))
+            # rounding first: max keeps a nan rounding, so it settles nothing
+            if (panel_err <= max(rounding, tol_abs * (b - a) / span)
+                    or b - a <= floor):
+                total += k15
+                err += panel_err + rounding
+            else:
+                m = 0.5 * (a + b)
+                left.append((a, m))
+                right.append((m, b))
+        pending = left + right
         if evals > _MAX_EVALS:
             raise ConvergenceError(
                 f"quadrature not settled after {evals} evaluations"
-                f" ({pend_a.size} panels open)")
+                f" ({len(pending)} panels open)")
     return total, err
 
 

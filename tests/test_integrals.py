@@ -11,7 +11,7 @@ import pytest
 from repnorm import integrals
 from repnorm.errors import ConvergenceError, DomainError, PreconditionError
 from repnorm.integrals import (_MAX_EVALS, _WG, _WK, _XK, BetaMeasure,
-                               IntegralValue, _beta_moment_tail,
+                               IntegralValue, _beta_moment_tail, _panel_sums,
                                faulhaber_sum, hyp2f1_euler_oracle,
                                integral_quadrature, integral_series, j_series,
                                kronrod_quad_vec, reducible_point_integral,
@@ -183,21 +183,24 @@ def _kronrod_reference(f, lo, hi, tol_abs=1e-12):
         y = np.asarray(values, dtype=complex).reshape(nodes.shape)
         e = np.asarray(errs, dtype=float).reshape(nodes.shape)
         evals += nodes.size
-        k15 = (y @ _WK) * half
-        g7 = (y @ _WG) * half
+        y_wk = (y * _WK).sum(axis=1)
+        k15 = y_wk * half
+        g7 = (y * _WG).sum(axis=1) * half
         diff = np.abs(k15 - g7)
-        reskh = (y @ _WK)[:, None] * 0.5
-        resasc = (np.abs(y - reskh) @ _WK) * half
+        reskh = y_wk[:, None] * 0.5
+        resasc = (np.abs(y - reskh) * _WK).sum(axis=1) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(
                 1.0, (200.0 * diff / np.where(resasc > 0.0, resasc, 1.0))
                 ** 1.5)
         panel_err = np.where(resasc > 0.0, scaled, diff)
-        rounding = (e @ _WK) * half
+        rounding = (e * _WK).sum(axis=1) * half
         budget = np.maximum(tol_abs * (pend_b - pend_a) / span, rounding)
         done = (panel_err <= budget) | (pend_b - pend_a <= 1e-14 * span)
-        total += complex(np.sum(k15[done]))
-        err += float(np.sum(panel_err[done])) + float(np.sum(rounding[done]))
+        for k, p, r in zip(k15[done].tolist(), panel_err[done].tolist(),
+                           rounding[done].tolist()):
+            total += k
+            err += p + r
         pend_a, pend_b = (np.concatenate([pend_a[~done], mid[~done]]),
                           np.concatenate([mid[~done], pend_b[~done]]))
         if evals > _MAX_EVALS:
@@ -260,12 +263,15 @@ class TestKronrodChains:
         monkeypatch.setattr(integrals, "kronrod_quad_vec", both)
         return pairs
 
-    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
-                                   Principal(0.0, -0.5), Complementary(-0.25),
-                                   Discrete(2), Principal(0.5, -0.5)],
-                             ids=["principal-complex", "principal-real",
-                                  "complementary", "discrete-2", "reducible"])
-    def test_quadrature_integrands(self, monkeypatch, r):
+    REPS = {"principal-complex": Principal(0.0, -0.5 + 1.0j),
+            "principal-real": Principal(0.0, -0.5),
+            "complementary": Complementary(-0.25),
+            "discrete-2": Discrete(2),
+            "reducible": Principal(0.5, -0.5)}
+
+    @pytest.mark.parametrize("name", list(REPS))
+    def test_quadrature_integrands(self, monkeypatch, name):
+        r = self.REPS[name]
         pairs = self._against_reference(monkeypatch)
         for eps in (0.05, 0.25, 0.4, 0.95):
             for n in (0, 4, 256):
@@ -273,6 +279,69 @@ class TestKronrodChains:
         assert len(pairs) == 12
         for got, want in pairs:
             assert got == want
+
+    # [DERIVED] at 572a2f8, the driver before _panel_sums: (integrand calls,
+    # abscissae) of each integral_quadrature call of
+    # test_quadrature_integrands, eps outer and n inner; a change to the
+    # chain rule shows here
+    CALLS = {
+        "principal-complex": [(2, 210), (2, 180), (3, 300), (4, 570),
+                              (4, 570), (4, 570), (7, 1020), (6, 870),
+                              (6, 870), (10, 1440), (10, 1440), (11, 1470)],
+        "principal-real": [(1, 120), (1, 120), (3, 210), (3, 420), (3, 420),
+                           (3, 420), (6, 870), (6, 870), (6, 870), (10, 1440),
+                           (10, 1440), (10, 1440)],
+        "complementary": [(1, 120), (1, 120), (3, 210), (1, 120), (1, 120),
+                          (1, 120), (10, 1440), (10, 1440), (10, 1440),
+                          (10, 1440), (10, 1440), (10, 1440)],
+        "discrete-2": [(1, 120), (2, 270), (3, 270), (1, 120), (1, 120),
+                       (1, 120), (2, 270), (2, 270), (3, 420), (6, 870),
+                       (6, 870), (7, 930)],
+        "reducible": [(1, 120), (2, 270), (3, 240), (1, 120), (1, 120),
+                      (1, 120), (5, 720), (5, 720), (5, 720), (10, 1440),
+                      (10, 1440), (11, 1470)],
+    }
+
+    @pytest.mark.parametrize("name", list(REPS))
+    def test_quadrature_calls_and_abscissae(self, monkeypatch, name):
+        r = self.REPS[name]
+        driver = integrals.kronrod_quad_vec
+        counts = []
+
+        def counted(f, lo, hi, tol_abs=1e-12):
+            count = [0, 0]
+
+            def g(u):
+                count[0] += 1
+                count[1] += u.size
+                return f(u)
+
+            out = driver(g, lo, hi, tol_abs)
+            counts.append(tuple(count))
+            return out
+
+        monkeypatch.setattr(integrals, "kronrod_quad_vec", counted)
+        for eps in (0.05, 0.25, 0.4, 0.95):
+            for n in (0, 4, 256):
+                integral_quadrature(r, n + r.m_ref, eps)
+        assert counts == self.CALLS[name]
+
+    def test_panel_sums_row_alone(self):
+        # each row's triple has its bits alone and in batches of 1 to 40
+        # rows at every position: what lets the store keep numbers
+        rng = np.random.default_rng(7)
+        y = (rng.standard_normal((40, _XK.size))
+             + 1j * rng.standard_normal((40, _XK.size)))
+        y *= 10.0 ** rng.uniform(-8.0, 8.0, (40, 1))
+        e = np.abs(y) * 10.0 ** rng.uniform(-16.0, -10.0, y.shape)
+        half = rng.uniform(1e-6, 0.5, 40)
+        alone = [next(_panel_sums(y[i:i + 1], e[i:i + 1], half[i:i + 1]))
+                 for i in range(40)]
+        for size in range(1, 41):
+            for start in range(41 - size):
+                rows = slice(start, start + size)
+                got = list(_panel_sums(y[rows], e[rows], half[rows]))
+                assert got == alone[rows]
 
     def test_beta_moment_tail_integrand(self, monkeypatch):
         pairs = self._against_reference(monkeypatch)

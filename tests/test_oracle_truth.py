@@ -1,7 +1,8 @@
 """The Euler-integral oracle of criterion 1 against 40-digit mpmath: every
 frozen point's value must lie within its err_est, and err_est within
-1e-12 of |value|.  Value and err_est also keep their bits: the values
-those of the Kronrod driver before it evaluated its end chains ahead.
+1e-12 of |value|.  Value and err_est also keep their bits: those of the
+Kronrod driver that sums each panel from its own row and settled panels in
+order, whatever call evaluated them.
 
 The set holds the four TestEulerOracle tuples, draw 259 (counted from 0)
 of criterion 1's Euler loop at DEFAULT_SEED, where the err of the former
@@ -44,17 +45,17 @@ FROZEN = [
 ]
 
 # value and err_est of each point as float.hex, (re, im, err): the end
-# chains change when the integrand runs, not what the rounds compute, and
-# the integrand's rounding is integrated over the settled panels only, so
-# no bit of either moves
+# chains and the store change when the integrand runs, not what the rounds
+# compute, and the integrand's rounding is integrated over the settled
+# panels only, so no bit of either moves with them
 FROZEN_BITS = [
-    ("0x1.40e4dc255c669p+0", "0x0.0p+0", "0x1.44fedc89cebe4p-43"),
-    ("0x1.0d5319e872711p+0", "-0x1.3ca7e5bb28bbap-3", "0x1.25759acdd376bp-42"),
-    ("0x1.2c9f816edfc18p+1", "-0x1.62bb9c672b387p-1", "0x1.ed778e35e5518p-42"),
-    ("0x1.664a0ca7a598fp+0", "0x0.0p+0", "0x1.15ba77aa2b58ap-43"),
-    ("0x1.17ca10a935d47p+0", "0x1.3d53f0e532ee0p-7", "0x1.7ccc3641fc386p-42"),
-    ("0x1.192d37071b31fp+0", "0x0.0p+0", "0x1.3e52eb8604fa4p-42"),
-    ("0x1.d0a4ec0703800p+0", "0x1.cf4eec9fce736p-1", "0x1.a814985eae75cp-42"),
+    ("0x1.40e4dc255c669p+0", "0x0.0p+0", "0x1.44ffb0aada386p-43"),
+    ("0x1.0d5319e872712p+0", "-0x1.3ca7e5bb28bb9p-3", "0x1.2575a0eee86fep-42"),
+    ("0x1.2c9f816edfc18p+1", "-0x1.62bb9c672b387p-1", "0x1.ed7788b63f094p-42"),
+    ("0x1.664a0ca7a5990p+0", "0x0.0p+0", "0x1.15b9f1a8429b2p-43"),
+    ("0x1.17ca10a935d48p+0", "0x1.3d53f0e532f20p-7", "0x1.7ccc8951b6ca0p-42"),
+    ("0x1.192d37071b31fp+0", "0x0.0p+0", "0x1.3e51d2e2aa3eap-42"),
+    ("0x1.d0a4ec0703803p+0", "0x1.cf4eec9fce735p-1", "0x1.a814469cb8eb2p-42"),
 ]
 
 # (a, b, c, z) whose integral cancels: |value| is 1e4, the integrand's

@@ -446,11 +446,6 @@ def _series_per_term(a, b, c, xs, tol=1e-15):
     return total
 
 
-def _same_bits(u, v):
-    return u.shape == v.shape and np.array_equal(u.view(np.uint64),
-                                                 v.view(np.uint64))
-
-
 # circle families whose series the kernel walks: the three of the grid, a
 # reducible point and a point off the unitary line
 SERIES_REPS = [Principal(0.0, -0.5 + 1.0j), Principal(0.5, -0.5 + 0.7j),
