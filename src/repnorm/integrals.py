@@ -129,8 +129,8 @@ def _evaluate(f, x, need):
 
 def _panel_sums(y, e, half):
     """Each panel's Kronrod value k15, error estimate and rounding
-    integrated over it, from its row of values y and of roundings e, as
-    (k15, err, rounding) triples.  Each row is summed alone,
+    integrated over it, from its row of values y and of roundings e, as an
+    iterator of (k15, err, rounding) triples.  Each row is summed alone,
     (y * _WK).sum(axis=1) and not y @ _WK, whose rows can change bits with
     the batch around them, so a panel's triple has the same bits in
     whatever call and position evaluated it."""

@@ -168,9 +168,10 @@ class TestKronrodQuadVec:
 
 
 def _kronrod_reference(f, lo, hi, tol_abs=1e-12):
-    """kronrod_quad_vec as it was before its end chains, one call of f per
-    round and nothing evaluated ahead; frozen here for the bit guard.
-    Returns (value, err_est)."""
+    """kronrod_quad_vec's rounds without its end chains or its store: one
+    call of f per round and nothing evaluated ahead, each panel summed from
+    its own row and the settled panels added in order; frozen here for the
+    bit guard.  Returns (value, err_est)."""
     span = float(hi) - float(lo)
     edges = np.linspace(float(lo), float(hi), 9)
     pend_a, pend_b = edges[:-1].copy(), edges[1:].copy()
@@ -341,7 +342,8 @@ class TestKronrodChains:
             for start in range(41 - size):
                 rows = slice(start, start + size)
                 got = list(_panel_sums(y[rows], e[rows], half[rows]))
-                assert got == alone[rows]
+                # repr is exact and tells -0.0 from 0.0
+                assert repr(got) == repr(alone[rows])
 
     def test_beta_moment_tail_integrand(self, monkeypatch):
         pairs = self._against_reference(monkeypatch)
