@@ -138,22 +138,23 @@ class _Circle(_Rep):
         n = -n_max..n_max, under the doubling certificate of _settled_column
         from 8(n_max+|m|)+64 samples up, each angle in [0, pi] giving the
         samples at +-theta from one real half-angle kernel
-        (_circle_samples), rescaled by the normalizer in one numpy product
-        (each entry has the bits of Python's s * v)."""
+        (_circle_samples).  The bins -n of the spectrum are kept and split
+        at each doubling; err is the last move plus the floor
+        2e-16 max|samples| sqrt(N), the maximum taken over the parts of the
+        final grid, both rescaled by the largest normalizer.  The column is
+        rescaled by the normalizer in one numpy product (each entry has the
+        bits of Python's s * v)."""
         ns = np.array(self.indices(n_max))
-
-        def column(vals):
-            big_n = vals.size
-            spec = np.fft.fft(vals) / big_n
-            return spec[(-ns) % big_n], \
-                2e-16 * float(np.max(np.abs(vals))) * math.sqrt(big_n)
-
-        cur, err = _settled_column(
-            functools.partial(_circle_samples, *self.circle, m, x), column,
-            8 * (ns[-1] + abs(m)) + 64, "circle", f"x={x}, n_max={ns[-1]}")
+        cur, move, parts = _settled_column(
+            functools.partial(_circle_samples, *self.circle, m, x), -ns,
+            lambda spec: spec, 8 * (ns[-1] + abs(m)) + 64, "circle",
+            f"x={x}, n_max={ns[-1]}")
+        big_n = sum(part.size for _, part in parts)
+        floor = 2e-16 * max(float(np.max(np.abs(part)))
+                            for _, part in parts) * math.sqrt(big_n)
         scale = self.normalizer(ns, m)[0]
         return (dict(zip(ns.tolist(), (scale * cur).tolist())),
-                err * float(np.max(scale)))
+                (move + floor) * float(np.max(scale)))
 
     def closed_form(self, n, m, xs, omx=None, slope=False):
         """The closed-form evaluator: coef(n, m) over an array of Cartan x,
@@ -334,23 +335,28 @@ class Discrete(_Rep):
         j/(j + ell + q).  No single radius serves both ends of a long column
         in double precision, so the orders are split into dyadic windows,
         each extracted on its own balanced contour with the same doubling
-        certificate as the circle oracle: F is sampled on the upper half of
-        the contour, and takes the conjugate values on the lower half.
+        certificate as the circle oracle, which keeps the window's orders j
+        as the bins of the spectrum and finishes them by r^-j/lead_j: F is
+        sampled on the upper half of the contour, and takes the conjugate
+        values on the lower half.
 
-        The floor of a window is the largest over its orders j of the
-        spectrum's absolute noise times r^-j/|lead_j|, plus the entry's
-        relative rounding times its size.  The noise is that of the samples,
-        at most the mean of their roundings eps s |F| (the FFT divided by N
-        sums N of them), and the FFT's own, at most 4 eps log2(N) rms|F| in
-        any coefficient (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2002, ch. 24).  A sample is d_m den^-ell w^q, w =
-        num/den, den = A - Bz, num = Az - B, each rounded by at most 3 eps
-        times the size of its terms, A + Br or Ar + B, which is kappa =
-        max(A + Br, Ar + B)/(A - Br) times |den| at most; to first order each
-        of the ell + 2q factors of den and num in a sample adds 3 eps kappa
-        and a complex product or quotient of the squarings 2 eps, so s =
-        (3 kappa + 2)(ell + 2q) + 4 (where num nears its zero the sample
-        does too, and its rounding with it).  The relative rounding of an
+        The floor of a window, taken once from the samples of the grid that
+        settles, is the largest over its orders j of the spectrum's absolute
+        noise times r^-j/|lead_j|, plus the entry's relative rounding times
+        its size.  The noise is that of the samples, at most the mean of
+        their roundings eps s(theta) |F(theta)| (the FFT divided by N sums N
+        of them), and the FFT's own, at most 4 eps log2(N) rms|F| in any
+        coefficient (Higham, Accuracy and Stability of Numerical Algorithms,
+        2002, ch. 24).  A sample is d_m den^-ell w^q, w = num/den,
+        den = A - Bz, num = Az - B, each rounded by at most 3 eps times the
+        size of its terms, A + Br or Ar + B, which is kappa(theta) =
+        max(A + Br, Ar + B)/|A - Br e^{i theta}| times |den| at the sample's
+        angle; to first order each of the ell + 2q factors of den and num in
+        a sample adds 3 eps kappa(theta) and a complex product or quotient
+        of the squarings 2 eps, so s(theta) = (3 kappa(theta) + 2)(ell + 2q)
+        + 4 (where num nears its zero the sample does too, and its rounding
+        with it).  kappa is largest at theta = 0, where |den| = A - Br is
+        smallest.  The relative rounding of an
         entry is that of d_m and of lead_j, half their log-Gamma sums'
         rounding and 2 eps each for the difference and the exp, and 3 eps
         for r^-j and the two products.
@@ -374,32 +380,6 @@ class Discrete(_Rep):
         d_m = (-1.0) ** q * math.exp(0.5 * (log_d - lg_ell))
         d_rel = 0.5 * (d_round + lg_rel) + 2.0 * _EPS
 
-        def window(js, radius):
-            """(samples, column) of the orders js on the contour of this
-            radius, for _settled_column."""
-            log_diff, lead_round = log_gamma_difference(js + 1.0, ell - 1.0)
-            log_lead = 0.5 * (log_diff - lg_ell)
-            lead = np.array([(-1.0) ** j * math.exp(v)
-                             for j, v in zip(js.tolist(), log_lead.tolist())])
-            rel = d_rel + 0.5 * (lead_round + lg_rel) + 5.0 * _EPS
-            scale = radius ** (-js.astype(float))
-            gain = scale / np.abs(lead)
-            kappa = max(A + B * radius, A * radius + B) / (A - B * radius)
-            s = (3.0 * kappa + 2.0) * (ell + 2 * q) + 4.0
-
-            def column(fvals):
-                big_n = fvals.size
-                spec = np.fft.fft(fvals) / big_n
-                values = spec[js] * scale / lead
-                size = np.abs(fvals)
-                noise = _EPS * (s * float(np.mean(size)) + 4.0 * math.log2(
-                    big_n) * math.sqrt(float(np.mean(size * size))))
-                floor = float(np.max(noise * gain + rel * np.abs(values)))
-                return values, floor
-
-            return (functools.partial(_disc_samples, ell, q, d_m, x, radius),
-                    column)
-
         out = np.empty(j_max + 1, dtype=complex)
         err, j_lo, hi = 0.0, 0, 8
         while j_lo <= j_max:
@@ -407,10 +387,36 @@ class Discrete(_Rep):
             js = np.arange(j_lo, j_hi + 1)
             top = j_hi + 1.0
             radius = min(pole * top / (top + ell + q), math.exp(500.0 / top))
-            out[js], w_err = _settled_column(
-                *window(js, radius), 8 * (j_hi + q + ell) + 64, "disc",
+            log_diff, lead_round = log_gamma_difference(js + 1.0, ell - 1.0)
+            log_lead = 0.5 * (log_diff - lg_ell)
+            lead = np.array([(-1.0) ** j * math.exp(v)
+                             for j, v in zip(js.tolist(), log_lead.tolist())])
+            rel = d_rel + 0.5 * (lead_round + lg_rel) + 5.0 * _EPS
+            scale = radius ** (-js.astype(float))
+            values, move, parts = _settled_column(
+                functools.partial(_disc_samples, ell, q, d_m, x, radius), js,
+                lambda spec, scale=scale, lead=lead: spec * scale / lead,
+                8 * (j_hi + q + ell) + 64, "disc",
                 f"x={x}, orders {j_lo}..{j_hi}")
-            err = max(err, w_err)
+            # kappa(theta) of each sample, |den|^2 being (A - Br)^2 +
+            # 4 A B r sin^2(theta/2), a sum of terms of one sign
+            terms = max(A + B * radius, A * radius + B)
+            gap, cross = (A - B * radius) ** 2, 4.0 * A * B * radius
+            big_n = sum(part.size for _, part in parts)
+            charged = squares = 0.0
+            for offset, part in parts:
+                sine = np.sin(np.pi * (np.arange(part.size) + offset)
+                              / part.size)
+                kappa = terms / np.sqrt(gap + cross * sine * sine)
+                mag = np.abs(part)
+                charged += float(((3.0 * kappa + 2.0) * (ell + 2 * q) + 4.0)
+                                 @ mag)
+                squares += float(mag @ mag)
+            noise = _EPS * (charged + 4.0 * math.log2(big_n)
+                            * math.sqrt(squares * big_n)) / big_n
+            out[js] = values
+            err = max(err, move + float(np.max(
+                noise * scale / np.abs(lead) + rel * np.abs(values))))
             j_lo = j_hi + 1
             hi *= 4
         return {idx: complex(v) for idx, v in zip(indices, out)}, err
@@ -583,41 +589,56 @@ def _discrete_log_j(ell, p, q):
 # Oracles
 
 
-def _settled_column(samples, column, size, oracle, request):
-    """The doubling certificate of the FFT oracles.
+def _settled_column(samples, bins, finish, size, oracle, request):
+    """The doubling certificate of the FFT oracles, on the radix-2 split.
 
     samples(theta, pos, neg) writes the transformed function at the angles
-    theta in [0, pi] into pos and at -theta into neg, and column(vals) turns
-    its values on the N-point grid 2 pi k / N into (values, floor), floor
-    being the roundoff floor of those values.  N starts at the power of two
-    at or above size and doubles (three times at most) until the values
-    move by at most ORACLE_TOL; returns (values, err), err being that last
-    move plus the floor.  Only the angles k <= N/2 are evaluated: the grid
-    point N - k is the angle -theta_k, which samples writes with theta_k.
-    A doubling keeps the grid it has, which is the even points of the finer
-    grid, and evaluates only the new odd angles below pi, whose negatives
-    are the new odd points above it; each sample depends on its angle
-    alone.  oracle and request name the failure in ConvergenceError.
+    theta in [0, pi] into pos and at -theta into neg.  N starts at the
+    power of two at or above size and doubles (three times at most) until
+    the column moves by at most ORACLE_TOL.  Only the requested bins of the
+    spectrum are kept, divided by N, and finish(spec) turns them into the
+    column's values, which the settle test compares.  The first level takes
+    the FFT of its N-point grid 2 pi k / N, evaluated at the angles k <= N/2
+    (the point N - k is the angle -theta_k, which samples writes with
+    theta_k).  The grid of 2N points has that grid as its even points, so a
+    doubling evaluates only the N/2 new odd angles below pi, whose
+    negatives are the new odd points above it, takes the N-point FFT Y of
+    those N odd points and updates each bin k by the radix-2 split (Cooley
+    and Tukey, Math. Comp. 19, 1965):
+
+        X_2N[k] = (X_N[k mod N] + e^(-2 pi i k / 2N) Y[k mod N] / N) / 2.
+
+    Each sample depends on its angle alone.  Returns (values, move, parts):
+    the settled values, their last move, and the samples of the final grid
+    as (offset, part) pairs, part holding the samples at the angles
+    2 pi (k + offset) / L, k < L its size: the first grid, offset 0, then
+    the odd points of each doubling, offset 1/2.  The oracle takes its
+    floor from the parts.  oracle and request name the failure in
+    ConvergenceError.
     """
     big_n = 1 << (int(size) - 1).bit_length()
     half = big_n // 2
-    vals = np.empty(big_n, dtype=complex)
+    grid = np.empty(big_n, dtype=complex)
     neg = np.empty(half + 1, dtype=complex)
-    samples(2.0 * np.pi * np.arange(half + 1) / big_n, vals[:half + 1], neg)
-    vals[half + 1:] = neg[half - 1:0:-1]
-    prev, _ = column(vals)
+    samples(2.0 * np.pi * np.arange(half + 1) / big_n, grid[:half + 1], neg)
+    grid[half + 1:] = neg[half - 1:0:-1]
+    spec = np.fft.fft(grid)[bins % big_n] / big_n
+    parts = [(0.0, grid)]
+    prev = finish(spec)
     for _ in range(3):
-        finer = np.empty(2 * big_n, dtype=complex)
-        finer[0::2] = vals
-        big_n *= 2
+        odd = np.empty(big_n, dtype=complex)
         half = big_n // 2
-        samples(2.0 * np.pi * np.arange(1, half, 2) / big_n,
-                finer[1:half:2], finer[:half:-2])
-        vals = finer
-        cur, floor = column(vals)
+        samples(2.0 * np.pi * np.arange(1, big_n, 2) / (2 * big_n),
+                odd[:half], odd[:half - 1:-1])
+        parts.append((0.5, odd))
+        twiddle = _unit_circle(-np.pi * bins / big_n)
+        spec = 0.5 * (spec + twiddle * (np.fft.fft(odd)[bins % big_n]
+                                        / big_n))
+        big_n *= 2
+        cur = finish(spec)
         delta = float(np.max(np.abs(cur - prev)))
         if delta <= ORACLE_TOL:
-            return cur, delta + floor
+            return cur, delta, parts
         prev = cur
     raise ConvergenceError(
         f"{oracle} oracle not settled at N={big_n} ({request})")

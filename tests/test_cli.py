@@ -155,6 +155,16 @@ class TestCoefCommand:
                      "--m", "700", "--x", "0.9"]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_circle_oracle_exits_3_at_its_last_doubling(self, capsys):
+        # N starts at 2048, the power of two at or above 8(n_max+|m|)+64 =
+        # 1088, and doubles three times at most; a column of 257 entries
+        # at x = 0.999 needs more
+        assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "128",
+                     "--m", "0", "--x", "0.999", "--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "circle oracle not settled at N=16384" in captured.err
+
     def test_both_indices_large_at_the_boundary_exit_0(self, capsys):
         # the Euler integrand overflowed here, and this call exited 3
         assert main(["coef", "--rep", "principal:0:-0.5+1i", "--n", "128",

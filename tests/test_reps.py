@@ -17,7 +17,8 @@ from repnorm.acceptance import GRID_REPS
 from repnorm.errors import (ConvergenceError, DomainError,
                             NormalizationError, PoleError, PreconditionError)
 from repnorm.norms import ScanConfig, _scan_grid
-from repnorm.reps import (X_CUT, CoefValue, Complementary, Discrete, Principal,
+from repnorm import reps
+from repnorm.reps import (ORACLE_TOL, X_CUT, CoefValue, Complementary, Discrete, Principal,
                           _OdeCache, _Rep, _cartan_x, _circle_samples,
                           _disc_samples,
                           _f_ode_vec, _principal_params, _settled_column,
@@ -1171,7 +1172,127 @@ class TestOracleSamples:
             functools.partial(_disc_samples, ell, q, -0.7, 0.99, 1.002),
             big_n)
 
-    def test_each_angle_is_sampled_once(self):
+def _settled_reference(samples, bins, finish, size):
+    """_settled_column's levels written out plainly, frozen here for the
+    bit guard: the first spectrum from a fresh grid, each doubling's odd
+    points from a fresh evaluation of its odd angles, joined to the kept
+    bins by the radix-2 split with np.exp for the twiddle.  Returns
+    (values, move, N) of the level that settles, or (None, None, N) after
+    three doublings, and the spectrum at the bins of every level."""
+    big_n = 1 << (int(size) - 1).bit_length()
+    spec = np.fft.fft(_fresh_grid(samples, big_n))[bins % big_n] / big_n
+    specs = [spec]
+    prev = finish(spec)
+    for _ in range(3):
+        pos, neg = _half_grid(
+            samples, 2.0 * np.pi * np.arange(1, big_n, 2) / (2 * big_n))
+        odd = np.concatenate([pos, neg[::-1]])
+        twiddle = np.exp(-1j * np.pi * bins / big_n)
+        spec = 0.5 * (spec + twiddle * (np.fft.fft(odd)[bins % big_n]
+                                        / big_n))
+        specs.append(spec)
+        big_n *= 2
+        cur = finish(spec)
+        move = float(np.max(np.abs(cur - prev)))
+        if move <= ORACLE_TOL:
+            return (cur, move, big_n), specs
+        prev = cur
+    return (None, None, big_n), specs
+
+
+def _settled_calls(monkeypatch):
+    """Spy on reps._settled_column: per call, its arguments, the spectrum
+    it finished at each level and its result (None if it raised)."""
+    calls = []
+    real = reps._settled_column
+
+    def spy(samples, bins, finish, size, oracle, request):
+        call = {"args": (samples, bins, finish, size), "specs": [],
+                "result": None}
+        calls.append(call)
+
+        def finishing(spec):
+            call["specs"].append(spec.copy())
+            return finish(spec)
+
+        call["result"] = real(samples, bins, finishing, size, oracle,
+                              request)
+        return call["result"]
+
+    monkeypatch.setattr(reps, "_settled_column", spy)
+    return calls
+
+
+class TestOracleSplit:
+    """A doubling transforms only its N new odd samples and updates each
+    kept bin k by X_2N[k] = (X_N[k mod N] + e^(-2 pi i k/2N) Y[k mod N] /
+    N) / 2; no grid of 2N points is built."""
+
+    # circle columns (the Moebius branch, m != 0, the normalizer-scaled
+    # complementary one), disc windows, and a circle column that does not
+    # settle
+    CASES = [
+        (Principal(0.5, -0.5 + 0.7j), 0, 0.99, 1024),
+        (Principal(0.0, -0.5 + 1.0j), 2, 0.99, 128),
+        (Complementary(-0.25), 0, 0.9, 128),
+        (Discrete(2), 1.0, 0.9, 40.0),
+        (Discrete(3), 3.5, 0.5, 20.5),
+        (Principal(0.0, -0.5 + 1.0j), 0, 0.999, 128),
+    ]
+
+    @staticmethod
+    def _run(r, m, x, n_max):
+        if (r, m, x, n_max) == TestOracleSplit.CASES[-1]:
+            with pytest.raises(ConvergenceError, match="N=16384"):
+                coef_oracle(r, m, x, n_max)
+            return None
+        return coef_oracle(r, m, x, n_max)
+
+    @pytest.mark.parametrize("r, m, x, n_max", CASES, ids=str)
+    def test_column_is_the_reference_split(self, r, m, x, n_max,
+                                           monkeypatch):
+        calls = _settled_calls(monkeypatch)
+        out = self._run(r, m, x, n_max)
+        assert calls
+        for call in calls:
+            (want, move, big_n), _ = _settled_reference(*call["args"])
+            if want is None:
+                assert call["result"] is None
+                continue
+            got, got_move, parts = call["result"]
+            assert _same_bits(got, want)
+            assert got_move == move
+            assert sum(part.size for _, part in parts) == big_n
+        if out is not None and not isinstance(r, Discrete):
+            # each entry has the bits of Python's s * v
+            (values, _, _), _ = _settled_reference(*calls[0]["args"])
+            ns = np.arange(-n_max, n_max + 1)
+            scale = [r.normalizer(int(n), m)[0] for n in ns]
+            assert [out[0][int(n)] for n in ns] == [
+                s * complex(v) for s, v in zip(scale, values)]
+
+    @pytest.mark.parametrize("r, m, x, n_max", CASES, ids=str)
+    def test_every_level_within_the_fft_floor(self, r, m, x, n_max,
+                                              monkeypatch):
+        # against the FFT of a fresh grid of every level's N, within the
+        # FFT's rounding bound 4 eps log2(N) rms|samples| that the disc
+        # floor charges, far inside the circle floor 2e-16 max|samples|
+        # sqrt(N)
+        calls = _settled_calls(monkeypatch)
+        self._run(r, m, x, n_max)
+        for call in calls:
+            samples, bins, _, size = call["args"]
+            big_n = 1 << (int(size) - 1).bit_length()
+            assert len(call["specs"]) >= 2
+            for spec in call["specs"]:
+                grid = _fresh_grid(samples, big_n)
+                want = np.fft.fft(grid)[bins % big_n] / big_n
+                floor = 4.0 * 2.0 ** -52 * math.log2(big_n) * math.sqrt(
+                    float(np.mean(np.abs(grid) ** 2)))
+                assert float(np.max(np.abs(spec - want))) <= floor, big_n
+                big_n *= 2
+
+    def test_each_angle_is_sampled_once(self, monkeypatch):
         r = Principal(0.5, -0.5 + 0.7j)
         sizes = []
 
@@ -1179,15 +1300,16 @@ class TestOracleSamples:
             sizes.append(theta.size)
             _circle_samples(*r.circle, 0, 0.99, theta, pos, neg)
 
-        def column(vals):
-            return np.fft.fft(vals)[:8] / vals.size, 0.0
-
-        with pytest.raises(ConvergenceError):
+        grids = _grids_of(monkeypatch)
+        with pytest.raises(ConvergenceError, match="N=128"):
             # the tolerance is never met at this size: all three doublings
-            _settled_column(samples, column, 16, "circle", "test")
+            _settled_column(samples, np.arange(-4, 5), lambda spec: spec,
+                            16, "circle", "test")
         # N/2 + 1 angles on the first grid of N = 16, then the N/4 new odd
-        # angles below pi of each finer grid
+        # angles below pi of each finer grid; one FFT of the first grid and
+        # one of the N odd points of each grid of 2N
         assert sizes == [9, 8, 16, 32]
+        assert [g.size for g in grids] == [16, 16, 32, 64]
 
     @pytest.mark.parametrize("r, m, x, n_max", [
         (Discrete(2), 1.0, 0.9, 40.0),
@@ -1195,37 +1317,34 @@ class TestOracleSamples:
         (Principal(0.0, -0.5 + 1.0j), 0, 0.99, 128),
         (Complementary(-0.25), 0, 0.9, 64),
     ], ids=str)
-    def test_assembled_grid_is_symmetric(self, r, m, x, n_max,
-                                         monkeypatch):
-        # the disc function takes conjugate values at conjugate points; a
-        # circle function with sigma = m = 0 takes one value at +-theta
+    def test_parts_are_the_fresh_grid_and_symmetric(self, r, m, x, n_max,
+                                                    monkeypatch):
+        # the parts are what the FFTs transform, and interleave into a
+        # fresh grid of the final N; the first grid and each odd half are
+        # symmetric: the disc function takes conjugate values at conjugate
+        # points, a circle function with sigma = m = 0 one value at +-theta
+        calls = _settled_calls(monkeypatch)
         grids = _grids_of(monkeypatch)
         coef_oracle(r, m, x, n_max)
-        assert grids
-        for vals in grids:
-            big_n = vals.size
-            low, high = vals[1:big_n // 2], vals[:big_n // 2:-1]
+        parts = [part for call in calls for part in call["result"][2]]
+        assert len(grids) == len(parts)
+        for vals, (offset, part) in zip(grids, parts):
+            assert _same_bits(vals, part)
+            size = part.size
+            if offset == 0.0:
+                low, high = part[1:size // 2], part[:size // 2:-1]
+            else:
+                low, high = part[:size // 2], part[:size // 2 - 1:-1]
             want = np.conj(low) if isinstance(r, Discrete) else low
             assert _same_bits(high, want)
-
-    @pytest.mark.parametrize("r, m, x, n_max", [
-        (Principal(0.5, -0.5 + 0.7j), 0, 0.99, 1024),
-        (Principal(0.0, -0.5 + 1.0j), 2, 0.99, 128),
-        (Complementary(-0.25), 0, 0.9, 128),
-    ], ids=str)
-    def test_column_is_the_fft_of_a_fresh_grid(self, r, m, x, n_max,
-                                               monkeypatch):
-        grids = _grids_of(monkeypatch)
-        column, _ = coef_oracle(r, m, x, n_max)
-        big_n = grids[-1].size
-        fresh = _fresh_grid(
-            functools.partial(_circle_samples, *r.circle, m, x), big_n)
-        assert _same_bits(grids[-1], fresh)
-        spec = np.fft.fft(fresh) / big_n
-        ns = np.arange(-n_max, n_max + 1)
-        scale = [r.normalizer(int(n), m)[0] for n in ns]
-        assert [column[int(n)] for n in ns] == [
-            s * complex(v) for s, v in zip(scale, spec[(-ns) % big_n])]
+        for call in calls:
+            full = None
+            for offset, part in call["result"][2]:
+                assert offset == (0.0 if full is None else 0.5)
+                if full is not None:
+                    part = np.stack([full, part], axis=1).ravel()
+                full = part
+            assert _same_bits(full, _fresh_grid(call["args"][0], full.size))
 
 
 class TestParseRep:
