@@ -138,12 +138,11 @@ class _Circle(_Rep):
         n = -n_max..n_max, under the doubling certificate of _settled_column
         from 8(n_max+|m|)+64 samples up, each angle in [0, pi] giving the
         samples at +-theta from one real half-angle kernel
-        (_circle_samples).  The bins -n of the spectrum are kept and split
-        at each doubling; err is the last move plus the floor
-        2e-16 max|samples| sqrt(N), the maximum taken over the parts of the
-        final grid, both rescaled by the largest normalizer.  The column is
-        rescaled by the normalizer in one numpy product (each entry has the
-        bits of Python's s * v)."""
+        (_circle_samples), the bins -n of the spectrum kept.  err is the
+        last move plus 2e-16 max|samples| sqrt(N) over the final grid's
+        parts, times the largest normalizer; the column is rescaled by the
+        normalizer in one numpy product (each entry has the bits of
+        Python's s * v)."""
         ns = np.array(self.indices(n_max))
         cur, move, parts = _settled_column(
             functools.partial(_circle_samples, *self.circle, m, x), -ns,
@@ -335,31 +334,30 @@ class Discrete(_Rep):
         j/(j + ell + q).  No single radius serves both ends of a long column
         in double precision, so the orders are split into dyadic windows,
         each extracted on its own balanced contour with the same doubling
-        certificate as the circle oracle, which keeps the window's orders j
-        as the bins of the spectrum and finishes them by r^-j/lead_j: F is
-        sampled on the upper half of the contour, and takes the conjugate
-        values on the lower half.
+        certificate as the circle oracle, the orders j its bins, finished by
+        r^-j/lead_j: F is sampled on the upper half of the contour, and
+        takes the conjugate values on the lower half.
 
-        The floor of a window, taken once from the samples of the grid that
-        settles, is the largest over its orders j of the spectrum's absolute
-        noise times r^-j/|lead_j|, plus the entry's relative rounding times
-        its size.  The noise is that of the samples, at most the mean of
-        their roundings eps s(theta) |F(theta)| (the FFT divided by N sums N
-        of them), and the FFT's own, at most 4 eps log2(N) rms|F| in any
-        coefficient (Higham, Accuracy and Stability of Numerical Algorithms,
-        2002, ch. 24).  A sample is d_m den^-ell w^q, w = num/den,
-        den = A - Bz, num = Az - B, each rounded by at most 3 eps times the
-        size of its terms, A + Br or Ar + B, which is kappa(theta) =
-        max(A + Br, Ar + B)/|A - Br e^{i theta}| times |den| at the sample's
-        angle; to first order each of the ell + 2q factors of den and num in
-        a sample adds 3 eps kappa(theta) and a complex product or quotient
-        of the squarings 2 eps, so s(theta) = (3 kappa(theta) + 2)(ell + 2q)
-        + 4 (where num nears its zero the sample does too, and its rounding
-        with it).  kappa is largest at theta = 0, where |den| = A - Br is
-        smallest.  The relative rounding of an
-        entry is that of d_m and of lead_j, half their log-Gamma sums'
-        rounding and 2 eps each for the difference and the exp, and 3 eps
-        for r^-j and the two products.
+        The floor of a window, from the samples of the grid that settles, is
+        the largest over its orders j of the spectrum's absolute noise times
+        r^-j/|lead_j|, plus the entry's relative rounding times its size.  The
+        noise is that of the samples, at most the mean of their roundings eps
+        s(theta) |F(theta)| (the FFT divided by N sums N of them), and the
+        FFT's own, at most 4 eps log2(N) rms|F| in any coefficient (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, ch. 24).  A
+        sample is d_m den^-ell w^q, w = num/den, den = A - Bz, num = Az - B,
+        each rounded by at most 3 eps times the size of its terms, A + Br or
+        Ar + B, which is kappa(theta) times |den| at the sample's angle,
+
+            kappa(theta) = max(A + Br, Ar + B) / |A - Br e^{i theta}|;
+
+        to first order each of the ell + 2q factors of den and num in a
+        sample adds 3 eps kappa(theta) and a complex product or quotient of
+        the squarings 2 eps, so s(theta) = (3 kappa(theta) + 2)(ell + 2q) + 4
+        (where num nears its zero the sample does too, and its rounding with
+        it).  The relative rounding of an entry is that of d_m and of lead_j,
+        half their log-Gamma sums' rounding and 2 eps each for the
+        difference and the exp, and 3 eps for r^-j and the two products.
         """
         ell, q = self.ell, int(m - self.ell / 2.0)
         indices = self.indices(n_max)
@@ -593,27 +591,25 @@ def _settled_column(samples, bins, finish, size, oracle, request):
     """The doubling certificate of the FFT oracles, on the radix-2 split.
 
     samples(theta, pos, neg) writes the transformed function at the angles
-    theta in [0, pi] into pos and at -theta into neg.  N starts at the
-    power of two at or above size and doubles (three times at most) until
-    the column moves by at most ORACLE_TOL.  Only the requested bins of the
-    spectrum are kept, divided by N, and finish(spec) turns them into the
-    column's values, which the settle test compares.  The first level takes
-    the FFT of its N-point grid 2 pi k / N, evaluated at the angles k <= N/2
-    (the point N - k is the angle -theta_k, which samples writes with
-    theta_k).  The grid of 2N points has that grid as its even points, so a
-    doubling evaluates only the N/2 new odd angles below pi, whose
-    negatives are the new odd points above it, takes the N-point FFT Y of
-    those N odd points and updates each bin k by the radix-2 split (Cooley
-    and Tukey, Math. Comp. 19, 1965):
+    theta in [0, pi] into pos and at -theta into neg; each sample depends
+    on its angle alone.  N starts at the power of two at or above size and
+    doubles (three times at most) until the column moves by at most
+    ORACLE_TOL.  Only the spectrum's bins are kept, divided by N, and
+    finish(spec) turns them into the column that the settle test compares.
+    The first level transforms its N-point grid 2 pi k / N, sampled at the
+    angles k <= N/2 (the point N - k is the angle -theta_k).  That grid is
+    the even half of the grid of 2N points, so a doubling samples only the
+    N/2 new odd angles below pi, whose negatives are the odd points above
+    it, takes the FFT Y of those N odd points and updates each bin by the
+    radix-2 split (Cooley and Tukey, Math. Comp. 19, 1965):
 
         X_2N[k] = (X_N[k mod N] + e^(-2 pi i k / 2N) Y[k mod N] / N) / 2.
 
-    Each sample depends on its angle alone.  Returns (values, move, parts):
-    the settled values, their last move, and the samples of the final grid
-    as (offset, part) pairs, part holding the samples at the angles
-    2 pi (k + offset) / L, k < L its size: the first grid, offset 0, then
-    the odd points of each doubling, offset 1/2.  The oracle takes its
-    floor from the parts.  oracle and request name the failure in
+    Returns (values, move, parts): the settled column, its last move, and
+    the samples of the final grid as (offset, part) pairs, part holding the
+    samples at the angles 2 pi (k + offset) / L, L its size: the first
+    grid, offset 0, then each doubling's odd points, offset 1/2; the oracle
+    takes its floor from them.  oracle and request name the failure in
     ConvergenceError.
     """
     big_n = 1 << (int(size) - 1).bit_length()
