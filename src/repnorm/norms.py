@@ -202,19 +202,26 @@ def golden_min(f, lo, hi, iters=60):
 
 def _scan_grid(kappa, config):
     """The fine grid of a scan of |kappa|: (ts, dt, T), ts being the
-    uniform points dt, 2 dt, ... up to T and the seeds, ascending."""
+    uniform points dt, 2 dt, ... up to T and the seeds, ascending, each
+    point once.  The uniform points ascend already, so the seeds not among
+    them are inserted where searchsorted puts them."""
     kappa = abs(kappa)
     dt = config.grid_c / (kappa + 1.0)
     t_max = config.t_pad + math.log1p(kappa)
     ts = np.arange(dt, t_max + 0.5 * dt, dt)
-    seeds = []
+    seeds = set()
     for u in _SEED_SCALES:
         x_seed = 1.0 - 1.0 / (1.0 + kappa / u)
         if 0.0 < x_seed < 1.0:
             t_seed = math.atanh(math.sqrt(x_seed))
             if t_seed < t_max:
-                seeds.append(t_seed)
-    return np.unique(np.concatenate([ts, np.array(seeds)])), dt, t_max
+                seeds.add(t_seed)
+    seeds = sorted(seeds)
+    at = np.searchsorted(ts, seeds).tolist()
+    fresh = [(i, t) for i, t in zip(at, seeds)
+             if i == ts.size or ts[i] != t]
+    return np.insert(ts, [i for i, _ in fresh], [t for _, t in fresh]), \
+        dt, t_max
 
 
 def _grid_top(r, n, m, ts, k):
@@ -234,7 +241,6 @@ def _grid_top(r, n, m, ts, k):
     grid.
     """
     size, lip, curv = ts.size, r.lipschitz, r.curvature
-    xs = np.tanh(ts) ** 2
     levels = (max(0, (size // _LEVEL_POINTS).bit_length() - 1)
               if math.isfinite(lip) else 0)
     mags = np.empty(size)
@@ -243,7 +249,7 @@ def _grid_top(r, n, m, ts, k):
     lo, hi = new[:-1], new[1:]
     done = grid[:0]
     while new.size:
-        mags[new] = np.abs(coef_vec(r, n, m, xs[new])[0])
+        mags[new] = np.abs(coef_vec(r, n, m, np.tanh(ts[new]) ** 2)[0])
         done = np.concatenate([done, new])
         j = max(done.size - k, 0)
         tau = np.partition(mags[done], j)[j]     # the k-th largest so far

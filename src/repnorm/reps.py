@@ -43,6 +43,9 @@ from .specfun import (_EPS, gamma_ratio_signed, gamma_rounding, hyp2f1,
 # where it needs hundreds of terms, the ODE tables (started at it) above it
 X_CUT = 0.9
 ORACLE_TOL = 1e-9
+# entries of each per-index memo of the closed forms: a scan or an integral
+# asks for the constants of a few (n, m) many times
+_INDEX_MEMO = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +197,10 @@ class _Circle(_Rep):
             F, F_err = np.empty(xs.shape, dtype=complex), np.empty(xs.shape)
             dF = np.empty(xs.shape, dtype=complex) if slope else None
             low = xs <= X_CUT
-            method = "series" if np.all(low) else "ode"
+            method = "series" if low.all() else "ode"
             for part, branch, arg in ((low, hyp2f1, xs),
                                       (~low, _f_ode_vec, omx)):
-                if np.any(part):
+                if part.any():
                     F[part], F_err[part], *df = branch(a, b, c, arg[part],
                                                        deriv=slope)
                     if slope:
@@ -511,13 +514,25 @@ class CoefValue:
 # Closed forms
 
 
+def _bits(*values):
+    """values as the bytes of complex doubles: the key of a per-index memo,
+    which tells 0.0 from -0.0 (they take different log-Gamma branches)."""
+    return np.array(values, dtype=complex).tobytes()
+
+
 def _principal_params(sigma, lam, n, m):
     """Series parameters, Gamma prefactor and its relative rounding of
     coef(n, m), (a, b, c, pref, rel); the two index orders are mirror
     images of one another.  2F1 is symmetric in a and b
     (DLMF 15.2.1), so the pair is returned with Re a <= Re b: b is near c,
-    and the ODE branch above X_CUT forms c-a-b as (c-b) - a."""
+    and the ODE branch above X_CUT forms c-a-b as (c-b) - a.  Memoized on
+    the bits of the arguments."""
     lam = complex(lam)
+    return _principal_params_memo(_bits(sigma, lam, n, m), sigma, lam, n, m)
+
+
+@functools.lru_cache(maxsize=_INDEX_MEMO)
+def _principal_params_memo(key, sigma, lam, n, m):
     if n >= m:
         a = -lam - m - sigma
         b = -lam + n + sigma
@@ -548,8 +563,20 @@ def complementary_normalizer(lam, n, m=0):
     has the sign (-1)^k, and for k < 0 both exceed 0.  Outside it,
     H(0) = lam/(-lam-1) H(1) by G(z+1) = z G(z), and that factor is
     negative, so H(0) or H(1) is; an integer lam puts a pole into H(0).
-    An index that is not an integer is refused, not cut.
+    An index that is not an integer is refused, not cut.  A single index
+    is memoized on the bits of (lam, n, m).
     """
+    if np.ndim(n) == 0:
+        return _complementary_memo(_bits(float(lam), n, m))
+    return _complementary_normalizer(lam, n, m)
+
+
+@functools.lru_cache(maxsize=_INDEX_MEMO)
+def _complementary_memo(key):
+    return _complementary_normalizer(*np.frombuffer(key, dtype=complex).real)
+
+
+def _complementary_normalizer(lam, n, m):
     lam = float(lam)
     if not -1.0 < lam < 0.0:
         raise NormalizationError(
@@ -571,12 +598,14 @@ def complementary_normalizer(lam, n, m=0):
     return np.array([math.exp(v) for v in half.tolist()]), rel
 
 
+@functools.lru_cache(maxsize=_INDEX_MEMO)
 def _discrete_log_j(ell, p, q):
     """log of |J|, the symmetric Gamma prefactor of the disc closed form, and
     the rounding of the log-Gamma sum, which the square root does not halve.
     log G(p + ell) - log G(p + 1) is log_gamma_difference, one shift pair
     from p = 11 up, and so is that of q, so no two log-Gamma values of size
-    p log p are subtracted."""
+    p log p are subtracted.  Memoized: ell, p and q are ints, whose values
+    are their bits."""
     diff, rounding = log_gamma_difference([p + 1.0, q + 1.0], ell - 1.0)
     lg_ell = float(log_gammas([ell])[0].real)
     return 0.5 * (diff[0] + diff[1]) - lg_ell, \
@@ -791,9 +820,14 @@ _CLOSED_REL = 2e-14
 # The ODE branch (see _OdeTable): Taylor terms, step over 1-z, cap on step
 # times rate, centres per chunk (a quarter in the first: 1-x from 1 - X_CUT
 # to about 1e-3 in 8 KB),
-# largest condition number of an error window, bytes of rows kept, 1-x floor.
+# largest condition number of an error window, bytes of rows kept, 1-x floor;
+# the most points a call takes one at a time on Python numbers (the measured
+# break-even is 13-14 points), and the range of a plain row's parts and of
+# such a point's nonzero |t| (see _horner_points).
 _ODE_ORDER, _ODE_RHO, _ODE_RATE, _ODE_CHUNK = 32, 0.25, 2.0, 64
 _ODE_WINDOW, _ODE_CACHE_BYTES, _ODE_FLOOR = 64.0, 4 << 20, 1e-290
+_ODE_SCALAR_POINTS, _ODE_PLAIN, _ODE_T_MIN = 12, (2.0 ** -900, 2.0 ** 1000), \
+    2.0 ** -60
 
 
 class _OdeTable:
@@ -828,13 +862,19 @@ class _OdeTable:
     rotate; a step past that carries the bound by its own absolute values,
     never taking up the growth of |Phi^-1| where a solution falls like
     e^(-|b| (z - z_j)).
+
+    The table also keeps |rows|, the edges steps/2 - centres by which a
+    point finds its centre, and which rows are plain (_horner_points), each
+    taken once with numpy.
     """
 
     def __init__(self, a, b, c):
         self.a, self.b, self.c = a, b, c = complex(a), complex(b), complex(c)
         self._s1, self._ab1 = (c - b) - a - 1.0, a + b + 1.0
-        self.centres, self.steps, self.err = (np.empty(0),) * 3
+        self.centres, self.steps, self.err, self.edges = (np.empty(0),) * 4
         self.rows = np.empty((0, _ODE_ORDER), dtype=complex)
+        self.mags = np.empty((0, _ODE_ORDER))
+        self.plain = np.empty(0, dtype=bool)
         self._next = None       # next centre, its (u_0, u_1), error window
 
     def add_chunk(self):
@@ -926,33 +966,45 @@ class _OdeTable:
         self._next = (o[-1] - h[-1], u0, u1, base0, base1,
                       p00, p01, p10, p11, acc0, acc1)
         rows = (starts[:, :, None] * basis[:, :n].transpose(0, 2, 1)).sum(0)
-        self.centres, self.steps, self.rows, self.err = (np.concatenate(
-            p) for p in zip((self.centres, self.steps, self.rows, self.err),
-                            (o, h, rows, row_err)))
+        parts = np.abs(np.stack([rows.real, rows.imag]))
+        plain = ((parts == 0.0).all(axis=2) | ((parts >= _ODE_PLAIN[0])
+                 & (parts <= _ODE_PLAIN[1])).all(axis=2)).all(axis=0)
+        fields = ("centres", "steps", "rows", "err", "mags", "edges", "plain")
+        for name, new in zip(fields, (o, h, rows, row_err, np.abs(rows),
+                                      h / 2.0 - o, plain)):
+            setattr(self, name, np.concatenate((getattr(self, name), new)))
 
 
 class _OdeCache:
     """_OdeTable per (a, b, c), keyed on their bits (so 0.0 and -0.0 differ),
-    least recently used out first once their rows pass max_bytes."""
+    least recently used out first once their rows pass max_bytes; the
+    rows' bytes are kept as a running total."""
 
     def __init__(self, max_bytes):
         self.max_bytes = max_bytes
         self._tables = collections.OrderedDict()
+        self._bytes = 0
         self._lock = threading.Lock()
 
     def rows(self, a, b, c, omx_min):
-        """(centres, steps, rows, err) of (a, b, c)'s table past omx_min."""
+        """(centres, steps, rows, err, |rows|, edges, plain) of (a, b, c)'s
+        table past omx_min."""
         key = np.array([a, b, c], dtype=complex).tobytes()
         with self._lock:
-            table = self._tables.pop(key, None) or _OdeTable(a, b, c)
+            table = self._tables.pop(key, None)
+            if table is None:
+                table = _OdeTable(a, b, c)
+            else:
+                self._bytes -= table.rows.nbytes
             while not table.centres.size or table.centres[-1] > max(
                     omx_min, _ODE_FLOOR):
                 table.add_chunk()
             self._tables[key] = table
-            total = sum(t.rows.nbytes for t in self._tables.values())
-            while total > self.max_bytes and len(self._tables) > 1:
-                total -= self._tables.popitem(last=False)[1].rows.nbytes
-            return table.centres, table.steps, table.rows, table.err
+            self._bytes += table.rows.nbytes
+            while self._bytes > self.max_bytes and len(self._tables) > 1:
+                self._bytes -= self._tables.popitem(last=False)[1].rows.nbytes
+            return (table.centres, table.steps, table.rows, table.err,
+                    table.mags, table.edges, table.plain)
 
 
 _ODE_TABLES = _OdeCache(_ODE_CACHE_BYTES)
@@ -965,24 +1017,77 @@ def _f_ode_vec(a, b, c, omx, deriv=False, tables=_ODE_TABLES):
     Horner pass, elementwise, so it has the same bits alone or in any
     batch; err adds (3N + 2) eps sum |u_k| |t|^k, the rounding of the pass
     and of t, to the centre's bound.  omx past the table's reach (about
-    _ODE_FLOOR) is taken at the last step's end, with an infinite err."""
+    _ODE_FLOOR) is taken at the last step's end, with an infinite err.
+
+    A batch of at most _ODE_SCALAR_POINTS points makes its Horner passes
+    one point at a time on Python numbers (_horner_points), at a few
+    microseconds a point in place of the numpy pass's fixed cost, with the
+    same bits."""
     omx = np.asarray(omx, dtype=float)
-    centres, steps, rows, row_err = tables.rows(
-        a, b, c, float(np.min(omx)) if omx.size else 1.0)
-    j = np.minimum(np.searchsorted(steps / 2.0 - centres, -omx, side="right"),
+    centres, steps, rows, row_err, mags, edges, plain = tables.rows(
+        a, b, c, float(omx.min()) if omx.size else 1.0)
+    j = np.minimum(np.searchsorted(edges, -omx, side="right"),
                    centres.size - 1)
     t = np.minimum((centres[j] - omx) / steps[j], 1.0)
-    sizes, at = np.abs(picked := rows[j]), np.abs(t)
-    value, size = picked[:, -1], sizes[:, -1]
+    passes = (_horner_points(rows, mags, plain, j, t, deriv)
+              if omx.size <= _ODE_SCALAR_POINTS else None)
+    if passes is None:
+        passes = _horner_batch(rows[j], mags[j], t, deriv)
+    value, size, slope = passes
+    err = np.where(omx < centres[-1] - steps[-1], math.inf, row_err[j]
+                   + (3.0 * _ODE_ORDER + 2.0) * _EPS * size)
+    return (value, err, slope / steps[j]) if deriv else (value, err)
+
+
+def _horner_batch(picked, sizes, t, deriv):
+    """_f_ode_vec's Horner pass over the picked rows at the t, one numpy
+    step per term: (value, sum |u_k| |t|^k, slope in t, 0 unless deriv)."""
+    at, value, size = np.abs(t), picked[:, -1], sizes[:, -1]
     slope = np.zeros(value.shape, dtype=complex)
     for k in range(_ODE_ORDER - 2, -1, -1):
         if deriv:
             slope = slope * t + value
         value = value * t + picked[:, k]
         size = size * at + sizes[:, k]
-    err = np.where(omx < centres[-1] - steps[-1], math.inf, row_err[j]
-                   + (3.0 * _ODE_ORDER + 2.0) * _EPS * size)
-    return (value, err, slope / steps[j]) if deriv else (value, err)
+    return value, size, slope
+
+
+def _horner_points(rows, mags, plain, j, t, deriv):
+    """_horner_batch point by point on Python numbers, with its bits, or
+    None unless every row j is plain and every t is 0 or has _ODE_T_MIN
+    <= |t| <= 1.
+
+    Each step is complex x real + complex or real x real + real.  CPython
+    forms (v_r t - v_i 0, v_r 0 + v_i t), numpy the same with each part
+    rounded once (a fused multiply-add where the host has one), so the two
+    differ only where a nonzero product part rounds to zero, and then only
+    in that zero's sign; adding a nonzero part removes the difference
+    (tests/test_reps.py checks all of this on the host).  A row is plain
+    when each of its real and imaginary parts is either zero throughout or
+    nonzero with modulus in _ODE_PLAIN.  Then a part of the value is zero
+    throughout or meets nonzero addends only, and a part of the slope,
+    whose addend is the value, is 0 or above 2^-953 wherever that addend
+    is 0 (it cannot be 0 twice running), so its product with such a t does
+    not round to zero: the bits are numpy's.  Python's abs of a complex is
+    not numpy's, so |rows| comes from the table."""
+    ts = t.tolist()
+    if not (plain[j].all() and all(
+            u == 0.0 or _ODE_T_MIN <= abs(u) <= 1.0 for u in ts)):
+        return None
+    values, sizes, slopes = [], [], []
+    for i, u in zip(j.tolist(), ts):
+        row, mag = rows[i].tolist(), mags[i].tolist()
+        value, size, slope, au = row.pop(), mag.pop(), 0j, abs(u)
+        for coeff, m in zip(reversed(row), reversed(mag)):
+            if deriv:
+                slope = slope * u + value
+            value = value * u + coeff
+            size = size * au + m
+        values.append(value)
+        sizes.append(size)
+        slopes.append(slope)
+    return (np.array(values, dtype=complex), np.array(sizes, dtype=float),
+            np.array(slopes, dtype=complex))
 
 
 def _unit_factor(a, b):

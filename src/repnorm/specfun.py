@@ -57,8 +57,8 @@ _FACTORIALS = np.array([float(math.factorial(k)) for k in range(23)])
 # gamma_rounding)
 _GAMMA_ROUND_A, _GAMMA_ROUND_B = 80.0, 2.0
 # argument lists up to these sizes are memoized by log_gammas and
-# log_gamma_difference
-_MEMO_ARGS, _MEMO_DIFFERENCES = 8, 64
+# log_gamma_difference, and this many blocks of hyp2f1's term ratios
+_MEMO_ARGS, _MEMO_DIFFERENCES, _MEMO_RATIOS = 8, 64, 256
 # the largest difference of arguments taken as one _log_gamma_shift pair
 _PAIR_GAP = 20.0
 
@@ -588,13 +588,14 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     a, b, c = complex(a), complex(b), complex(c)
     xs = np.asarray(xs, dtype=float)
     order = _terminating_order(a, b)
-    if order is None and np.any(np.abs(xs) >= 1.0):
+    if order is None and (np.abs(xs) >= 1.0).any():
         raise DomainError(
             f"series non-convergent at |x|={float(np.max(np.abs(xs)))}")
     if is_nonpositive_int(c) and (order is None
                                   or order >= -round(c.real) + 1):
         raise DomainError(f"c={c} is a pole not cleared by termination")
 
+    abc = np.array([a, b, c]).tobytes()
     n = xs.size
     value, err = np.empty(n, dtype=complex), np.empty(n)
     # per point: sum k t_k, its live partial sum, bound and rounding / eps
@@ -606,7 +607,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     live, x = np.arange(n), xs.reshape(-1)
     term = total = np.ones(n, dtype=complex)
     scale, run = np.ones(n), np.full(n, 2.0)
-    i = int(np.argmax(np.abs(x))) if n else 0
+    i = int(np.abs(x).argmax()) if n else 0
     # row 0 carries the term and the partial sum before the block; rows 1..
     # of sums hold the block's factors until its terms are known
     buf_t = np.empty(min(_SERIES_ROWS * n, _SERIES_BLOCK) + 2 * n, complex)
@@ -632,8 +633,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         terms[0], sums[0] = term, total
         # t_{j+1} / (x t_j) over the block and, unless the series
         # terminates (c + j may be 0 past its order), the term after it
-        ratio = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0)) for j
-                          in range(k, k + rows + (order is None))], complex)
+        ratio = _series_ratios(abc, k, rows + (order is None))
         multiply(x, ratio[:rows, None], sums[1:])
         t_rows, s_rows = list(terms), list(sums)    # views made once
         for j in range(rows):
@@ -650,7 +650,8 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         # and D_{k+j}), in term order, so that they stop with their point
         mags, sizes = np.abs(terms[1:]), np.abs(sums[1:])
         ks = np.arange(k + 1.0, k + rows + 1.0)[:, None]
-        runs = np.cumsum(np.vstack([run, (ks + 2.0) * mags + sizes]), axis=0)
+        runs = np.cumsum(np.concatenate((run[None], (ks + 2.0) * mags + sizes)),
+                         axis=0)
         run = runs[rows]
         if deriv:
             dsums = buf_d[:(rows + 1) * size].reshape(rows + 1, size)
@@ -658,8 +659,9 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
             np.multiply(terms[1:], ks, dsums[1:])
             np.cumsum(dsums, axis=0, out=dsums)
             dtotal = dsums[rows]
-            druns = np.cumsum(np.vstack(
-                [drun, ks * (ks + 3.0) * mags + np.abs(dsums[1:])]), axis=0)
+            druns = np.cumsum(np.concatenate(
+                (drun[None], ks * (ks + 3.0) * mags + np.abs(dsums[1:]))),
+                axis=0)
             drun = druns[rows]
         first = 16 - k % 16      # row j holds t_{k+j}; the first 16th term
         if order is None and rows >= first:
@@ -676,8 +678,8 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
             small = ~(np.maximum(m16, tails) > tol * peaks)
             if small.any():
                 stop = small.any(axis=0)
-                done = np.flatnonzero(stop)
-                row = first + 16 * np.argmax(small[:, done], axis=0)
+                done = stop.nonzero()[0]
+                row = first + 16 * small[:, done].argmax(axis=0)
                 at = live[done]
                 hit = (row - first) // 16
                 value[at] = sums[row, done]
@@ -694,7 +696,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
                     v[~stop] for v in (live, x, scale, run, term, total))
                 if deriv:
                     dtotal, drun = dtotal[~stop], drun[~stop]
-                i = int(np.argmax(np.abs(x)))
+                i = int(np.abs(x).argmax())
         k += rows
         # the next block holds the terms that point i needs to stop if they
         # fall at their present ratio r; twice as many if r is no guide
@@ -713,3 +715,15 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         + np.divide(derr, np.abs(flat), out=np.zeros(n), where=flat != 0.0)
     return value.reshape(xs.shape), err.reshape(xs.shape), \
         slope.reshape(xs.shape), slope_err.reshape(xs.shape)
+
+
+@functools.lru_cache(maxsize=_MEMO_RATIOS)
+def _series_ratios(abc, k, count):
+    """t_{j+1} / (x t_j) = (a+j)(b+j)/((c+j)(j+1)) for j = k..k+count-1, a
+    read-only array, memoized on the bytes abc of (a, b, c): a scan or an
+    integral walks the same blocks of one series many times."""
+    a, b, c = np.frombuffer(abc, dtype=complex).tolist()
+    out = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
+                    for j in range(k, k + count)], complex)
+    out.flags.writeable = False
+    return out

@@ -488,6 +488,121 @@ class TestLevelGrid:
         assert sum(sizes) < 0.01 * size
 
 
+def _scan_grid_reference(kappa, config):
+    """_scan_grid as it was: the seeds joined to the uniform points by
+    np.unique over the whole grid; frozen here for the bit guard."""
+    kappa = abs(kappa)
+    dt = config.grid_c / (kappa + 1.0)
+    t_max = config.t_pad + math.log1p(kappa)
+    ts = np.arange(dt, t_max + 0.5 * dt, dt)
+    seeds = []
+    for u in norms._SEED_SCALES:
+        x_seed = 1.0 - 1.0 / (1.0 + kappa / u)
+        if 0.0 < x_seed < 1.0:
+            t_seed = math.atanh(math.sqrt(x_seed))
+            if t_seed < t_max:
+                seeds.append(t_seed)
+    return np.unique(np.concatenate([ts, np.array(seeds)])), dt, t_max
+
+
+def _grid_top_reference(r, n, m, ts, k):
+    """_grid_top as it was, with x = tanh(t)^2 taken over the whole grid
+    before the levels index it; frozen here for the bit guard."""
+    size, lip, curv = ts.size, r.lipschitz, r.curvature
+    xs = np.tanh(ts) ** 2
+    levels = (max(0, (size // norms._LEVEL_POINTS).bit_length() - 1)
+              if math.isfinite(lip) else 0)
+    mags = np.empty(size)
+    grid = np.arange(size)
+    new = np.unique(np.concatenate([grid[::1 << levels], grid[-1:]]))
+    lo, hi = new[:-1], new[1:]
+    done = grid[:0]
+    while new.size:
+        mags[new] = np.abs(norms.coef_vec(r, n, m, xs[new])[0])
+        done = np.concatenate([done, new])
+        j = max(done.size - k, 0)
+        tau = np.partition(mags[done], j)[j]
+        h = ts[hi] - ts[lo]
+        bound = np.maximum(mags[lo], mags[hi]) + np.minimum(
+            0.5 * lip * h, 0.125 * curv * h * h)
+        live = (hi - lo > 1) & (bound >= tau * (1.0 - norms._PRUNE_SLACK))
+        lo, hi = lo[live], hi[live]
+        new = (lo + hi) // 2
+        lo, hi = np.concatenate([lo, new]), np.concatenate([new, hi])
+    return done[np.argsort(mags[done])[::-1][:k]]
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+# the default ladder and random characters up to 3000, on three grids
+RANDOM_KAPPAS = np.random.default_rng(7).integers(1, 3000, 24).tolist()
+GRID_CONFIGS = [ScanConfig(), ScanConfig(grid_c=0.4, refine_top=2),
+                ScanConfig(grid_c=0.25, t_pad=2.5)]
+
+
+class TestScanGridBits:
+    """The seeds join the ascending uniform grid by searchsorted, and each
+    level takes tanh(t)^2 of its own points only: the grid and every
+    level's points keep the bits of the construction over the whole grid
+    (np.unique of grid and seeds, then tanh(t)^2 of all of it)."""
+
+    @pytest.mark.parametrize("config", GRID_CONFIGS, ids=repr)
+    def test_grid_is_the_unique_of_grid_and_seeds(self, config):
+        kappas = sorted(set(default_ladder(Principal(0.0, -0.5 + 1.0j))
+                            + default_ladder(Principal(0.5, -0.5 + 0.4j))
+                            + RANDOM_KAPPAS + [0, 1, 2]))
+        for kappa in kappas:
+            got, want = _scan_grid(kappa, config), \
+                _scan_grid_reference(kappa, config)
+            assert _same_bits(got[0], want[0]), kappa
+            assert got[1:] == want[1:]
+
+    def test_a_seed_on_a_grid_point_is_kept_once(self):
+        # at kappa = 1, dt = grid_c / 2 exactly, so grid_c = 2 t_seed puts
+        # the seed of u = 1 on the first grid point
+        t_seed = math.atanh(math.sqrt(0.5))
+        config = ScanConfig(grid_c=2.0 * t_seed)
+        ts, dt, _ = _scan_grid(1, config)
+        assert dt == t_seed and np.count_nonzero(ts == t_seed) == 1
+        assert np.all(np.diff(ts) > 0.0)
+        assert _same_bits(ts, _scan_grid_reference(1, config)[0])
+
+    @pytest.mark.parametrize("r", [Principal(0.0, -0.5 + 1.0j),
+                                   Complementary(-0.25), Discrete(2),
+                                   Principal(0.0, -0.3 + 1.0j)],
+                             ids=lambda r: repr(r).replace(" ", ""))
+    def test_levels_evaluate_the_same_points(self, r, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(np.array(args[3]))
+            return coef_vec(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "coef_vec", spy)
+        kappas = [k for k in default_ladder(r) if k <= 2048]
+        if r.unitary:
+            kappas += [k for k in RANDOM_KAPPAS if k in r.spectrum(k)][:8]
+        else:
+            kappas = kappas[:2]
+        for kappa in kappas:
+            n = r.basis_index(kappa)
+            for config in GRID_CONFIGS[:2]:
+                ts, _, _ = _scan_grid(kappa, config)
+                calls.clear()
+                got = _grid_top(r, n, r.m_ref, ts, 8)
+                levels = list(calls)
+                calls.clear()
+                want = _grid_top_reference(r, n, r.m_ref, ts, 8)
+                assert list(got) == list(want), kappa
+                assert len(levels) == len(calls), kappa
+                for g, w in zip(levels, calls):
+                    assert _same_bits(g, w), kappa
+
+
 class TestPminScan:
     CFG = ScanConfig(grid_c=0.2, refine_iters=40)
 

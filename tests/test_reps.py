@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repnorm
-from repnorm import reps
+from repnorm import reps, specfun
 from repnorm.acceptance import GRID_REPS
 from repnorm.errors import (ConvergenceError, DomainError,
                             NormalizationError, PoleError, PreconditionError)
@@ -27,6 +27,10 @@ from repnorm.reps import (ORACLE_TOL, X_CUT, CoefValue, Complementary,
                           parseval_defect)
 from repnorm.specfun import (gamma_ratio_signed, gamma_rounding, hyp2f1,
                              log_gamma_difference, log_gammas)
+
+# the memos of the closed forms' per-index constants
+_INDEX_MEMOS = (reps._principal_params_memo, reps._complementary_memo,
+                reps._discrete_log_j)
 
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
@@ -407,6 +411,276 @@ class TestOdeTables:
         try:
             with ThreadPoolExecutor(6) as pool:
                 futures = [pool.submit(work, i) for i in range(6)]
+                done = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(done)
+
+    def test_running_byte_total(self):
+        # the cache's running total is the sum of its tables' rows after
+        # every call, through growth and evictions, and under threads
+        params = [_principal_params(0.0, -0.5 + 1.0j, n, 0)[:3]
+                  for n in (4, 16, 64, 256)]
+        tables = _OdeCache(700_000)
+        for k, omx_min in enumerate((1e-3, 1e-20, 1e-56, 1e-10, 1e-90,
+                                     1e-56, 1e-200)):
+            tables.rows(*params[k % len(params)], omx_min)
+            assert tables._bytes == sum(t.rows.nbytes
+                                        for t in tables._tables.values())
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(tables.rows, *params[i % len(params)],
+                                   10.0 ** -(10 * i))
+                       for i in range(1, 13)]
+            for f in futures:
+                f.result(timeout=120)
+        assert tables._bytes == sum(t.rows.nbytes
+                                    for t in tables._tables.values())
+
+
+def _premise_sweep(rng, size):
+    """Complex values, real multipliers and complex addends that cover the
+    scalar Horner pass's cases: random sizes over many decades, signed
+    zeros in either part, t = 0 and -0 exactly, t clipped to 1, and
+    subnormals."""
+    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308,
+                        -1e-310, 1e300, -1e-300, 2.0 / 3.0, -2.0 / 3.0])
+
+    def reals(count):
+        out = rng.standard_normal(count) * 10.0 ** rng.uniform(-320, 300,
+                                                               count)
+        pick = rng.random(count) < 0.3
+        out[pick] = rng.choice(special, pick.sum())
+        return out
+
+    def complexes(count):
+        return reals(count) + 1j * reals(count)
+
+    t = rng.uniform(-2.0 / 3.0, 1.0, size)
+    pick = rng.random(size) < 0.3
+    t[pick] = rng.choice(np.concatenate([special, [0.0, -0.0, 1.0]]),
+                         pick.sum())
+    return complexes(size), t, complexes(size), np.abs(reals(size)), \
+        np.abs(reals(size))
+
+
+class TestScalarHorner:
+    """The premise of _f_ode_vec's point-by-point path (_horner_points):
+    each Horner step is complex x real + complex or real x real + real, and
+    CPython rounds those as numpy does on this host, but for the sign of a
+    zero where a nonzero product part rounds to zero, which the plain rows
+    and the range of t keep out.  (Python's complex x complex and
+    abs(complex) differ from numpy's far more often: the series' term
+    products stay in numpy, and |rows| comes from the table.)  Then the
+    path has the numpy pass's bits at every batch size, and a one-point
+    coef_vec the bits of its point in any batch."""
+
+    def test_python_steps_round_as_numpy(self):
+        rng = np.random.default_rng(11)
+        value, t, coeff, size, mag = _premise_sweep(rng, 40_000)
+        with np.errstate(all="ignore"):
+            # real x real + real: the same bits everywhere
+            want = size * np.abs(t) + mag
+            got = np.array([s * abs(u) + m for s, u, m in zip(
+                size.tolist(), t.tolist(), mag.tolist())])
+            assert _same_bits(got, want)
+            # complex x real: each part the same, but where a nonzero
+            # product rounds to zero, and there a zero of either sign
+            want = value * t
+            got = np.array([v * u for v, u in zip(value.tolist(),
+                                                  t.tolist())])
+            parts = np.stack([value.real, value.imag], axis=1)
+            lost = (parts * t[:, None] == 0.0) & (parts != 0.0) \
+                & (t[:, None] != 0.0)
+            differ = got.view(np.uint64).reshape(-1, 2) \
+                != want.view(np.uint64).reshape(-1, 2)
+            assert not (differ & ~lost).any()
+            assert (want.view(float).reshape(-1, 2)[differ] == 0.0).all()
+            # + complex: the same bits wherever a difference meets a
+            # nonzero addend part
+            want = value * t + coeff
+            got = np.array([v * u + c for v, u, c in zip(
+                value.tolist(), t.tolist(), coeff.tolist())])
+            addend = np.stack([coeff.real, coeff.imag], axis=1)
+            keep = ~(differ & (addend == 0.0))
+            assert (got.view(np.uint64).reshape(-1, 2)[keep]
+                    == want.view(np.uint64).reshape(-1, 2)[keep]).all()
+            # the first slope step starts from a complex zero
+            want = np.zeros(t.shape, dtype=complex) * t + value
+            got = np.array([0j * u + v for u, v in zip(t.tolist(),
+                                                       value.tolist())])
+            assert _same_bits(got, want)
+
+    def test_plain_rows_keep_the_batch_bits(self):
+        # rows at the edges of plain: parts near the lower bound, a zero
+        # imaginary part of mixed signs, values cancelled to an exact zero,
+        # t at 0, -0, 1, the smallest nonzero |t| and random
+        rng = np.random.default_rng(12)
+        lo, hi = reps._ODE_PLAIN
+        n, count = reps._ODE_ORDER, 400
+        rows = np.empty((count, n), dtype=complex)
+        ts = rng.choice([0.0, -0.0, 1.0, reps._ODE_T_MIN,
+                         -reps._ODE_T_MIN, 0.5, -0.375], count)
+        for i in range(count):
+            scale = 2.0 ** rng.uniform(math.log2(lo), math.log2(
+                lo) + 20 if i % 2 else math.log2(hi), n)
+            re = scale * rng.choice([-1.0, 1.0], n)
+            im = (rng.choice([-0.0, 0.0], n) if i % 3 == 0
+                  else scale[::-1] * rng.choice([-1.0, 1.0], n))
+            rows[i] = re + 1j * im
+            if i % 5 == 0 and ts[i] in (0.5, -0.375):
+                # cancel the value to zero at some steps: a coefficient of
+                # minus the product (an exact product at these t)
+                value = rows[i, -1]
+                for k in range(n - 2, -1, -1):
+                    cancel = -(value * ts[i])
+                    if rng.random() < 0.3 and all(
+                            p == 0.0 if z == 0.0 else lo <= abs(p) <= hi
+                            for p, z in ((cancel.real, rows[i, k].real),
+                                         (cancel.imag, rows[i, k].imag))):
+                        rows[i, k] = cancel
+                    value = value * ts[i] + rows[i, k]
+        parts = np.abs(np.stack([rows.real, rows.imag]))
+        plain = ((parts == 0.0).all(axis=2) | ((parts >= lo)
+                 & (parts <= hi)).all(axis=2)).all(axis=0)
+        assert plain.all()
+        mags = np.abs(rows)
+        j = np.arange(count)
+        for deriv in (False, True):
+            for i in range(count):
+                got = reps._horner_points(rows, mags, plain, j[i:i + 1],
+                                          ts[i:i + 1], deriv)
+                want = reps._horner_batch(rows[i:i + 1], mags[i:i + 1],
+                                          ts[i:i + 1], deriv)
+                for g, w in zip(got, want):
+                    assert _same_bits(g, w), (i, deriv)
+        # a row that is not plain, or a t out of range, takes the numpy pass
+        assert reps._horner_points(rows, mags, ~plain, j[:1], ts[:1],
+                                   True) is None
+        assert reps._horner_points(rows, mags, plain, j[:1],
+                                   np.array([1e-30]), True) is None
+
+    @pytest.mark.parametrize("sigma,lam,n,m", [
+        (0.0, -0.5 + 1.0j, 256, 0), (0.0, -0.25, 128, 0),
+        (0.5, -0.5 + 0.7j, 64, 0), (0.0, -0.5 + 1.0j, -3, -40),
+        (0.5, -0.5 + 0.7j, 7, -20)])
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_point_path_is_the_numpy_pass(self, sigma, lam, n, m, deriv,
+                                          monkeypatch):
+        # every batch size up to twice the crossover, on and off the
+        # reference column, with points on either side of their centres,
+        # at the cut, deep, and past the table's reach (err = inf)
+        a, b, c, *_ = _principal_params(sigma, lam, n, m)
+        rng = np.random.default_rng(abs(n) + abs(m))
+        cap = reps._ODE_SCALAR_POINTS
+        pool = np.concatenate([10.0 ** rng.uniform(-60, -1.01, 4 * cap),
+                               [1.0 - X_CUT, 1e-300, 0.0]])
+        for size in range(1, 2 * cap + 1):
+            omx = rng.choice(pool, size)
+            got = _f_ode_vec(a, b, c, omx, deriv=deriv)
+            with monkeypatch.context() as patch:
+                patch.setattr(reps, "_ODE_SCALAR_POINTS", 0)
+                want = _f_ode_vec(a, b, c, omx, deriv=deriv)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert _same_bits(g, w), (size, omx)
+        past = _f_ode_vec(a, b, c, np.array([1e-300, 0.0]), deriv=deriv)
+        assert np.isinf(past[1]).all() and np.isfinite(past[0]).all()
+
+    @pytest.mark.parametrize("r,n,m", [
+        (Principal(0.0, -0.5 + 1.0j), 128, 0),
+        (Principal(0.0, -0.5 + 1.0j), 7, -20),
+        (Principal(0.5, -0.5 + 0.7j), 64, 0),
+        (Principal(0.5, -0.5), 6, 0),
+        (Complementary(-0.25), 512, 0),
+        (Complementary(-0.25), 3, -5),
+        (Discrete(2), 8.0, 1.0),
+        (Discrete(3), 12.5, 9.5)],
+        ids=lambda v: repr(v).replace(" ", ""))
+    def test_one_point_slope_call_has_the_batch_bits(self, r, n, m):
+        # both branches of the circle closed form in one batch, wider than
+        # the crossover, against each point's one-point call
+        xs = np.array([0.05, 0.5, X_CUT, 0.93, 0.99, 0.995, 0.999, 0.9995,
+                       0.9999, 0.99999, 1.0 - 1e-9, 0.3, 0.95, 0.97,
+                       0.998, 1.0 - 1e-7])
+        assert xs.size > reps._ODE_SCALAR_POINTS
+        batch = coef_vec(r, n, m, xs, slope=True)
+        for i in range(xs.size):
+            alone = coef_vec(r, n, m, xs[i:i + 1], slope=True)
+            for got, want in zip(alone, batch):
+                assert _same_bits(got, want[i:i + 1]), xs[i]
+
+
+# the per-index memos, each with a call that misses it at a given i
+_MEMO_CALLS = {
+    "principal params": (reps._principal_params_memo, lambda i: (
+        _principal_params(0.5, -0.5 + 0.7j, i - 700, 3))),
+    "complementary normalizer": (reps._complementary_memo, lambda i: (
+        complementary_normalizer(-0.25, i - 700, -3))),
+    "disc |J|": (reps._discrete_log_j, lambda i: (
+        reps._discrete_log_j(3, i, i % 5))),
+    "series ratios": (specfun._series_ratios, lambda i: (
+        specfun._series_ratios(np.array([-0.5 - 1j, 0.5 + i * 1j, 3.0 + 0j])
+                               .tobytes(), 16 * (i % 3), 17))),
+}
+
+
+class TestIndexMemos:
+    """The memos of the closed forms' per-index constants and of hyp2f1's
+    ratio blocks: bounded, keyed on the bits of their arguments, and safe
+    to share between threads."""
+
+    @pytest.mark.parametrize("name", sorted(_MEMO_CALLS))
+    def test_bounded(self, name):
+        memo, call = _MEMO_CALLS[name]
+        limit = memo.cache_info().maxsize
+        assert isinstance(limit, int) and 0 < limit <= 4096
+        for i in range(limit + 40):
+            call(i)
+        assert memo.cache_info().currsize <= limit
+
+    def test_signed_zeros_are_kept_apart(self):
+        # -0.0 and 0.0 are equal keys of a plain dict, but take different
+        # log-Gamma branches: each call has the bits of an uncached one
+        for lam in (complex(-0.5, 0.0), complex(-0.5, -0.0)):
+            for n, m in ((6, 2), (2, 6), (0, -3)):
+                got = _principal_params(0.5, lam, n, m)
+                want = reps._principal_params_memo.__wrapped__(
+                    None, 0.5, lam, n, m)
+                assert _same_bits(np.array(got, dtype=complex),
+                                  np.array(want, dtype=complex)), (lam, n, m)
+        for n in (0.0, -0.0):
+            assert complementary_normalizer(-0.25, n, 4) == \
+                reps._complementary_normalizer(-0.25, n, 4)
+
+    def test_blocks_are_read_only(self):
+        block = specfun._series_ratios(
+            np.array([1.5 + 0j, -2.0 + 0j, 0.5 + 0j]).tobytes(), 0, 17)
+        assert not block.flags.writeable
+
+    def test_threads_share_the_memos(self):
+        # more workers than cores, a short switch interval, and more keys
+        # than any memo holds, so that the threads evict one another's
+        # entries: every result must have the bits of an uncached call
+        keys = list(range(1100))
+        want = {name: [call(i) for i in keys]
+                for name, (memo, call) in _MEMO_CALLS.items()}
+
+        def work(w):
+            # half of the keys each, from a point of its own
+            order = keys[w % 2::2]
+            order = order[90 * w:] + order[:90 * w]
+            for name, (memo, call) in _MEMO_CALLS.items():
+                for i in order:
+                    if not _same_bits(np.array(call(i), dtype=complex),
+                                      np.array(want[name][i], dtype=complex)):
+                        return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(work, w) for w in range(6)]
                 done = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -954,7 +1228,8 @@ class TestLogGammaPass:
 
         monkeypatch.setattr(specfun, "_log_gamma_kernel", counted)
         for memo in (specfun._log_gammas_memo, specfun._log_gamma_ratio,
-                     specfun._log_gamma_difference_memo):
+                     specfun._log_gamma_difference_memo,
+                     *_INDEX_MEMOS):
             memo.cache_clear()
         r.closed_form(n, m, np.array([x]))
         assert sum(sizes) == count
