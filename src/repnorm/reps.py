@@ -563,17 +563,17 @@ def complementary_normalizer(lam, n, m=0):
     has the sign (-1)^k, and for k < 0 both exceed 0.  Outside it,
     H(0) = lam/(-lam-1) H(1) by G(z+1) = z G(z), and that factor is
     negative, so H(0) or H(1) is; an integer lam puts a pole into H(0).
-    An index that is not an integer is refused, not cut.  A single index
-    is memoized on the bits of (lam, n, m).
+    An index that is not an integer is refused, not cut.  A pair of int
+    indices, as closed_form passes them, is memoized with the bits of lam.
     """
-    if np.ndim(n) == 0:
-        return _complementary_memo(_bits(float(lam), n, m))
+    if type(n) is int and type(m) is int:
+        return _complementary_memo(_bits(lam), lam, n, m)
     return _complementary_normalizer(lam, n, m)
 
 
 @functools.lru_cache(maxsize=_INDEX_MEMO)
-def _complementary_memo(key):
-    return _complementary_normalizer(*np.frombuffer(key, dtype=complex).real)
+def _complementary_memo(key, lam, n, m):
+    return _complementary_normalizer(lam, n, m)
 
 
 def _complementary_normalizer(lam, n, m):
@@ -822,7 +822,7 @@ _CLOSED_REL = 2e-14
 # to about 1e-3 in 8 KB),
 # largest condition number of an error window, bytes of rows kept, 1-x floor;
 # the most points a call takes one at a time on Python numbers (the measured
-# break-even is 13-14 points), and the range of a plain row's parts and of
+# break-even is 13-15 points), and the range of a plain row's parts and of
 # such a point's nonzero |t| (see _horner_points).
 _ODE_ORDER, _ODE_RHO, _ODE_RATE, _ODE_CHUNK = 32, 0.25, 2.0, 64
 _ODE_WINDOW, _ODE_CACHE_BYTES, _ODE_FLOOR = 64.0, 4 << 20, 1e-290

@@ -466,13 +466,13 @@ def _premise_sweep(rng, size):
 class TestScalarHorner:
     """The premise of _f_ode_vec's point-by-point path (_horner_points):
     each Horner step is complex x real + complex or real x real + real, and
-    CPython rounds those as numpy does on this host, but for the sign of a
-    zero where a nonzero product part rounds to zero, which the plain rows
-    and the range of t keep out.  (Python's complex x complex and
-    abs(complex) differ from numpy's far more often: the series' term
-    products stay in numpy, and |rows| comes from the table.)  Then the
-    path has the numpy pass's bits at every batch size, and a one-point
-    coef_vec the bits of its point in any batch."""
+    CPython rounds those as numpy does on the host that runs the tests,
+    but for the sign of a zero where a nonzero product part rounds to
+    zero, which the plain rows and the range of t keep out.  (Python's
+    complex x complex and abs(complex) differ from numpy's far more often:
+    the series' term products stay in numpy, and |rows| comes from the
+    table.)  Then the path has the numpy pass's bits at every batch size,
+    and a one-point coef_vec the bits of its point in any batch."""
 
     def test_python_steps_round_as_numpy(self):
         rng = np.random.default_rng(11)
@@ -513,7 +513,7 @@ class TestScalarHorner:
     def test_plain_rows_keep_the_batch_bits(self):
         # rows at the edges of plain: parts near the lower bound, a zero
         # imaginary part of mixed signs, values cancelled to an exact zero,
-        # t at 0, -0, 1, the smallest nonzero |t| and random
+        # t at 0, -0, 1, the smallest nonzero |t|, 1/2 and -3/8
         rng = np.random.default_rng(12)
         lo, hi = reps._ODE_PLAIN
         n, count = reps._ODE_ORDER, 400
@@ -559,21 +559,33 @@ class TestScalarHorner:
         assert reps._horner_points(rows, mags, plain, j[:1],
                                    np.array([1e-30]), True) is None
 
-    @pytest.mark.parametrize("sigma,lam,n,m", [
-        (0.0, -0.5 + 1.0j, 256, 0), (0.0, -0.25, 128, 0),
-        (0.5, -0.5 + 0.7j, 64, 0), (0.0, -0.5 + 1.0j, -3, -40),
-        (0.5, -0.5 + 0.7j, 7, -20)])
+    @pytest.mark.parametrize("sigma,lam,n,m,plain", [
+        (0.0, -0.5 + 1.0j, 256, 0, True), (0.0, -0.25, 128, 0, True),
+        (0.5, -0.5 + 0.7j, 64, 0, True), (0.0, -0.5 + 1.0j, -3, -40, True),
+        (0.5, -0.5 + 0.7j, 7, -20, True),
+        # Re(c-a-b) = 0.9: the rows near the floor fall below 2^-900
+        (0.0, -0.05 + 0.3j, 16, 0, False)])
     @pytest.mark.parametrize("deriv", [False, True])
-    def test_point_path_is_the_numpy_pass(self, sigma, lam, n, m, deriv,
-                                          monkeypatch):
+    def test_point_path_is_the_numpy_pass(self, sigma, lam, n, m, plain,
+                                          deriv, monkeypatch):
         # every batch size up to twice the crossover, on and off the
         # reference column, with points on either side of their centres,
-        # at the cut, deep, and past the table's reach (err = inf)
+        # at the cut, deep, and past the table's reach (err = inf); a batch
+        # that meets a row that is not plain takes the numpy pass
         a, b, c, *_ = _principal_params(sigma, lam, n, m)
         rng = np.random.default_rng(abs(n) + abs(m))
         cap = reps._ODE_SCALAR_POINTS
         pool = np.concatenate([10.0 ** rng.uniform(-60, -1.01, 4 * cap),
                                [1.0 - X_CUT, 1e-300, 0.0]])
+        paths = []
+        point_path = reps._horner_points
+
+        def spy(*args):
+            out = point_path(*args)
+            paths.append(out is not None)
+            return out
+
+        monkeypatch.setattr(reps, "_horner_points", spy)
         for size in range(1, 2 * cap + 1):
             omx = rng.choice(pool, size)
             got = _f_ode_vec(a, b, c, omx, deriv=deriv)
@@ -585,6 +597,8 @@ class TestScalarHorner:
                 assert _same_bits(g, w), (size, omx)
         past = _f_ode_vec(a, b, c, np.array([1e-300, 0.0]), deriv=deriv)
         assert np.isinf(past[1]).all() and np.isfinite(past[0]).all()
+        assert len(paths) == cap + 1 and any(paths)
+        assert all(paths) == plain
 
     @pytest.mark.parametrize("r,n,m", [
         (Principal(0.0, -0.5 + 1.0j), 128, 0),
@@ -648,9 +662,6 @@ class TestIndexMemos:
                     None, 0.5, lam, n, m)
                 assert _same_bits(np.array(got, dtype=complex),
                                   np.array(want, dtype=complex)), (lam, n, m)
-        for n in (0.0, -0.0):
-            assert complementary_normalizer(-0.25, n, 4) == \
-                reps._complementary_normalizer(-0.25, n, 4)
 
     def test_blocks_are_read_only(self):
         block = specfun._series_ratios(
