@@ -279,8 +279,8 @@ def scan_character(r, kappa, config=None):
     a non-unitary member, whose bounds are infinite, evaluates the whole
     grid in one call.  A peak that lands
     on the far end of the window is not a peak, it is a truncation: that
-    raises ScanError rather than returning a lower bound quietly.  A
-    character that is not integral raises PreconditionError.
+    raises ScanError rather than returning a lower bound quietly, as does
+    an empty window.  A non-integral character raises PreconditionError.
 
     err_est bounds the distance of pmin from the peak of the true |coef|
     over the bracket: coef's err_est at x_argmax, plus K dt^2 / 2 for the
@@ -293,6 +293,9 @@ def scan_character(r, kappa, config=None):
     kappa = int(kappa)
 
     ts, dt, t_max = _scan_grid(kappa, config)
+    if not ts.size:
+        raise ScanError(f"scan window of character {kappa} holds no grid"
+                        f" point (T={t_max:.3f}); enlarge t_pad")
     top = _grid_top(r, n_basis, m_ref, ts, config.refine_top)
     # the local maxima among the top points: no grid neighbour ranks above
     # them (a point outside the top is lower than all of them)

@@ -36,16 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
-from .specfun import (_EPS, gamma_ratio_signed, gamma_rounding, hyp2f1,
-                      is_nonpositive_int, log_gamma_difference, log_gammas)
+from .specfun import (_EPS, _MEMO_ENTRIES, gamma_ratio_signed, gamma_rounding,
+                      hyp2f1, is_nonpositive_int, log_gamma_difference,
+                      log_gammas, memo_key, memoized)
 
 # The one cut of the circle closed form: the Gauss series at or below it,
 # where it needs hundreds of terms, the ODE tables (started at it) above it
 X_CUT = 0.9
 ORACLE_TOL = 1e-9
-# entries of each per-index memo of the closed forms: a scan or an integral
-# asks for the constants of a few (n, m) many times
-_INDEX_MEMO = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +512,14 @@ class CoefValue:
 # Closed forms
 
 
-def _bits(*values):
-    """values as the bytes of complex doubles: the key of a per-index memo,
-    which tells 0.0 from -0.0 (they take different log-Gamma branches)."""
-    return np.array(values, dtype=complex).tobytes()
-
-
+@memoized(_MEMO_ENTRIES)
 def _principal_params(sigma, lam, n, m):
     """Series parameters, Gamma prefactor and its relative rounding of
     coef(n, m), (a, b, c, pref, rel); the two index orders are mirror
     images of one another.  2F1 is symmetric in a and b
     (DLMF 15.2.1), so the pair is returned with Re a <= Re b: b is near c,
-    and the ODE branch above X_CUT forms c-a-b as (c-b) - a.  Memoized on
-    the bits of the arguments."""
+    and the ODE branch above X_CUT forms c-a-b as (c-b) - a.  Memoized."""
     lam = complex(lam)
-    return _principal_params_memo(_bits(sigma, lam, n, m), sigma, lam, n, m)
-
-
-@functools.lru_cache(maxsize=_INDEX_MEMO)
-def _principal_params_memo(key, sigma, lam, n, m):
     if n >= m:
         a = -lam - m - sigma
         b = -lam + n + sigma
@@ -549,6 +536,7 @@ def _principal_params_memo(key, sigma, lam, n, m):
     return a, b, float(abs(n - m) + 1), pref, rel
 
 
+@memoized(_MEMO_ENTRIES)
 def complementary_normalizer(lam, n, m=0):
     """Ratio of renormalizations C(n, m) = sqrt(H(n)/H(m)) and its relative
     rounding, eps for the exp plus the rounding of log H at n and m (the
@@ -563,20 +551,8 @@ def complementary_normalizer(lam, n, m=0):
     has the sign (-1)^k, and for k < 0 both exceed 0.  Outside it,
     H(0) = lam/(-lam-1) H(1) by G(z+1) = z G(z), and that factor is
     negative, so H(0) or H(1) is; an integer lam puts a pole into H(0).
-    An index that is not an integer is refused, not cut.  A pair of int
-    indices, as closed_form passes them, is memoized with the bits of lam.
+    An index that is not an integer is refused, not cut.  Memoized.
     """
-    if type(n) is int and type(m) is int:
-        return _complementary_memo(_bits(lam), lam, n, m)
-    return _complementary_normalizer(lam, n, m)
-
-
-@functools.lru_cache(maxsize=_INDEX_MEMO)
-def _complementary_memo(key, lam, n, m):
-    return _complementary_normalizer(lam, n, m)
-
-
-def _complementary_normalizer(lam, n, m):
     lam = float(lam)
     if not -1.0 < lam < 0.0:
         raise NormalizationError(
@@ -598,14 +574,13 @@ def _complementary_normalizer(lam, n, m):
     return np.array([math.exp(v) for v in half.tolist()]), rel
 
 
-@functools.lru_cache(maxsize=_INDEX_MEMO)
+@memoized(_MEMO_ENTRIES)
 def _discrete_log_j(ell, p, q):
     """log of |J|, the symmetric Gamma prefactor of the disc closed form, and
     the rounding of the log-Gamma sum, which the square root does not halve.
     log G(p + ell) - log G(p + 1) is log_gamma_difference, one shift pair
     from p = 11 up, and so is that of q, so no two log-Gamma values of size
-    p log p are subtracted.  Memoized: ell, p and q are ints, whose values
-    are their bits."""
+    p log p are subtracted.  Memoized."""
     diff, rounding = log_gamma_difference([p + 1.0, q + 1.0], ell - 1.0)
     lg_ell = float(log_gammas([ell])[0].real)
     return 0.5 * (diff[0] + diff[1]) - lg_ell, \
@@ -875,6 +850,7 @@ class _OdeTable:
         self.rows = np.empty((0, _ODE_ORDER), dtype=complex)
         self.mags = np.empty((0, _ODE_ORDER))
         self.plain = np.empty(0, dtype=bool)
+        self.nbytes = 0         # of the arrays above
         self._next = None       # next centre, its (u_0, u_1), error window
 
     def add_chunk(self):
@@ -973,12 +949,13 @@ class _OdeTable:
         for name, new in zip(fields, (o, h, rows, row_err, np.abs(rows),
                                       h / 2.0 - o, plain)):
             setattr(self, name, np.concatenate((getattr(self, name), new)))
+        self.nbytes = sum(getattr(self, name).nbytes for name in fields)
 
 
 class _OdeCache:
-    """_OdeTable per (a, b, c), keyed on their bits (so 0.0 and -0.0 differ),
-    least recently used out first once their rows pass max_bytes; the
-    rows' bytes are kept as a running total."""
+    """_OdeTable per (a, b, c), keyed on their memo_key (so 0.0 and -0.0
+    differ), least recently used out first once the arrays of the tables
+    pass max_bytes; their bytes are kept as a running total."""
 
     def __init__(self, max_bytes):
         self.max_bytes = max_bytes
@@ -988,21 +965,18 @@ class _OdeCache:
 
     def rows(self, a, b, c, omx_min):
         """(centres, steps, rows, err, |rows|, edges, plain) of (a, b, c)'s
-        table past omx_min."""
-        key = np.array([a, b, c], dtype=complex).tobytes()
+        table past omx_min, taken under the lock, which extends tables."""
+        key = memo_key((a, b, c))
         with self._lock:
-            table = self._tables.pop(key, None)
-            if table is None:
-                table = _OdeTable(a, b, c)
-            else:
-                self._bytes -= table.rows.nbytes
+            table = self._tables.pop(key, None) or _OdeTable(a, b, c)
+            self._bytes -= table.nbytes
             while not table.centres.size or table.centres[-1] > max(
                     omx_min, _ODE_FLOOR):
                 table.add_chunk()
             self._tables[key] = table
-            self._bytes += table.rows.nbytes
+            self._bytes += table.nbytes
             while self._bytes > self.max_bytes and len(self._tables) > 1:
-                self._bytes -= self._tables.popitem(last=False)[1].rows.nbytes
+                self._bytes -= self._tables.popitem(last=False)[1].nbytes
             return (table.centres, table.steps, table.rows, table.err,
                     table.mags, table.edges, table.plain)
 

@@ -23,6 +23,8 @@ with its own rounding.
 import cmath
 import functools
 import math
+import struct
+import threading
 
 import numpy as np
 
@@ -56,11 +58,64 @@ _FACTORIALS = np.array([float(math.factorial(k)) for k in range(23)])
 # the rounding of log Gamma: eps (A + B |log G(z)|) per value (see
 # gamma_rounding)
 _GAMMA_ROUND_A, _GAMMA_ROUND_B = 80.0, 2.0
-# argument lists up to these sizes are memoized by log_gammas and
-# log_gamma_difference, and this many blocks of hyp2f1's term ratios
-_MEMO_ARGS, _MEMO_DIFFERENCES, _MEMO_RATIOS = 8, 64, 256
+# entries of a memo (no workload fills 80), of hyp2f1's ratio blocks (up
+# to 4 KB each), and the most elements of an array argument a memo keys
+_MEMO_ENTRIES, _MEMO_BLOCKS, _MEMO_ELEMENTS = 1024, 256, 64
 # the largest difference of arguments taken as one _log_gamma_shift pair
 _PAIR_GAP = 20.0
+_PACK_COMPLEX = struct.Struct("2d").pack
+
+
+def memo_key(args):
+    """The key of a memoized call's arguments, a part each: a number by its
+    bits as a complex double (so 0.0 and -0.0, which take different
+    log-Gamma branches, differ), anything else as a numpy array by its
+    dtype, shape and bytes.  None, not memoized, for an array of objects or
+    of over _MEMO_ELEMENTS elements."""
+    key = []
+    for value in args:
+        kind = type(value)      # the common types first: a hit costs this
+        if kind is float or kind is int:
+            key.append(_PACK_COMPLEX(value, 0.0))
+        elif kind is complex:
+            key.append(_PACK_COMPLEX(value.real, value.imag))
+        else:
+            value = np.asarray(value)
+            if value.dtype.hasobject or value.size > _MEMO_ELEMENTS:
+                return None
+            key.append((value.dtype.str, value.shape, value.tobytes()))
+    return tuple(key)
+
+
+def _read_only(out):
+    for v in out if isinstance(out, tuple) else (out,):
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return out
+
+
+def memoized(size):
+    """Memoize a function of positional arguments on their memo_key in a
+    functools.lru_cache of size entries (thread-safe, least recently used
+    out first, its cache_info and cache_clear on the memo); a miss passes
+    its arguments through the thread's slot pending.  Every array the memo
+    returns is read-only, memoized or not: callers share them."""
+    def decorate(fn):
+        pending = threading.local()
+        cached = functools.lru_cache(maxsize=size)(
+            lambda key: _read_only(fn(*pending.args)))
+
+        @functools.wraps(fn)
+        def memo(*args):
+            key = memo_key(args)
+            if key is None:
+                return _read_only(fn(*args))
+            pending.args = args
+            return cached(key)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+    return decorate
 
 
 def is_nonpositive_int(z):
@@ -72,6 +127,7 @@ def is_nonpositive_int(z):
     return r <= 0 and abs(z.real - r) <= _POLE_TOL
 
 
+@memoized(_MEMO_ENTRIES)
 def log_gammas(args):
     """log Gamma(z) of each argument off the poles, a complex array of the
     shape of args: the principal branch, analytic off (-inf, 0], whose
@@ -81,22 +137,11 @@ def log_gammas(args):
     removes multiples of 2*pi*i.
 
     Each value has the bits of its one-element call in any batch.  Lists
-    of up to _MEMO_ARGS arguments are memoized on their bytes: a scan or an
-    integral asks for the same few arguments many times, and one pass of
-    the kernel over a short list costs about 100 us.  The arrays returned
-    are read-only.
+    of up to _MEMO_ELEMENTS arguments are memoized: one pass of the kernel
+    over a short list costs about 100 us.  The array returned is read-only,
+    memoized or not.
     """
-    z = np.asarray(args, dtype=complex)
-    if z.size <= _MEMO_ARGS:
-        return _log_gammas_memo(z.tobytes(), z.shape)
-    return _log_gamma_kernel(z)
-
-
-@functools.lru_cache(maxsize=4096)
-def _log_gammas_memo(key, shape):
-    out = _log_gamma_kernel(np.frombuffer(key, dtype=complex).reshape(shape))
-    out.flags.writeable = False
-    return out
+    return _log_gamma_kernel(np.asarray(args, dtype=complex))
 
 
 def _split_log(x):
@@ -398,18 +443,17 @@ def gamma_ratio_signed(num, den):
     for a, b in zip(num_poles, den_poles):
         if (a - b) % 2:
             sign = -sign
-    log_acc, rounding = _log_gamma_ratio(
-        np.array(num + den, dtype=complex).tobytes(), len(num))
+    log_acc, rounding = _log_gamma_ratio(np.array(num + den, complex), len(num))
     if log_acc.real > 709.0:
         raise PoleError(f"gamma ratio overflows: log magnitude {log_acc.real:.1f}")
     return sign * cmath.exp(log_acc), rounding
 
 
-@functools.lru_cache(maxsize=4096)
-def _log_gamma_ratio(key, n_num):
+@memoized(_MEMO_ENTRIES)
+def _log_gamma_ratio(args, n_num):
     """(log of prod Gamma(num) / prod Gamma(den) up to a multiple of
-    2 pi i, its absolute rounding) for the arguments off the poles in key,
-    num first.  Each argument below Re z = 1/2 is reflected,
+    2 pi i, its absolute rounding) for the arguments off the poles in the
+    array args, num first.  Each argument below Re z = 1/2 is reflected,
     Gamma(z) = (pi / sin(pi z)) / Gamma(1 - z), which moves 1 - z to the
     other side and adds _log_pi_over_sin(z) with its phase reduced mod
     2 pi.  Then each numerator argument, largest first, is paired with the
@@ -419,8 +463,7 @@ def _log_gamma_ratio(key, n_num):
     The rest are log_gammas values.  The rounding is that of each pair
     and gamma_rounding of the other values, the reflection terms among
     them (within eps (3 + |term|): log pi - log sin)."""
-    z = np.frombuffer(key, dtype=complex)
-    sides = [list(z[:n_num]), list(z[n_num:])]
+    sides = [list(args[:n_num]), list(args[n_num:])]
     flip, reflected = [], []
     for side, other, sign in ((0, 1, 1.0), (1, 0, -1.0)):
         for v in [v for v in sides[side] if v.real < 0.5]:
@@ -501,6 +544,7 @@ def _log_gamma_shift(w, d):
                           + 2.1 * np.abs(d) + 1.0)
 
 
+@memoized(_MEMO_ENTRIES)
 def log_gamma_difference(w, d):
     """log Gamma(w + d) - log Gamma(w) for real w (a number or an array)
     and a real shift d with w, w + d >= 1/2, and its absolute rounding:
@@ -508,30 +552,9 @@ def log_gamma_difference(w, d):
     w and w + d are at least 12 and |d| <= 20, so that no two log-Gamma
     values of size w log w are subtracted and w + d is never rounded into
     an argument, else the two log-Gamma values and their gamma_rounding.
-    Arrays of up to
-    _MEMO_DIFFERENCES elements are memoized on their bytes, as in
-    log_gammas: the normalizers and oracle windows of a scan or a column
-    ask for the same few."""
-    w = np.asarray(w, dtype=float)
-    if w.size <= _MEMO_DIFFERENCES:
-        diff, rounding = _log_gamma_difference_memo(w.tobytes(), w.shape,
-                                                    float(d))
-    else:
-        diff, rounding = _log_gamma_difference(w, float(d))
-    if w.ndim == 0:
-        return float(diff), float(rounding)
-    return diff, rounding
-
-
-@functools.lru_cache(maxsize=1024)
-def _log_gamma_difference_memo(key, shape, d):
-    out = _log_gamma_difference(np.frombuffer(key).reshape(shape), d)
-    for v in out:
-        v.flags.writeable = False
-    return out
-
-
-def _log_gamma_difference(w, d):
+    Memoized, as log_gammas: the normalizers and oracle windows of a scan
+    or a column ask for the same few."""
+    w, d = np.asarray(w, dtype=float), float(d)
     flat = w.reshape(-1)
     diff, rounding = np.empty(flat.shape), np.empty(flat.shape)
     pair = (np.minimum(flat, flat + d) >= _SHIFT_TO) & (abs(d) <= _PAIR_GAP)
@@ -543,6 +566,8 @@ def _log_gamma_difference(w, d):
         up, down = log_gammas([flat[at] + d, flat[at]]).real
         diff[at] = up - down
         rounding[at] = gamma_rounding([up, down])
+    if w.ndim == 0:
+        return float(diff[0]), float(rounding[0])
     return diff.reshape(w.shape), rounding.reshape(w.shape)
 
 
@@ -595,7 +620,6 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
                                   or order >= -round(c.real) + 1):
         raise DomainError(f"c={c} is a pole not cleared by termination")
 
-    abc = np.array([a, b, c]).tobytes()
     n = xs.size
     value, err = np.empty(n, dtype=complex), np.empty(n)
     # per point: sum k t_k, its live partial sum, bound and rounding / eps
@@ -633,7 +657,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         terms[0], sums[0] = term, total
         # t_{j+1} / (x t_j) over the block and, unless the series
         # terminates (c + j may be 0 past its order), the term after it
-        ratio = _series_ratios(abc, k, rows + (order is None))
+        ratio = _series_ratios(a, b, c, k, rows + (order is None))
         multiply(x, ratio[:rows, None], sums[1:])
         t_rows, s_rows = list(terms), list(sums)    # views made once
         for j in range(rows):
@@ -717,13 +741,9 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
         slope.reshape(xs.shape), slope_err.reshape(xs.shape)
 
 
-@functools.lru_cache(maxsize=_MEMO_RATIOS)
-def _series_ratios(abc, k, count):
-    """t_{j+1} / (x t_j) = (a+j)(b+j)/((c+j)(j+1)) for j = k..k+count-1, a
-    read-only array, memoized on the bytes abc of (a, b, c): a scan or an
-    integral walks the same blocks of one series many times."""
-    a, b, c = np.frombuffer(abc, dtype=complex).tolist()
-    out = np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
-                    for j in range(k, k + count)], complex)
-    out.flags.writeable = False
-    return out
+@memoized(_MEMO_BLOCKS)
+def _series_ratios(a, b, c, k, count):
+    """t_{j+1} / (x t_j) = (a+j)(b+j)/((c+j)(j+1)) for j = k..k+count-1: a
+    scan or an integral walks the same blocks of one series many times."""
+    return np.array([(a + j) * (b + j) / ((c + j) * (j + 1.0))
+                     for j in range(k, k + count)], complex)

@@ -277,6 +277,19 @@ class TestNormScanCommand:
         assert len(lines) == 2 + 8           # one line per ladder character
         assert lines[-1].startswith("# ERROR 16 ScanError: ")
 
+    def test_empty_window_writes_trailers(self, tmp_path, capsys):
+        # a window that holds no grid point raised IndexError, printed a
+        # traceback and exited 1; each character gets its trailer instead
+        out_csv = tmp_path / "scan.csv"
+        cfg = write_config(tmp_path, output_path=str(out_csv),
+                           n_values=[16, 32], scan={"t_max_pad": -10})
+        assert main(["norm-scan", str(cfg)]) == 0
+        lines = out_csv.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [CSV_HEADER] + [
+            f"# ERROR {k} ScanError: scan window of character {k} holds no"
+            f" grid point (T={-10.0 + math.log1p(k):.3f}); enlarge t_pad"
+            for k in (16, 32)]
+
     def test_unread_fields_rejected(self, tmp_path, capsys):
         for field in ("m", "epsilon"):
             cfg = write_config(tmp_path, output_path=str(tmp_path / "s.csv"),

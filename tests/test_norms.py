@@ -240,6 +240,14 @@ class TestScanCharacter:
         assert scan_character(r, 16.0, self.CFG) == \
             scan_character(r, 16, self.CFG)
 
+    def test_empty_window_is_a_scan_error(self):
+        # T = t_pad + log(1+k) below the first grid point: the scan indexed
+        # an empty grid and raised IndexError
+        with pytest.raises(ScanError, match="holds no grid point .*"
+                                            "enlarge t_pad"):
+            scan_character(Principal(0.0, -0.5 + 1.0j), 16,
+                           ScanConfig(t_pad=-3.0))
+
     def test_peak_is_a_true_local_max(self):
         from repnorm.reps import coef
         s = scan_character(Complementary(-0.25), 32, self.CFG)

@@ -28,10 +28,6 @@ from repnorm.reps import (ORACLE_TOL, X_CUT, CoefValue, Complementary,
 from repnorm.specfun import (gamma_ratio_signed, gamma_rounding, hyp2f1,
                              log_gamma_difference, log_gammas)
 
-# the memos of the closed forms' per-index constants
-_INDEX_MEMOS = (reps._principal_params_memo, reps._complementary_memo,
-                reps._discrete_log_j)
-
 UNITARY_GRID = [
     Principal(0.0, -0.5 + 1.0j),
     Principal(0.5, -0.5 + 0.7j),
@@ -365,14 +361,15 @@ class TestOdeTables:
         assert np.all(steps <= 0.25 * centres * (1.0 + 1e-15))
 
     def test_byte_cap(self):
-        tables = _OdeCache(600_000)
+        tables = _OdeCache(800_000)
         params = [_principal_params(0.0, -0.5 + 1.0j, n, 0)[:3]
                   for n in (4, 16, 64)]
         for a, b, c in params:
             tables.rows(a, b, c, 1e-56)
-        # each table to 1e-56 holds about 230 KB: the oldest one went
+        # each table to 1e-56 holds about 370 KB, 230 KB of it rows: the
+        # oldest one went
         assert len(tables._tables) == 2
-        assert sum(t.rows.nbytes for t in tables._tables.values()) <= 600_000
+        assert _held_bytes(tables) <= 800_000
         # a table above the cap alone still serves its call
         small = _OdeCache(1000)
         value, err = _f_ode_vec(*params[0], np.array([1e-30]), tables=small)
@@ -425,16 +422,34 @@ class TestOdeTables:
         for k, omx_min in enumerate((1e-3, 1e-20, 1e-56, 1e-10, 1e-90,
                                      1e-56, 1e-200)):
             tables.rows(*params[k % len(params)], omx_min)
-            assert tables._bytes == sum(t.rows.nbytes
-                                        for t in tables._tables.values())
+            assert tables._bytes == _held_bytes(tables)
         with ThreadPoolExecutor(4) as pool:
             futures = [pool.submit(tables.rows, *params[i % len(params)],
                                    10.0 ** -(10 * i))
                        for i in range(1, 13)]
             for f in futures:
                 f.result(timeout=120)
-        assert tables._bytes == sum(t.rows.nbytes
-                                    for t in tables._tables.values())
+        assert tables._bytes == _held_bytes(tables)
+
+    def test_held_bytes_stay_within_the_cap(self):
+        # every array of a table counts against the cap, not its rows alone
+        # (|rows| alone is half as much again), through growth and
+        # evictions; only a table that passes the cap by itself may stay
+        params = [_principal_params(*r.circle, n, 0)[:3]
+                  for r in (Principal(0.0, -0.5 + 1.0j), Complementary(-0.25))
+                  for n in (4, 16, 64, 256)]
+        tables = _OdeCache(900_000)
+        for k, omx_min in enumerate((1e-20, 1e-56, 1e-3, 1e-90, 1e-56,
+                                     1e-200, 1e-10, 1e-56, 1e-280, 1e-56)):
+            tables.rows(*params[k % len(params)], omx_min)
+            assert (_held_bytes(tables) <= 900_000
+                    or len(tables._tables) == 1), k
+
+
+def _held_bytes(tables):
+    """The bytes of every array that the tables of an _OdeCache hold."""
+    return sum(v.nbytes for t in tables._tables.values()
+               for v in vars(t).values() if isinstance(v, np.ndarray))
 
 
 def _premise_sweep(rng, size):
@@ -611,12 +626,13 @@ class TestScalarHorner:
         (Discrete(3), 12.5, 9.5)],
         ids=lambda v: repr(v).replace(" ", ""))
     def test_one_point_slope_call_has_the_batch_bits(self, r, n, m):
-        # both branches of the circle closed form in one batch, wider than
-        # the crossover, against each point's one-point call
+        # both branches of the circle closed form in one batch, with more
+        # points above the cut than the crossover, against each point's
+        # one-point call
         xs = np.array([0.05, 0.5, X_CUT, 0.93, 0.99, 0.995, 0.999, 0.9995,
                        0.9999, 0.99999, 1.0 - 1e-9, 0.3, 0.95, 0.97,
-                       0.998, 1.0 - 1e-7])
-        assert xs.size > reps._ODE_SCALAR_POINTS
+                       0.998, 1.0 - 1e-7, 0.91, 0.92, 0.96, 0.9997])
+        assert np.count_nonzero(xs > X_CUT) > reps._ODE_SCALAR_POINTS
         batch = coef_vec(r, n, m, xs, slope=True)
         for i in range(xs.size):
             alone = coef_vec(r, n, m, xs[i:i + 1], slope=True)
@@ -624,66 +640,145 @@ class TestScalarHorner:
                 assert _same_bits(got, want[i:i + 1]), xs[i]
 
 
-# the per-index memos, each with a call that misses it at a given i
+# every memo of specfun.memoized, by name: the arguments of a call that
+# misses it at i, and two calls that differ only in the sign of a zero
 _MEMO_CALLS = {
-    "principal params": (reps._principal_params_memo, lambda i: (
-        _principal_params(0.5, -0.5 + 0.7j, i - 700, 3))),
-    "complementary normalizer": (reps._complementary_memo, lambda i: (
-        complementary_normalizer(-0.25, i - 700, -3))),
-    "disc |J|": (reps._discrete_log_j, lambda i: (
-        reps._discrete_log_j(3, i, i % 5))),
-    "series ratios": (specfun._series_ratios, lambda i: (
-        specfun._series_ratios(np.array([-0.5 - 1j, 0.5 + i * 1j, 3.0 + 0j])
-                               .tobytes(), 16 * (i % 3), 17))),
+    "log_gammas": (
+        lambda i: (np.array([0.5 + 0.01j * i, -2.5 + 0j]),),
+        ([complex(-2.5, 0.0)],), ([complex(-2.5, -0.0)],)),
+    "_log_gamma_ratio": (
+        lambda i: (np.array([3.5 + 0.01j * i, 1.5, 2.25 + 1j]), 1),
+        (np.array([complex(-2.5, 0.0), 1.5]), 1),
+        (np.array([complex(-2.5, -0.0), 1.5]), 1)),
+    "log_gamma_difference": (
+        lambda i: (np.array([2.5 + i, 14.0 + i]), 0.75),
+        (3.5, 0.0), (3.5, -0.0)),
+    "_series_ratios": (
+        lambda i: (-0.5 - 1j, 0.5 + i * 1j, 3.0 + 0j, 16 * (i % 3), 17),
+        (1.5 + 0j, complex(-2.0, 0.0), 0.5 + 0j, 0, 17),
+        (1.5 + 0j, complex(-2.0, -0.0), 0.5 + 0j, 0, 17)),
+    "_principal_params": (
+        lambda i: (0.5, -0.5 + 0.7j, i - 700, 3),
+        (0.5, complex(-0.5, 0.0), 6, 2), (0.5, complex(-0.5, -0.0), 6, 2)),
+    "complementary_normalizer": (
+        lambda i: (-0.25, i - 700, -3),
+        (-0.25, 0.0, -3), (-0.25, -0.0, -3)),
+    "_discrete_log_j": (
+        lambda i: (3, i, i % 5),
+        (3, 0.0, 2), (3, -0.0, 2)),
 }
+
+_MEMOS = {name: f for module in (specfun, reps) for name, f in
+          vars(module).items() if hasattr(f, "cache_clear")}
+
+
+def _out_bits(out):
+    """Every number of a memo's result as the bytes of complex doubles."""
+    return tuple(np.asarray(v, dtype=complex).tobytes()
+                 for v in (out if isinstance(out, tuple) else (out,)))
 
 
 class TestIndexMemos:
-    """The memos of the closed forms' per-index constants and of hyp2f1's
-    ratio blocks: bounded, keyed on the bits of their arguments, and safe
-    to share between threads."""
+    """The memos of specfun.memoized, which hold the closed forms'
+    per-index constants, the log-Gamma values and hyp2f1's ratio blocks:
+    bounded least recently used, keyed on the bits of their arguments,
+    returning read-only arrays, and safe to share between threads."""
+
+    def test_every_memo_is_listed(self):
+        assert sorted(_MEMOS) == sorted(_MEMO_CALLS)
 
     @pytest.mark.parametrize("name", sorted(_MEMO_CALLS))
     def test_bounded(self, name):
-        memo, call = _MEMO_CALLS[name]
-        limit = memo.cache_info().maxsize
-        assert isinstance(limit, int) and 0 < limit <= 4096
-        for i in range(limit + 40):
-            call(i)
-        assert memo.cache_info().currsize <= limit
+        # more misses than the memo holds: it keeps the most recently used
+        memo, (args, *_) = _MEMOS[name], _MEMO_CALLS[name]
+        size = memo.cache_info().maxsize
+        assert isinstance(size, int) and 0 < size <= 1024
+        memo.cache_clear()
+        for i in range(size):
+            memo(*args(i))
+        memo(*args(0))          # a hit: 0 is now the most recently used
+        for i in range(size, size + 40):
+            memo(*args(i))
+        info = memo.cache_info()
+        assert info.currsize == size and info.misses == size + 40
+        memo(*args(0))
+        memo(*args(41))
+        assert memo.cache_info().misses == size + 40
+        memo(*args(1))
+        memo(*args(40))
+        assert memo.cache_info().misses == size + 42
 
-    def test_signed_zeros_are_kept_apart(self):
+    @pytest.mark.parametrize("name", sorted(_MEMO_CALLS))
+    def test_signed_zeros_are_kept_apart(self, name):
         # -0.0 and 0.0 are equal keys of a plain dict, but take different
         # log-Gamma branches: each call has the bits of an uncached one
-        for lam in (complex(-0.5, 0.0), complex(-0.5, -0.0)):
-            for n, m in ((6, 2), (2, 6), (0, -3)):
-                got = _principal_params(0.5, lam, n, m)
-                want = reps._principal_params_memo.__wrapped__(
-                    None, 0.5, lam, n, m)
-                assert _same_bits(np.array(got, dtype=complex),
-                                  np.array(want, dtype=complex)), (lam, n, m)
+        memo, (_, plus, minus) = _MEMOS[name], _MEMO_CALLS[name]
+        memo.cache_clear()
+        for args in (plus, minus, plus, minus):
+            assert _out_bits(memo(*args)) == _out_bits(memo.__wrapped__(*args))
+        assert memo.cache_info().currsize == 2
 
-    def test_blocks_are_read_only(self):
-        block = specfun._series_ratios(
-            np.array([1.5 + 0j, -2.0 + 0j, 0.5 + 0j]).tobytes(), 0, 17)
-        assert not block.flags.writeable
+    def test_signed_zeros_change_the_branch(self):
+        # so that the pairs above test something: where a zero's sign
+        # reaches a log-Gamma branch, the two zeros give two values
+        for name in ("log_gammas", "_log_gamma_ratio", "_principal_params"):
+            _, plus, minus = _MEMO_CALLS[name]
+            memo = _MEMOS[name].__wrapped__
+            assert _out_bits(memo(*plus)) != _out_bits(memo(*minus)), name
+
+    def test_key_rule(self):
+        def key(value):
+            return specfun.memo_key((value,))
+
+        assert key(0.0) != key(-0.0) and key(0.0) == key(0j) == key(0.0 + 0j)
+        assert key(complex(1.0, 0.0)) != key(complex(1.0, -0.0))
+        assert key(7) == key(7.0) == key(7 + 0j)
+        assert key(np.float64(7)) == key(np.array(7.0)) != key(7.0)
+        z = np.zeros(4)
+        assert len({key(z), key(z.reshape(2, 2)), key(z.astype(complex)),
+                    key(-z)}) == 4
+        assert key([1.5, 2.5]) == key(np.array([1.5, 2.5]))
+        assert key(np.zeros(specfun._MEMO_ELEMENTS)) is not None
+        assert key(np.zeros(specfun._MEMO_ELEMENTS + 1)) is None
+        assert key([2 ** 70]) is None
+        assert specfun.memo_key((1.5, np.zeros(65))) is None
+
+    @pytest.mark.parametrize("memo,args", [
+        (specfun.log_gammas, ([0.5, 1.5j],)),
+        (specfun.log_gammas, (np.arange(1.0, 100.0),)),
+        (specfun.log_gamma_difference, (np.array([2.5, 14.0]), 0.75)),
+        (specfun.log_gamma_difference, (np.arange(1.0, 100.0), 0.75)),
+        (complementary_normalizer, (-0.25, np.arange(-5, 6), 0)),
+        (complementary_normalizer, (-0.25, np.arange(-64, 65), 0)),
+        (specfun._series_ratios, (1.5 + 0j, -2.0 + 0j, 0.5 + 0j, 0, 17))],
+        ids=["log_gammas", "log_gammas-uncached", "difference",
+             "difference-uncached", "normalizer", "normalizer-uncached",
+             "ratios"])
+    def test_arrays_are_read_only(self, memo, args):
+        # memoized or not (above _MEMO_ELEMENTS), since callers share them
+        for _ in range(2):
+            out = memo(*args)
+            arrays = [v for v in (out if isinstance(out, tuple) else (out,))
+                      if isinstance(v, np.ndarray)]
+            assert arrays and not any(v.flags.writeable for v in arrays)
 
     def test_threads_share_the_memos(self):
         # more workers than cores, a short switch interval, and more keys
         # than any memo holds, so that the threads evict one another's
         # entries: every result must have the bits of an uncached call
         keys = list(range(1100))
-        want = {name: [call(i) for i in keys]
-                for name, (memo, call) in _MEMO_CALLS.items()}
+        calls = {name: (_MEMOS[name], args)
+                 for name, (args, *_) in _MEMO_CALLS.items()}
+        want = {name: [_out_bits(memo.__wrapped__(*args(i))) for i in keys]
+                for name, (memo, args) in calls.items()}
 
         def work(w):
             # half of the keys each, from a point of its own
             order = keys[w % 2::2]
             order = order[90 * w:] + order[:90 * w]
-            for name, (memo, call) in _MEMO_CALLS.items():
+            for name, (memo, args) in calls.items():
                 for i in order:
-                    if not _same_bits(np.array(call(i), dtype=complex),
-                                      np.array(want[name][i], dtype=complex)):
+                    if _out_bits(memo(*args(i))) != want[name][i]:
                         return False
             return True
 
@@ -696,6 +791,9 @@ class TestIndexMemos:
         finally:
             sys.setswitchinterval(interval)
         assert all(done)
+        for memo, _ in calls.values():
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
 
 
 def _series_per_term(a, b, c, xs, tol=1e-15):
@@ -1238,9 +1336,7 @@ class TestLogGammaPass:
             return kernel(z)
 
         monkeypatch.setattr(specfun, "_log_gamma_kernel", counted)
-        for memo in (specfun._log_gammas_memo, specfun._log_gamma_ratio,
-                     specfun._log_gamma_difference_memo,
-                     *_INDEX_MEMOS):
+        for memo in _MEMOS.values():
             memo.cache_clear()
         r.closed_form(n, m, np.array([x]))
         assert sum(sizes) == count
