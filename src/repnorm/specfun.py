@@ -58,8 +58,8 @@ _FACTORIALS = np.array([float(math.factorial(k)) for k in range(23)])
 # the rounding of log Gamma: eps (A + B |log G(z)|) per value (see
 # gamma_rounding)
 _GAMMA_ROUND_A, _GAMMA_ROUND_B = 80.0, 2.0
-# entries of a memo (no workload fills 80), of hyp2f1's ratio blocks (up
-# to 4 KB each), and the most elements of an array argument a memo keys
+# entries of a memo (a workload holds at most 80), of hyp2f1's ratio
+# blocks (up to 4 KB each), and the most elements of a keyed array
 _MEMO_ENTRIES, _MEMO_BLOCKS, _MEMO_ELEMENTS = 1024, 256, 64
 # the largest difference of arguments taken as one _log_gamma_shift pair
 _PAIR_GAP = 20.0
@@ -67,11 +67,11 @@ _PACK_COMPLEX = struct.Struct("2d").pack
 
 
 def memo_key(args):
-    """The key of a memoized call's arguments, a part each: a number by its
-    bits as a complex double (so 0.0 and -0.0, which take different
-    log-Gamma branches, differ), anything else as a numpy array by its
-    dtype, shape and bytes.  None, not memoized, for an array of objects or
-    of over _MEMO_ELEMENTS elements."""
+    """The key of a memoized call's arguments, a part each: an int, float
+    or complex by its bits as a complex double (so 0.0 and -0.0, which take
+    different log-Gamma branches, differ), anything else as a numpy array
+    by its dtype, shape and bytes.  None, not memoized, for an array of
+    objects or of over _MEMO_ELEMENTS elements."""
     key = []
     for value in args:
         kind = type(value)      # the common types first: a hit costs this
