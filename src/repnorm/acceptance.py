@@ -353,10 +353,6 @@ def criterion_9():
                 bad.append(f"n={n}: {got} != {want}")
     if structure.structural_constant(structure.LieType("f4m20")) != 11:
         bad.append("exceptional entry != 11")
-    for n in (2, 3, 4):
-        if structure.lorentz_sobolev_bound(n) != (Fraction(n - 1, 2),
-                                                  Fraction(n, 2)):
-            bad.append(f"lorentz pair at n={n}")
     passed = not bad
     return _finish(
         "9-structural-constants",

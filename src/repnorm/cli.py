@@ -169,13 +169,16 @@ def cmd_coef(args):
         raise PreconditionError("give exactly one of --x or --t")
     if args.t is not None and not args.t >= 0.0:
         raise PreconditionError(f"need t >= 0, got {args.t}")
+    # 1-x goes in as sech(t)^2, as the scans pass it: 1 - tanh(t)^2 keeps
+    # only the ulps of x near x = 1
     x = args.x if args.t is None else math.tanh(args.t) ** 2
+    omx = None if args.t is None or x == 1.0 else math.cosh(args.t) ** -2
     n, m = r.as_index(args.n), r.as_index(args.m)
     if args.oracle:
         column, err = coef_oracle(r, m, x, n_max=abs(n))
         value, method = column[n], "oracle"
     else:
-        cv = coef(r, n, m, x)
+        cv = coef(r, n, m, x, omx)
         value, method, err = cv.value, cv.method, cv.err_est
     print(f"re     {_g17(value.real)}")
     print(f"im     {_g17(value.imag)}")

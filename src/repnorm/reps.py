@@ -796,13 +796,11 @@ _CLOSED_REL = 2e-14
 # times rate, centres per chunk (a quarter in the first: 1-x from 1 - X_CUT
 # to about 1e-3 in 8 KB),
 # largest condition number of an error window, bytes of rows kept, 1-x floor;
-# the most points a call takes one at a time on Python numbers (the measured
-# break-even is 13-15 points), and the range of a plain row's parts and of
-# such a point's nonzero |t| (see _horner_points).
+# and the most points a call takes one at a time on Python floats (the
+# measured break-even is 11 points, 13 with the slope; see _horner_points).
 _ODE_ORDER, _ODE_RHO, _ODE_RATE, _ODE_CHUNK = 32, 0.25, 2.0, 64
 _ODE_WINDOW, _ODE_CACHE_BYTES, _ODE_FLOOR = 64.0, 4 << 20, 1e-290
-_ODE_SCALAR_POINTS, _ODE_PLAIN, _ODE_T_MIN = 12, (2.0 ** -900, 2.0 ** 1000), \
-    2.0 ** -60
+_ODE_SCALAR_POINTS = 12
 
 
 class _OdeTable:
@@ -838,9 +836,8 @@ class _OdeTable:
     never taking up the growth of |Phi^-1| where a solution falls like
     e^(-|b| (z - z_j)).
 
-    The table also keeps |rows|, the edges steps/2 - centres by which a
-    point finds its centre, and which rows are plain (_horner_points), each
-    taken once with numpy.
+    The table also keeps |rows| and the edges steps/2 - centres by which a
+    point finds its centre, each taken once with numpy.
     """
 
     def __init__(self, a, b, c):
@@ -849,7 +846,6 @@ class _OdeTable:
         self.centres, self.steps, self.err, self.edges = (np.empty(0),) * 4
         self.rows = np.empty((0, _ODE_ORDER), dtype=complex)
         self.mags = np.empty((0, _ODE_ORDER))
-        self.plain = np.empty(0, dtype=bool)
         self.nbytes = 0         # of the arrays above
         self._next = None       # next centre, its (u_0, u_1), error window
 
@@ -942,12 +938,9 @@ class _OdeTable:
         self._next = (o[-1] - h[-1], u0, u1, base0, base1,
                       p00, p01, p10, p11, acc0, acc1)
         rows = (starts[:, :, None] * basis[:, :n].transpose(0, 2, 1)).sum(0)
-        parts = np.abs(np.stack([rows.real, rows.imag]))
-        plain = ((parts == 0.0).all(axis=2) | ((parts >= _ODE_PLAIN[0])
-                 & (parts <= _ODE_PLAIN[1])).all(axis=2)).all(axis=0)
-        fields = ("centres", "steps", "rows", "err", "mags", "edges", "plain")
+        fields = ("centres", "steps", "rows", "err", "mags", "edges")
         for name, new in zip(fields, (o, h, rows, row_err, np.abs(rows),
-                                      h / 2.0 - o, plain)):
+                                      h / 2.0 - o)):
             setattr(self, name, np.concatenate((getattr(self, name), new)))
         self.nbytes = sum(getattr(self, name).nbytes for name in fields)
 
@@ -964,8 +957,8 @@ class _OdeCache:
         self._lock = threading.Lock()
 
     def rows(self, a, b, c, omx_min):
-        """(centres, steps, rows, err, |rows|, edges, plain) of (a, b, c)'s
-        table past omx_min, taken under the lock, which extends tables."""
+        """(centres, steps, rows, err, |rows|, edges) of (a, b, c)'s table
+        past omx_min, taken under the lock, which extends tables."""
         key = memo_key((a, b, c))
         with self._lock:
             table = self._tables.pop(key, None) or _OdeTable(a, b, c)
@@ -978,7 +971,7 @@ class _OdeCache:
             while self._bytes > self.max_bytes and len(self._tables) > 1:
                 self._bytes -= self._tables.popitem(last=False)[1].nbytes
             return (table.centres, table.steps, table.rows, table.err,
-                    table.mags, table.edges, table.plain)
+                    table.mags, table.edges)
 
 
 _ODE_TABLES = _OdeCache(_ODE_CACHE_BYTES)
@@ -994,74 +987,57 @@ def _f_ode_vec(a, b, c, omx, deriv=False, tables=_ODE_TABLES):
     _ODE_FLOOR) is taken at the last step's end, with an infinite err.
 
     A batch of at most _ODE_SCALAR_POINTS points makes its Horner passes
-    one point at a time on Python numbers (_horner_points), at a few
+    one point at a time on Python floats (_horner_points), at a few
     microseconds a point in place of the numpy pass's fixed cost, with the
     same bits."""
     omx = np.asarray(omx, dtype=float)
-    centres, steps, rows, row_err, mags, edges, plain = tables.rows(
+    centres, steps, rows, row_err, mags, edges = tables.rows(
         a, b, c, float(omx.min()) if omx.size else 1.0)
     j = np.minimum(np.searchsorted(edges, -omx, side="right"),
                    centres.size - 1)
     t = np.minimum((centres[j] - omx) / steps[j], 1.0)
-    passes = (_horner_points(rows, mags, plain, j, t, deriv)
-              if omx.size <= _ODE_SCALAR_POINTS else None)
-    if passes is None:
-        passes = _horner_batch(rows[j], mags[j], t, deriv)
-    value, size, slope = passes
+    value, size, slope = (_horner_points if omx.size <= _ODE_SCALAR_POINTS
+                          else _horner_batch)(rows, mags, j, t, deriv)
     err = np.where(omx < centres[-1] - steps[-1], math.inf, row_err[j]
                    + (3.0 * _ODE_ORDER + 2.0) * _EPS * size)
     return (value, err, slope / steps[j]) if deriv else (value, err)
 
 
-def _horner_batch(picked, sizes, t, deriv):
-    """_f_ode_vec's Horner pass over the picked rows at the t, one numpy
-    step per term: (value, sum |u_k| |t|^k, slope in t, 0 unless deriv)."""
-    at, value, size = np.abs(t), picked[:, -1], sizes[:, -1]
-    slope = np.zeros(value.shape, dtype=complex)
+def _horner_batch(rows, mags, j, t, deriv):
+    """_f_ode_vec's Horner pass over the rows j at the t, one numpy step
+    per term: (value, sum |u_k| |t|^k, slope in t, 0 unless deriv).  The
+    complex terms go in as their real and imaginary parts, each point's
+    pair side by side, and every step is a float64 product and sum."""
+    parts = np.ascontiguousarray(rows[j].T).view(float)
+    sizes, tt, at = mags[j], np.repeat(t, 2), np.abs(t)
+    value, size, slope = parts[-1], sizes[:, -1], np.zeros(2 * t.size)
     for k in range(_ODE_ORDER - 2, -1, -1):
         if deriv:
-            slope = slope * t + value
-        value = value * t + picked[:, k]
+            slope = slope * tt + value
+        value = value * tt + parts[k]
         size = size * at + sizes[:, k]
-    return value, size, slope
+    return value.view(complex), size, slope.view(complex)
 
 
-def _horner_points(rows, mags, plain, j, t, deriv):
-    """_horner_batch point by point on Python numbers, with its bits, or
-    None unless every row j is plain and every t is 0 or has _ODE_T_MIN
-    <= |t| <= 1.
-
-    Each step is complex x real + complex or real x real + real.  CPython
-    forms (v_r t - v_i 0, v_r 0 + v_i t), numpy the same with each part
-    rounded once (a fused multiply-add where the host has one), so the two
-    differ only where a nonzero product part rounds to zero, and then only
-    in that zero's sign; adding a nonzero part removes the difference
-    (tests/test_reps.py checks all of this on the host).  A row is plain
-    when each of its real and imaginary parts is either zero throughout or
-    nonzero with modulus in _ODE_PLAIN.  Then a part of the value is zero
-    throughout or meets nonzero addends only, and a part of the slope,
-    whose addend is the value, is 0 or above 2^-953 wherever that addend
-    is 0 (it cannot be 0 twice running), so its product with such a t does
-    not round to zero: the bits are numpy's.  Python's abs of a complex is
-    not numpy's, so |rows| comes from the table."""
-    ts = t.tolist()
-    if not (plain[j].all() and all(
-            u == 0.0 or _ODE_T_MIN <= abs(u) <= 1.0 for u in ts)):
-        return None
+def _horner_points(rows, mags, j, t, deriv):
+    """_horner_batch point by point on Python floats, with its bits: each
+    step is the same float64 product and sum per part, which CPython and
+    numpy round alike (IEEE 754) for every row and t.  Python's abs of a
+    complex is not numpy's, so |rows| comes from the table."""
     values, sizes, slopes = [], [], []
-    for i, u in zip(j.tolist(), ts):
-        row, mag = rows[i].tolist(), mags[i].tolist()
-        value, size, slope, au = row.pop(), mag.pop(), 0j, abs(u)
-        for coeff, m in zip(reversed(row), reversed(mag)):
+    for i, u in zip(j.tolist(), t.tolist()):
+        part, mag, au = rows[i].view(float).tolist(), mags[i].tolist(), abs(u)
+        vr, vi, size, sr, si = part[-2], part[-1], mag[-1], 0.0, 0.0
+        for k in range(_ODE_ORDER - 2, -1, -1):
             if deriv:
-                slope = slope * u + value
-            value = value * u + coeff
-            size = size * au + m
-        values.append(value)
+                sr, si = sr * u + vr, si * u + vi
+            vr, vi = vr * u + part[2 * k], vi * u + part[2 * k + 1]
+            size = size * au + mag[k]
+        values += vr, vi
         sizes.append(size)
-        slopes.append(slope)
-    return (np.array(values, dtype=complex), np.array(sizes, dtype=float),
-            np.array(slopes, dtype=complex))
+        slopes += sr, si
+    return (np.array(values).view(complex), np.array(sizes),
+            np.array(slopes).view(complex))
 
 
 def _unit_factor(a, b):
@@ -1081,9 +1057,10 @@ def coef_vec(r, n, m, xs, omx=None, slope=False):
     return (values, dlog, errs) if slope else (values, errs)
 
 
-def coef(r, n, m, x):
+def coef(r, n, m, x, omx=None):
     """One coefficient <pi(a_x) f_m, f_n>: the one-point call of
-    r.closed_form, whose err is err_est.
+    r.closed_form, whose err is err_est; omx, if given, is 1-x to full
+    precision (sech(t)^2 at x = tanh(t)^2), which 1 - x near 1 is not.
 
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
@@ -1092,7 +1069,8 @@ def coef(r, n, m, x):
     ConvergenceError.
     """
     x = _cartan_x(x)
-    values, errs, method, _ = r.closed_form(n, m, np.array([x]))
+    values, errs, method, _ = r.closed_form(
+        n, m, np.array([x]), None if omx is None else np.array([omx]))
     cv = CoefValue(complex(values[0]), method, float(errs[0]))
     if not cmath.isfinite(cv.value):
         raise ConvergenceError(

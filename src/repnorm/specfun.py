@@ -578,7 +578,7 @@ def _terminating_order(a, b):
     return min(orders) if orders else None
 
 
-def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
+def hyp2f1(a, b, c, xs, tol=1e-15, deriv=False):
     """Gauss series 2F1(a, b; c; x) over an array of real x; returns
     (F, err), arrays of the shape of xs, and with deriv=True
     (F, err, F', F'_err), F' = dF/dx from the same terms.
@@ -593,7 +593,7 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
     products that make t_k and of the partial sums S_k (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, 3.3 and
     4.2).  Refuses |x| >= 1 unless the series terminates; raises
-    ConvergenceError past kmax terms.
+    ConvergenceError past SERIES_KMAX terms, read at the call.
 
     The terms are walked in blocks of at most _SERIES_ROWS terms and
     _SERIES_BLOCK elements, sized for the point of largest |x|; finished
@@ -645,13 +645,13 @@ def hyp2f1(a, b, c, xs, tol=1e-15, kmax=SERIES_KMAX, deriv=False):
             if deriv:
                 dvalue[live], derr[live] = dtotal, _EPS * drun
             break
-        if k >= kmax:
-            raise ConvergenceError(f"2F1 series not converged after {kmax}"
-                                   f" terms (c-a-b={c - a - b})")
+        if k >= SERIES_KMAX:
+            raise ConvergenceError(f"2F1 series not converged after"
+                                   f" {SERIES_KMAX} terms (c-a-b={c - a - b})")
         size = live.size
         rows = min(max(16, width), _SERIES_ROWS,
-                   max(1, _SERIES_BLOCK // size), kmax - k,
-                   kmax if order is None else order - k)
+                   max(1, _SERIES_BLOCK // size), SERIES_KMAX - k,
+                   SERIES_KMAX if order is None else order - k)
         terms = buf_t[:(rows + 1) * size].reshape(rows + 1, size)
         sums = buf_s[:(rows + 1) * size].reshape(rows + 1, size)
         terms[0], sums[0] = term, total

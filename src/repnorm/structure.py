@@ -124,9 +124,3 @@ def domination_threshold(t, series):
         raise DomainError(
             f"no domination threshold tabulated for {t.label()}")
     return thresholds[series]
-
-
-def lorentz_sobolev_bound(n):
-    """For the Lorentz family so(1,n): the K-type growth exponent, the
-    table's c_g = (n-1)/2, and the Sobolev domination threshold n/2."""
-    return structural_constant(LieType("so1n", n)), Fraction(n, 2)

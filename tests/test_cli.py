@@ -43,6 +43,48 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def _mpmath_coef(rep, n, m, t):
+    """coef(n, m) of a family descriptor at a_t, at 60 digits: the circle
+    closed form pref x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x) (n >= m)
+    times the complementary normalizer, or the disc's terminating sum, with
+    x = tanh(t)^2 and 1-x = sech(t)^2."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        tm = mpmath.mpf(t)
+        x, omx = mpmath.tanh(tm) ** 2, mpmath.sech(tm) ** 2
+        kind, *params = rep.split(":")
+        if kind == "discrete":
+            ell = int(params[0])
+            p, q = n - ell // 2, m - ell // 2
+            j = mpmath.sqrt(mpmath.gamma(p + ell) * mpmath.gamma(q + ell)
+                            / (mpmath.gamma(p + 1) * mpmath.gamma(q + 1))) \
+                / mpmath.gamma(ell)
+            total, g = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(min(p, q) + 1):
+                total += g * x ** (mpmath.mpf(p + q - 2 * k) / 2) \
+                    * omx ** (mpmath.mpf(ell) / 2 + k)
+                g *= -mpmath.mpf((p - k) * (q - k)) / ((ell + k) * (k + 1))
+            return complex((-1) ** p * j * total)
+        if kind == "principal":
+            s = mpmath.mpf(params[0])
+            lam = mpmath.mpmathify(complex(params[1].replace("i", "j")))
+            scale = 1
+        else:
+            s, lam = 0, mpmath.mpf(params[0])
+
+            def h(k):
+                return mpmath.gamma(abs(k) + 1 + lam) / mpmath.gamma(
+                    abs(k) - lam)
+
+            scale = mpmath.sqrt(h(n) / h(m))
+        a, b = -lam - m - s, -lam + n + s
+        pref = mpmath.gammaprod([lam - m - s + 1],
+                                [n - m + 1, lam - n - s + 1])
+        return complex(scale * pref * x ** (mpmath.mpf(n - m) / 2)
+                       * omx ** (-lam) * mpmath.hyp2f1(a, b, n - m + 1, x))
+
+
 class TestExperimentConfig:
     def test_unknown_field_rejected(self, tmp_path):
         from repnorm.errors import PreconditionError
@@ -100,13 +142,27 @@ class TestCoefCommand:
         assert main(["coef", "--rep", "principal:0:-0.5+1i", "--m", "0",
                      "--n", "4", *coordinate]) == 2
 
-    @pytest.mark.parametrize("t", [0.0, 0.4, 2.7])
+    @pytest.mark.parametrize("t", [0.0])
     def test_t_gives_the_coordinate_tanh_t_squared(self, t, capsys):
         args = ["coef", "--rep", "principal:0:-0.5+1i", "--m", "0", "--n", "4"]
         assert main(args + ["--t", repr(t)]) == 0
         by_t = capsys.readouterr().out
         assert main(args + ["--x", repr(math.tanh(t) ** 2)]) == 0
         assert capsys.readouterr().out == by_t
+
+    # --t takes 1-x as sech(t)^2: from 1 - tanh(t)^2, which keeps only the
+    # ulps of x, the value was off by 3e-7 to 2.1 relative at t >= 12
+    @pytest.mark.parametrize("rep, n, m", [
+        ("principal:0:-0.5+1i", 3, 0), ("complementary:-0.25", 4, 0),
+        ("discrete:2", 3, 1)])
+    @pytest.mark.parametrize("t", [0.4, 2.7, 12.0, 16.0, 18.0])
+    def test_t_is_within_its_err_of_mpmath(self, rep, n, m, t, capsys):
+        assert main(["coef", "--rep", rep, "--n", str(n), "--m", str(m),
+                     "--t", repr(t)]) == 0
+        out = dict(line.split(None, 1)
+                   for line in capsys.readouterr().out.splitlines())
+        value = complex(float(out["re"]), float(out["im"]))
+        assert abs(value - _mpmath_coef(rep, n, m, t)) <= float(out["err"])
 
     def test_integer_index_enforced_off_discrete(self, capsys):
         assert main(["coef", "--rep", "principal:0:-0.5+1i",

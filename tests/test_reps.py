@@ -453,10 +453,9 @@ def _held_bytes(tables):
 
 
 def _premise_sweep(rng, size):
-    """Complex values, real multipliers and complex addends that cover the
-    scalar Horner pass's cases: random sizes over many decades, signed
-    zeros in either part, t = 0 and -0 exactly, t clipped to 1, and
-    subnormals."""
+    """Values, multipliers t and addends that cover the Horner passes'
+    steps: random sizes over many decades, signed zeros, t = 0 and -0
+    exactly, t clipped to 1, and subnormals."""
     special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308,
                         -1e-310, 1e300, -1e-300, 2.0 / 3.0, -2.0 / 3.0])
 
@@ -467,138 +466,90 @@ def _premise_sweep(rng, size):
         out[pick] = rng.choice(special, pick.sum())
         return out
 
-    def complexes(count):
-        return reals(count) + 1j * reals(count)
-
     t = rng.uniform(-2.0 / 3.0, 1.0, size)
     pick = rng.random(size) < 0.3
     t[pick] = rng.choice(np.concatenate([special, [0.0, -0.0, 1.0]]),
                          pick.sum())
-    return complexes(size), t, complexes(size), np.abs(reals(size)), \
-        np.abs(reals(size))
+    return reals(size), t, reals(size)
 
 
 class TestScalarHorner:
-    """The premise of _f_ode_vec's point-by-point path (_horner_points):
-    each Horner step is complex x real + complex or real x real + real, and
-    CPython rounds those as numpy does on the host that runs the tests,
-    but for the sign of a zero where a nonzero product part rounds to
-    zero, which the plain rows and the range of t keep out.  (Python's
-    complex x complex and abs(complex) differ from numpy's far more often:
-    the series' term products stay in numpy, and |rows| comes from the
-    table.)  Then the path has the numpy pass's bits at every batch size,
-    and a one-point coef_vec the bits of its point in any batch."""
+    """_f_ode_vec's point-by-point path (_horner_points) against its numpy
+    pass (_horner_batch): each Horner step of either is a float64 product
+    and sum on a real or an imaginary part, or on a size, which CPython
+    rounds as numpy does (IEEE 754).  So the path has the numpy pass's
+    bits for every row and every t, and a one-point coef_vec the bits of
+    its point in any batch."""
 
     def test_python_steps_round_as_numpy(self):
+        # real x real + real: the same bits everywhere, signed zeros and
+        # subnormals included
         rng = np.random.default_rng(11)
-        value, t, coeff, size, mag = _premise_sweep(rng, 40_000)
+        value, t, coeff = _premise_sweep(rng, 40_000)
         with np.errstate(all="ignore"):
-            # real x real + real: the same bits everywhere
-            want = size * np.abs(t) + mag
-            got = np.array([s * abs(u) + m for s, u, m in zip(
-                size.tolist(), t.tolist(), mag.tolist())])
-            assert _same_bits(got, want)
-            # complex x real: each part the same, but where a nonzero
-            # product rounds to zero, and there a zero of either sign
-            want = value * t
-            got = np.array([v * u for v, u in zip(value.tolist(),
-                                                  t.tolist())])
-            parts = np.stack([value.real, value.imag], axis=1)
-            lost = (parts * t[:, None] == 0.0) & (parts != 0.0) \
-                & (t[:, None] != 0.0)
-            differ = got.view(np.uint64).reshape(-1, 2) \
-                != want.view(np.uint64).reshape(-1, 2)
-            assert not (differ & ~lost).any()
-            assert (want.view(float).reshape(-1, 2)[differ] == 0.0).all()
-            # + complex: the same bits wherever a difference meets a
-            # nonzero addend part
-            want = value * t + coeff
-            got = np.array([v * u + c for v, u, c in zip(
-                value.tolist(), t.tolist(), coeff.tolist())])
-            addend = np.stack([coeff.real, coeff.imag], axis=1)
-            keep = ~(differ & (addend == 0.0))
-            assert (got.view(np.uint64).reshape(-1, 2)[keep]
-                    == want.view(np.uint64).reshape(-1, 2)[keep]).all()
-            # the first slope step starts from a complex zero
-            want = np.zeros(t.shape, dtype=complex) * t + value
-            got = np.array([0j * u + v for u, v in zip(t.tolist(),
-                                                       value.tolist())])
-            assert _same_bits(got, want)
+            for v, u, c in ((value, t, coeff),
+                            (np.abs(value), np.abs(t), np.abs(coeff))):
+                want = v * u + c
+                got = np.array([p * q + r for p, q, r in zip(
+                    v.tolist(), u.tolist(), c.tolist())])
+                assert _same_bits(got, want)
 
-    def test_plain_rows_keep_the_batch_bits(self):
-        # rows at the edges of plain: parts near the lower bound, a zero
-        # imaginary part of mixed signs, values cancelled to an exact zero,
-        # t at 0, -0, 1, the smallest nonzero |t|, 1/2 and -3/8
+    def test_every_row_keeps_the_batch_bits(self):
+        # rows that no table holds: parts from subnormal to 2^1000, zeros
+        # of either sign, a part zero throughout, values cancelled to an
+        # exact zero at some steps; t at 0, -0, +-2^-1074, +-2^-60, 1/2,
+        # -3/8 and 1
         rng = np.random.default_rng(12)
-        lo, hi = reps._ODE_PLAIN
-        n, count = reps._ODE_ORDER, 400
-        rows = np.empty((count, n), dtype=complex)
-        ts = rng.choice([0.0, -0.0, 1.0, reps._ODE_T_MIN,
-                         -reps._ODE_T_MIN, 0.5, -0.375], count)
-        for i in range(count):
-            scale = 2.0 ** rng.uniform(math.log2(lo), math.log2(
-                lo) + 20 if i % 2 else math.log2(hi), n)
-            re = scale * rng.choice([-1.0, 1.0], n)
-            im = (rng.choice([-0.0, 0.0], n) if i % 3 == 0
-                  else scale[::-1] * rng.choice([-1.0, 1.0], n))
-            rows[i] = re + 1j * im
-            if i % 5 == 0 and ts[i] in (0.5, -0.375):
-                # cancel the value to zero at some steps: a coefficient of
-                # minus the product (an exact product at these t)
-                value = rows[i, -1]
-                for k in range(n - 2, -1, -1):
-                    cancel = -(value * ts[i])
-                    if rng.random() < 0.3 and all(
-                            p == 0.0 if z == 0.0 else lo <= abs(p) <= hi
-                            for p, z in ((cancel.real, rows[i, k].real),
-                                         (cancel.imag, rows[i, k].imag))):
-                        rows[i, k] = cancel
-                    value = value * ts[i] + rows[i, k]
-        parts = np.abs(np.stack([rows.real, rows.imag]))
-        plain = ((parts == 0.0).all(axis=2) | ((parts >= lo)
-                 & (parts <= hi)).all(axis=2)).all(axis=0)
-        assert plain.all()
-        mags = np.abs(rows)
-        j = np.arange(count)
+        n, count, tiny = reps._ODE_ORDER, 600, 2.0 ** -1074
+        ts = rng.choice([0.0, -0.0, tiny, -tiny, 2.0 ** -60, -2.0 ** -60,
+                         0.5, -0.375, 1.0], count)
+        parts = 2.0 ** rng.uniform(-1074, 1000, (count, n, 2)) \
+            * rng.choice([-1.0, 1.0], (count, n, 2))
+        zero = rng.random(parts.shape) < 0.2
+        parts[zero] = rng.choice([-0.0, 0.0], zero.sum())
+        parts[::3, :, 1] = rng.choice([-0.0, 0.0], parts[::3, :, 1].shape)
+        for i in np.flatnonzero(np.isin(ts, [0.5, -0.375, 1.0])):
+            # a coefficient of minus the rounded product cancels exactly
+            value = parts[i, -1].copy()
+            for k in range(n - 2, -1, -1):
+                if rng.random() < 0.3:
+                    parts[i, k] = -(value * ts[i])
+                value = value * ts[i] + parts[i, k]
+        rows = parts.view(complex).reshape(count, n)
+        mags, j = np.abs(rows), np.arange(count)
         for deriv in (False, True):
-            for i in range(count):
-                got = reps._horner_points(rows, mags, plain, j[i:i + 1],
-                                          ts[i:i + 1], deriv)
-                want = reps._horner_batch(rows[i:i + 1], mags[i:i + 1],
-                                          ts[i:i + 1], deriv)
-                for g, w in zip(got, want):
-                    assert _same_bits(g, w), (i, deriv)
-        # a row that is not plain, or a t out of range, takes the numpy pass
-        assert reps._horner_points(rows, mags, ~plain, j[:1], ts[:1],
-                                   True) is None
-        assert reps._horner_points(rows, mags, plain, j[:1],
-                                   np.array([1e-30]), True) is None
+            got = reps._horner_points(rows, mags, j, ts, deriv)
+            want = reps._horner_batch(rows, mags, j, ts, deriv)
+            for g, w in zip(got, want):
+                assert _same_bits(g, w), deriv
+        # the cancellations reach a zero value part at some points
+        assert (reps._horner_batch(rows, mags, j, ts, False)[0].view(
+            float) == 0.0).sum() > count // 3
 
-    @pytest.mark.parametrize("sigma,lam,n,m,plain", [
-        (0.0, -0.5 + 1.0j, 256, 0, True), (0.0, -0.25, 128, 0, True),
-        (0.5, -0.5 + 0.7j, 64, 0, True), (0.0, -0.5 + 1.0j, -3, -40, True),
-        (0.5, -0.5 + 0.7j, 7, -20, True),
+    @pytest.mark.parametrize("sigma,lam,n,m", [
+        (0.0, -0.5 + 1.0j, 256, 0), (0.0, -0.25, 128, 0),
+        (0.5, -0.5 + 0.7j, 64, 0), (0.0, -0.5 + 1.0j, -3, -40),
+        (0.5, -0.5 + 0.7j, 7, -20),
         # Re(c-a-b) = 0.9: the rows near the floor fall below 2^-900
-        (0.0, -0.05 + 0.3j, 16, 0, False)])
+        (0.0, -0.05 + 0.3j, 16, 0)])
     @pytest.mark.parametrize("deriv", [False, True])
-    def test_point_path_is_the_numpy_pass(self, sigma, lam, n, m, plain,
-                                          deriv, monkeypatch):
+    def test_point_path_is_the_numpy_pass(self, sigma, lam, n, m, deriv,
+                                          monkeypatch):
         # every batch size up to twice the crossover, on and off the
         # reference column, with points on either side of their centres,
-        # at the cut, deep, and past the table's reach (err = inf); a batch
-        # that meets a row that is not plain takes the numpy pass
+        # at the cut, deep, and past the table's reach (err = inf); every
+        # batch up to the crossover takes the point path
         a, b, c, *_ = _principal_params(sigma, lam, n, m)
         rng = np.random.default_rng(abs(n) + abs(m))
         cap = reps._ODE_SCALAR_POINTS
         pool = np.concatenate([10.0 ** rng.uniform(-60, -1.01, 4 * cap),
                                [1.0 - X_CUT, 1e-300, 0.0]])
-        paths = []
+        sizes = []
         point_path = reps._horner_points
 
-        def spy(*args):
-            out = point_path(*args)
-            paths.append(out is not None)
-            return out
+        def spy(rows, mags, j, t, deriv):
+            sizes.append(t.size)
+            return point_path(rows, mags, j, t, deriv)
 
         monkeypatch.setattr(reps, "_horner_points", spy)
         for size in range(1, 2 * cap + 1):
@@ -612,8 +563,7 @@ class TestScalarHorner:
                 assert _same_bits(g, w), (size, omx)
         past = _f_ode_vec(a, b, c, np.array([1e-300, 0.0]), deriv=deriv)
         assert np.isinf(past[1]).all() and np.isfinite(past[0]).all()
-        assert len(paths) == cap + 1 and any(paths)
-        assert all(paths) == plain
+        assert sizes == list(range(1, cap + 1)) + [2]
 
     @pytest.mark.parametrize("r,n,m", [
         (Principal(0.0, -0.5 + 1.0j), 128, 0),

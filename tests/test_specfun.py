@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from repnorm import specfun
 from repnorm.errors import ConvergenceError, DomainError, PoleError
 from repnorm.specfun import (_log_gamma_shift, gamma_ratio_signed,
                              gamma_rounding, hyp2f1, is_nonpositive_int,
@@ -250,7 +251,8 @@ class TestGaussSeries:
         with pytest.raises(DomainError):
             hyp2f1(0.5, 0.7, 1.1, 1.2)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_KMAX", 30)
         with pytest.raises(ConvergenceError):
-            hyp2f1(0.5, 0.7, 1.1, 0.999, kmax=30)
+            hyp2f1(0.5, 0.7, 1.1, 0.999)
 

@@ -8,8 +8,8 @@ import pytest
 from repnorm.errors import DomainError, PreconditionError
 from repnorm.structure import (FAMILIES, GENERALIZED_VERMA, OTHER_DISCRETE,
                                PRINCIPAL_MPS, LieType, domination_threshold,
-                               lorentz_sobolev_bound, mps_gap_bound,
-                               parse_lie_type, structural_constant)
+                               mps_gap_bound, parse_lie_type,
+                               structural_constant)
 
 
 class TestLieType:
@@ -109,12 +109,3 @@ class TestDominationThreshold:
     def test_unsupported_family(self):
         with pytest.raises(DomainError):
             domination_threshold(LieType("sp1n", 2), PRINCIPAL_MPS)
-
-
-class TestLorentzSobolevBound:
-    def test_bracket(self):
-        for n in (2, 3, 4):
-            lo, hi = lorentz_sobolev_bound(n)
-            assert lo == Fraction(n - 1, 2)
-            assert hi == Fraction(n, 2)
-            assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
