@@ -522,9 +522,10 @@ class TestScalarHorner:
             want = reps._horner_batch(rows, mags, j, ts, deriv)
             for g, w in zip(got, want):
                 assert _same_bits(g, w), deriv
-        # the cancellations reach a zero value part at some points
-        assert (reps._horner_batch(rows, mags, j, ts, False)[0].view(
-            float) == 0.0).sum() > count // 3
+        # zero value parts of both signs reach the outputs
+        parts = reps._horner_batch(rows, mags, j, ts, False)[0].view(float)
+        signs = np.signbit(parts[parts == 0.0])
+        assert signs.any() and not signs.all()
 
     @pytest.mark.parametrize("sigma,lam,n,m", [
         (0.0, -0.5 + 1.0j, 256, 0), (0.0, -0.25, 128, 0),
