@@ -131,13 +131,14 @@ def criterion_1(seed=DEFAULT_SEED, tol=1e-8):
 
 def criterion_2(tol=1e-8):
     """Closed-form coefficients against the quadrature oracle across the
-    family grid, full columns up to index 128, seven Cartan points: one
+    family grid, full columns up to index 128, eight Cartan points: one
     oracle column per point, and one batched closed_form call per
-    (family, n) over all seven, without the slope.  x = 0.9 is the
-    series' last point, X_CUT itself, and the two above it check the ODE
-    branch there; a nan fails the comparison."""
+    (family, n) over all eight, without the slope.  x = 0.8 is the
+    series' last point, X_CUT itself, and the three above it check the
+    ODE branch from its first centres to 0.995; a nan fails the
+    comparison."""
     t0 = time.perf_counter()
-    xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.995])
+    xs = np.array([0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99, 0.995])
     worst = 0.0
     passed = True
     for r in GRID_REPS:
@@ -160,7 +161,7 @@ def criterion_2(tol=1e-8):
     passed = passed and worst <= tol
     return _finish(
         "2-coefficient-dual-paths",
-        "closed form = oracle on 5 families x |n| <= 128 x 7 points",
+        "closed form = oracle on 5 families x |n| <= 128 x 8 points",
         f"worst resolvable relative deviation {worst:.2e}",
         f"{tol:g} relative", passed, t0)
 

@@ -42,7 +42,7 @@ from .specfun import (_EPS, _MEMO_ENTRIES, gamma_ratio_signed, gamma_rounding,
 
 # The one cut of the circle closed form: the Gauss series at or below it,
 # where it needs hundreds of terms, the ODE tables (started at it) above it
-X_CUT = 0.9
+X_CUT = 0.8
 ORACLE_TOL = 1e-9
 
 
@@ -794,7 +794,7 @@ _CLOSED_REL = 2e-14
 
 # The ODE branch (see _OdeTable): Taylor terms, step over 1-z, cap on step
 # times rate, centres per chunk (a quarter in the first: 1-x from 1 - X_CUT
-# to about 1e-3 in 8 KB),
+# to about 5e-3 in 8 KB),
 # largest condition number of an error window, bytes of rows kept, 1-x floor;
 # and the most points a call takes one at a time on Python floats (the
 # measured break-even is 11 points, 13 with the slope; see _horner_points).
@@ -817,7 +817,7 @@ class _OdeTable:
     A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1)
     built for a chunk of centres at once; their sums at t = 1, last term
     first, carry (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT
-    (F' to a tolerance 1/(1-X_CUT) = 10 times tighter: its tail falls that
+    (F' to a tolerance 1/(1-X_CUT) = 5 times tighter: its tail falls that
     much slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), capped
     where the solutions' rates would make rows rise like (|b| h)^k/k!, is
     a difference of centres, so exact.  A centre's bound adds the tail past
@@ -827,14 +827,19 @@ class _OdeTable:
     M = max(|u_N|, |u_{N+1}|/r); the rows' rounding, a running bound from
     the two products that form each coefficient, carried by the
     recurrence; and the errors of (u_0, u_1), from hyp2f1's bounds plus,
-    per step, its tail, rounding and eps sum (k+7) |u_k| of its sums,
-    2 x 2 product and scaling by h.  In a
-    window of steps whose product Phi has a condition number below
-    _ODE_WINDOW an error added at step i reaches step j as
-    |Phi_j| |Phi_i^-1| of it, linear in the steps where the solutions
-    rotate; a step past that carries the bound by its own absolute values,
-    never taking up the growth of |Phi^-1| where a solution falls like
-    e^(-|b| (z - z_j)).
+    per step, its tail, its rows' rounding and u sum (k+8) |u_k| for its
+    sums, u = eps/2.  To first order, each operation that term k meets on
+    its way to the next centre's (u_0, u_1) adds u of its result: the
+    weight k (once), the sum taken last term first (k+1 additions), the
+    scaling of u_1 by h_next/h (a quotient and a product), and the 2 x 2
+    product, sqrt(5) u per complex product (Brent, Percival & Zimmermann,
+    Math. Comp. 76, 2007) and u for the addition, at most 4 u: 1 + (k+1)
+    + 2 + 4 = k+8, of which u_0 needs only k+5.  In a window of steps
+    whose product Phi has a condition number below _ODE_WINDOW an error
+    added at step i reaches step j as |Phi_j| |Phi_i^-1| of it, linear in
+    the steps where the solutions rotate; a step past that carries the
+    bound by its own absolute values, never taking up the growth of
+    |Phi^-1| where a solution falls like e^(-|b| (z - z_j)).
 
     The table also keeps |rows| and the edges steps/2 - centres by which a
     point finds its centre, each taken once with numpy.
@@ -913,8 +918,8 @@ class _OdeTable:
         tails = np.maximum(lead[0], lead[1] / r) * np.where(r < 1.0, np.stack(
             [1.0 / (1.0 - r), n / (1.0 - r) + r / (1.0 - r) ** 2]), math.inf)
         rounding = np.einsum("bj,sbkj->sj", m, weights * drift[:, :n])
-        added = tails + rounding + _EPS * np.einsum(
-            "bj,sbkj->sj", m, weights * (ks + 7.0) * mags[:, :n])
+        added = tails + rounding + 0.5 * _EPS * np.einsum(
+            "bj,sbkj->sj", m, weights * (ks + 8.0) * mags[:, :n])
         added[1] *= ratio
         sizes = mags[:, :n].sum(axis=1)
         own = tails[0] + rounding[0] + 4.0 * _EPS * (m * sizes).sum(axis=0)
@@ -1064,7 +1069,7 @@ def coef(r, n, m, x, omx=None):
 
     method names the branch that computed the value: 'closed' (the disc
     sum, or a circle factor that is identically 1 or 0), 'series' (x at or
-    below X_CUT = 0.9) or 'ode' (above it, the Taylor continuation of the
+    below X_CUT = 0.8) or 'ode' (above it, the Taylor continuation of the
     hypergeometric ODE).  A value that is not finite raises
     ConvergenceError.
     """

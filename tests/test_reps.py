@@ -346,13 +346,19 @@ class TestOdeTables:
     def test_table_reaches_only_as_far_as_asked(self):
         a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 64, 0)
         tables = _OdeCache(1 << 30)
-        # a first chunk of 16 centres from 1-x = 1 - X_CUT reaches 1.4e-3,
-        # then 64 at a time
-        centres = tables.rows(a, b, c, 2e-3)[0]
-        assert centres[0] == 1.0 - X_CUT
-        assert centres[-1] < 2e-3 and centres.size == 16
-        centres = tables.rows(a, b, c, 1e-3)[0]
-        assert centres[-1] < 1e-3 and centres.size == 16 + 64
+        # a first chunk of 16 centres from 1-x = 1 - X_CUT, by the step
+        # rule min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), then 64 at a time
+        o = [1.0 - X_CUT]
+        for _ in range(16):
+            p0 = (1.0 - o[-1]) * o[-1]
+            rate = abs(((c - b) - a - 1.0) + (a + b + 1.0) * o[-1]) \
+                + math.sqrt(abs(a * b) * p0)
+            o.append(o[-1] - min(reps._ODE_RHO * o[-1],
+                                 reps._ODE_RATE * p0 / rate))
+        centres = tables.rows(a, b, c, o[15])[0]
+        assert centres.tolist() == o[:16]
+        centres = tables.rows(a, b, c, o[16])[0]
+        assert centres[16] == o[16] and centres.size == 16 + 64
         centres = tables.rows(a, b, c, 1e-56)[0]
         assert centres[-1] < 1e-56 and centres.size <= 512
         # the step is a quarter of 1-x away from the cap, and exact

@@ -2,11 +2,11 @@
 40-digit mpmath: every frozen point's value must lie within its err_est.
 
 The set covers the series at or below X_CUT on and off the reference
-column, the cancelling sum of (16, 2) at X_CUT, where the ODE tables
-start, and its continuation to x = 0.98, the terminating sum of the
-reducible point Principal(1/2, -1/2) at (60, 60), the near-reducible
-Principal(1/2, -1/2 + 0.02i) above X_CUT, the kappa = 4097 peak, and the
-complementary normalizer at large n.  Regenerate the frozen values with
+column, the cancelling sum of (16, 2) at X_CUT = 0.8, where the ODE
+tables start, and at 0.9 and 0.98 on their continuation, the terminating
+sum of the reducible point Principal(1/2, -1/2) at (60, 60), the
+near-reducible Principal(1/2, -1/2 + 0.02i) above X_CUT, the kappa = 4097
+peak, and the complementary normalizer at large n.  Regenerate the frozen values with
 
     PYTHONPATH=src python tests/test_series_truth.py
 """
@@ -41,6 +41,7 @@ POINTS = (
     ("principal-even", 16, 2, "0.9"), ("principal-odd", 16, 2, "0.9"),
     ("reducible", 60, 60, "0.9"), ("complementary", 64, 3, "0.9"),
     ("principal-even", 512, 0, "0.9"), ("complementary", 1000, 0, "0.9"),
+    ("principal-even", 16, 2, "0.8"), ("principal-odd", 16, 2, "0.8"),
 )
 # [DERIVED] mpmath at 40 digits (80 working digits), from the closed form
 # pref x^(|n-m|/2) (1-x)^(-lam) 2F1(a, b; |n-m|+1; x), times the
@@ -72,6 +73,8 @@ FROZEN = [
     ("complementary", 64, 3, "0.9", "-0.0900345020219775547803549973766105162288", "0.0"),
     ("principal-even", 512, 0, "0.9", "9.839261180824081360700060676570840063122e-14", "-1.266078665662825684564075780038888055754e-13"),
     ("complementary", 1000, 0, "0.9", "1.979957583757756904900425843961008112633e-25", "0.0"),
+    ("principal-even", 16, 2, "0.8", "-0.05296681373584417929325750501021510534109", "-0.1062486041079544551846293206877835442983"),
+    ("principal-odd", 16, 2, "0.8", "0.002243951054570829332881670708677878341407", "-0.008344413110048013379560530055399908158715"),
 ]
 
 
