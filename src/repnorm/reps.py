@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, PreconditionError
-from .specfun import (_EPS, _MEMO_ENTRIES, gamma_ratio_signed, gamma_rounding,
-                      hyp2f1, is_nonpositive_int, log_gamma_difference,
-                      log_gammas, memo_key, memoized)
+from .specfun import (_EPS, _MEMO_ENTRIES, _terminating_order,
+                      gamma_ratio_signed, gamma_rounding, hyp2f1,
+                      log_gamma_difference, log_gammas, memo_key, memoized)
 
 # The one cut of the circle closed form: the Gauss series at or below it,
 # where it needs hundreds of terms, the ODE tables (started at it) above it
@@ -188,7 +188,7 @@ class _Circle(_Rep):
         shell = xs ** (abs(n - m) / 2.0) * np.exp(-lam * log_omx)
         # d log|shell|/dx, to which the slope adds Re F'/F
         dlog = abs(n - m) / (2.0 * xs) + lam.real / omx if slope else None
-        if pref == 0.0 or _unit_factor(a, b):
+        if pref == 0.0 or _terminating_order(a, b) == 0:
             value = pref * shell if pref != 0.0 else np.zeros(xs.shape, complex)
             err, method = _CLOSED_REL * np.abs(value), "closed"
         else:
@@ -793,11 +793,10 @@ def parseval_defect(r, m, x):
 _CLOSED_REL = 2e-14
 
 # The ODE branch (see _OdeTable): Taylor terms, step over 1-z, cap on step
-# times rate, centres per chunk (a quarter in the first: 1-x from 1 - X_CUT
-# to about 5e-3 in 8 KB),
-# largest condition number of an error window, bytes of rows kept, 1-x floor;
-# and the most points a call takes one at a time on Python floats (the
-# measured break-even is 11 points, 13 with the slope; see _horner_points).
+# times rate, most centres per chunk (a cap on a chunk's temporaries),
+# largest condition number of an error window, bytes of rows kept, 1-x
+# floor; and the most points a call takes one at a time on Python floats
+# (break-even 11 points, 13 with the slope; see _horner_points).
 _ODE_ORDER, _ODE_RHO, _ODE_RATE, _ODE_CHUNK = 32, 0.25, 2.0, 64
 _ODE_WINDOW, _ODE_CACHE_BYTES, _ODE_FLOOR = 64.0, 4 << 20, 1e-290
 _ODE_SCALAR_POINTS = 12
@@ -806,7 +805,10 @@ _ODE_SCALAR_POINTS = 12
 class _OdeTable:
     """Scaled Taylor rows of w = 2F1(a, b; c; z) about centres stepping
     from X_CUT toward z = 1, with a bound on the error of evaluating w from
-    each (Pearson, Olver & Porter, Numer. Algorithms 74, 2017, 4).
+    each (Pearson, Olver & Porter, Numer. Algorithms 74, 2017, 4).  A table
+    grows as far as its calls ask, by chunks that end at the first centre
+    at or below the 1-x asked for or at _ODE_CHUNK centres; each sum is
+    taken term by term, so a table has the same bits however it grew.
 
     About z_j = 1 - o, with step h, the u_k = w_k h^k of w(z_j + t h) =
     sum u_k t^k obey, by the hypergeometric ODE, with p0 = (1-o) o,
@@ -814,63 +816,66 @@ class _OdeTable:
 
       p0 (k+1)(k+2) u_{k+2} = (k+a)(k+b) h^2 u_k - (k+1)(p1 k + q0) h u_{k+1}
 
-    A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1)
-    built for a chunk of centres at once; their sums at t = 1, last term
-    first, carry (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT
-    (F' to a tolerance 1/(1-X_CUT) = 5 times tighter: its tail falls that
-    much slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), capped
-    where the solutions' rates would make rows rise like (|b| h)^k/k!, is
-    a difference of centres, so exact.  A centre's bound adds the tail past
-    N (Johansson, ACM TOMS 45, 2019): for k >= N, |u_{k+2}| <= A |u_k| +
-    B |u_{k+1}| with A = (1 + |a-1|/(N+1))(1 + |b-2|/(N+2)) h^2/p0 and
-    B = (|p1| + |q0-2 p1|/(N+2)) h/p0, so |u_k| <= M r^(k-N), r^2 = B r + A,
-    M = max(|u_N|, |u_{N+1}|/r); the rows' rounding, a running bound from
-    the two products that form each coefficient, carried by the
-    recurrence; and the errors of (u_0, u_1), from hyp2f1's bounds plus,
-    per step, its tail, its rows' rounding and u sum (k+8) |u_k| for its
-    sums, u = eps/2.  To first order, each operation that term k meets on
-    its way to the next centre's (u_0, u_1) adds u of its result: the
-    weight k (once), the sum taken last term first (k+1 additions), the
-    scaling of u_1 by h_next/h (a quotient and a product), and the 2 x 2
-    product, sqrt(5) u per complex product (Brent, Percival & Zimmermann,
-    Math. Comp. 76, 2007) and u for the addition, at most 4 u: 1 + (k+1)
-    + 2 + 4 = k+8, of which u_0 needs only k+5.  In a window of steps
-    whose product Phi has a condition number below _ODE_WINDOW an error
-    added at step i reaches step j as |Phi_j| |Phi_i^-1| of it, linear in
-    the steps where the solutions rotate; a step past that carries the
-    bound by its own absolute values, never taking up the growth of
-    |Phi^-1| where a solution falls like e^(-|b| (z - z_j)).
-
-    The table also keeps |rows| and the edges steps/2 - centres by which a
-    point finds its centre, each taken once with numpy.
+    A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1) built
+    for a chunk of centres at once; their sums at t = 1, last term first, carry
+    (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT, taken when the
+    table is made (F' to a tolerance 1/(1-X_CUT) = 5 times tighter: its tail
+    falls that much slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))),
+    capped where the solutions' rates would make rows rise like (|b| h)^k/k!,
+    is a difference of centres, so exact.  A centre's bound adds the tail past
+    N (Johansson, ACM TOMS 45, 2019): for k >= N, |u_{k+2}| <= A |u_k| + B
+    |u_{k+1}| with A = (1 + |a-1|/(N+1)) (1 + |b-2|/(N+2)) h^2/p0 and B = (|p1|
+    + |q0-2 p1|/(N+2)) h/p0, so |u_k| <= M r^(k-N), r^2 = B r + A, M =
+    max(|u_N|, |u_{N+1}|/r); the rows' rounding, a running bound from the two
+    products that form each coefficient, carried by the recurrence; and the
+    errors of (u_0, u_1), from hyp2f1's bounds plus, per step, its tail, its
+    rows' rounding and u sum (k+8) |u_k| for its sums, u = eps/2.  To first
+    order, each operation that term k meets on its way to the next centre's
+    (u_0, u_1) adds u of its result: the weight k (once), the sum taken last
+    term first (k+1 additions), the scaling of u_1 by h_next/h (a quotient and
+    a product), and the 2 x 2 product, sqrt(5) u per complex product (Brent,
+    Percival & Zimmermann, Math. Comp. 76, 2007) and u for the addition, at
+    most 4 u: 1 + (k+1) + 2 + 4 = k+8, of which u_0 needs only k+5.  In a
+    window of steps whose product Phi has a condition number below _ODE_WINDOW
+    an error added at step i reaches step j as |Phi_j| |Phi_i^-1| of it, linear
+    in the steps where the solutions rotate; a step past that carries the bound
+    by its own absolute values, never taking up the growth of |Phi^-1| where a
+    solution falls like e^(-|b| (z - z_j)).  The table also keeps |rows| and
+    the edges steps/2 - centres by which a point finds its centre.
     """
 
     def __init__(self, a, b, c):
         self.a, self.b, self.c = a, b, c = complex(a), complex(b), complex(c)
         self._s1, self._ab1 = (c - b) - a - 1.0, a + b + 1.0
+        self._ab = abs(a * b)
         self.centres, self.steps, self.err, self.edges = (np.empty(0),) * 4
         self.rows = np.empty((0, _ODE_ORDER), dtype=complex)
         self.mags = np.empty((0, _ODE_ORDER))
         self.nbytes = 0         # of the arrays above
-        self._next = None       # next centre, its (u_0, u_1), error window
+        # the next centre, its (u_0, u_1), their errors and error window
+        h = (o := 1.0 - X_CUT) - self._after(o)
+        f, f_err, df, df_err = hyp2f1(a, b, c, np.array([X_CUT]), 1e-15 * o,
+                                      deriv=True)
+        u1 = complex(df[0]) * h
+        self._next = (o, complex(f[0]), u1, float(f_err[0]),
+                      float(df_err[0]) * h + _EPS * abs(u1),
+                      1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
-    def add_chunk(self):
-        n, a, b, ab = _ODE_ORDER, self.a, self.b, abs(self.a * self.b)
-        size = _ODE_CHUNK // 4 if self._next is None else _ODE_CHUNK
-        o = [1.0 - X_CUT if self._next is None else self._next[0]]
-        for _ in range(size + 1):
-            p0 = (1.0 - o[-1]) * o[-1]
-            rate = abs(self._s1 + self._ab1 * o[-1]) + math.sqrt(ab * p0)
-            o.append(o[-1] - min(_ODE_RHO * o[-1], _ODE_RATE * p0 / rate))
+    def _after(self, o):      # the centre after o, by the step rule
+        p0 = (1.0 - o) * o
+        rate = abs(self._s1 + self._ab1 * o) + math.sqrt(self._ab * p0)
+        return o - min(_ODE_RHO * o, _ODE_RATE * p0 / rate)
+
+    def add_chunk(self, reach):
+        """Grow to the first centre at or below reach, or by _ODE_CHUNK."""
+        n, a, b = _ODE_ORDER, self.a, self.b
+        o = [self._next[0]]
+        while len(o) < _ODE_CHUNK and o[-1] > reach:
+            o.append(self._after(o[-1]))
+        size = len(o)           # then the next chunk's start and its step
+        o += [start := self._after(o[-1]), self._after(start)]
         steps = (o := np.array(o))[:-1] - o[1:]
         o, h, ratio = o[:size], steps[:size], steps[1:] / steps[:size]
-        if self._next is None:
-            f, f_err, df, df_err = hyp2f1(a, b, self.c, np.array([X_CUT]),
-                                          1e-15 * (1.0 - X_CUT), deriv=True)
-            u1 = complex(df[0]) * h[0]
-            self._next = (o[0], complex(f[0]), u1, float(f_err[0]),
-                          float(df_err[0]) * h[0] + _EPS * abs(u1),
-                          1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         _, u0, u1, base0, base1, p00, p01, p10, p11, acc0, acc1 = self._next
 
         # alpha and beta over the chunk, their rounding and their tail
@@ -917,11 +922,13 @@ class _OdeTable:
         lead = (m[:, None] * (mags[:, n:] + drift[:, n:])).sum(axis=0)
         tails = np.maximum(lead[0], lead[1] / r) * np.where(r < 1.0, np.stack(
             [1.0 / (1.0 - r), n / (1.0 - r) + r / (1.0 - r) ** 2]), math.inf)
-        rounding = np.einsum("bj,sbkj->sj", m, weights * drift[:, :n])
-        added = tails + rounding + 0.5 * _EPS * np.einsum(
-            "bj,sbkj->sj", m, weights * (ks + 8.0) * mags[:, :n])
+        # (each sum over b and k term by term: one order for any size)
+        terms = m[:, None] * np.stack([weights * drift[:, :n],
+                                       weights * (ks + 8.0) * mags[:, :n]])
+        rounding, scaled = terms.reshape(2, 2, -1, size).cumsum(2)[:, :, -1]
+        added = tails + rounding + 0.5 * _EPS * scaled
         added[1] *= ratio
-        sizes = mags[:, :n].sum(axis=1)
+        sizes = mags[:, :n].cumsum(1)[:, -1]
         own = tails[0] + rounding[0] + 4.0 * _EPS * (m * sizes).sum(axis=0)
         row_err = np.empty(size)
         for j, (size0, size1, own_j, in0, in1) in enumerate(zip(
@@ -942,7 +949,8 @@ class _OdeTable:
                 p00, p01, p10, p11, acc0, acc1 = 1.0, 0.0, 0.0, 1.0, 0.0, 0.0
         self._next = (o[-1] - h[-1], u0, u1, base0, base1,
                       p00, p01, p10, p11, acc0, acc1)
-        rows = (starts[:, :, None] * basis[:, :n].transpose(0, 2, 1)).sum(0)
+        rows = np.ascontiguousarray(    # C order, for a chunk of any size
+            (starts[:, :, None] * basis[:, :n].transpose(0, 2, 1)).sum(0))
         fields = ("centres", "steps", "rows", "err", "mags", "edges")
         for name, new in zip(fields, (o, h, rows, row_err, np.abs(rows),
                                       h / 2.0 - o)):
@@ -968,9 +976,9 @@ class _OdeCache:
         with self._lock:
             table = self._tables.pop(key, None) or _OdeTable(a, b, c)
             self._bytes -= table.nbytes
-            while not table.centres.size or table.centres[-1] > max(
-                    omx_min, _ODE_FLOOR):
-                table.add_chunk()
+            reach = max(omx_min, _ODE_FLOOR)
+            while not table.centres.size or table.centres[-1] > reach:
+                table.add_chunk(reach)
             self._tables[key] = table
             self._bytes += table.nbytes
             while self._bytes > self.max_bytes and len(self._tables) > 1:
@@ -984,20 +992,18 @@ _ODE_TABLES = _OdeCache(_ODE_CACHE_BYTES)
 
 def _f_ode_vec(a, b, c, omx, deriv=False, tables=_ODE_TABLES):
     """2F1(a, b; c; 1 - omx) for omx = 1-x below 1 - X_CUT from the table
-    of (a, b, c): (F, err), with deriv=True (F, err, dF/dx).  Each point
-    takes its nearest centre (by the steps' midpoints, |t| <= 2/3) and one
-    Horner pass, elementwise, so it has the same bits alone or in any
-    batch; err adds (3N + 2) eps sum |u_k| |t|^k, the rounding of the pass
-    and of t, to the centre's bound.  omx past the table's reach (about
-    _ODE_FLOOR) is taken at the last step's end, with an infinite err.
-
-    A batch of at most _ODE_SCALAR_POINTS points makes its Horner passes
-    one point at a time on Python floats (_horner_points), at a few
-    microseconds a point in place of the numpy pass's fixed cost, with the
-    same bits."""
+    of (a, b, c), grown to the least omx of the batch that is not NaN:
+    (F, err), with deriv=True (F, err, dF/dx).  Each point takes its nearest
+    centre (by the steps' midpoints, |t| <= 2/3) and one Horner pass,
+    elementwise, so it has the same bits alone or in any batch; err adds
+    (3N + 2) eps sum |u_k| |t|^k, the rounding of the pass and of t, to the
+    centre's bound.  omx past the table's reach (about _ODE_FLOOR) is taken
+    at the last step's end, with an infinite err.  A batch of at most
+    _ODE_SCALAR_POINTS points takes _horner_points, with the same bits at a
+    few microseconds a point."""
     omx = np.asarray(omx, dtype=float)
     centres, steps, rows, row_err, mags, edges = tables.rows(
-        a, b, c, float(omx.min()) if omx.size else 1.0)
+        a, b, c, float(np.fmin.reduce(omx, initial=1.0)))
     j = np.minimum(np.searchsorted(edges, -omx, side="right"),
                    centres.size - 1)
     t = np.minimum((centres[j] - omx) / steps[j], 1.0)
@@ -1043,12 +1049,6 @@ def _horner_points(rows, mags, j, t, deriv):
         slopes += sr, si
     return (np.array(values).view(complex), np.array(sizes),
             np.array(slopes).view(complex))
-
-
-def _unit_factor(a, b):
-    """True when a or b is 0, so that 2F1(a, b; c; x) = 1 identically (the
-    boundary of the parity-1/2 strip)."""
-    return any(is_nonpositive_int(v) and round(v.real) == 0 for v in (a, b))
 
 
 def coef_vec(r, n, m, xs, omx=None, slope=False):

@@ -343,28 +343,88 @@ class TestOdeTables:
             for got, want in zip(deep, alone):
                 assert _same_bits(got[i:i + 1], want), omx[i]
 
-    def test_table_reaches_only_as_far_as_asked(self):
+    def test_table_reaches_only_as_far_as_asked(self, monkeypatch):
         a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 64, 0)
-        tables = _OdeCache(1 << 30)
-        # a first chunk of 16 centres from 1-x = 1 - X_CUT, by the step
-        # rule min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), then 64 at a time
+        # the centres from 1-x = 1 - X_CUT by the step rule
+        # min(rho o, RATE p0/(|q0| + sqrt(|ab| p0)))
         o = [1.0 - X_CUT]
-        for _ in range(16):
+        for _ in range(99):
             p0 = (1.0 - o[-1]) * o[-1]
             rate = abs(((c - b) - a - 1.0) + (a + b + 1.0) * o[-1]) \
                 + math.sqrt(abs(a * b) * p0)
             o.append(o[-1] - min(reps._ODE_RHO * o[-1],
                                  reps._ODE_RATE * p0 / rate))
-        centres = tables.rows(a, b, c, o[15])[0]
-        assert centres.tolist() == o[:16]
-        centres = tables.rows(a, b, c, o[16])[0]
-        assert centres[16] == o[16] and centres.size == 16 + 64
-        centres = tables.rows(a, b, c, 1e-56)[0]
-        assert centres[-1] < 1e-56 and centres.size <= 512
+        # asking for centre k's 1-x builds exactly its k+1 centres
+        for k in range(100):
+            centres = _OdeCache(1 << 30).rows(a, b, c, o[k])[0]
+            assert centres.tolist() == o[:k + 1], k
+        # a deep ask grows the table in chunks of at most _ODE_CHUNK, to
+        # its first centre at or below the reach
+        added, grow = [], reps._OdeTable.add_chunk
+
+        def counted(table, reach):
+            before = table.centres.size
+            grow(table, reach)
+            added.append(table.centres.size - before)
+
+        monkeypatch.setattr(reps._OdeTable, "add_chunk", counted)
+        centres, steps = _OdeCache(1 << 30).rows(a, b, c, 1e-56)[:2]
+        assert max(added) == reps._ODE_CHUNK and min(added) > 0
+        assert sum(added) == centres.size <= 512
+        assert centres[-1] <= 1e-56 < centres[-2]
         # the step is a quarter of 1-x away from the cap, and exact
-        steps = tables.rows(a, b, c, 1e-56)[1]
         assert np.all(centres[:-1] - steps[:-1] == centres[1:])
         assert np.all(steps <= 0.25 * centres * (1.0 + 1e-15))
+
+    @pytest.mark.parametrize("r,n,m", [
+        (Principal(0.0, -0.5 + 1.0j), 16, 0),
+        (Principal(0.0, -0.5 + 1.0j), 40, 30),
+        (Principal(0.5, -0.5 + 0.7j), -99, 0),
+        (Complementary(-0.25), 0, -128),
+        (Complementary(-0.25), 256, 0)], ids=str)
+    def test_growth_keeps_the_bits(self, r, n, m):
+        # a table grown one centre at a time, or through random reaches,
+        # holds every array of one deep build, bit for bit: each centre's
+        # sums are taken in one order whatever the size of its chunk
+        a, b, c, *_ = _principal_params(*r.circle, n, m)
+        deep = _OdeCache(1 << 30).rows(a, b, c, 1e-30)
+        stepped, drawn = _OdeCache(1 << 30), _OdeCache(1 << 30)
+        for k, o in enumerate(deep[0].tolist()):
+            assert stepped.rows(a, b, c, o)[0].size == k + 1
+        rng = np.random.default_rng(abs(n) + abs(m))
+        for reach in 10.0 ** rng.uniform(-30, -1, 30):
+            drawn.rows(a, b, c, reach)
+        for tables in (stepped, drawn):
+            grown = tables.rows(a, b, c, 1e-30)
+            assert grown[2].flags.c_contiguous
+            for name, got, want in zip(("centres", "steps", "rows", "err",
+                                        "mags", "edges"), grown, deep):
+                assert _same_bits(got, want), name
+
+    def test_nan_points_leave_the_others_alone(self):
+        a, b, c, *_ = _principal_params(0.0, -0.5 + 1.0j, 16, 0)
+        omx = np.array([1e-3, 1e-12, 0.05])
+        want = _f_ode_vec(a, b, c, omx, deriv=True, tables=_OdeCache(1 << 30))
+        got = _f_ode_vec(a, b, c, np.insert(omx, 1, np.nan), deriv=True,
+                         tables=_OdeCache(1 << 30))
+        for part, alone in zip(got, want):
+            assert _same_bits(np.delete(part, 1), alone)
+            assert np.isnan(part[1])
+        # an all-NaN batch is NaN throughout; 1-x of 0 or below is the
+        # value at the end of the last step, with an infinite err
+        tables = _OdeCache(1 << 30)
+        for part in _f_ode_vec(a, b, c, np.full(2, np.nan), tables=tables):
+            assert np.isnan(part).all()
+        value, err = _f_ode_vec(a, b, c, np.array([0.0, -1.0, -np.inf]),
+                                tables=tables)
+        assert _same_bits(value, np.full(3, value[0]))
+        assert np.isfinite(value).all() and np.isinf(err).all()
+        # growth ends, for any reach, at the first centre at or below
+        # _ODE_FLOOR or earlier
+        for reach in (np.nan, -np.inf, -1.0, 0.0, 1e-300, np.inf):
+            centres = _OdeCache(1 << 30).rows(a, b, c, reach)[0]
+            assert centres.size and np.all(centres[:-1] > reps._ODE_FLOOR)
+        assert centres.size == 1
 
     def test_byte_cap(self):
         tables = _OdeCache(800_000)
