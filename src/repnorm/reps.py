@@ -805,10 +805,10 @@ _ODE_SCALAR_POINTS = 12
 class _OdeTable:
     """Scaled Taylor rows of w = 2F1(a, b; c; z) about centres stepping
     from X_CUT toward z = 1, with a bound on the error of evaluating w from
-    each (Pearson, Olver & Porter, Numer. Algorithms 74, 2017, 4).  A table
-    grows as far as its calls ask, by chunks that end at the first centre
-    at or below the 1-x asked for or at _ODE_CHUNK centres; each sum is
-    taken term by term, so a table has the same bits however it grew.
+    each (Pearson, Olver & Porter, Numer. Algorithms 74, 2017, 4), |rows|
+    and the edges steps/2 - centres by which a point finds its centre.  It
+    grows in chunks to the first centre at or below the 1-x a call asks
+    for, or of _ODE_CHUNK centres, with the same bits however it grew.
 
     About z_j = 1 - o, with step h, the u_k = w_k h^k of w(z_j + t h) =
     sum u_k t^k obey, by the hypergeometric ODE, with p0 = (1-o) o,
@@ -816,32 +816,32 @@ class _OdeTable:
 
       p0 (k+1)(k+2) u_{k+2} = (k+a)(k+b) h^2 u_k - (k+1)(p1 k + q0) h u_{k+1}
 
-    A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1) built
-    for a chunk of centres at once; their sums at t = 1, last term first, carry
-    (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT, taken when the
-    table is made (F' to a tolerance 1/(1-X_CUT) = 5 times tighter: its tail
-    falls that much slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))),
-    capped where the solutions' rates would make rows rise like (|b| h)^k/k!,
-    is a difference of centres, so exact.  A centre's bound adds the tail past
-    N (Johansson, ACM TOMS 45, 2019): for k >= N, |u_{k+2}| <= A |u_k| + B
-    |u_{k+1}| with A = (1 + |a-1|/(N+1)) (1 + |b-2|/(N+2)) h^2/p0 and B = (|p1|
-    + |q0-2 p1|/(N+2)) h/p0, so |u_k| <= M r^(k-N), r^2 = B r + A, M =
-    max(|u_N|, |u_{N+1}|/r); the rows' rounding, a running bound from the two
-    products that form each coefficient, carried by the recurrence; and the
-    errors of (u_0, u_1), from hyp2f1's bounds plus, per step, its tail, its
-    rows' rounding and u sum (k+8) |u_k| for its sums, u = eps/2.  To first
-    order, each operation that term k meets on its way to the next centre's
-    (u_0, u_1) adds u of its result: the weight k (once), the sum taken last
-    term first (k+1 additions), the scaling of u_1 by h_next/h (a quotient and
-    a product), and the 2 x 2 product, sqrt(5) u per complex product (Brent,
-    Percival & Zimmermann, Math. Comp. 76, 2007) and u for the addition, at
-    most 4 u: 1 + (k+1) + 2 + 4 = k+8, of which u_0 needs only k+5.  In a
-    window of steps whose product Phi has a condition number below _ODE_WINDOW
-    an error added at step i reaches step j as |Phi_j| |Phi_i^-1| of it, linear
-    in the steps where the solutions rotate; a step past that carries the bound
-    by its own absolute values, never taking up the growth of |Phi^-1| where a
-    solution falls like e^(-|b| (z - z_j)).  The table also keeps |rows| and
-    the edges steps/2 - centres by which a point finds its centre.
+    A row is u_0 alpha + u_1 beta, alpha and beta from (1, 0) and (0, 1)
+    built for a chunk of centres at once; their sums at t = 1, last term
+    first, carry (u_0, u_1) = (w, h w') on from hyp2f1's F and F' at X_CUT
+    (F' to a tolerance 1/(1-X_CUT) = 5 times tighter: its tail falls that
+    much slower).  h = min(rho o, RATE p0/(|q0| + sqrt(|ab| p0))), capped
+    where the solutions' rates would make rows rise like (|b| h)^k/k!, is
+    a difference of centres, so exact.  A centre's bound adds the tail past
+    N (Johansson, ACM TOMS 45, 2019): for k >= N, |u_{k+2}| <= A |u_k| +
+    B |u_{k+1}| with A = (1 + |a-1|/(N+1))(1 + |b-2|/(N+2)) h^2/p0 and
+    B = (|p1| + |q0-2 p1|/(N+2)) h/p0, so |u_k| <= M r^(k-N), r^2 = B r + A,
+    M = max(|u_N|, |u_{N+1}|/r); the rows' rounding, a running bound from
+    the two products that form each coefficient, carried by the
+    recurrence; and the errors of (u_0, u_1), from hyp2f1's bounds plus,
+    per step, its tail, its rows' rounding and u sum (k+8) |u_k| for its
+    sums, u = eps/2.  To first order, each operation that term k meets on
+    its way to the next centre's (u_0, u_1) adds u of its result: the
+    weight k (once), the sum taken last term first (k+1 additions), the
+    scaling of u_1 by h_next/h (a quotient and a product), and the 2 x 2
+    product, sqrt(5) u per complex product (Brent, Percival & Zimmermann,
+    Math. Comp. 76, 2007) and u for the addition, at most 4 u: 1 + (k+1)
+    + 2 + 4 = k+8, of which u_0 needs only k+5.  In a window of steps
+    whose product Phi has a condition number below _ODE_WINDOW an error
+    added at step i reaches step j as |Phi_j| |Phi_i^-1| of it, linear in
+    the steps where the solutions rotate; a step past that carries the
+    bound by its own absolute values, never taking up the growth of
+    |Phi^-1| where a solution falls like e^(-|b| (z - z_j)).
     """
 
     def __init__(self, a, b, c):
