@@ -420,11 +420,11 @@ class TestOdeTables:
         assert _same_bits(value, np.full(3, value[0]))
         assert np.isfinite(value).all() and np.isinf(err).all()
         # growth ends, for any reach, at the first centre at or below
-        # _ODE_FLOOR or earlier
+        # _ODE_FLOOR or earlier; a reach of inf takes the start alone
         for reach in (np.nan, -np.inf, -1.0, 0.0, 1e-300, np.inf):
             centres = _OdeCache(1 << 30).rows(a, b, c, reach)[0]
             assert centres.size and np.all(centres[:-1] > reps._ODE_FLOOR)
-        assert centres.size == 1
+        assert _OdeCache(1 << 30).rows(a, b, c, np.inf)[0].size == 1
 
     def test_byte_cap(self):
         tables = _OdeCache(800_000)
